@@ -57,10 +57,12 @@ void BM_WalkStep(benchmark::State& state) {
   Rng topo_rng(2);
   Graph g = MakeBarabasiAlbert(size_t(state.range(0)), 3, topo_rng).value();
   Rng rng(3);
+  const WeightFn weight = UniformWeight();
+  const WalkContext ctx{.graph = g, .weight = weight, .rng = rng,
+                        .fallback = 0};
   RandomWalk walk(0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        walk.Step(g, UniformWeight(), rng, nullptr, 0));
+    benchmark::DoNotOptimize(walk.Step(ctx));
   }
 }
 BENCHMARK(BM_WalkStep)->Arg(64)->Arg(512)->Arg(4096);

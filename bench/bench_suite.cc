@@ -622,7 +622,7 @@ std::vector<Scenario> BuildScenarios() {
            options.estimator = EstimatorKind::kRepeated;
            options.sampler = SamplerKind::kTwoStageMcmc;
            options.extrapolator.history_points = 3;
-           options.num_threads = threads;
+           options.sampling_options.num_threads = threads;
            options.profiler = profiler;
            options.auditor = auditor;
            options.diag = diag;

@@ -47,13 +47,6 @@ Result<std::unique_ptr<DigestNode>> DigestNode::Create(
   if (node_options.max_queries == 0) {
     return Status::InvalidArgument("max_queries must be >= 1");
   }
-  // The engine-level thread count flows into the shared operator the
-  // same way DigestEngine::Create flows it into operators it builds; a
-  // non-zero sampling_options.num_threads set explicitly wins.
-  if (default_options.sampling_options.num_threads == 0) {
-    default_options.sampling_options.num_threads =
-        default_options.num_threads;
-  }
   std::unique_ptr<DigestNode> node(new DigestNode(
       graph, db, self, meter, default_options, node_options));
   node->rng_ = rng;

@@ -89,13 +89,6 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
   if (options.estimator_options.tracer == nullptr) {
     options.estimator_options.tracer = options.tracer;
   }
-  // The engine-level thread count flows into every operator it builds
-  // (callers using CreateWithOperator configure their operator
-  // directly). A non-zero sampling_options.num_threads set explicitly
-  // wins, same precedence style as the tracer above.
-  if (options.sampling_options.num_threads == 0) {
-    options.sampling_options.num_threads = options.num_threads;
-  }
   std::unique_ptr<DigestEngine> engine(new DigestEngine(
       graph, db, std::move(spec), querying_node, meter, options));
   engine->supervisor_.SetTracer(options.tracer);

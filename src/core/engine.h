@@ -83,15 +83,6 @@ struct DigestEngineOptions {
   /// never influences scheduling or estimation.
   SupervisorOptions supervisor;
 
-  /// Worker threads for the sampling tier's walk batches. 0 (default)
-  /// keeps the legacy serial execution; any value >= 1 selects the
-  /// deterministic parallel mode, whose outputs are bit-identical for
-  /// EVERY num_threads >= 1 (see SamplingOperatorOptions::num_threads).
-  /// A non-zero value is copied into sampling_options.num_threads for
-  /// every operator the engine builds; checkpoints taken at one thread
-  /// count restore and replay bit-identically at any other.
-  size_t num_threads = 0;
-
   /// How PRED measures the predicted δ-drift (Eq. 4).
   ///
   /// false (paper-faithful default): drift is measured from the fitted

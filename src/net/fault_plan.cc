@@ -250,7 +250,7 @@ bool FaultPlan::LoseMessage(NodeId from, NodeId to) {
   if (rate <= 0.0) return false;
   // Times only paths that actually draw from the plan's stream; the
   // zero-rate early-outs above cost no randomness and stay untimed.
-  prof::ScopedTimer timer(profiler_, prof::Phase::kFaultDraw);
+  prof::ScopedTrackTimer timer(track_, prof::Phase::kFaultDraw);
   timer.AddItems(1);
   if (!rng_.NextBernoulli(rate)) return false;
   ++losses_injected_;
@@ -262,7 +262,7 @@ bool FaultPlan::LoseMessage(NodeId from, NodeId to) {
 
 bool FaultPlan::DropAgent() {
   if (config_.agent_drop <= 0.0) return false;
-  prof::ScopedTimer timer(profiler_, prof::Phase::kFaultDraw);
+  prof::ScopedTrackTimer timer(track_, prof::Phase::kFaultDraw);
   timer.AddItems(1);
   if (!rng_.NextBernoulli(config_.agent_drop)) return false;
   ++drops_injected_;
@@ -271,7 +271,7 @@ bool FaultPlan::DropAgent() {
 
 bool FaultPlan::StaleProbe() {
   if (config_.stale_probe <= 0.0) return false;
-  prof::ScopedTimer timer(profiler_, prof::Phase::kFaultDraw);
+  prof::ScopedTrackTimer timer(track_, prof::Phase::kFaultDraw);
   timer.AddItems(1);
   if (!rng_.NextBernoulli(config_.stale_probe)) return false;
   ++stale_injected_;
@@ -279,7 +279,7 @@ bool FaultPlan::StaleProbe() {
 }
 
 double FaultPlan::DistortWeight(double weight) {
-  prof::ScopedTimer timer(profiler_, prof::Phase::kFaultDraw);
+  prof::ScopedTrackTimer timer(track_, prof::Phase::kFaultDraw);
   timer.AddItems(1);
   const double u = 2.0 * rng_.NextDouble() - 1.0;
   return std::max(0.0, weight * (1.0 + config_.stale_noise * u));
@@ -288,8 +288,8 @@ double FaultPlan::DistortWeight(double weight) {
 FaultPlan FaultPlan::SpawnSubstream(uint64_t key) const {
   FaultPlan sub(config_, seed_);
   // Same (config, seed) => same static topology; only the private draw
-  // stream is re-keyed. Counters start at zero and tracer/profiler stay
-  // detached — the caller attaches its own buffering sinks if needed.
+  // stream is re-keyed. Counters start at zero and tracer/track stay
+  // detached — the caller attaches its own per-walk sinks if needed.
   sub.rng_ = Rng(Mix64(seed_ ^ Mix64(key) ^ kSubstreamSalt));
   sub.now_ = now_;
   // Copy the window flag directly (not via set_now) so spawning never

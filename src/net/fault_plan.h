@@ -12,7 +12,7 @@ namespace obs {
 class Tracer;
 }  // namespace obs
 namespace prof {
-class Profiler;
+class Track;
 }  // namespace prof
 
 /// Rates and shapes of the injected faults. All probabilities are in
@@ -124,13 +124,14 @@ class FaultPlan {
   void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
   obs::Tracer* tracer() const { return tracer_; }
 
-  /// Attaches (or detaches) a wall-clock profiler: the Bernoulli/noise
+  /// Attaches (or detaches) a wall-clock track: the Bernoulli/noise
   /// draws (LoseMessage, DropAgent, StaleProbe, DistortWeight) fold
-  /// their real cost into prof::Phase::kFaultDraw. Not owned; null
-  /// disables with no clock reads. Same purity contract as the tracer:
-  /// the draw stream and injection counters are untouched.
-  void SetProfiler(prof::Profiler* profiler) { profiler_ = profiler; }
-  prof::Profiler* profiler() const { return profiler_; }
+  /// their real cost into prof::Phase::kFaultDraw. The sampling operator
+  /// hands each walk's substream the track of the worker running it.
+  /// Not owned; null disables with no clock reads. Same purity contract
+  /// as the tracer: the draw stream and injection counters are
+  /// untouched.
+  void SetTrack(prof::Track* track) { track_ = track; }
 
   /// Draws whether one transmission over edge (from, to) is lost.
   /// Counts toward losses_injected() when true.
@@ -183,8 +184,8 @@ class FaultPlan {
   /// parent's config, seed, and clock — so the static fault topology
   /// (EdgeLossRate, IsBlackholed) is identical — but draws its Bernoulli
   /// stream from a seed hashed from (plan seed, key), with injection
-  /// counters zeroed and no tracer/profiler attached. The parallel walk
-  /// executor spawns one substream per walk, keyed by walk index, so the
+  /// counters zeroed and no tracer/track attached. The sampling
+  /// operator spawns one substream per walk, keyed by walk index, so the
   /// faults a walk sees depend only on (plan seed, batch, walk index) —
   /// never on scheduling. Fold a finished substream's counters back with
   /// AbsorbInjections().
@@ -210,7 +211,7 @@ class FaultPlan {
   uint64_t seed_;
   Rng rng_;
   obs::Tracer* tracer_ = nullptr;
-  prof::Profiler* profiler_ = nullptr;
+  prof::Track* track_ = nullptr;
   int64_t now_ = 0;
   bool partition_window_active_ = false;
   uint64_t active_episode_ = 0;  ///< Valid while a window is active.

@@ -283,9 +283,8 @@ std::string EventToJsonLine(const TraceEvent& event) {
   out += std::to_string(event.seq);
   out += ",\"t\":";
   out += std::to_string(event.sim_time);
-  // The deterministic execution lane (walk index) appears only on
-  // events the parallel sampler stamped, so serial traces stay
-  // byte-identical to the pre-parallel format.
+  // The deterministic execution lane (walk index, or QueryId on a
+  // multi-query node) appears only on events stamped with one.
   if (event.lane >= 0) {
     out += ",\"lane\":";
     out += std::to_string(event.lane);

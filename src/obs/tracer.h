@@ -338,7 +338,7 @@ struct TraceEvent {
   uint64_t seq = 0;       ///< Monotone per tracer, from 0.
   int64_t sim_time = 0;   ///< Simulated tick at emission (tracer clock).
   /// Deterministic execution lane of the event, or -1 for none. The
-  /// parallel sampling executor stamps each walk-scoped event with its
+  /// sampling operator stamps each walk-scoped event with its
   /// WALK index — never an OS thread id, which would vary run-to-run
   /// and with the thread count. Lanes are therefore part of the
   /// bit-reproducible trace: the same trace is produced at any

@@ -82,9 +82,9 @@ bool PhaseCapturesSpans(Phase phase);
 
 class Profiler;
 
-/// A per-worker wall-clock accumulator for parallel regions. The main
-/// Profiler is single-threaded by contract; during a parallel walk
-/// batch each pool worker instead records into its own Track (written
+/// A per-worker wall-clock accumulator for pool regions. The main
+/// Profiler is single-threaded by contract; during a walk batch each
+/// pool worker instead records into its own Track (written
 /// by that worker only — no synchronization), and the main thread folds
 /// every track back into the Profiler after the pool barrier
 /// (Profiler::FoldTrack). Tracks aggregate per-phase counters only, no
@@ -160,10 +160,10 @@ class Profiler {
   uint64_t spans_dropped() const { return spans_dropped_; }
   const ProfilerOptions& options() const { return options_; }
 
-  /// Folds a parallel worker's Track into this profiler (main thread,
+  /// Folds a pool worker's Track into this profiler (main thread,
   /// after the pool barrier): the track's counters merge element-wise
-  /// into the aggregate phase stats — so calls/items stay exactly what
-  /// a serial run records, with wall time attributed to whichever
+  /// into the aggregate phase stats — so calls/items are the same at
+  /// any thread count, with wall time attributed to whichever
   /// worker actually spent it — and also accumulate into a per-worker
   /// breakdown exported as the `tracks` JSON section. `worker` indexes
   /// the breakdown (0 = the calling thread).
@@ -183,9 +183,10 @@ class Profiler {
   /// "max_ns":N,"items":N},...},"spans_captured":N,"spans_dropped":N}`.
   /// Phases with zero calls and zero items are omitted. Key order is
   /// the Phase enum order (stable across runs). When worker tracks were
-  /// folded (parallel runs), a `"tracks":[{"worker":N,"phases":{...}},
-  /// ...]` array follows — omitted entirely otherwise, keeping serial
-  /// output byte-identical to the pre-parallel layout.
+  /// folded (any run that sampled walks: every walk runs on a pool
+  /// worker, the calling thread being worker 0), a
+  /// `"tracks":[{"worker":N,"phases":{...}},...]` array follows; it is
+  /// omitted when no track was ever folded.
   std::string ToJson() const;
 
  private:

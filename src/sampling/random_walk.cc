@@ -68,23 +68,24 @@ size_t LiveDegree(const Graph& graph, NodeId node,
 
 }  // namespace
 
-Status RandomWalk::Step(const Graph& graph, const WeightFn& weight, Rng& rng,
-                        MessageMeter* meter, NodeId fallback,
-                        FaultPlan* faults, const RetryPolicy* retry,
-                        WalkTelemetry* telemetry,
-                        diag::WalkDiagBuffer* diag,
-                        const QuarantineView* quarantine,
-                        WalkHealthBuffer* health) {
+Status RandomWalk::Step(const WalkContext& ctx) {
   static const RetryPolicy kDefaultRetry;
-  if (faults != nullptr && retry == nullptr) retry = &kDefaultRetry;
+  const Graph& graph = ctx.graph;
+  FaultPlan* faults = ctx.faults;
+  const RetryPolicy& retry = ctx.retry != nullptr ? *ctx.retry : kDefaultRetry;
+  MessageMeter* meter = ctx.meter;
+  WalkTelemetry* telemetry = ctx.telemetry;
+  diag::WalkDiagBuffer* diag = ctx.diag;
+  const QuarantineView* quarantine = ctx.quarantine;
+  WalkHealthBuffer* health = ctx.health;
   if (telemetry != nullptr) ++telemetry->attempts;
   if (!graph.HasNode(current_)) {
     // The node hosting the agent left the network; the originator
     // restarts the agent (one message to re-inject it).
-    if (!graph.HasNode(fallback)) {
+    if (!graph.HasNode(ctx.fallback)) {
       return Status::Unavailable("walk origin left the network");
     }
-    current_ = fallback;
+    current_ = ctx.fallback;
     if (meter != nullptr) meter->AddWalkHop();
   }
   if (faults != nullptr && faults->IsBlackholed(current_)) {
@@ -96,7 +97,7 @@ Status RandomWalk::Step(const Graph& graph, const WeightFn& weight, Rng& rng,
   }
   // Laziness: self-loop with the configured probability, free of
   // messages (½ in the paper, Eq. 12's prefactor).
-  if (laziness_ > 0.0 && rng.NextBernoulli(laziness_)) {
+  if (laziness_ > 0.0 && ctx.rng.NextBernoulli(laziness_)) {
     return Status::OK();
   }
   const size_t degree = graph.Degree(current_);
@@ -122,7 +123,7 @@ Status RandomWalk::Step(const Graph& graph, const WeightFn& weight, Rng& rng,
       return Status::OK();
     }
     degree_i = live;
-    size_t pick = rng.NextIndex(live);
+    size_t pick = ctx.rng.NextIndex(live);
     for (NodeId n : graph.Neighbors(current_)) {
       if (quarantine->Quarantined(n)) continue;
       if (pick == 0) {
@@ -132,7 +133,7 @@ Status RandomWalk::Step(const Graph& graph, const WeightFn& weight, Rng& rng,
       --pick;
     }
   } else {
-    DIGEST_ASSIGN_OR_RETURN(proposal, graph.RandomNeighbor(current_, rng));
+    DIGEST_ASSIGN_OR_RETURN(proposal, graph.RandomNeighbor(current_, ctx.rng));
   }
   // Probing the neighbor's weight costs one message (charged whether or
   // not the transmission survives — the sender pays for the send).
@@ -140,7 +141,7 @@ Status RandomWalk::Step(const Graph& graph, const WeightFn& weight, Rng& rng,
   if (telemetry != nullptr) ++telemetry->proposals;
   if (diag != nullptr) diag->RecordProbe(current_, proposal);
   if (faults != nullptr) {
-    if (!TryDeliver(*faults, *retry, current_, proposal, meter, telemetry,
+    if (!TryDeliver(*faults, retry, current_, proposal, meter, telemetry,
                     health)) {
       // Probe never answered within the retry budget: abandon the
       // transition, the agent stays put.
@@ -150,7 +151,7 @@ Status RandomWalk::Step(const Graph& graph, const WeightFn& weight, Rng& rng,
   } else if (health != nullptr) {
     health->RecordSuccess(proposal);
   }
-  double proposal_weight = weight(proposal);
+  double proposal_weight = ctx.weight(proposal);
   if (faults != nullptr && faults->StaleProbe()) {
     // The probe was answered from a stale cache: the acceptance test
     // sees a distorted weight. The chain's target distribution bends
@@ -161,14 +162,14 @@ Status RandomWalk::Step(const Graph& graph, const WeightFn& weight, Rng& rng,
   const size_t degree_j = routed
                               ? LiveDegree(graph, proposal, *quarantine)
                               : graph.Degree(proposal);
-  const double accept = MetropolisAcceptance(weight(current_), degree_i,
+  const double accept = MetropolisAcceptance(ctx.weight(current_), degree_i,
                                              proposal_weight, degree_j);
-  if (rng.NextBernoulli(accept)) {
+  if (ctx.rng.NextBernoulli(accept)) {
     if (meter != nullptr) meter->AddWalkHop();
     if (telemetry != nullptr) ++telemetry->accepted;
     if (diag != nullptr) diag->RecordHop(current_, proposal);
     if (faults != nullptr) {
-      if (!TryDeliver(*faults, *retry, current_, proposal, meter,
+      if (!TryDeliver(*faults, retry, current_, proposal, meter,
                       telemetry, health)) {
         // Forward message abandoned: the agent never left.
         if (telemetry != nullptr) ++telemetry->abandoned;
@@ -181,11 +182,11 @@ Status RandomWalk::Step(const Graph& graph, const WeightFn& weight, Rng& rng,
         // re-mix (the caller extends its remaining steps).
         if (meter != nullptr) meter->AddAgentRestart();
         if (telemetry != nullptr) ++telemetry->drops;
-        if (!graph.HasNode(fallback)) {
+        if (!graph.HasNode(ctx.fallback)) {
           return Status::Unavailable(
               "dropped agent's origin left the network");
         }
-        current_ = fallback;
+        current_ = ctx.fallback;
         return Status::OK();
       }
     } else if (health != nullptr) {
@@ -196,17 +197,10 @@ Status RandomWalk::Step(const Graph& graph, const WeightFn& weight, Rng& rng,
   return Status::OK();
 }
 
-Status RandomWalk::Advance(const Graph& graph, const WeightFn& weight,
-                           Rng& rng, MessageMeter* meter, NodeId fallback,
-                           size_t steps, WalkTelemetry* telemetry,
-                           diag::WalkDiagBuffer* diag,
-                           const QuarantineView* quarantine,
-                           WalkHealthBuffer* health) {
+Status RandomWalk::Advance(const WalkContext& ctx, size_t steps) {
   for (size_t i = 0; i < steps; ++i) {
-    DIGEST_RETURN_IF_ERROR(Step(graph, weight, rng, meter, fallback,
-                                /*faults=*/nullptr, /*retry=*/nullptr,
-                                telemetry, diag, quarantine, health));
-    if (diag != nullptr) diag->RecordVisit(current_);
+    DIGEST_RETURN_IF_ERROR(Step(ctx));
+    if (ctx.diag != nullptr) ctx.diag->RecordVisit(current_);
   }
   return Status::OK();
 }

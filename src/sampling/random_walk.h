@@ -39,6 +39,35 @@ struct WalkTelemetry {
   uint64_t hedge_wins = 0;     ///< Hedges that delivered before the primary.
 };
 
+/// Everything one walk's transitions read or write besides the agent's
+/// own position, built once per walk (by SamplingOperator's batch, or by
+/// a caller driving a walk directly) and passed to every Step. Only
+/// `graph`, `weight`, `rng` and `fallback` are required; every pointer
+/// may be null, which turns its hook off.
+struct WalkContext {
+  const Graph& graph;
+  const WeightFn& weight;
+  Rng& rng;
+  /// Node a churn-stranded or dropped agent is re-injected at.
+  NodeId fallback;
+  /// Message accounting.
+  MessageMeter* meter = nullptr;
+  /// Fault injection; null is the clean path. `retry` governs
+  /// retransmissions under faults (null selects the default policy).
+  FaultPlan* faults = nullptr;
+  const RetryPolicy* retry = nullptr;
+  /// Accumulates the walk's accounting, fault categories included.
+  WalkTelemetry* telemetry = nullptr;
+  /// Records each step's weight probe and accepted-hop edge (and, in
+  /// Advance, each post-step position) for the sampler diagnostics.
+  diag::WalkDiagBuffer* diag = nullptr;
+  /// The frozen per-batch quarantine view from the peer-health monitor.
+  const QuarantineView* quarantine = nullptr;
+  /// Records each transmission's (peer, delivered) outcome for the
+  /// monitor to fold after the batch.
+  WalkHealthBuffer* health = nullptr;
+};
+
 /// A sampling agent: a lazy Metropolis random walk over the overlay
 /// (paper §V). One Step is:
 ///
@@ -73,47 +102,25 @@ class RandomWalk {
   /// Node the agent currently resides on.
   NodeId current() const { return current_; }
 
-  /// Executes one (lazy) Metropolis transition. `meter` may be null (no
-  /// accounting). Fails if both the current node and `fallback` are dead.
-  /// `faults`, `retry`, and `telemetry` may be null for the clean path;
-  /// with faults attached, `retry` governs retransmissions and
-  /// `telemetry` (if given) accumulates the fault accounting. `diag`
-  /// (normally null — the fast path) records the step's weight probe
-  /// and accepted-hop edges for the sampler diagnostics; it consumes no
-  /// randomness, so instrumented and uninstrumented runs are
+  /// Executes one (lazy) Metropolis transition. Fails if both the
+  /// current node and `ctx.fallback` are dead. The diag and health hooks
+  /// consume no randomness, so instrumented and uninstrumented runs are
   /// bit-identical.
   ///
-  /// `quarantine` (may be null) is the frozen per-batch quarantine view
-  /// from the peer-health monitor: proposals are drawn uniformly over
-  /// the NON-quarantined neighbors, and both degree corrections in the
-  /// acceptance test use live degrees — the walk is exactly the
+  /// With a non-empty `ctx.quarantine`, proposals are drawn uniformly
+  /// over the NON-quarantined neighbors, and both degree corrections in
+  /// the acceptance test use live degrees — the walk is exactly the
   /// Metropolis chain on the subgraph induced by live nodes, so the
   /// stationary target over the live nodes is preserved (see the
   /// src/diag TV gate). An empty view takes the legacy draw path,
-  /// bit-identical to an unmonitored run. `health` (may be null)
-  /// records each transmission's (peer, delivered) outcome for the
-  /// monitor to fold after the batch; it consumes no randomness.
-  Status Step(const Graph& graph, const WeightFn& weight, Rng& rng,
-              MessageMeter* meter, NodeId fallback,
-              FaultPlan* faults = nullptr, const RetryPolicy* retry = nullptr,
-              WalkTelemetry* telemetry = nullptr,
-              diag::WalkDiagBuffer* diag = nullptr,
-              const QuarantineView* quarantine = nullptr,
-              WalkHealthBuffer* health = nullptr);
+  /// bit-identical to an unmonitored run.
+  Status Step(const WalkContext& ctx);
 
-  /// Executes `steps` transitions (clean path only; fault-aware loops
-  /// live in SamplingOperator, which owns the hop budget). `telemetry`
-  /// may be null; when given it accumulates the observability counters
-  /// (attempts, proposals, accepted). `diag` (may be null) additionally
-  /// records the post-step position of every transition — the visit
-  /// histogram the diagnostics compare against the stationary target.
-  /// `quarantine`/`health` route and record exactly as in Step.
-  Status Advance(const Graph& graph, const WeightFn& weight, Rng& rng,
-                 MessageMeter* meter, NodeId fallback, size_t steps,
-                 WalkTelemetry* telemetry = nullptr,
-                 diag::WalkDiagBuffer* diag = nullptr,
-                 const QuarantineView* quarantine = nullptr,
-                 WalkHealthBuffer* health = nullptr);
+  /// Executes `steps` transitions, recording each post-step position in
+  /// `ctx.diag` — the visit histogram the diagnostics compare against
+  /// the stationary target. Meant for the clean path: under faults the
+  /// caller owns the hop budget and agent restarts, and steps itself.
+  Status Advance(const WalkContext& ctx, size_t steps);
 
  private:
   NodeId current_;

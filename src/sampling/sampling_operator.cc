@@ -64,7 +64,7 @@ void ObserveBatch(obs::Registry* registry, const WalkTelemetry& telemetry,
 }
 
 // Sums every per-walk telemetry counter into the batch aggregate (the
-// ordered post-barrier merge of the parallel mode).
+// ordered post-barrier merge).
 void MergeTelemetry(WalkTelemetry& into, const WalkTelemetry& from) {
   into.attempts += from.attempts;
   into.retries += from.retries;
@@ -82,6 +82,31 @@ void MergeTelemetry(WalkTelemetry& into, const WalkTelemetry& from) {
 
 }  // namespace
 
+// One walk of a batch: its plan, fixed on the calling thread before
+// fan-out, and its outcome, written by exactly one worker and read at
+// the ordered merge.
+struct SamplingOperator::WalkSlot {
+  NodeId start = 0;
+  size_t steps = 0;
+  // Set only under a fault plan: the hedge straggler threshold (0 =
+  // disarmed), the hedge's start and length, the fault substream key.
+  uint64_t threshold = 0;
+  NodeId hedge_origin = 0;
+  size_t hedge_steps = 0;
+  uint64_t fault_key = 0;
+
+  NodeId final_pos = 0;
+  WalkTelemetry telemetry;
+  MessageMeter meter;
+  diag::WalkDiagBuffer diag;
+  WalkHealthBuffer health;
+  std::vector<obs::EventPayload> events;
+  uint64_t fault_losses = 0;
+  uint64_t fault_drops = 0;
+  uint64_t fault_stale = 0;
+  bool timed_out = false;  // Self-capped at the pooled budget.
+};
+
 SamplingOperator::SamplingOperator(const Graph* graph, WeightFn weight,
                                    Rng rng, MessageMeter* meter,
                                    SamplingOperatorOptions options)
@@ -89,7 +114,8 @@ SamplingOperator::SamplingOperator(const Graph* graph, WeightFn weight,
       weight_(std::move(weight)),
       rng_(rng),
       meter_(meter),
-      options_(options) {}
+      options_(options),
+      pool_(std::make_unique<exec::WorkerPool>(options.num_threads)) {}
 
 SamplingOperator::~SamplingOperator() = default;
 
@@ -121,7 +147,7 @@ Result<NodeId> SamplingOperator::SampleNode(NodeId origin) {
 }
 
 uint64_t SamplingOperator::HedgeThreshold(size_t steps) const {
-  if (!options_.hedge.enabled || faults_ == nullptr) return 0;
+  if (!options_.hedge.enabled) return 0;
   if (done_walks_ < options_.hedge.min_observations || done_steps_ == 0) {
     return 0;
   }
@@ -152,9 +178,13 @@ Result<PartialBatch> SamplingOperator::SampleNodesPartial(NodeId origin,
 }
 
 Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
-  if (options_.num_threads > 0) return SampleBatchParallel(origin, n);
-  // Wall-clock cost of the whole batch; items = samples delivered
-  // (including partial batches that time out under faults).
+  // DESIGN.md "Parallel execution & determinism model": randomness,
+  // fault injection, accounting and tracing are keyed by WALK INDEX and
+  // land in the walk's slot; walks share nothing mutable, and the
+  // calling thread merges the slots in walk-index order after the pool
+  // barrier, so the result is bit-identical at any thread count. Since
+  // walks cannot see each other, hedge statistics freeze at batch start
+  // and the hop budget cuts at walk granularity (see the merge below).
   prof::ScopedTimer batch_timer(profiler_, prof::Phase::kWalkBatch);
   if (graph_->NodeCount() == 0) {
     return Status::FailedPrecondition("cannot sample an empty network");
@@ -166,244 +196,7 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
   last_telemetry_ = WalkTelemetry();
   // Quarantine view, frozen before any walk launches: every walk in
   // this batch routes against the same breaker snapshot, and outcome
-  // folds (which may flip breakers) happen only after a walk delivers.
-  const QuarantineView health_view =
-      health_ != nullptr ? health_->SnapshotView() : QuarantineView();
-  const QuarantineView* qv = health_ != nullptr ? &health_view : nullptr;
-  // Batch attempt budget, provisioned up front: a batch planned to take
-  // S hops total may spend at most ceil(hop_budget_factor · S) attempt
-  // units (hops, retries, and backoff delays) before it times out. The
-  // budget is pooled across the whole batch so one unlucky agent (e.g.
-  // repeatedly dropped mid-walk) can borrow slack from the others.
-  uint64_t budget = 0;
-  const size_t warm_pool =
-      options_.warm_walks && agents_.size() > next_agent_
-          ? agents_.size() - next_agent_
-          : 0;
-  const size_t warm = std::min(n, warm_pool);
-  if (faults_ != nullptr) {
-    const uint64_t planned =
-        static_cast<uint64_t>(warm) * EffectiveResetLength() +
-        static_cast<uint64_t>(n - warm) * EffectiveWalkLength();
-    budget = static_cast<uint64_t>(std::ceil(
-        options_.retry.hop_budget_factor * static_cast<double>(planned)));
-  }
-  if (obs::Tracing(tracer_)) {
-    tracer_->Emit(obs::WalkBatchEvent{n, warm, EffectiveWalkLength(),
-                                      EffectiveResetLength(), budget});
-  }
-  std::vector<NodeId> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    size_t steps;
-    RandomWalk* agent = nullptr;
-    if (options_.warm_walks && next_agent_ < agents_.size()) {
-      // Continue a converged agent: only the reset time is needed.
-      agent = &agents_[next_agent_];
-      steps = EffectiveResetLength();
-    } else {
-      agents_.emplace_back(fallback, options_.laziness);
-      agent = &agents_.back();
-      steps = EffectiveWalkLength();
-    }
-    ++next_agent_;
-    // Per-walk diagnostic record; folded only when this walk delivers.
-    diag::WalkDiagBuffer walk_diag;
-    diag::WalkDiagBuffer* wd = diag_ != nullptr ? &walk_diag : nullptr;
-    // Per-walk transmission outcomes, same fold-on-delivery rule.
-    WalkHealthBuffer walk_health;
-    WalkHealthBuffer* wh = health_ != nullptr ? &walk_health : nullptr;
-    // One agent's stepping to convergence (cold mix or warm reset);
-    // items count the attempted hops, so walk throughput in steps/sec
-    // falls out of the phase stats.
-    prof::ScopedTimer advance_timer(profiler_, prof::Phase::kWalkAdvance);
-    if (faults_ == nullptr) {
-      advance_timer.AddItems(steps);
-      DIGEST_RETURN_IF_ERROR(agent->Advance(*graph_, weight_, rng_, meter_,
-                                            fallback, steps,
-                                            &last_telemetry_, wd, qv, wh));
-    } else {
-      const uint64_t start_attempts = last_telemetry_.attempts;
-      const uint64_t hedge_threshold = HedgeThreshold(steps);
-      size_t remaining = steps;
-      // Hedge race state: once the primary agent overruns the straggler
-      // threshold, a redundant walk races it in virtual time (consumed
-      // attempt units — the deterministic stand-in for wall clock).
-      // Each round the walker that has spent fewer attempt units since
-      // the launch steps next, so a primary burning retries in a lossy
-      // neighborhood yields turns to a cheaply-progressing hedge, just
-      // as two parallel walks would resolve in a real overlay. Both
-      // draw from the shared rng_, so the whole race is a deterministic
-      // function of the seed.
-      RandomWalk hedge(fallback, options_.laziness);
-      size_t hedge_remaining = 0;
-      bool hedged = false;
-      bool hedge_won = false;
-      uint64_t primary_spent = 0;  // Attempt units since the hedge launch.
-      uint64_t hedge_spent = 0;
-      while (remaining > 0) {
-        if (!hedged && hedge_threshold > 0 &&
-            last_telemetry_.attempts - start_attempts >= hedge_threshold) {
-          // Straggler detected: launch the redundant walk. Injecting the
-          // agent costs one message; its hops are charged as ordinary
-          // walk hops as it steps. The duplicate is routed through a
-          // different replica when possible: it forks from the most
-          // recently delivered agent's position — already mixed, so a
-          // reset suffices, and in a different neighborhood than
-          // wherever the straggler is stuck — and only falls back to a
-          // cold walk from the origin when no such donor exists.
-          hedged = true;
-          NodeId hedge_origin = fallback;
-          size_t hedge_length = EffectiveWalkLength();
-          if (options_.warm_walks && next_agent_ >= 2) {
-            const RandomWalk& donor = agents_[next_agent_ - 2];
-            if (graph_->HasNode(donor.current())) {
-              hedge_origin = donor.current();
-              hedge_length = EffectiveResetLength();
-            }
-          }
-          hedge = RandomWalk(hedge_origin, options_.laziness);
-          hedge_remaining = hedge_length;
-          primary_spent = 0;
-          hedge_spent = 0;
-          ++last_telemetry_.hedges;
-          if (meter_ != nullptr) meter_->AddHedgeLaunch();
-          if (obs::Tracing(tracer_)) {
-            tracer_->Emit(obs::WalkHedgedEvent{
-                i, last_telemetry_.attempts - start_attempts,
-                hedge_threshold});
-          }
-        }
-        advance_timer.AddItems(1);
-        if (last_telemetry_.attempts >= budget) {
-          // Hop budget exhausted: the overlay is too lossy/stalled to
-          // finish this batch in time. Reset the round-robin cursor so
-          // the next call starts clean, and report a timeout the caller
-          // can degrade on (or finalize a partial snapshot from).
-          next_agent_ = 0;
-          if (obs::Tracing(tracer_)) {
-            tracer_->Emit(obs::HopBudgetExhaustedEvent{
-                last_telemetry_.attempts, budget});
-          }
-          ObserveBatch(registry_, last_telemetry_, out.size(),
-                       /*timed_out=*/true);
-          if (diag_ != nullptr) {
-            diag_->FinishBatch(*graph_, weight_, last_telemetry_.proposals,
-                               last_telemetry_.accepted, tracer_, registry_);
-          }
-          if (health_ != nullptr) health_->FinishBatch(graph_->NodeCount());
-          return PartialBatch{std::move(out), /*timed_out=*/true};
-        }
-        const bool step_hedge = hedged && hedge_spent <= primary_spent;
-        RandomWalk* walker = step_hedge ? &hedge : agent;
-        size_t* walker_remaining = step_hedge ? &hedge_remaining : &remaining;
-        const uint64_t drops_before = last_telemetry_.drops;
-        const uint64_t attempts_before = last_telemetry_.attempts;
-        DIGEST_RETURN_IF_ERROR(walker->Step(*graph_, weight_, rng_, meter_,
-                                            fallback, faults_,
-                                            &options_.retry,
-                                            &last_telemetry_, wd, qv, wh));
-        if (wd != nullptr) wd->RecordVisit(walker->current());
-        const uint64_t spent = last_telemetry_.attempts - attempts_before;
-        if (step_hedge) {
-          hedge_spent += spent;
-        } else if (hedged) {
-          primary_spent += spent;
-        }
-        if (last_telemetry_.drops > drops_before) {
-          // The walker was lost in transit and re-injected at the
-          // origin: it must re-mix from cold before its position counts.
-          *walker_remaining = EffectiveWalkLength();
-          if (obs::Tracing(tracer_)) {
-            tracer_->Emit(obs::AgentRestartEvent{i});
-          }
-        } else {
-          --*walker_remaining;
-        }
-        if (hedged && hedge_remaining == 0) {
-          // The hedge finished first in virtual time: its position
-          // becomes the warm agent and the straggling primary is
-          // abandoned mid-walk, its remaining hops never sent.
-          *agent = hedge;
-          ++last_telemetry_.hedge_wins;
-          hedge_won = true;
-          break;
-        }
-      }
-      if (hedged) {
-        // The race resolved: the losing walk's eventual delivery is
-        // suppressed at the originator — bandwidth spent, no sample.
-        (void)hedge_won;
-        if (meter_ != nullptr) meter_->AddHedgedDuplicate();
-      }
-      // Completed-walk statistics feed future straggler thresholds.
-      ++done_walks_;
-      done_attempts_ += last_telemetry_.attempts - start_attempts;
-      done_steps_ += steps;
-    }
-    // The agent reports the sampled node back to the originator.
-    if (meter_ != nullptr) meter_->AddSampleTransfer();
-    out.push_back(agent->current());
-    if (wd != nullptr) diag_->FoldWalk(walk_diag);
-    if (wh != nullptr) health_->FoldWalk(walk_health);
-  }
-  if (!options_.warm_walks) {
-    agents_.clear();
-  }
-  // Round-robin reuse: the next batch starts over from the first agent.
-  next_agent_ = 0;
-  if (obs::Tracing(tracer_)) {
-    if (last_telemetry_.stalled_steps > 0) {
-      tracer_->Emit(obs::FaultStallEvent{last_telemetry_.stalled_steps});
-    }
-    tracer_->Emit(obs::WalkBatchDoneEvent{
-        out.size(), last_telemetry_.attempts, last_telemetry_.retries,
-        last_telemetry_.losses, last_telemetry_.drops,
-        last_telemetry_.stalled_steps, last_telemetry_.hedges,
-        last_telemetry_.hedge_wins});
-  }
-  ObserveBatch(registry_, last_telemetry_, out.size(), /*timed_out=*/false);
-  if (diag_ != nullptr) {
-    diag_->FinishBatch(*graph_, weight_, last_telemetry_.proposals,
-                       last_telemetry_.accepted, tracer_, registry_);
-  }
-  if (health_ != nullptr) health_->FinishBatch(graph_->NodeCount());
-  return PartialBatch{std::move(out), /*timed_out=*/false};
-}
-
-Result<PartialBatch> SamplingOperator::SampleBatchParallel(NodeId origin,
-                                                           size_t n) {
-  // Deterministic multi-threaded batch (DESIGN.md "Parallel execution &
-  // determinism model"). Every source of randomness, fault injection,
-  // accounting, and tracing is keyed by WALK INDEX and materialized into
-  // a per-walk outcome slot; workers never touch shared state, and the
-  // main thread merges the slots in walk-index order after the pool
-  // barrier. The result is bit-identical for any num_threads >= 1.
-  //
-  // Deliberate semantic deltas vs the num_threads == 0 serial path
-  // (which is preserved unchanged):
-  //   * per-walk RNG/fault substreams (Rng::Split by walk index) instead
-  //     of one shared stream threaded through the walks in sequence;
-  //   * the hedge straggler threshold and the hedge donor position are
-  //     frozen at batch start (completed-walk statistics update only at
-  //     the merge) — concurrent walks cannot observe each other;
-  //   * the pooled hop budget cuts at walk granularity: each walk is
-  //     individually capped at the full pooled budget, and the merge
-  //     accumulates accepted walks in index order until the budget is
-  //     crossed — the walk that crosses it is charged (bandwidth was
-  //     spent) but delivers no sample, and later walks are discarded
-  //     outright, exactly as if they had never launched.
-  prof::ScopedTimer batch_timer(profiler_, prof::Phase::kWalkBatch);
-  if (graph_->NodeCount() == 0) {
-    return Status::FailedPrecondition("cannot sample an empty network");
-  }
-  NodeId fallback = origin;
-  if (!graph_->HasNode(fallback)) {
-    DIGEST_ASSIGN_OR_RETURN(fallback, graph_->RandomLiveNode(rng_));
-  }
-  last_telemetry_ = WalkTelemetry();
-  // Quarantine view frozen on the main thread before fan-out; workers
-  // share it read-only, so routing is identical on any schedule.
+  // folds (which may flip breakers) happen only at the merge.
   const QuarantineView health_view =
       health_ != nullptr ? health_->SnapshotView() : QuarantineView();
   const QuarantineView* qv = health_ != nullptr ? &health_view : nullptr;
@@ -413,6 +206,11 @@ Result<PartialBatch> SamplingOperator::SampleBatchParallel(NodeId origin,
   const size_t warm = std::min(n, warm_pool);
   const size_t walk_len = EffectiveWalkLength();
   const size_t reset_len = EffectiveResetLength();
+  // Batch attempt budget, provisioned up front: a batch planned to take
+  // S hops total may spend at most ceil(hop_budget_factor · S) attempt
+  // units (hops, retries, and backoff delays) before it is cut. The
+  // budget is pooled across the whole batch so one unlucky agent (e.g.
+  // repeatedly dropped mid-walk) can borrow slack from the others.
   uint64_t budget = 0;
   if (faults_ != nullptr) {
     const uint64_t planned =
@@ -433,171 +231,165 @@ Result<PartialBatch> SamplingOperator::SampleBatchParallel(NodeId origin,
   const uint64_t batch_key = rng_.NextU64();
   const Rng substream_base(batch_key);
 
-  // Per-walk plan, fixed before fan-out so workers only read it. The
-  // hedge donor is the start-of-batch position of walk i-1's agent (the
-  // deterministic stand-in for the serial path's "most recently
-  // delivered agent"): already mixed when it is a pre-batch warm agent,
+  // Per-walk plan. The hedge donor is the start-of-batch position of
+  // walk i-1's agent: already mixed when it is a pre-batch warm agent,
   // so a reset suffices; a cold predecessor contributes only the
   // fallback, which keeps the cold walk length.
-  struct WalkPlan {
-    NodeId start = 0;
-    size_t steps = 0;
-    uint64_t threshold = 0;  // Hedge straggler threshold (0 = disarmed).
-    NodeId hedge_origin = 0;
-    size_t hedge_steps = 0;
-    uint64_t fault_key = 0;
-  };
-  std::vector<WalkPlan> plans(n);
+  if (slots_.size() < n) slots_.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    WalkPlan& plan = plans[i];
+    WalkSlot& slot = slots_[i];
     const bool is_warm = options_.warm_walks && base + i < agents_.size();
-    plan.start = is_warm ? agents_[base + i].current() : fallback;
-    plan.steps = is_warm ? reset_len : walk_len;
-    plan.threshold = HedgeThreshold(plan.steps);
-    plan.hedge_origin = fallback;
-    plan.hedge_steps = walk_len;
+    slot.start = is_warm ? agents_[base + i].current() : fallback;
+    slot.steps = is_warm ? reset_len : walk_len;
+    if (faults_ == nullptr) continue;
+    slot.threshold = HedgeThreshold(slot.steps);
+    slot.hedge_origin = fallback;
+    slot.hedge_steps = walk_len;
     if (options_.warm_walks && base + i >= 1) {
       const size_t donor = base + i - 1;
       const NodeId donor_pos =
           donor < agents_.size() ? agents_[donor].current() : fallback;
       if (graph_->HasNode(donor_pos)) {
-        plan.hedge_origin = donor_pos;
-        plan.hedge_steps = donor < agents_.size() ? reset_len : walk_len;
+        slot.hedge_origin = donor_pos;
+        slot.hedge_steps = donor < agents_.size() ? reset_len : walk_len;
       }
     }
-    Rng key_rng = substream_base.Split(2 * i + 1);
-    plan.fault_key = key_rng.NextU64();
+    slot.fault_key = substream_base.Split(2 * i + 1).NextU64();
   }
 
-  // Everything a walk produces, keyed by walk index; written by exactly
-  // one worker, read by the main thread after the barrier.
-  struct WalkOutcome {
-    NodeId final_pos = 0;
-    WalkTelemetry telemetry;
-    MessageMeter meter;
-    diag::WalkDiagBuffer diag;
-    WalkHealthBuffer health;
-    std::vector<obs::EventPayload> events;
-    uint64_t fault_losses = 0;
-    uint64_t fault_drops = 0;
-    uint64_t fault_stale = 0;
-    bool timed_out = false;  // Self-capped at the pooled budget.
-  };
-  std::vector<WalkOutcome> outcomes(n);
-
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<exec::WorkerPool>(options_.num_threads);
-  }
+  // Each worker times its walks into a private track, folded below.
   std::vector<prof::Track> tracks;
-  tracks.reserve(pool_->num_threads());
-  for (size_t w = 0; w < pool_->num_threads(); ++w) {
-    tracks.emplace_back(profiler_);
+  if (profiler_ != nullptr) {
+    tracks.assign(pool_->num_threads(), prof::Track(profiler_));
   }
 
   const Status walk_status = pool_->ParallelFor(
       n, [&](size_t i, size_t worker) -> Status {
-        WalkOutcome& out = outcomes[i];
-        const WalkPlan& plan = plans[i];
+        WalkSlot& slot = slots_[i];
+        slot.telemetry = WalkTelemetry();
+        slot.meter.Reset();
+        slot.diag.Clear();
+        slot.health.Clear();
+        slot.events.clear();
+        slot.timed_out = false;
         Rng walk_rng = substream_base.Split(2 * i);
-        MessageMeter* wm = meter_ != nullptr ? &out.meter : nullptr;
-        diag::WalkDiagBuffer* wd = diag_ != nullptr ? &out.diag : nullptr;
-        WalkHealthBuffer* wh = health_ != nullptr ? &out.health : nullptr;
-        RandomWalk agent(plan.start, options_.laziness);
-        prof::ScopedTrackTimer advance_timer(&tracks[worker],
-                                             prof::Phase::kWalkAdvance);
+        WalkContext ctx{.graph = *graph_,
+                        .weight = weight_,
+                        .rng = walk_rng,
+                        .fallback = fallback,
+                        .meter = meter_ != nullptr ? &slot.meter : nullptr,
+                        .retry = &options_.retry,
+                        .telemetry = &slot.telemetry,
+                        .diag = diag_ != nullptr ? &slot.diag : nullptr,
+                        .quarantine = qv,
+                        .health = health_ != nullptr ? &slot.health : nullptr};
+        prof::Track* track = tracks.empty() ? nullptr : &tracks[worker];
+        RandomWalk agent(slot.start, options_.laziness);
+        // One agent's stepping to convergence (cold mix or warm reset);
+        // items count the attempted hops.
+        prof::ScopedTrackTimer advance_timer(track, prof::Phase::kWalkAdvance);
         if (faults_ == nullptr) {
-          advance_timer.AddItems(plan.steps);
-          DIGEST_RETURN_IF_ERROR(agent.Advance(*graph_, weight_, walk_rng,
-                                               wm, fallback, plan.steps,
-                                               &out.telemetry, wd, qv, wh));
-        } else {
-          FaultPlan sub = faults_->SpawnSubstream(plan.fault_key);
-          obs::BufferTracer buffer;
-          if (tracing) sub.SetTracer(&buffer);
-          size_t remaining = plan.steps;
-          // Hedge race in virtual time, exactly as in the serial path,
-          // except both racers draw from this walk's substream and the
-          // launch threshold/donor were frozen at batch start.
-          RandomWalk hedge(fallback, options_.laziness);
-          size_t hedge_remaining = 0;
-          bool hedged = false;
-          uint64_t primary_spent = 0;
-          uint64_t hedge_spent = 0;
-          while (remaining > 0) {
-            if (!hedged && plan.threshold > 0 &&
-                out.telemetry.attempts >= plan.threshold) {
-              hedged = true;
-              hedge = RandomWalk(plan.hedge_origin, options_.laziness);
-              hedge_remaining = plan.hedge_steps;
-              primary_spent = 0;
-              hedge_spent = 0;
-              ++out.telemetry.hedges;
-              if (wm != nullptr) wm->AddHedgeLaunch();
-              if (tracing) {
-                buffer.Emit(obs::WalkHedgedEvent{i, out.telemetry.attempts,
-                                                 plan.threshold});
-              }
-            }
-            advance_timer.AddItems(1);
-            if (out.telemetry.attempts >= budget) {
-              // This walk alone exhausted the pooled budget; whether the
-              // BATCH times out is decided at the merge, in index order.
-              out.timed_out = true;
-              break;
-            }
-            const bool step_hedge = hedged && hedge_spent <= primary_spent;
-            RandomWalk* walker = step_hedge ? &hedge : &agent;
-            size_t* walker_remaining =
-                step_hedge ? &hedge_remaining : &remaining;
-            const uint64_t drops_before = out.telemetry.drops;
-            const uint64_t attempts_before = out.telemetry.attempts;
-            DIGEST_RETURN_IF_ERROR(walker->Step(*graph_, weight_, walk_rng,
-                                                wm, fallback, &sub,
-                                                &options_.retry,
-                                                &out.telemetry, wd, qv, wh));
-            if (wd != nullptr) wd->RecordVisit(walker->current());
-            const uint64_t spent = out.telemetry.attempts - attempts_before;
-            if (step_hedge) {
-              hedge_spent += spent;
-            } else if (hedged) {
-              primary_spent += spent;
-            }
-            if (out.telemetry.drops > drops_before) {
-              *walker_remaining = walk_len;
-              if (tracing) buffer.Emit(obs::AgentRestartEvent{i});
-            } else {
-              --*walker_remaining;
-            }
-            if (hedged && hedge_remaining == 0) {
-              agent = hedge;
-              ++out.telemetry.hedge_wins;
-              break;
-            }
-          }
-          if (hedged && !out.timed_out && wm != nullptr) {
-            wm->AddHedgedDuplicate();
-          }
-          out.fault_losses = sub.losses_injected();
-          out.fault_drops = sub.drops_injected();
-          out.fault_stale = sub.stale_injected();
-          if (tracing) out.events = std::move(buffer.payloads());
+          advance_timer.AddItems(slot.steps);
+          DIGEST_RETURN_IF_ERROR(agent.Advance(ctx, slot.steps));
+          slot.final_pos = agent.current();
+          return Status::OK();
         }
-        out.final_pos = agent.current();
+        FaultPlan sub = faults_->SpawnSubstream(slot.fault_key);
+        sub.SetTrack(track);
+        obs::BufferTracer buffer;
+        if (tracing) sub.SetTracer(&buffer);
+        ctx.faults = &sub;
+        size_t remaining = slot.steps;
+        // Hedge race: once the primary overruns the straggler threshold,
+        // a redundant walk races it in virtual time (consumed attempt
+        // units, the deterministic stand-in for wall clock); each round
+        // the walker that has spent less since the launch steps next.
+        // Both draw from this walk's substream.
+        RandomWalk hedge(fallback, options_.laziness);
+        size_t hedge_remaining = 0;
+        bool hedged = false;
+        uint64_t primary_spent = 0;  // Attempt units since the launch.
+        uint64_t hedge_spent = 0;
+        while (remaining > 0) {
+          if (!hedged && slot.threshold > 0 &&
+              slot.telemetry.attempts >= slot.threshold) {
+            // Straggler detected: launch the redundant walk. Injecting
+            // the agent costs one message; its hops are charged as
+            // ordinary walk hops as it steps.
+            hedged = true;
+            hedge = RandomWalk(slot.hedge_origin, options_.laziness);
+            hedge_remaining = slot.hedge_steps;
+            primary_spent = 0;
+            hedge_spent = 0;
+            ++slot.telemetry.hedges;
+            if (ctx.meter != nullptr) ctx.meter->AddHedgeLaunch();
+            if (tracing) {
+              buffer.Emit(obs::WalkHedgedEvent{i, slot.telemetry.attempts,
+                                               slot.threshold});
+            }
+          }
+          advance_timer.AddItems(1);
+          if (slot.telemetry.attempts >= budget) {
+            // This walk alone exhausted the pooled budget; whether the
+            // BATCH is cut here is decided at the merge, in index order.
+            slot.timed_out = true;
+            break;
+          }
+          const bool step_hedge = hedged && hedge_spent <= primary_spent;
+          RandomWalk* walker = step_hedge ? &hedge : &agent;
+          size_t* walker_remaining = step_hedge ? &hedge_remaining : &remaining;
+          const uint64_t drops_before = slot.telemetry.drops;
+          const uint64_t attempts_before = slot.telemetry.attempts;
+          DIGEST_RETURN_IF_ERROR(walker->Step(ctx));
+          if (ctx.diag != nullptr) ctx.diag->RecordVisit(walker->current());
+          const uint64_t spent = slot.telemetry.attempts - attempts_before;
+          if (step_hedge) {
+            hedge_spent += spent;
+          } else if (hedged) {
+            primary_spent += spent;
+          }
+          if (slot.telemetry.drops > drops_before) {
+            // The walker was lost in transit and re-injected at the
+            // origin: it must re-mix from cold before its position counts.
+            *walker_remaining = walk_len;
+            if (tracing) buffer.Emit(obs::AgentRestartEvent{i});
+          } else {
+            --*walker_remaining;
+          }
+          if (hedged && hedge_remaining == 0) {
+            // The hedge finished first in virtual time: its position
+            // becomes the warm agent and the straggling primary is
+            // abandoned mid-walk, its remaining hops never sent.
+            agent = hedge;
+            ++slot.telemetry.hedge_wins;
+            break;
+          }
+        }
+        // The race resolved: the losing walk's eventual delivery is
+        // suppressed at the originator — bandwidth spent, no sample.
+        if (hedged && !slot.timed_out && ctx.meter != nullptr) {
+          ctx.meter->AddHedgedDuplicate();
+        }
+        slot.fault_losses = sub.losses_injected();
+        slot.fault_drops = sub.drops_injected();
+        slot.fault_stale = sub.stale_injected();
+        if (tracing) slot.events = std::move(buffer.payloads());
+        slot.final_pos = agent.current();
         return Status::OK();
       });
 
   // Worker wall time folds into the shared profiler on this side of the
   // barrier only; the deterministic parts (calls, items) are per-walk
   // counts, so the fold is schedule-independent.
-  if (profiler_ != nullptr) {
-    for (size_t w = 0; w < tracks.size(); ++w) {
-      profiler_->FoldTrack(w, tracks[w]);
-    }
+  for (size_t w = 0; w < tracks.size(); ++w) {
+    profiler_->FoldTrack(w, tracks[w]);
   }
   DIGEST_RETURN_IF_ERROR(walk_status);
 
   // Ordered merge: accept walks in index order until the pooled budget
-  // is crossed. Each accepted/charged walk commits its meter counts,
+  // is crossed. Each walk was capped alone at the full budget; the walk
+  // that crosses it is charged (bandwidth was spent) but delivers no
+  // sample. Each accepted or charged walk commits its meter counts,
   // fault injections, buffered trace events (stamped with lane = walk
   // index), telemetry, and final agent position.
   std::vector<NodeId> out;
@@ -612,16 +404,14 @@ Result<PartialBatch> SamplingOperator::SampleBatchParallel(NodeId origin,
       cut = true;
       break;
     }
-    WalkOutcome& o = outcomes[i];
+    WalkSlot& o = slots_[i];
     if (meter_ != nullptr) meter_->Merge(o.meter);
     if (faults_ != nullptr) {
       faults_->AbsorbInjections(o.fault_losses, o.fault_drops,
                                 o.fault_stale);
     }
-    if (tracing) {
-      for (obs::EventPayload& payload : o.events) {
-        tracer_->EmitLane(std::move(payload), static_cast<int64_t>(i));
-      }
+    for (obs::EventPayload& payload : o.events) {
+      tracer_->EmitLane(std::move(payload), static_cast<int64_t>(i));
     }
     MergeTelemetry(last_telemetry_, o.telemetry);
     if (base + i < agents_.size()) {
@@ -629,45 +419,33 @@ Result<PartialBatch> SamplingOperator::SampleBatchParallel(NodeId origin,
     } else {
       agents_.emplace_back(o.final_pos, options_.laziness);
     }
-    if (o.timed_out) {
-      // The walk spent its budget without delivering: charged, no
-      // sample, and the batch is cut here.
-      cut = true;
-      break;
-    }
+    cut = o.timed_out;
+    if (cut) break;
     out.push_back(o.final_pos);
-    // Delivered walk: its diagnostic record folds here, in walk-index
-    // order on the main thread — the fold order (and hence all diag
-    // state) is independent of worker scheduling.
+    // Delivered walk: its diagnostic and health records fold here, in
+    // walk-index order on the calling thread.
     if (diag_ != nullptr) diag_->FoldWalk(o.diag);
     if (health_ != nullptr) health_->FoldWalk(o.health);
     cum_attempts += o.telemetry.attempts;
     if (faults_ != nullptr) {
+      // Completed-walk statistics feed later batches' thresholds.
       ++done_walks_;
       done_attempts_ += o.telemetry.attempts;
-      done_steps_ += plans[i].steps;
+      done_steps_ += o.steps;
     }
+    // The agent reports the sampled node back to the originator.
     if (meter_ != nullptr) meter_->AddSampleTransfer();
   }
 
+  // Round-robin reuse: the next batch starts over from the first agent.
   next_agent_ = 0;
-  if (cut) {
-    if (tracing) {
-      tracer_->Emit(obs::HopBudgetExhaustedEvent{last_telemetry_.attempts,
-                                                 budget});
-    }
-    ObserveBatch(registry_, last_telemetry_, out.size(), /*timed_out=*/true);
-    if (diag_ != nullptr) {
-      diag_->FinishBatch(*graph_, weight_, last_telemetry_.proposals,
-                         last_telemetry_.accepted, tracer_, registry_);
-    }
-    if (health_ != nullptr) health_->FinishBatch(graph_->NodeCount());
-    return PartialBatch{std::move(out), /*timed_out=*/true};
-  }
-  if (!options_.warm_walks) {
-    agents_.clear();
-  }
-  if (tracing) {
+  if (!cut && !options_.warm_walks) agents_.clear();
+  if (tracing && cut) {
+    // The overlay was too lossy/stalled to finish this batch in time:
+    // the caller degrades (or finalizes a partial snapshot).
+    tracer_->Emit(obs::HopBudgetExhaustedEvent{last_telemetry_.attempts,
+                                               budget});
+  } else if (tracing) {
     if (last_telemetry_.stalled_steps > 0) {
       tracer_->Emit(obs::FaultStallEvent{last_telemetry_.stalled_steps});
     }
@@ -677,13 +455,13 @@ Result<PartialBatch> SamplingOperator::SampleBatchParallel(NodeId origin,
         last_telemetry_.stalled_steps, last_telemetry_.hedges,
         last_telemetry_.hedge_wins});
   }
-  ObserveBatch(registry_, last_telemetry_, out.size(), /*timed_out=*/false);
+  ObserveBatch(registry_, last_telemetry_, out.size(), cut);
   if (diag_ != nullptr) {
     diag_->FinishBatch(*graph_, weight_, last_telemetry_.proposals,
                        last_telemetry_.accepted, tracer_, registry_);
   }
   if (health_ != nullptr) health_->FinishBatch(graph_->NodeCount());
-  return PartialBatch{std::move(out), /*timed_out=*/false};
+  return PartialBatch{std::move(out), cut};
 }
 
 SamplingOperator::State SamplingOperator::SaveState() const {

@@ -35,14 +35,15 @@ class PeerHealthMonitor;
 /// a redundant (hedged) walk and let the two race; the first to finish
 /// delivers the sample and the loser's eventual delivery is suppressed
 /// as a duplicate. The duplicate is routed through a different replica
-/// when possible — it forks from the most recently delivered agent's
-/// already-mixed position, away from whatever lossy or stalled
-/// neighborhood trapped the straggler — and the race resolves in
-/// virtual time (consumed attempt units), with the cheaper walker
-/// stepping next, the way two parallel walks would resolve in a real
-/// overlay. The threshold is derived purely from the observed
-/// attempts-per-step distribution of completed walks in this run — no
-/// wall clock — so hedged runs stay bit-reproducible from the seed.
+/// when possible — walk i's hedge forks from walk i−1's start-of-batch
+/// agent position (already mixed when that agent is warm, so a reset
+/// suffices), away from whatever lossy or stalled neighborhood trapped
+/// the straggler — and the race resolves in virtual time (consumed
+/// attempt units), with the cheaper walker stepping next, the way two
+/// parallel walks would resolve in a real overlay. The threshold is
+/// derived purely from the observed attempts-per-step distribution of
+/// walks completed in earlier batches, frozen at batch start — no wall
+/// clock — so hedged runs stay bit-reproducible from the seed.
 struct HedgePolicy {
   /// Off by default: disabled hedging is bit-identical to the pre-hedge
   /// sampler, faults or not.
@@ -93,20 +94,14 @@ struct SamplingOperatorOptions {
   /// Hedged-walk straggler mitigation (only active under a FaultPlan).
   HedgePolicy hedge;
 
-  /// Walk-batch execution mode. 0 (default) is the legacy serial path:
-  /// every draw comes from the operator's single shared RNG stream,
-  /// bit-identical to all pre-parallel releases. Any value >= 1 selects
-  /// the deterministic parallel mode: each batch derives one substream
-  /// per WALK (keyed by walk index via Rng::Split, never by thread) and
-  /// runs the walks on a worker pool of this many threads, merging
-  /// results/meters/traces in walk-index order after the pool barrier —
-  /// so every observable output is bit-identical for ANY num_threads
-  /// >= 1 (num_threads == 1 runs the same algorithm inline and is the
-  /// reference schedule the determinism tests compare against). See
-  /// DESIGN.md "Parallel execution & determinism model" for the exact
-  /// semantic deltas vs the serial path (per-walk hedge statistics
-  /// freezing, walk-granular hop budget).
-  size_t num_threads = 0;
+  /// Worker threads a walk batch runs on (0 is treated as 1). Thread
+  /// count changes only wall time: each batch derives one RNG substream
+  /// per WALK (keyed by walk index via Rng::Split, never by thread), and
+  /// results, meters and traces merge in walk-index order after the pool
+  /// barrier, so every observable output is bit-identical at any thread
+  /// count. 1 runs the walks inline on the caller with no pool thread.
+  /// See DESIGN.md "Parallel execution & determinism model".
+  size_t num_threads = 1;
 };
 
 /// A batch that may have been cut short by the hop budget: `nodes` holds
@@ -134,10 +129,13 @@ struct PartialBatch {
 /// are retransmitted per options.retry; an agent dropped in transit is
 /// re-injected at the origin and walks a full cold mixing length again.
 /// Each batch may spend at most retry.hop_budget_factor times its
-/// planned hop count (retries and backoff delays included); when the
-/// budget runs out mid-batch, SampleNodes fails with kUnavailable — the
-/// caller (e.g. DigestEngine) degrades gracefully instead of blocking
-/// forever on an unreachable overlay.
+/// planned hop count (retries and backoff delays included). The budget
+/// cuts at walk granularity: walks are accepted in index order until
+/// their attempts cross it, the walk that crosses it is charged but
+/// delivers nothing, and later walks are discarded as if never launched.
+/// A cut batch makes SampleNodes fail with kUnavailable — the caller
+/// (e.g. DigestEngine) degrades gracefully instead of blocking forever
+/// on an unreachable overlay.
 class SamplingOperator {
  public:
   /// `meter` may be null to skip accounting.
@@ -253,19 +251,15 @@ class SamplingOperator {
   void RestoreState(const State& state);
 
  private:
-  /// Core batch loop shared by SampleNodes / SampleNodesPartial. The
-  /// two wrappers differ only in how a hop-budget timeout is reported.
-  /// Dispatches to SampleBatchParallel when options_.num_threads >= 1.
+  /// The one batch implementation behind SampleNodes /
+  /// SampleNodesPartial: plan every walk, run the walks on the worker
+  /// pool, merge them in walk-index order. The two wrappers differ only
+  /// in how a hop-budget cut is reported.
   Result<PartialBatch> SampleBatch(NodeId origin, size_t n);
 
-  /// Deterministic multi-threaded batch: per-walk substreams, worker
-  /// pool fan-out, ordered post-barrier merge. Bit-identical output for
-  /// any num_threads >= 1.
-  Result<PartialBatch> SampleBatchParallel(NodeId origin, size_t n);
-
   /// Hedge straggler threshold in attempt units for an agent planned to
-  /// walk `steps` steps; 0 means hedging is disarmed (disabled, no fault
-  /// plan, or not enough completed walks observed yet).
+  /// walk `steps` steps; 0 means hedging is disarmed (disabled, or not
+  /// enough completed walks observed yet).
   uint64_t HedgeThreshold(size_t steps) const;
 
   const Graph* graph_;
@@ -282,9 +276,11 @@ class SamplingOperator {
   WalkTelemetry last_telemetry_;
   std::vector<RandomWalk> agents_;  // Warm agents, reused round-robin.
   size_t next_agent_ = 0;
-  // Worker pool for the parallel mode; created lazily on the first
-  // parallel batch (absent entirely at num_threads == 0).
   std::unique_ptr<exec::WorkerPool> pool_;
+  // One plan + outcome slot per walk of the current batch, reused across
+  // batches so a batch allocates no per-walk state.
+  struct WalkSlot;
+  std::vector<WalkSlot> slots_;
   // Completed-walk stats for the hedge threshold (faulted batches only).
   uint64_t done_walks_ = 0;
   uint64_t done_attempts_ = 0;

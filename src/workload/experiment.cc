@@ -29,7 +29,6 @@ Result<RunResult> RunEngineExperiment(Workload& workload,
   }
   if (options.fault_plan != nullptr) {
     options.fault_plan->SetTracer(options.tracer);
-    options.fault_plan->SetProfiler(options.profiler);
   }
   if (options.auditor != nullptr) {
     options.auditor->BeginRun(run_label.empty() ? "engine-run" : run_label);

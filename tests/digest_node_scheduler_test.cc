@@ -254,7 +254,7 @@ TEST(DigestNodeSchedulerTest, CheckpointRestoreAcrossThreadCounts) {
   MessageMeter meter_a, meter_b;
   auto make_node = [&](MessageMeter* meter, size_t threads) {
     DigestEngineOptions options = FastOptions();
-    options.num_threads = threads;
+    options.sampling_options.num_threads = threads;
     auto node = DigestNode::Create(&f.graph, f.db.get(), 0, Rng(8), meter,
                                    options)
                     .value();

@@ -1,4 +1,4 @@
-// Hedged walks under the parallel executor: straggler detection
+// Hedged walks on the worker pool: straggler detection
 // (against the threshold frozen at batch start), donor-fork selection,
 // the virtual-time race, and hedge-win accounting must all resolve
 // identically for any thread count — the walk_hedged trace lines, the
@@ -123,7 +123,7 @@ Result<HedgeRun> DriveHedged(size_t num_threads) {
   DigestEngineOptions options;
   options.scheduler = SchedulerKind::kAll;
   options.estimator = EstimatorKind::kRepeated;
-  options.num_threads = num_threads;
+  options.sampling_options.num_threads = num_threads;
   options.sampling_options.walk_length = 16;
   options.sampling_options.reset_length = 4;
   options.sampling_options.hedge.enabled = true;
@@ -259,8 +259,8 @@ TEST(HedgeParallelTest, OperatorHedgeTelemetryIdenticalAcrossThreadCounts) {
 }
 
 TEST(HedgeParallelTest, DisabledHedgePaysNothingInParallelMode) {
-  // With hedging off the parallel path must not launch or meter any
-  // hedge traffic, faults or not.
+  // With hedging off no batch may launch or meter any hedge traffic,
+  // faults or not, on a 4-thread pool as on one thread.
   const Graph graph = MakeMesh(8, 8).value();
   MessageMeter meter;
   SamplingOperatorOptions options;

@@ -229,7 +229,7 @@ struct AuditedRun {
 };
 
 AuditedRun RunAudited(bool with_audit, bool with_faults,
-                      size_t num_threads = 0) {
+                      size_t num_threads = 1) {
   DriftWorkload workload(/*seed=*/99);
   const ContinuousQuerySpec spec =
       ContinuousQuerySpec::Create("SELECT AVG(load) FROM R",
@@ -247,7 +247,7 @@ AuditedRun RunAudited(bool with_audit, bool with_faults,
   options.estimator = EstimatorKind::kRepeated;
   options.sampling_options.walk_length = 14;
   options.sampling_options.reset_length = 4;
-  options.num_threads = num_threads;
+  options.sampling_options.num_threads = num_threads;
   if (with_faults) options.fault_plan = &plan;
   options.tracer = &tracer;
   if (with_audit) options.auditor = &auditor;
@@ -323,7 +323,7 @@ struct DiaggedRun {
 };
 
 DiaggedRun RunDiagged(bool with_diag, bool with_faults,
-                      size_t num_threads = 0) {
+                      size_t num_threads = 1) {
   DriftWorkload workload(/*seed=*/99);
   const ContinuousQuerySpec spec =
       ContinuousQuerySpec::Create("SELECT AVG(load) FROM R",
@@ -341,7 +341,7 @@ DiaggedRun RunDiagged(bool with_diag, bool with_faults,
   options.estimator = EstimatorKind::kRepeated;
   options.sampling_options.walk_length = 14;
   options.sampling_options.reset_length = 4;
-  options.num_threads = num_threads;
+  options.sampling_options.num_threads = num_threads;
   if (with_faults) options.fault_plan = &plan;
   options.tracer = &tracer;
   if (with_diag) options.diag = &diag;

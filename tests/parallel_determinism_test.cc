@@ -3,9 +3,9 @@
 // stats, and exported trace event sequences (lane stamps included) must
 // be bit-identical for num_threads in {1, 2, 4, 8} — clean runs,
 // fault-injected runs, hedged runs, and budget-cut partial runs alike.
-// Also checks the serial path (num_threads == 0) emits no lane fields,
-// so legacy traces stay byte-identical. Runs under ThreadSanitizer in
-// CI (DIGEST_SANITIZE=thread).
+// Also checks that walk-scoped events carry lane = walk index at the
+// default thread count. Runs under ThreadSanitizer in CI
+// (DIGEST_SANITIZE=thread).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -90,7 +90,7 @@ class StaticDriftWorkload : public Workload {
 };
 
 struct DriveConfig {
-  size_t num_threads = 1;
+  size_t num_threads = SamplingOperatorOptions().num_threads;
   bool with_faults = false;
   FaultPlanConfig faults;
   SchedulerKind scheduler = SchedulerKind::kPred;
@@ -152,7 +152,7 @@ Result<DriveResult> Drive(const DriveConfig& cfg) {
   DigestEngineOptions options;
   options.scheduler = cfg.scheduler;
   options.estimator = EstimatorKind::kRepeated;
-  options.num_threads = cfg.num_threads;
+  options.sampling_options.num_threads = cfg.num_threads;
   options.diag = &diag;
   options.sampling_options.walk_length = 16;
   options.sampling_options.reset_length = 4;
@@ -317,27 +317,45 @@ TEST(ParallelDeterminismTest,
   }
 }
 
-TEST(ParallelDeterminismTest, ParallelTraceCarriesLanesSerialDoesNot) {
-  // Walk-scoped events in parallel mode carry the deterministic lane
-  // (walk index); the legacy serial path must stay byte-identical to
-  // pre-parallel releases, i.e. no lane field anywhere.
+// Value of the unsigned integer field `key` in a normalized JSONL line.
+uint64_t JsonField(const std::string& line, const std::string& key) {
+  const size_t at = line.find("\"" + key + "\":");
+  EXPECT_NE(at, std::string::npos) << key << " missing: " << line;
+  if (at == std::string::npos) return 0;
+  return std::stoull(line.substr(at + key.size() + 3));
+}
+
+TEST(ParallelDeterminismTest, DefaultTraceCarriesWalkLanesLikeTwoThreads) {
+  // Every batch runs the walk-index path: at the default thread count,
+  // walk-scoped events already carry lane = walk index, and the trace
+  // is byte-identical to a 2-thread run.
   DriveConfig cfg;
   cfg.with_faults = true;
   cfg.faults = ModerateFaults();
-  cfg.num_threads = 0;
-  Result<DriveResult> serial = Drive(cfg);
-  ASSERT_TRUE(serial.ok()) << serial.status().message();
-  for (const std::string& line : serial->trace) {
-    ASSERT_EQ(line.find("\"lane\":"), std::string::npos) << line;
+  Result<DriveResult> reference = Drive(cfg);
+  ASSERT_TRUE(reference.ok()) << reference.status().message();
+  size_t losses = 0;
+  size_t restarts = 0;
+  for (const std::string& line : reference->trace) {
+    const bool loss = line.find("\"event\":\"fault_loss\"") !=
+                      std::string::npos;
+    const bool restart = line.find("\"event\":\"agent_restart\"") !=
+                         std::string::npos;
+    if (!loss && !restart) continue;
+    EXPECT_NE(line.find("\"lane\":"), std::string::npos) << line;
+    losses += loss ? 1 : 0;
+    if (restart) {
+      ++restarts;
+      EXPECT_EQ(JsonField(line, "lane"), JsonField(line, "agent_index"))
+          << line;
+    }
   }
+  EXPECT_GT(losses, 0u);
+  EXPECT_GT(restarts, 0u);
   cfg.num_threads = 2;
-  Result<DriveResult> parallel = Drive(cfg);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().message();
-  size_t laned = 0;
-  for (const std::string& line : parallel->trace) {
-    if (line.find("\"lane\":") != std::string::npos) ++laned;
-  }
-  EXPECT_GT(laned, 0u);
+  Result<DriveResult> two = Drive(cfg);
+  ASSERT_TRUE(two.ok()) << two.status().message();
+  EXPECT_EQ(reference->trace, two->trace);
 }
 
 // ---------------------------------------------------------------------
@@ -467,7 +485,7 @@ Result<NodeDriveResult> DriveNode(size_t num_threads, size_t ticks,
     DigestEngineOptions options;
     options.scheduler = SchedulerKind::kAll;
     options.estimator = EstimatorKind::kRepeated;
-    options.num_threads = num_threads;
+    options.sampling_options.num_threads = num_threads;
     options.sampling_options.walk_length = 16;
     options.sampling_options.reset_length = 4;
     options.tracer = &tracer;

@@ -1,4 +1,4 @@
-// Recovery battery for the parallel executor: a session checkpointed
+// Recovery battery across thread counts: a session checkpointed
 // while running on N threads must restore and replay bit-identically on
 // M threads, for any N, M >= 1 — the checkpoint captures per-batch
 // substream keys implicitly through the operator RNG stream, so thread
@@ -24,8 +24,8 @@
 namespace digest {
 namespace {
 
-/// Static-membership AR(1) workload, same shape as the serial recovery
-/// battery, so the two suites stress the same session dynamics.
+/// Static-membership AR(1) workload, same shape as the single-thread
+/// recovery battery, so the two suites stress the same session dynamics.
 class StaticDriftWorkload : public Workload {
  public:
   static constexpr size_t kTuplesPerNode = 8;
@@ -126,7 +126,7 @@ DigestEngineOptions MakeOptions(const DriveConfig& cfg, size_t threads,
   DigestEngineOptions options;
   options.scheduler = SchedulerKind::kAll;
   options.estimator = EstimatorKind::kRepeated;
-  options.num_threads = threads;
+  options.sampling_options.num_threads = threads;
   options.sampling_options.walk_length = 16;
   options.sampling_options.reset_length = 4;
   options.sampling_options.retry.hop_budget_factor = cfg.hop_budget_factor;

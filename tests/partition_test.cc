@@ -110,7 +110,7 @@ FaultPlanConfig PartitionFaults() {
 
 struct DriveConfig {
   bool breakers = true;    ///< false = ablated control.
-  size_t num_threads = 0;  ///< 0 = serial path.
+  size_t num_threads = 1;
   int kill_after = -1;     ///< Checkpoint/kill/restore after this tick.
   size_t ticks = kTicks;
 };
@@ -146,7 +146,7 @@ Result<DriveResult> Drive(const DriveConfig& cfg) {
   options.scheduler = SchedulerKind::kAll;
   options.estimator = EstimatorKind::kIndependent;
   options.sampler = SamplerKind::kTwoStageMcmc;
-  options.num_threads = cfg.num_threads;
+  options.sampling_options.num_threads = cfg.num_threads;
   options.sampling_options.walk_length = 16;
   options.sampling_options.reset_length = 4;
   // A tight hop budget and no partial finalization make budget burn

@@ -12,9 +12,12 @@ TEST(RandomWalkTest, StaysOnLiveNodes) {
   Rng rng(1);
   Result<Graph> g = MakeBarabasiAlbert(30, 2, rng);
   ASSERT_TRUE(g.ok());
+  const WeightFn weight = UniformWeight();
+  const WalkContext ctx{.graph = *g, .weight = weight, .rng = rng,
+                        .fallback = 0};
   RandomWalk walk(0);
   for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(walk.Step(*g, UniformWeight(), rng, nullptr, 0).ok());
+    ASSERT_TRUE(walk.Step(ctx).ok());
     ASSERT_TRUE(g->HasNode(walk.current()));
   }
 }
@@ -23,10 +26,13 @@ TEST(RandomWalkTest, MovesOnlyAlongEdges) {
   Rng rng(2);
   Result<Graph> g = MakeRing(10);
   ASSERT_TRUE(g.ok());
+  const WeightFn weight = UniformWeight();
+  const WalkContext ctx{.graph = *g, .weight = weight, .rng = rng,
+                        .fallback = 3};
   RandomWalk walk(3);
   NodeId prev = walk.current();
   for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(walk.Step(*g, UniformWeight(), rng, nullptr, 3).ok());
+    ASSERT_TRUE(walk.Step(ctx).ok());
     const NodeId cur = walk.current();
     EXPECT_TRUE(cur == prev || g->HasEdge(prev, cur));
     prev = cur;
@@ -38,10 +44,13 @@ TEST(RandomWalkTest, MeterCountsProbesAndHops) {
   Result<Graph> g = MakeComplete(8);
   ASSERT_TRUE(g.ok());
   MessageMeter meter;
+  const WeightFn weight = UniformWeight();
   RandomWalk walk(0);
   const size_t steps = 1000;
-  ASSERT_TRUE(
-      walk.Advance(*g, UniformWeight(), rng, &meter, 0, steps).ok());
+  ASSERT_TRUE(walk.Advance({.graph = *g, .weight = weight, .rng = rng,
+                            .fallback = 0, .meter = &meter},
+                           steps)
+                  .ok());
   // Lazy half the time: ~500 proposals, all accepted on a complete graph
   // with uniform weights.
   EXPECT_NEAR(static_cast<double>(meter.weight_probes()), 500.0, 100.0);
@@ -57,7 +66,10 @@ TEST(RandomWalkTest, RejectionsReduceHopsBelowProbes) {
   WeightFn weight = [](NodeId v) { return v == 0 ? 100.0 : 1.0; };
   MessageMeter meter;
   RandomWalk walk(0);
-  ASSERT_TRUE(walk.Advance(*g, weight, rng, &meter, 0, 2000).ok());
+  ASSERT_TRUE(walk.Advance({.graph = *g, .weight = weight, .rng = rng,
+                            .fallback = 0, .meter = &meter},
+                           2000)
+                  .ok());
   EXPECT_LT(meter.walk_hops(), meter.weight_probes());
 }
 
@@ -68,7 +80,10 @@ TEST(RandomWalkTest, RestartsFromFallbackAfterCurrentNodeLeaves) {
   RandomWalk walk(2);
   // Remove the node under the agent.
   ASSERT_TRUE(g->RemoveNode(2).ok());
-  ASSERT_TRUE(walk.Step(*g, UniformWeight(), rng, nullptr, 4).ok());
+  const WeightFn weight = UniformWeight();
+  ASSERT_TRUE(
+      walk.Step({.graph = *g, .weight = weight, .rng = rng, .fallback = 4})
+          .ok());
   ASSERT_TRUE(g->HasNode(walk.current()));
 }
 
@@ -79,8 +94,11 @@ TEST(RandomWalkTest, FailsWhenFallbackAlsoDead) {
   RandomWalk walk(1);
   ASSERT_TRUE(g->RemoveNode(1).ok());
   ASSERT_TRUE(g->RemoveNode(2).ok());
-  EXPECT_EQ(walk.Step(*g, UniformWeight(), rng, nullptr, 2).code(),
-            StatusCode::kUnavailable);
+  const WeightFn weight = UniformWeight();
+  EXPECT_EQ(
+      walk.Step({.graph = *g, .weight = weight, .rng = rng, .fallback = 2})
+          .code(),
+      StatusCode::kUnavailable);
 }
 
 TEST(RandomWalkTest, IsolatedNodeStays) {
@@ -88,7 +106,10 @@ TEST(RandomWalkTest, IsolatedNodeStays) {
   Graph g;
   g.AddNode();
   RandomWalk walk(0);
-  ASSERT_TRUE(walk.Step(g, UniformWeight(), rng, nullptr, 0).ok());
+  const WeightFn weight = UniformWeight();
+  ASSERT_TRUE(
+      walk.Step({.graph = g, .weight = weight, .rng = rng, .fallback = 0})
+          .ok());
   EXPECT_EQ(walk.current(), 0u);
 }
 
@@ -106,9 +127,11 @@ TEST(RandomWalkTest, LongRunVisitsMatchTargetDistribution) {
   std::vector<double> visits(g->NextId(), 0.0);
   const int warmup = 2000;
   const int steps = 300000;
-  ASSERT_TRUE(walk.Advance(*g, weight, rng, nullptr, 0, warmup).ok());
+  const WalkContext ctx{.graph = *g, .weight = weight, .rng = rng,
+                        .fallback = 0};
+  ASSERT_TRUE(walk.Advance(ctx, warmup).ok());
   for (int i = 0; i < steps; ++i) {
-    ASSERT_TRUE(walk.Step(*g, weight, rng, nullptr, 0).ok());
+    ASSERT_TRUE(walk.Step(ctx).ok());
     visits[walk.current()] += 1.0;
   }
   std::vector<double> empirical(fm->nodes.size());

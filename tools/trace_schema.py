@@ -72,11 +72,10 @@ EVENT_SCHEMA = {
     "partition_end": {"episode"},
 }
 
-# Walk-scoped events that may carry the optional `lane` field: the walk
-# index the parallel executor stamps on per-walk events at merge time
-# (src/exec/, DESIGN.md "Parallel execution & determinism model").
-# Deterministic — a lane is a walk, never an OS thread — and absent
-# entirely on serial (num_threads=0) traces.
+# Walk-scoped events that carry the `lane` field: the walk index the
+# sampling operator stamps on per-walk events at merge time, at every
+# thread count (DESIGN.md "Parallel execution & determinism model").
+# Deterministic — a lane is a walk, never an OS thread.
 LANE_EVENTS = {"fault_loss", "agent_restart", "walk_hedged"}
 
 # Engine- and audit-level events that may carry a `lane` field holding a
