@@ -1,6 +1,7 @@
 // Operator-level microbenchmarks (google-benchmark): the hot paths of
 // the library — expression evaluation, local-store operations, Metropolis
-// walk steps, operator samples, and snapshot estimation.
+// walk steps, operator samples, whole walk batches, and snapshot
+// estimation.
 #include <benchmark/benchmark.h>
 
 #include "core/snapshot_estimator.h"
@@ -9,6 +10,7 @@
 #include "net/topology.h"
 #include "sampling/sampling_operator.h"
 #include "sampling/tuple_sampler.h"
+#include "workload/memory.h"
 
 namespace digest {
 namespace {
@@ -57,15 +59,59 @@ void BM_WalkStep(benchmark::State& state) {
   Rng topo_rng(2);
   Graph g = MakeBarabasiAlbert(size_t(state.range(0)), 3, topo_rng).value();
   Rng rng(3);
-  const WeightFn weight = UniformWeight();
-  const WalkContext ctx{.graph = g, .weight = weight, .rng = rng,
-                        .fallback = 0};
+  const OverlaySnapshot overlay(g, UniformWeight());
+  const WalkContext ctx{.overlay = overlay, .rng = rng, .fallback = 0};
   RandomWalk walk(0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(walk.Step(ctx));
+    benchmark::DoNotOptimize(walk.Advance(ctx, 1));
   }
 }
 BENCHMARK(BM_WalkStep)->Arg(64)->Arg(512)->Arg(4096);
+
+// One whole walk batch: the operator's per-batch overlay refresh, plan,
+// walks and merge, on a MEMORY power-law overlay of N = range(0) peers
+// weighted by content size, with range(1) walks per batch. The cold
+// first batch runs before timing, so every timed batch walks warm
+// agents the reset length. With range(2) = 1 the workload advances one
+// tick (churn at the MEMORY defaults, untimed) before every batch, so
+// each timed batch also rebuilds the overlay rows.
+void BM_WalkBatch(benchmark::State& state) {
+  const size_t n = size_t(state.range(0));
+  const size_t walks = size_t(state.range(1));
+  const bool churn = state.range(2) != 0;
+  MemoryConfig config;
+  config.num_nodes = n;
+  config.num_units = n * 1000 / 820;  // MEMORY's units per peer.
+  if (!churn) {
+    config.join_rate = 0.0;
+    config.leave_rate = 0.0;
+  }
+  std::unique_ptr<MemoryWorkload> workload =
+      MemoryWorkload::Create(config).value();
+  const NodeId origin = workload->graph().LiveNodes().front();
+  workload->ProtectNode(origin);
+  SamplingOperator op(&workload->graph(), ContentSizeWeight(workload->db()),
+                      Rng(10), nullptr);
+  (void)op.SampleNodes(origin, walks);
+  for (auto _ : state) {
+    if (churn) {
+      state.PauseTiming();
+      (void)workload->Advance();
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(op.SampleNodes(origin, walks));
+  }
+}
+BENCHMARK(BM_WalkBatch)
+    ->ArgNames({"n", "walks", "churn"})
+    ->Args({530, 1, 0})
+    ->Args({530, 300, 0})
+    ->Args({10000, 1, 0})
+    ->Args({10000, 300, 0})
+    ->Args({100000, 1, 0})
+    ->Args({100000, 300, 0})
+    ->Args({100000, 300, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_OperatorSample(benchmark::State& state) {
   Rng topo_rng(4);

@@ -37,8 +37,7 @@ void SamplerDiag::FoldWalk(const WalkDiagBuffer& buffer) {
                       buffer.hops.end());
 }
 
-void SamplerDiag::FinishBatch(const Graph& graph,
-                              const std::function<double(NodeId)>& weight,
+void SamplerDiag::FinishBatch(const OverlaySnapshot& overlay,
                               uint64_t proposals, uint64_t accepted,
                               obs::Tracer* tracer, obs::Registry* registry) {
   BatchDiagnostics d;
@@ -50,18 +49,18 @@ void SamplerDiag::FinishBatch(const Graph& graph,
           ? static_cast<double>(accepted) / static_cast<double>(proposals)
           : 0.0;
 
-  // --- Stationary target, rebased on the current live membership. ---
-  // π(v) = w(v)/Σw over graph.LiveNodes(): a peer that left the overlay
+  // --- Stationary target, rebased on the snapshot's live membership. ---
+  // π(v) = w(v)/Σw over the live nodes: a peer that left the overlay
   // since the visits were recorded contributes no target mass, and its
   // visits are pruned from the empirical histogram (but counted, so a
   // churn-heavy run shows how much walk effort landed on dead peers).
-  const std::vector<NodeId> live = graph.LiveNodes();
-  d.live_peers = live.size();
-  std::map<NodeId, uint64_t> visit_counts;
+  const NodeId ids = overlay.NextId();
+  d.live_peers = overlay.NodeCount();
+  std::vector<uint64_t> visit_counts(ids, 0);  // Live visits per id.
   for (const std::vector<NodeId>& series : batch_visit_series_) {
     d.steps += series.size();
     for (const NodeId v : series) {
-      if (graph.HasNode(v)) {
+      if (overlay.HasNode(v)) {
         ++visit_counts[v];
         ++d.live_visits;
       } else {
@@ -70,14 +69,15 @@ void SamplerDiag::FinishBatch(const Graph& graph,
     }
   }
   double total_weight = 0.0;
-  for (const NodeId v : live) total_weight += weight(v);
+  for (NodeId v = 0; v < ids; ++v) {
+    if (overlay.HasNode(v)) total_weight += overlay.Weight(v);
+  }
   if (total_weight > 0.0 && d.live_visits > 0) {
     const double n = static_cast<double>(d.live_visits);
-    for (const NodeId v : live) {
-      const double target = weight(v) / total_weight;
-      const auto it = visit_counts.find(v);
-      const double empirical =
-          it == visit_counts.end() ? 0.0 : static_cast<double>(it->second) / n;
+    for (NodeId v = 0; v < ids; ++v) {
+      if (!overlay.HasNode(v)) continue;
+      const double target = overlay.Weight(v) / total_weight;
+      const double empirical = static_cast<double>(visit_counts[v]) / n;
       d.tv_distance += 0.5 * std::fabs(empirical - target);
       if (target > 0.0) {
         const double gap = empirical - target;
@@ -102,7 +102,7 @@ void SamplerDiag::FinishBatch(const Graph& graph,
     std::vector<double> x;
     x.reserve(series.size());
     for (const NodeId v : series) {
-      if (graph.HasNode(v)) x.push_back(weight(v));
+      if (overlay.HasNode(v)) x.push_back(overlay.Weight(v));
     }
     const size_t n = x.size();
     if (n == 0) continue;

@@ -2,12 +2,12 @@
 #define DIGEST_DIAG_DIAG_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "net/graph.h"
+#include "net/overlay_snapshot.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 
@@ -89,8 +89,8 @@ struct BatchDiagnostics {
 /// the current batch (walk-index order) and closes the batch with
 /// FinishBatch, which compares the empirical visit histogram against the
 /// degree-corrected stationary target π(v) = w(v)/Σw — computed over the
-/// graph's *current* live nodes, so joins and leaves rebase the target
-/// and visits to departed peers are pruned (counted, not silently
+/// live nodes of the snapshot it is given, so joins and leaves rebase the
+/// target and visits to departed peers are pruned (counted, not silently
 /// dropped). Burn-in adequacy is scored from the per-walk scalar series
 /// xₜ = w(vₜ): pooled lag-1 autocorrelation, per-walk ESS, and the
 /// cross-walk Gelman–Rubin R̂. Message-load accounting (probes + hops)
@@ -111,14 +111,15 @@ class SamplerDiag {
   /// depend on scheduling).
   void FoldWalk(const WalkDiagBuffer& buffer);
 
-  /// Closes the open batch: rebases the target on `graph`'s live nodes,
-  /// computes the mixing/load diagnostics, emits the four trace events
-  /// through `tracer` and updates the `diag.*` registry keys (either may
-  /// be null), and accumulates the run summary. `proposals`/`accepted`
-  /// are the batch's Metropolis counters from the walk telemetry.
-  void FinishBatch(const Graph& graph,
-                   const std::function<double(NodeId)>& weight,
-                   uint64_t proposals, uint64_t accepted, obs::Tracer* tracer,
+  /// Closes the open batch: rebases the target on `overlay`'s live nodes
+  /// and weights (the sampling operator passes the snapshot its walks
+  /// stepped over), computes the mixing/load diagnostics, emits the four
+  /// trace events through `tracer` and updates the `diag.*` registry keys
+  /// (either may be null), and accumulates the run summary.
+  /// `proposals`/`accepted` are the batch's Metropolis counters from the
+  /// walk telemetry.
+  void FinishBatch(const OverlaySnapshot& overlay, uint64_t proposals,
+                   uint64_t accepted, obs::Tracer* tracer,
                    obs::Registry* registry);
 
   /// Diagnostics of the most recently finished batch.

@@ -11,6 +11,7 @@ const std::vector<NodeId> Graph::kEmptyNeighbors;
 NodeId Graph::AddNode() {
   adjacency_.push_back(NodeEntry{true, {}});
   ++live_count_;
+  ++version_;
   return static_cast<NodeId>(adjacency_.size() - 1);
 }
 
@@ -27,6 +28,7 @@ Status Graph::RemoveNode(NodeId id) {
   adjacency_[id].neighbors.clear();
   adjacency_[id].live = false;
   --live_count_;
+  ++version_;
   return Status::OK();
 }
 
@@ -43,6 +45,7 @@ Status Graph::AddEdge(NodeId a, NodeId b) {
   adjacency_[a].neighbors.push_back(b);
   adjacency_[b].neighbors.push_back(a);
   ++edge_count_;
+  ++version_;
   return Status::OK();
 }
 
@@ -55,6 +58,7 @@ Status Graph::RemoveEdge(NodeId a, NodeId b) {
   auto& lb = adjacency_[b].neighbors;
   lb.erase(std::find(lb.begin(), lb.end(), a));
   --edge_count_;
+  ++version_;
   return Status::OK();
 }
 

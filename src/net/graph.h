@@ -20,9 +20,10 @@ inline constexpr NodeId kInvalidNode = static_cast<NodeId>(-1);
 ///
 /// Supports arbitrary topology and dynamic membership: nodes join and
 /// leave (churn) and edges are rewired, while ids of live nodes remain
-/// stable. Degree lookups and uniform neighbor picks are O(1), which is
-/// what the Metropolis random walk needs; edge insertion/removal is
-/// O(degree).
+/// stable. Degree lookups and uniform neighbor picks are O(1); edge
+/// insertion/removal is O(degree). The Metropolis random walk steps over
+/// an OverlaySnapshot of the graph (net/overlay_snapshot.h), rebuilt only
+/// after a mutation moves version().
 class Graph {
  public:
   Graph() = default;
@@ -62,6 +63,11 @@ class Graph {
   /// Total ids ever allocated (live + dead); ids are < NextId().
   NodeId NextId() const { return static_cast<NodeId>(adjacency_.size()); }
 
+  /// Mutation counter: moves on every successful AddNode, RemoveNode,
+  /// AddEdge and RemoveEdge, and on nothing else. An OverlaySnapshot
+  /// rebuilds its rows only when this has moved.
+  uint64_t version() const { return version_; }
+
   /// All live node ids, ascending.
   std::vector<NodeId> LiveNodes() const;
 
@@ -87,6 +93,7 @@ class Graph {
   std::vector<NodeEntry> adjacency_;
   size_t live_count_ = 0;
   size_t edge_count_ = 0;
+  uint64_t version_ = 0;
   static const std::vector<NodeId> kEmptyNeighbors;
 };
 

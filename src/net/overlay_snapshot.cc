@@ -1,0 +1,37 @@
+#include "net/overlay_snapshot.h"
+
+namespace digest {
+
+void OverlaySnapshot::Refresh(const Graph& graph,
+                              const std::function<double(NodeId)>& weight) {
+  if (source_ != &graph || source_version_ != graph.version()) {
+    BuildRows(graph);
+  }
+  weights_.resize(live_.size());
+  for (NodeId id = 0; id < live_.size(); ++id) {
+    weights_[id] = live_[id] != 0 ? weight(id) : 0.0;
+  }
+}
+
+void OverlaySnapshot::BuildRows(const Graph& graph) {
+  const NodeId ids = graph.NextId();
+  offsets_.resize(static_cast<size_t>(ids) + 1);
+  live_.assign(ids, 0);
+  neighbors_.clear();
+  neighbors_.reserve(2 * graph.EdgeCount());
+  offsets_[0] = 0;
+  for (NodeId id = 0; id < ids; ++id) {
+    if (graph.HasNode(id)) {
+      live_[id] = 1;
+      const std::vector<NodeId>& row = graph.Neighbors(id);
+      neighbors_.insert(neighbors_.end(), row.begin(), row.end());
+    }
+    offsets_[static_cast<size_t>(id) + 1] = neighbors_.size();
+  }
+  live_count_ = graph.NodeCount();
+  source_ = &graph;
+  source_version_ = graph.version();
+  ++row_builds_;
+}
+
+}  // namespace digest

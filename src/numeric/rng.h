@@ -18,15 +18,43 @@ class Rng {
   /// Seeds the generator; equal seeds produce equal streams.
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
+  // The draws a walk step makes (NextU64, NextDouble, NextIndex,
+  // NextBernoulli) are defined here so they inline into the step loop.
+
   /// Next raw 64-bit value.
-  uint64_t NextU64();
+  uint64_t NextU64() {
+    const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double NextDouble();
+  double NextDouble() {
+    // 53 high bits -> double in [0, 1).
+    return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform integer in [0, bound). `bound` must be > 0. Uses rejection to
   /// avoid modulo bias.
-  uint64_t NextIndex(uint64_t bound);
+  uint64_t NextIndex(uint64_t bound) {
+    // A draw below threshold = 2^64 mod bound is redrawn, so r % bound
+    // is unbiased. The threshold is always below bound, so any draw >=
+    // bound is accepted without computing it (a 64-bit division); the
+    // draw sequence is the same either way.
+    if (bound == 0) return 0;
+    uint64_t r = NextU64();
+    if (r < bound) {
+      const uint64_t threshold = (-bound) % bound;
+      while (r < threshold) r = NextU64();
+    }
+    return r % bound;
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   int64_t NextInt(int64_t lo, int64_t hi);
@@ -40,7 +68,11 @@ class Rng {
   }
 
   /// True with probability `p` (clamped to [0,1]).
-  bool NextBernoulli(double p);
+  bool NextBernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return NextDouble() < p;
+  }
 
   /// Exponential variate with rate `lambda` (> 0).
   double NextExponential(double lambda);
@@ -101,6 +133,10 @@ class Rng {
   }
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t state_[4];
   bool has_spare_gaussian_ = false;
   double spare_gaussian_ = 0.0;

@@ -57,10 +57,10 @@ bool TryDeliver(FaultPlan& faults, const RetryPolicy& retry, NodeId from,
 
 // Neighbors of `node` that are not quarantined — the node's degree in
 // the subgraph induced by live nodes.
-size_t LiveDegree(const Graph& graph, NodeId node,
+size_t LiveDegree(const OverlaySnapshot& overlay, NodeId node,
                   const QuarantineView& quarantine) {
   size_t live = 0;
-  for (NodeId n : graph.Neighbors(node)) {
+  for (NodeId n : overlay.Neighbors(node)) {
     if (!quarantine.Quarantined(n)) ++live;
   }
   return live;
@@ -68,140 +68,152 @@ size_t LiveDegree(const Graph& graph, NodeId node,
 
 }  // namespace
 
-Status RandomWalk::Step(const WalkContext& ctx) {
+Status RandomWalk::Advance(const WalkContext& ctx, size_t steps) {
   static const RetryPolicy kDefaultRetry;
-  const Graph& graph = ctx.graph;
+  const OverlaySnapshot& overlay = ctx.overlay;
   FaultPlan* faults = ctx.faults;
   const RetryPolicy& retry = ctx.retry != nullptr ? *ctx.retry : kDefaultRetry;
   MessageMeter* meter = ctx.meter;
   WalkTelemetry* telemetry = ctx.telemetry;
   diag::WalkDiagBuffer* diag = ctx.diag;
-  const QuarantineView* quarantine = ctx.quarantine;
   WalkHealthBuffer* health = ctx.health;
-  if (telemetry != nullptr) ++telemetry->attempts;
-  if (!graph.HasNode(current_)) {
-    // The node hosting the agent left the network; the originator
-    // restarts the agent (one message to re-inject it).
-    if (!graph.HasNode(ctx.fallback)) {
-      return Status::Unavailable("walk origin left the network");
-    }
-    current_ = ctx.fallback;
-    if (meter != nullptr) meter->AddWalkHop();
-  }
-  if (faults != nullptr && faults->IsBlackholed(current_)) {
-    // The host is stalled: the agent is frozen until the node wakes up.
-    // A frozen step is also health evidence against the host.
-    if (telemetry != nullptr) ++telemetry->stalled_steps;
-    if (health != nullptr) health->RecordFailure(current_);
-    return Status::OK();
-  }
-  // Laziness: self-loop with the configured probability, free of
-  // messages (½ in the paper, Eq. 12's prefactor).
-  if (laziness_ > 0.0 && ctx.rng.NextBernoulli(laziness_)) {
-    return Status::OK();
-  }
-  const size_t degree = graph.Degree(current_);
-  if (degree == 0) {
-    // Isolated node (transiently possible under churn): stay.
-    return Status::OK();
-  }
   // Quarantine-aware routing: with a non-empty quarantine view, the
   // proposal is uniform over the LIVE (non-quarantined) neighbors and
-  // both degree corrections below use live degrees — the walk becomes
-  // the Metropolis chain on the induced live subgraph, whose stationary
+  // both degree corrections use live degrees — the walk becomes the
+  // Metropolis chain on the induced live subgraph, whose stationary
   // distribution is the same weight target restricted to live nodes.
-  // An empty view must draw through graph.RandomNeighbor exactly, so an
-  // attached-but-idle monitor stays bit-identical to no monitor.
-  const bool routed = quarantine != nullptr && quarantine->Any();
-  NodeId proposal = kInvalidNode;
-  size_t degree_i = degree;
-  if (routed) {
-    const size_t live = LiveDegree(graph, current_, *quarantine);
-    if (live == 0) {
-      // Every neighbor is quarantined: hold position this step (the
-      // next batch routes against a fresh view).
-      return Status::OK();
-    }
-    degree_i = live;
-    size_t pick = ctx.rng.NextIndex(live);
-    for (NodeId n : graph.Neighbors(current_)) {
-      if (quarantine->Quarantined(n)) continue;
-      if (pick == 0) {
-        proposal = n;
-        break;
-      }
-      --pick;
-    }
-  } else {
-    DIGEST_ASSIGN_OR_RETURN(proposal, graph.RandomNeighbor(current_, ctx.rng));
-  }
-  // Probing the neighbor's weight costs one message (charged whether or
-  // not the transmission survives — the sender pays for the send).
-  if (meter != nullptr) meter->AddWeightProbe();
-  if (telemetry != nullptr) ++telemetry->proposals;
-  if (diag != nullptr) diag->RecordProbe(current_, proposal);
-  if (faults != nullptr) {
-    if (!TryDeliver(*faults, retry, current_, proposal, meter, telemetry,
-                    health)) {
-      // Probe never answered within the retry budget: abandon the
-      // transition, the agent stays put.
-      if (telemetry != nullptr) ++telemetry->abandoned;
-      return Status::OK();
-    }
-  } else if (health != nullptr) {
-    health->RecordSuccess(proposal);
-  }
-  double proposal_weight = ctx.weight(proposal);
-  if (faults != nullptr && faults->StaleProbe()) {
-    // The probe was answered from a stale cache: the acceptance test
-    // sees a distorted weight. The chain's target distribution bends
-    // accordingly — degradation the widened intervals account for.
-    proposal_weight = faults->DistortWeight(proposal_weight);
-    if (telemetry != nullptr) ++telemetry->stale_probes;
-  }
-  const size_t degree_j = routed
-                              ? LiveDegree(graph, proposal, *quarantine)
-                              : graph.Degree(proposal);
-  const double accept = MetropolisAcceptance(ctx.weight(current_), degree_i,
-                                             proposal_weight, degree_j);
-  if (ctx.rng.NextBernoulli(accept)) {
-    if (meter != nullptr) meter->AddWalkHop();
-    if (telemetry != nullptr) ++telemetry->accepted;
-    if (diag != nullptr) diag->RecordHop(current_, proposal);
-    if (faults != nullptr) {
-      if (!TryDeliver(*faults, retry, current_, proposal, meter,
-                      telemetry, health)) {
-        // Forward message abandoned: the agent never left.
-        if (telemetry != nullptr) ++telemetry->abandoned;
-        return Status::OK();
-      }
-      if (faults->DropAgent()) {
-        // Delivered, but the agent state was lost in transit. The
-        // originator re-injects the agent from the origin — the same
-        // recovery as a churn-stranded agent, except the walk must
-        // re-mix (the caller extends its remaining steps).
-        if (meter != nullptr) meter->AddAgentRestart();
-        if (telemetry != nullptr) ++telemetry->drops;
-        if (!graph.HasNode(ctx.fallback)) {
-          return Status::Unavailable(
-              "dropped agent's origin left the network");
+  // An empty view must draw exactly like no view, so an attached-but-
+  // idle monitor stays bit-identical to no monitor.
+  const QuarantineView* quarantine =
+      ctx.quarantine != nullptr && ctx.quarantine->Any() ? ctx.quarantine
+                                                         : nullptr;
+  // This call's counts, folded into the meter and telemetry on return.
+  uint64_t attempts = 0;
+  uint64_t proposals = 0;     // One weight probe each.
+  uint64_t accepted = 0;      // One walk-hop message each.
+  uint64_t reinjections = 0;  // Churn restarts: one walk-hop message each.
+  const char* failure = nullptr;
+  for (size_t step = 0; step < steps && failure == nullptr; ++step) {
+    ++attempts;
+    // One transition: returns null once it is over, moved or not, and
+    // the reason when no transition is possible.
+    failure = [&]() -> const char* {
+      if (!overlay.HasNode(current_)) {
+        // The node hosting the agent left the network; the originator
+        // restarts the agent (one message to re-inject it).
+        if (!overlay.HasNode(ctx.fallback)) {
+          return "walk origin left the network";
         }
         current_ = ctx.fallback;
-        return Status::OK();
+        ++reinjections;
       }
-    } else if (health != nullptr) {
-      health->RecordSuccess(proposal);
-    }
-    current_ = proposal;
+      if (faults != nullptr && faults->IsBlackholed(current_)) {
+        // The host is stalled: the agent is frozen until the node wakes
+        // up. A frozen step is also health evidence against the host.
+        if (telemetry != nullptr) ++telemetry->stalled_steps;
+        if (health != nullptr) health->RecordFailure(current_);
+        return nullptr;
+      }
+      // Laziness: self-loop with the configured probability, free of
+      // messages (½ in the paper, Eq. 12's prefactor).
+      if (laziness_ > 0.0 && ctx.rng.NextBernoulli(laziness_)) {
+        return nullptr;
+      }
+      const std::span<const NodeId> row = overlay.Neighbors(current_);
+      // Isolated node (transiently possible under churn): stay.
+      if (row.empty()) return nullptr;
+      NodeId proposal = kInvalidNode;
+      size_t degree_i = row.size();
+      if (quarantine != nullptr) {
+        const size_t live = LiveDegree(overlay, current_, *quarantine);
+        // Every neighbor is quarantined: hold position this step (the
+        // next batch routes against a fresh view).
+        if (live == 0) return nullptr;
+        degree_i = live;
+        size_t pick = ctx.rng.NextIndex(live);
+        for (NodeId n : row) {
+          if (quarantine->Quarantined(n)) continue;
+          if (pick == 0) {
+            proposal = n;
+            break;
+          }
+          --pick;
+        }
+      } else {
+        proposal = row[ctx.rng.NextIndex(row.size())];
+      }
+      // Probing the neighbor's weight costs one message (charged whether
+      // or not the transmission survives — the sender pays for the send).
+      ++proposals;
+      if (diag != nullptr) diag->RecordProbe(current_, proposal);
+      if (faults != nullptr) {
+        if (!TryDeliver(*faults, retry, current_, proposal, meter, telemetry,
+                        health)) {
+          // Probe never answered within the retry budget: abandon the
+          // transition, the agent stays put.
+          if (telemetry != nullptr) ++telemetry->abandoned;
+          return nullptr;
+        }
+      } else if (health != nullptr) {
+        health->RecordSuccess(proposal);
+      }
+      double proposal_weight = overlay.Weight(proposal);
+      if (faults != nullptr && faults->StaleProbe()) {
+        // The probe was answered from a stale cache: the acceptance test
+        // sees a distorted weight. The chain's target distribution bends
+        // accordingly — degradation the widened intervals account for.
+        proposal_weight = faults->DistortWeight(proposal_weight);
+        if (telemetry != nullptr) ++telemetry->stale_probes;
+      }
+      const size_t degree_j = quarantine != nullptr
+                                  ? LiveDegree(overlay, proposal, *quarantine)
+                                  : overlay.Degree(proposal);
+      const double accept =
+          MetropolisAcceptance(overlay.Weight(current_), degree_i,
+                               proposal_weight, degree_j);
+      if (!ctx.rng.NextBernoulli(accept)) return nullptr;
+      ++accepted;
+      if (diag != nullptr) diag->RecordHop(current_, proposal);
+      if (faults != nullptr) {
+        if (!TryDeliver(*faults, retry, current_, proposal, meter, telemetry,
+                        health)) {
+          // Forward message abandoned: the agent never left.
+          if (telemetry != nullptr) ++telemetry->abandoned;
+          return nullptr;
+        }
+        if (faults->DropAgent()) {
+          // Delivered, but the agent state was lost in transit. The
+          // originator re-injects the agent from the origin — the same
+          // recovery as a churn-stranded agent, except the walk must
+          // re-mix (the caller extends its remaining steps).
+          if (meter != nullptr) meter->AddAgentRestart();
+          if (telemetry != nullptr) ++telemetry->drops;
+          if (!overlay.HasNode(ctx.fallback)) {
+            return "dropped agent's origin left the network";
+          }
+          current_ = ctx.fallback;
+          return nullptr;
+        }
+      } else if (health != nullptr) {
+        health->RecordSuccess(proposal);
+      }
+      current_ = proposal;
+      return nullptr;
+    }();
+    if (failure == nullptr && diag != nullptr) diag->RecordVisit(current_);
   }
-  return Status::OK();
-}
-
-Status RandomWalk::Advance(const WalkContext& ctx, size_t steps) {
-  for (size_t i = 0; i < steps; ++i) {
-    DIGEST_RETURN_IF_ERROR(Step(ctx));
-    if (ctx.diag != nullptr) ctx.diag->RecordVisit(current_);
+  if (meter != nullptr) {
+    meter->AddWeightProbe(proposals);
+    meter->AddWalkHop(accepted + reinjections);
   }
+  if (telemetry != nullptr) {
+    // Saturating: a saturated backoff cost may already have pinned the
+    // total at the ceiling (see TryDeliver).
+    telemetry->attempts = SatAdd(telemetry->attempts, attempts);
+    telemetry->proposals += proposals;
+    telemetry->accepted += accepted;
+  }
+  if (failure != nullptr) return Status::Unavailable(failure);
   return Status::OK();
 }
 

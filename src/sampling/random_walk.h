@@ -7,8 +7,8 @@
 #include "net/fault_plan.h"
 #include "net/graph.h"
 #include "net/message_meter.h"
+#include "net/overlay_snapshot.h"
 #include "numeric/rng.h"
-#include "sampling/weight.h"
 
 namespace digest {
 
@@ -19,7 +19,7 @@ struct WalkDiagBuffer;
 class QuarantineView;
 struct WalkHealthBuffer;
 
-/// Per-call accounting of a walk, accumulated across Steps (fault-free
+/// Accounting of a walk, accumulated across Advance calls (fault-free
 /// walks populate it too, for observability). `attempts` is the budget
 /// currency: one unit per attempted transition plus the deterministic
 /// backoff cost of every retransmission — the quantity a
@@ -41,12 +41,14 @@ struct WalkTelemetry {
 
 /// Everything one walk's transitions read or write besides the agent's
 /// own position, built once per walk (by SamplingOperator's batch, or by
-/// a caller driving a walk directly) and passed to every Step. Only
-/// `graph`, `weight`, `rng` and `fallback` are required; every pointer
-/// may be null, which turns its hook off.
+/// a caller driving a walk directly) and passed to every Advance. Only
+/// `overlay`, `rng` and `fallback` are required; every pointer may be
+/// null, which turns its hook off.
 struct WalkContext {
-  const Graph& graph;
-  const WeightFn& weight;
+  /// Topology and weights the walk steps over: the batch's snapshot,
+  /// refreshed on the calling thread before any walk starts and shared
+  /// read-only by every worker.
+  const OverlaySnapshot& overlay;
   Rng& rng;
   /// Node a churn-stranded or dropped agent is re-injected at.
   NodeId fallback;
@@ -58,8 +60,8 @@ struct WalkContext {
   const RetryPolicy* retry = nullptr;
   /// Accumulates the walk's accounting, fault categories included.
   WalkTelemetry* telemetry = nullptr;
-  /// Records each step's weight probe and accepted-hop edge (and, in
-  /// Advance, each post-step position) for the sampler diagnostics.
+  /// Records each step's weight probe, accepted-hop edge and post-step
+  /// position for the sampler diagnostics.
   diag::WalkDiagBuffer* diag = nullptr;
   /// The frozen per-batch quarantine view from the peer-health monitor.
   const QuarantineView* quarantine = nullptr;
@@ -69,7 +71,7 @@ struct WalkContext {
 };
 
 /// A sampling agent: a lazy Metropolis random walk over the overlay
-/// (paper §V). One Step is:
+/// (paper §V). One transition is:
 ///
 ///   1. with probability ½ stay put (laziness, makes the chain
 ///      aperiodic);
@@ -77,8 +79,10 @@ struct WalkContext {
 ///      weight (one message), and move there with probability
 ///      min(1, (w_j·d_i)/(w_i·d_j)) — one message per actual move.
 ///
-/// The walk survives churn: if the current node disappears from the
-/// graph, the next Step restarts from the given fallback node.
+/// Degrees and weights come from the context's OverlaySnapshot. The walk
+/// survives churn between refreshes: if the node hosting the agent is
+/// not in the snapshot, the next transition restarts from the fallback
+/// node.
 ///
 /// Under an attached FaultPlan the same transition is subject to message
 /// loss (probes and hops are retransmitted with exponential backoff up
@@ -102,24 +106,27 @@ class RandomWalk {
   /// Node the agent currently resides on.
   NodeId current() const { return current_; }
 
-  /// Executes one (lazy) Metropolis transition. Fails if both the
-  /// current node and `ctx.fallback` are dead. The diag and health hooks
-  /// consume no randomness, so instrumented and uninstrumented runs are
-  /// bit-identical.
+  /// Executes `steps` (lazy) Metropolis transitions — the one transition
+  /// loop for clean, faulted and quarantine-routed walks. Each post-step
+  /// position lands in `ctx.diag`: the visit histogram the diagnostics
+  /// compare against the stationary target. The call's probe, hop and
+  /// attempt counts fold into `ctx.meter` and `ctx.telemetry` once, on
+  /// return. Fails if both the current node and `ctx.fallback` are dead;
+  /// the transitions before the failure stay counted. The diag and health
+  /// hooks consume no randomness, so instrumented and uninstrumented runs
+  /// are bit-identical.
   ///
   /// With a non-empty `ctx.quarantine`, proposals are drawn uniformly
   /// over the NON-quarantined neighbors, and both degree corrections in
   /// the acceptance test use live degrees — the walk is exactly the
   /// Metropolis chain on the subgraph induced by live nodes, so the
   /// stationary target over the live nodes is preserved (see the
-  /// src/diag TV gate). An empty view takes the legacy draw path,
+  /// src/diag TV gate). An empty view takes the unrouted draw path,
   /// bit-identical to an unmonitored run.
-  Status Step(const WalkContext& ctx);
-
-  /// Executes `steps` transitions, recording each post-step position in
-  /// `ctx.diag` — the visit histogram the diagnostics compare against
-  /// the stationary target. Meant for the clean path: under faults the
-  /// caller owns the hop budget and agent restarts, and steps itself.
+  ///
+  /// Under faults a caller that owns a hop budget, hedges or restart
+  /// bookkeeping steps one transition per call and reads the telemetry
+  /// in between.
   Status Advance(const WalkContext& ctx, size_t steps);
 
  private:

@@ -194,6 +194,11 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
     DIGEST_ASSIGN_OR_RETURN(fallback, graph_->RandomLiveNode(rng_));
   }
   last_telemetry_ = WalkTelemetry();
+  // The overlay every walk of this batch steps over, brought up to date
+  // here, before fan-out: rows only if the graph mutated since the last
+  // batch, weights always. Workers only read it, and the graph cannot
+  // change before FinishBatch below reads it again.
+  overlay_.Refresh(*graph_, weight_);
   // Quarantine view, frozen before any walk launches: every walk in
   // this batch routes against the same breaker snapshot, and outcome
   // folds (which may flip breakers) happen only at the merge.
@@ -249,7 +254,7 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
       const size_t donor = base + i - 1;
       const NodeId donor_pos =
           donor < agents_.size() ? agents_[donor].current() : fallback;
-      if (graph_->HasNode(donor_pos)) {
+      if (overlay_.HasNode(donor_pos)) {
         slot.hedge_origin = donor_pos;
         slot.hedge_steps = donor < agents_.size() ? reset_len : walk_len;
       }
@@ -273,8 +278,7 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
         slot.events.clear();
         slot.timed_out = false;
         Rng walk_rng = substream_base.Split(2 * i);
-        WalkContext ctx{.graph = *graph_,
-                        .weight = weight_,
+        WalkContext ctx{.overlay = overlay_,
                         .rng = walk_rng,
                         .fallback = fallback,
                         .meter = meter_ != nullptr ? &slot.meter : nullptr,
@@ -340,8 +344,7 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
           size_t* walker_remaining = step_hedge ? &hedge_remaining : &remaining;
           const uint64_t drops_before = slot.telemetry.drops;
           const uint64_t attempts_before = slot.telemetry.attempts;
-          DIGEST_RETURN_IF_ERROR(walker->Step(ctx));
-          if (ctx.diag != nullptr) ctx.diag->RecordVisit(walker->current());
+          DIGEST_RETURN_IF_ERROR(walker->Advance(ctx, 1));
           const uint64_t spent = slot.telemetry.attempts - attempts_before;
           if (step_hedge) {
             hedge_spent += spent;
@@ -457,7 +460,7 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
   }
   ObserveBatch(registry_, last_telemetry_, out.size(), cut);
   if (diag_ != nullptr) {
-    diag_->FinishBatch(*graph_, weight_, last_telemetry_.proposals,
+    diag_->FinishBatch(overlay_, last_telemetry_.proposals,
                        last_telemetry_.accepted, tracer_, registry_);
   }
   if (health_ != nullptr) health_->FinishBatch(graph_->NodeCount());

@@ -9,6 +9,7 @@
 #include "net/fault_plan.h"
 #include "net/graph.h"
 #include "net/message_meter.h"
+#include "net/overlay_snapshot.h"
 #include "numeric/rng.h"
 #include "sampling/random_walk.h"
 #include "sampling/weight.h"
@@ -120,9 +121,10 @@ struct PartialBatch {
 /// across calls so successive samples only pay the reset time.
 ///
 /// The operator holds references to the graph (and through the weight
-/// function, usually the database); both must outlive it. Churn between
-/// invocations is handled: agents stranded on departed nodes restart
-/// from the origin.
+/// function, usually the database); both must outlive it. Each batch
+/// steps over an OverlaySnapshot refreshed at batch start, so churn and
+/// weight changes between invocations are seen by the next batch:
+/// agents stranded on departed nodes restart from the origin.
 ///
 /// With a FaultPlan attached (SetFaultPlan), walks run under injected
 /// message loss, stalls, stale probes, and agent drops. Lost messages
@@ -172,7 +174,7 @@ class SamplingOperator {
   /// Attaches (or detaches, with nullptr) the sampler-introspection
   /// aggregator. Not owned. Each delivered walk's visit/probe/hop record
   /// is folded in walk-index order and every batch is closed with
-  /// SamplerDiag::FinishBatch against the current live membership. Pure
+  /// SamplerDiag::FinishBatch against the batch's overlay snapshot. Pure
   /// observation with the same contract as SetObservability: a null
   /// diag is the fast path, bit-identical to an uninstrumented build,
   /// and the folded state is invariant across num_threads.
@@ -274,6 +276,9 @@ class SamplingOperator {
   diag::SamplerDiag* diag_ = nullptr;
   PeerHealthMonitor* health_ = nullptr;
   WalkTelemetry last_telemetry_;
+  // The batch's overlay: refreshed on the calling thread at batch start,
+  // read by every walk and by the diag batch close.
+  OverlaySnapshot overlay_;
   std::vector<RandomWalk> agents_;  // Warm agents, reused round-robin.
   size_t next_agent_ = 0;
   std::unique_ptr<exec::WorkerPool> pool_;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "net/graph.h"
+#include "net/overlay_snapshot.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 
@@ -47,8 +48,8 @@ TEST(SamplerDiagTest, TvAndChiSquareAgainstUniformTarget) {
   WalkDiagBuffer walk;
   for (int i = 0; i < 6; ++i) walk.RecordVisit(0);
   diag.FoldWalk(walk);
-  diag.FinishBatch(g, UnitWeight, /*proposals=*/0, /*accepted=*/0,
-                   /*tracer=*/nullptr, /*registry=*/nullptr);
+  diag.FinishBatch(OverlaySnapshot(g, UnitWeight), /*proposals=*/0,
+                   /*accepted=*/0, /*tracer=*/nullptr, /*registry=*/nullptr);
   const BatchDiagnostics& d = diag.last_batch();
   EXPECT_EQ(d.walks, 1u);
   EXPECT_EQ(d.steps, 6u);
@@ -72,7 +73,8 @@ TEST(SamplerDiagTest, PerfectHistogramHasZeroGap) {
   for (int i = 0; i < 3; ++i) walk.RecordVisit(2);
   diag.FoldWalk(walk);
   diag.FinishBatch(
-      g, [](NodeId v) { return static_cast<double>(v) + 1.0; },
+      OverlaySnapshot(g,
+                      [](NodeId v) { return static_cast<double>(v) + 1.0; }),
       /*proposals=*/0, /*accepted=*/0, nullptr, nullptr);
   EXPECT_NEAR(diag.last_batch().tv_distance, 0.0, 1e-12);
   EXPECT_NEAR(diag.last_batch().chi_square, 0.0, 1e-12);
@@ -89,7 +91,7 @@ TEST(SamplerDiagTest, MinVisitsGuardSuppressesBreach) {
   WalkDiagBuffer walk;
   for (int i = 0; i < 6; ++i) walk.RecordVisit(0);
   diag.FoldWalk(walk);
-  diag.FinishBatch(g, UnitWeight, 0, 0, nullptr, nullptr);
+  diag.FinishBatch(OverlaySnapshot(g, UnitWeight), 0, 0, nullptr, nullptr);
   EXPECT_GT(diag.last_batch().tv_distance, 0.25);
   EXPECT_FALSE(diag.last_batch().breach);
   EXPECT_FALSE(diag.TakeBreachSinceLastRead());
@@ -107,7 +109,7 @@ TEST(SamplerDiagTest, ChurnRebasesTargetAndPrunesDeadVisits) {
   for (int i = 0; i < 8; ++i) walk.RecordVisit(2);
   diag.FoldWalk(walk);
   ASSERT_TRUE(g.RemoveNode(2).ok());
-  diag.FinishBatch(g, UnitWeight, 0, 0, nullptr, nullptr);
+  diag.FinishBatch(OverlaySnapshot(g, UnitWeight), 0, 0, nullptr, nullptr);
   const BatchDiagnostics& d = diag.last_batch();
   EXPECT_EQ(d.steps, 16u);
   EXPECT_EQ(d.live_visits, 8u);
@@ -131,8 +133,8 @@ TEST(SamplerDiagTest, Lag1AndEssClosedForm) {
   walk.RecordVisit(1);
   diag.FoldWalk(walk);
   diag.FinishBatch(
-      g, [](NodeId v) { return v == 0 ? 1.0 : 3.0; }, 0, 0, nullptr,
-      nullptr);
+      OverlaySnapshot(g, [](NodeId v) { return v == 0 ? 1.0 : 3.0; }), 0, 0,
+      nullptr, nullptr);
   EXPECT_NEAR(diag.last_batch().lag1_autocorr, 0.25, 1e-12);
   EXPECT_NEAR(diag.last_batch().ess, 2.4, 1e-12);
   // A single walk gives no between-walk contrast: R̂ stays at its
@@ -159,14 +161,14 @@ TEST(SamplerDiagTest, RhatSeparatesDisagreeingWalks) {
   }
   disagreeing.FoldWalk(low);
   disagreeing.FoldWalk(high);
-  disagreeing.FinishBatch(g, weight, 0, 0, nullptr, nullptr);
+  disagreeing.FinishBatch(OverlaySnapshot(g, weight), 0, 0, nullptr, nullptr);
 
   SamplerDiag agreeing;
   WalkDiagBuffer same1 = low;
   WalkDiagBuffer same2 = low;
   agreeing.FoldWalk(same1);
   agreeing.FoldWalk(same2);
-  agreeing.FinishBatch(g, weight, 0, 0, nullptr, nullptr);
+  agreeing.FinishBatch(OverlaySnapshot(g, weight), 0, 0, nullptr, nullptr);
 
   EXPECT_GT(disagreeing.last_batch().rhat, 1.2);
   EXPECT_NEAR(agreeing.last_batch().rhat, std::sqrt(3.0 / 4.0), 1e-12);
@@ -187,7 +189,7 @@ TEST(SamplerDiagTest, HotPeerDetectionOnStarLoad) {
   WalkDiagBuffer walk;
   for (const NodeId leaf : leaves) walk.RecordHop(leaf, hub);
   diag.FoldWalk(walk);
-  diag.FinishBatch(g, UnitWeight, 0, 0, nullptr, nullptr);
+  diag.FinishBatch(OverlaySnapshot(g, UnitWeight), 0, 0, nullptr, nullptr);
   const BatchDiagnostics& d = diag.last_batch();
   EXPECT_EQ(d.loaded_peers, 5u);
   EXPECT_EQ(d.loaded_links, 4u);
@@ -206,7 +208,7 @@ TEST(SamplerDiagTest, BalancedLoadIsNotHot) {
   walk.RecordHop(1, 2);
   walk.RecordHop(2, 0);
   diag.FoldWalk(walk);
-  diag.FinishBatch(g, UnitWeight, 0, 0, nullptr, nullptr);
+  diag.FinishBatch(OverlaySnapshot(g, UnitWeight), 0, 0, nullptr, nullptr);
   EXPECT_EQ(diag.last_batch().max_load, 2u);
   EXPECT_NEAR(diag.last_batch().mean_load, 2.0, 1e-12);
   EXPECT_FALSE(diag.last_batch().hot);
@@ -221,7 +223,7 @@ TEST(SamplerDiagTest, BreachFlagIsReadAndClear) {
   WalkDiagBuffer bad;
   for (int i = 0; i < 6; ++i) bad.RecordVisit(0);
   diag.FoldWalk(bad);
-  diag.FinishBatch(g, UnitWeight, 0, 0, nullptr, nullptr);
+  diag.FinishBatch(OverlaySnapshot(g, UnitWeight), 0, 0, nullptr, nullptr);
   ASSERT_TRUE(diag.LastBatchBreach());
 
   // A clean batch after the breach: the sticky since-last-read flag
@@ -231,7 +233,7 @@ TEST(SamplerDiagTest, BreachFlagIsReadAndClear) {
   good.RecordVisit(1);
   good.RecordVisit(2);
   diag.FoldWalk(good);
-  diag.FinishBatch(g, UnitWeight, 0, 0, nullptr, nullptr);
+  diag.FinishBatch(OverlaySnapshot(g, UnitWeight), 0, 0, nullptr, nullptr);
   EXPECT_FALSE(diag.LastBatchBreach());
   EXPECT_TRUE(diag.TakeBreachSinceLastRead());
   EXPECT_FALSE(diag.TakeBreachSinceLastRead());
@@ -243,8 +245,8 @@ TEST(SamplerDiagTest, AcceptanceCountersAndRate) {
   WalkDiagBuffer walk;
   walk.RecordVisit(0);
   diag.FoldWalk(walk);
-  diag.FinishBatch(g, UnitWeight, /*proposals=*/10, /*accepted=*/7,
-                   nullptr, nullptr);
+  diag.FinishBatch(OverlaySnapshot(g, UnitWeight), /*proposals=*/10,
+                   /*accepted=*/7, nullptr, nullptr);
   EXPECT_EQ(diag.last_batch().proposals, 10u);
   EXPECT_EQ(diag.last_batch().accepted, 7u);
   EXPECT_NEAR(diag.last_batch().acceptance_rate, 0.7, 1e-12);
@@ -262,8 +264,8 @@ TEST(SamplerDiagTest, EmitsFourEventsAndRegistryKeysPerBatch) {
   walk.RecordProbe(0, 1);
   walk.RecordHop(0, 1);
   diag.FoldWalk(walk);
-  diag.FinishBatch(g, UnitWeight, /*proposals=*/1, /*accepted=*/1, &tracer,
-                   &registry);
+  diag.FinishBatch(OverlaySnapshot(g, UnitWeight), /*proposals=*/1,
+                   /*accepted=*/1, &tracer, &registry);
 
   ASSERT_EQ(tracer.events().size(), 4u);
   EXPECT_TRUE(std::holds_alternative<obs::WalkMixingEvent>(
@@ -292,7 +294,7 @@ TEST(SamplerDiagTest, SummaryJsonIsDeterministicAndResetRestoresFresh) {
     walk.RecordVisit(1);
     walk.RecordHop(0, 1);
     diag.FoldWalk(walk);
-    diag.FinishBatch(g, UnitWeight, 3, 2, nullptr, nullptr);
+    diag.FinishBatch(OverlaySnapshot(g, UnitWeight), 3, 2, nullptr, nullptr);
     return diag.SummaryJson();
   };
   const std::string first = run_once();
@@ -305,7 +307,7 @@ TEST(SamplerDiagTest, SummaryJsonIsDeterministicAndResetRestoresFresh) {
   WalkDiagBuffer walk;
   walk.RecordVisit(0);
   diag.FoldWalk(walk);
-  diag.FinishBatch(g, UnitWeight, 1, 1, nullptr, nullptr);
+  diag.FinishBatch(OverlaySnapshot(g, UnitWeight), 1, 1, nullptr, nullptr);
   EXPECT_NE(diag.SummaryJson(), fresh);
   EXPECT_EQ(diag.batches(), 1u);
   diag.Reset();
@@ -322,9 +324,9 @@ TEST(SamplerDiagTest, UnfinishedFoldsDoNotLeakAcrossFinish) {
   WalkDiagBuffer walk;
   walk.RecordVisit(0);
   diag.FoldWalk(walk);
-  diag.FinishBatch(g, UnitWeight, 0, 0, nullptr, nullptr);
+  diag.FinishBatch(OverlaySnapshot(g, UnitWeight), 0, 0, nullptr, nullptr);
   EXPECT_EQ(diag.last_batch().walks, 1u);
-  diag.FinishBatch(g, UnitWeight, 0, 0, nullptr, nullptr);
+  diag.FinishBatch(OverlaySnapshot(g, UnitWeight), 0, 0, nullptr, nullptr);
   EXPECT_EQ(diag.last_batch().walks, 0u);
   EXPECT_EQ(diag.last_batch().steps, 0u);
   EXPECT_EQ(diag.batches(), 2u);

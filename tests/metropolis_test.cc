@@ -242,13 +242,14 @@ TEST(QuarantineMetropolisTest, VisitHistogramMeetsStationaryTargetTV) {
 
   RandomWalk walk(/*origin=*/0);
   Rng rng(4242);
-  const WalkContext ctx{.graph = graph, .weight = weight, .rng = rng,
-                        .fallback = 0, .quarantine = &view};
+  const OverlaySnapshot overlay(graph, weight);
+  const WalkContext ctx{.overlay = overlay, .rng = rng, .fallback = 0,
+                        .quarantine = &view};
   std::vector<uint64_t> visits(graph.NodeCount(), 0);
   const size_t kBurnIn = 2000;
   const size_t kSteps = 300000;
   for (size_t i = 0; i < kBurnIn + kSteps; ++i) {
-    ASSERT_TRUE(walk.Step(ctx).ok());
+    ASSERT_TRUE(walk.Advance(ctx, 1).ok());
     if (i >= kBurnIn) ++visits[walk.current()];
   }
 
@@ -274,11 +275,11 @@ TEST(QuarantineMetropolisTest, VisitHistogramMeetsStationaryTargetTV) {
   // full graph — the restriction really is doing the re-weighting.
   RandomWalk free_walk(/*origin=*/0);
   Rng free_rng(4242);
-  const WalkContext free_ctx{.graph = graph, .weight = weight,
-                             .rng = free_rng, .fallback = 0};
+  const WalkContext free_ctx{.overlay = overlay, .rng = free_rng,
+                             .fallback = 0};
   std::vector<uint64_t> free_visits(graph.NodeCount(), 0);
   for (size_t i = 0; i < kBurnIn + kSteps; ++i) {
-    ASSERT_TRUE(free_walk.Step(free_ctx).ok());
+    ASSERT_TRUE(free_walk.Advance(free_ctx, 1).ok());
     if (i >= kBurnIn) ++free_visits[free_walk.current()];
   }
   EXPECT_GT(free_visits[7], 0u);

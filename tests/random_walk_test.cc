@@ -12,12 +12,11 @@ TEST(RandomWalkTest, StaysOnLiveNodes) {
   Rng rng(1);
   Result<Graph> g = MakeBarabasiAlbert(30, 2, rng);
   ASSERT_TRUE(g.ok());
-  const WeightFn weight = UniformWeight();
-  const WalkContext ctx{.graph = *g, .weight = weight, .rng = rng,
-                        .fallback = 0};
+  const OverlaySnapshot overlay(*g, UniformWeight());
+  const WalkContext ctx{.overlay = overlay, .rng = rng, .fallback = 0};
   RandomWalk walk(0);
   for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(walk.Step(ctx).ok());
+    ASSERT_TRUE(walk.Advance(ctx, 1).ok());
     ASSERT_TRUE(g->HasNode(walk.current()));
   }
 }
@@ -26,13 +25,12 @@ TEST(RandomWalkTest, MovesOnlyAlongEdges) {
   Rng rng(2);
   Result<Graph> g = MakeRing(10);
   ASSERT_TRUE(g.ok());
-  const WeightFn weight = UniformWeight();
-  const WalkContext ctx{.graph = *g, .weight = weight, .rng = rng,
-                        .fallback = 3};
+  const OverlaySnapshot overlay(*g, UniformWeight());
+  const WalkContext ctx{.overlay = overlay, .rng = rng, .fallback = 3};
   RandomWalk walk(3);
   NodeId prev = walk.current();
   for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(walk.Step(ctx).ok());
+    ASSERT_TRUE(walk.Advance(ctx, 1).ok());
     const NodeId cur = walk.current();
     EXPECT_TRUE(cur == prev || g->HasEdge(prev, cur));
     prev = cur;
@@ -44,13 +42,12 @@ TEST(RandomWalkTest, MeterCountsProbesAndHops) {
   Result<Graph> g = MakeComplete(8);
   ASSERT_TRUE(g.ok());
   MessageMeter meter;
-  const WeightFn weight = UniformWeight();
+  const OverlaySnapshot overlay(*g, UniformWeight());
   RandomWalk walk(0);
   const size_t steps = 1000;
-  ASSERT_TRUE(walk.Advance({.graph = *g, .weight = weight, .rng = rng,
-                            .fallback = 0, .meter = &meter},
-                           steps)
-                  .ok());
+  const WalkContext ctx{.overlay = overlay, .rng = rng, .fallback = 0,
+                        .meter = &meter};
+  ASSERT_TRUE(walk.Advance(ctx, steps).ok());
   // Lazy half the time: ~500 proposals, all accepted on a complete graph
   // with uniform weights.
   EXPECT_NEAR(static_cast<double>(meter.weight_probes()), 500.0, 100.0);
@@ -63,13 +60,13 @@ TEST(RandomWalkTest, RejectionsReduceHopsBelowProbes) {
   Result<Graph> g = MakeComplete(8);
   ASSERT_TRUE(g.ok());
   // Sharply nonuniform weight: many proposals get rejected.
-  WeightFn weight = [](NodeId v) { return v == 0 ? 100.0 : 1.0; };
+  const OverlaySnapshot overlay(
+      *g, [](NodeId v) { return v == 0 ? 100.0 : 1.0; });
   MessageMeter meter;
   RandomWalk walk(0);
-  ASSERT_TRUE(walk.Advance({.graph = *g, .weight = weight, .rng = rng,
-                            .fallback = 0, .meter = &meter},
-                           2000)
-                  .ok());
+  const WalkContext ctx{.overlay = overlay, .rng = rng, .fallback = 0,
+                        .meter = &meter};
+  ASSERT_TRUE(walk.Advance(ctx, 2000).ok());
   EXPECT_LT(meter.walk_hops(), meter.weight_probes());
 }
 
@@ -80,10 +77,9 @@ TEST(RandomWalkTest, RestartsFromFallbackAfterCurrentNodeLeaves) {
   RandomWalk walk(2);
   // Remove the node under the agent.
   ASSERT_TRUE(g->RemoveNode(2).ok());
-  const WeightFn weight = UniformWeight();
+  const OverlaySnapshot overlay(*g, UniformWeight());
   ASSERT_TRUE(
-      walk.Step({.graph = *g, .weight = weight, .rng = rng, .fallback = 4})
-          .ok());
+      walk.Advance({.overlay = overlay, .rng = rng, .fallback = 4}, 1).ok());
   ASSERT_TRUE(g->HasNode(walk.current()));
 }
 
@@ -94,10 +90,9 @@ TEST(RandomWalkTest, FailsWhenFallbackAlsoDead) {
   RandomWalk walk(1);
   ASSERT_TRUE(g->RemoveNode(1).ok());
   ASSERT_TRUE(g->RemoveNode(2).ok());
-  const WeightFn weight = UniformWeight();
+  const OverlaySnapshot overlay(*g, UniformWeight());
   EXPECT_EQ(
-      walk.Step({.graph = *g, .weight = weight, .rng = rng, .fallback = 2})
-          .code(),
+      walk.Advance({.overlay = overlay, .rng = rng, .fallback = 2}, 1).code(),
       StatusCode::kUnavailable);
 }
 
@@ -106,10 +101,9 @@ TEST(RandomWalkTest, IsolatedNodeStays) {
   Graph g;
   g.AddNode();
   RandomWalk walk(0);
-  const WeightFn weight = UniformWeight();
+  const OverlaySnapshot overlay(g, UniformWeight());
   ASSERT_TRUE(
-      walk.Step({.graph = g, .weight = weight, .rng = rng, .fallback = 0})
-          .ok());
+      walk.Advance({.overlay = overlay, .rng = rng, .fallback = 0}, 1).ok());
   EXPECT_EQ(walk.current(), 0u);
 }
 
@@ -127,11 +121,11 @@ TEST(RandomWalkTest, LongRunVisitsMatchTargetDistribution) {
   std::vector<double> visits(g->NextId(), 0.0);
   const int warmup = 2000;
   const int steps = 300000;
-  const WalkContext ctx{.graph = *g, .weight = weight, .rng = rng,
-                        .fallback = 0};
+  const OverlaySnapshot overlay(*g, weight);
+  const WalkContext ctx{.overlay = overlay, .rng = rng, .fallback = 0};
   ASSERT_TRUE(walk.Advance(ctx, warmup).ok());
   for (int i = 0; i < steps; ++i) {
-    ASSERT_TRUE(walk.Step(ctx).ok());
+    ASSERT_TRUE(walk.Advance(ctx, 1).ok());
     visits[walk.current()] += 1.0;
   }
   std::vector<double> empirical(fm->nodes.size());

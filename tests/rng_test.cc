@@ -56,6 +56,35 @@ TEST(RngTest, NextIndexRespectsBound) {
   }
 }
 
+// NextIndex computes its rejection threshold only for a first draw below
+// the bound. Replay the threshold-first form (every call divides) on an
+// identical stream: each index must match, and both generators must have
+// consumed the same raw draws. 2^63 + 1 rejects about half its draws, so
+// the redraw loop is exercised too.
+TEST(RngTest, NextIndexMatchesThresholdFirstForm) {
+  const uint64_t bounds[] = {1,
+                             2,
+                             3,
+                             7,
+                             uint64_t{1} << 32,
+                             (uint64_t{1} << 32) + 1,
+                             uint64_t{1} << 63,
+                             (uint64_t{1} << 63) + 1,
+                             ~uint64_t{0}};
+  for (const uint64_t bound : bounds) {
+    Rng fast(bound ^ 0x5eedULL);
+    Rng reference = fast;
+    const uint64_t threshold = (-bound) % bound;
+    for (int i = 0; i < (1 << 21); ++i) {
+      uint64_t r = reference.NextU64();
+      while (r < threshold) r = reference.NextU64();
+      ASSERT_EQ(fast.NextIndex(bound), r % bound)
+          << "bound " << bound << ", call " << i;
+    }
+    EXPECT_EQ(fast.NextU64(), reference.NextU64()) << "bound " << bound;
+  }
+}
+
 TEST(RngTest, NextIntCoversInclusiveRange) {
   Rng rng(13);
   bool saw_lo = false, saw_hi = false;
