@@ -76,12 +76,7 @@ int Run(int argc, char** argv) {
       // what is being measured.
       options.sampling_options.walk_length = 60;
       options.sampling_options.reset_length = 15;
-      options.tracer = obs.tracer();
-      options.registry = obs.registry();
-      options.profiler = obs.profiler();
-      options.auditor = obs.auditor();
-      options.diag = obs.diag();
-      options.health = obs.health();
+      options.Attach(obs.instruments());
       const std::string run_label = "loss=" + Fmt("%.0f%%", 100.0 * loss) +
                                     " drop=" + Fmt("%.0f%%", 100.0 * drop);
       RunResult run = UnwrapOrDie(
@@ -139,21 +134,9 @@ int Run(int argc, char** argv) {
     options.sampling_options.walk_length = 60;
     options.sampling_options.reset_length = 15;
     options.sampling_options.retry.hop_budget_factor = factor;
-    options.tracer = obs.tracer();
-    options.registry = obs.registry();
-    options.profiler = obs.profiler();
-    options.auditor = obs.auditor();
-    options.diag = obs.diag();
-    options.health = obs.health();
+    options.Attach(obs.instruments());
     const std::string run_label = "budget " + Fmt("%.0fx", factor);
-    if (obs::Tracing(obs.tracer())) {
-      obs.tracer()->set_now(workload->now());
-      obs.tracer()->Emit(obs::RunBeginEvent{run_label});
-    }
-    plan.SetTracer(obs.tracer());
-    if (obs.auditor() != nullptr) obs.auditor()->BeginRun(run_label);
-    if (obs.diag() != nullptr) obs.diag()->Reset();
-    if (obs.health() != nullptr) obs.health()->Reset();
+    BeginInstrumentedRun(options, workload->now(), run_label);
 
     Rng rng(args.seed);
     const NodeId querying =
@@ -182,11 +165,11 @@ int Run(int argc, char** argv) {
       reported.push_back(tick.reported_value);
       truth.push_back(oracle);
       cis.push_back(tick.ci_halfwidth);
-      if (obs.auditor() != nullptr) {
-        obs.auditor()->RecordTruth(workload->now(), oracle);
+      if (options.auditor != nullptr) {
+        options.auditor->RecordTruth(workload->now(), oracle);
       }
     }
-    if (obs.auditor() != nullptr) obs.auditor()->FinalizeRun();
+    if (options.auditor != nullptr) options.auditor->FinalizeRun();
     PrecisionReport plain = UnwrapOrDie(
         EvaluatePrecision(reported, truth, spec.precision), "precision");
     PrecisionReport widened = UnwrapOrDie(
@@ -196,10 +179,10 @@ int Run(int argc, char** argv) {
         {Fmt("%.0fx", factor), FmtInt(engine->stats().degraded_ticks),
          FmtInt(meter.Total()), Fmt("%.3f", plain.mean_abs_error),
          Fmt("%.1f%%", 100.0 * widened.within_tolerance_fraction)});
-    ExportToRegistry(engine->stats(), obs.registry(), run_label);
-    obs::BridgeMessageMeter(meter, obs.registry());
-    if (obs.auditor() != nullptr && obs.registry() != nullptr) {
-      obs.auditor()->ExportToRegistry(obs.registry());
+    ExportToRegistry(engine->stats(), options.registry, run_label);
+    obs::BridgeMessageMeter(meter, options.registry);
+    if (options.auditor != nullptr && options.registry != nullptr) {
+      options.auditor->ExportToRegistry(options.registry);
     }
   }
   degraded_table.Print();

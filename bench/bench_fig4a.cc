@@ -86,12 +86,7 @@ int Run(int argc, char** argv) {
       options.estimator = EstimatorKind::kIndependent;
       options.sampler = SamplerKind::kExactCentral;  // Count samples only.
       options.strict_resolution = strict;
-      options.tracer = obs.tracer();
-      options.registry = obs.registry();
-      options.profiler = obs.profiler();
-      options.auditor = obs.auditor();
-      options.diag = obs.diag();
-      options.health = obs.health();
+      options.Attach(obs.instruments());
       if (algo.history > 0) {
         options.extrapolator.history_points = algo.history;
       }
@@ -120,7 +115,7 @@ int Run(int argc, char** argv) {
       "\npaper: PRED-k ~= ALL at small delta; up to ~75%% fewer "
       "snapshots by delta/sigma = 1.\n");
 
-  if (obs.enabled() || args.diag) {
+  if (args.ObservabilityRequested() || args.diag) {
     // Fig. 4-a proper samples through the exact central oracle (the
     // figure counts snapshot queries, not walks), so a trace of the
     // sweep alone would carry no walk events — and the sampler
@@ -143,12 +138,7 @@ int Run(int argc, char** argv) {
     options.scheduler = SchedulerKind::kPred;
     options.estimator = EstimatorKind::kRepeated;
     options.sampler = SamplerKind::kTwoStageMcmc;
-    options.tracer = obs.tracer();
-    options.registry = obs.registry();
-    options.profiler = obs.profiler();
-    options.auditor = obs.auditor();
-    options.diag = obs.diag();
-    options.health = obs.health();
+    options.Attach(obs.instruments());
     RunResult run = UnwrapOrDie(
         RunEngineExperiment(*workload, spec, options, showcase_ticks,
                             args.seed, "PRED-3 RPT mcmc showcase"),

@@ -85,12 +85,7 @@ int Run(int argc, char** argv) {
         // A small pilot keeps the CLT-sized sample count visible across
         // the whole epsilon sweep instead of clipping at the floor.
         options.estimator_options.pilot_samples = 10;
-        options.tracer = obs.tracer();
-        options.registry = obs.registry();
-        options.profiler = obs.profiler();
-        options.auditor = obs.auditor();
-        options.diag = obs.diag();
-        options.health = obs.health();
+        options.Attach(obs.instruments());
         const std::string run_label =
             std::string(ds.name) + (k == 0 ? " INDEP" : " RPT") +
             " eps=" + Fmt("%.3f", epsilon);

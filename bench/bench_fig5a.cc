@@ -85,12 +85,7 @@ int Run(int argc, char** argv) {
       options.estimator = combo.estimator;
       options.sampler = SamplerKind::kExactCentral;
       options.extrapolator.history_points = 3;  // PRED-3.
-      options.tracer = obs.tracer();
-      options.registry = obs.registry();
-      options.profiler = obs.profiler();
-      options.auditor = obs.auditor();
-      options.diag = obs.diag();
-      options.health = obs.health();
+      options.Attach(obs.instruments());
       RunResult run = UnwrapOrDie(
           RunEngineExperiment(*workload, spec, options, ds.ticks,
                               args.seed,

@@ -89,12 +89,7 @@ int Run(int argc, char** argv) {
       options.extrapolator.history_points = 3;
       options.sampling_options.walk_length = ds.walk_length;
       options.sampling_options.reset_length = ds.reset_length;
-      options.tracer = obs.tracer();
-      options.registry = obs.registry();
-      options.profiler = obs.profiler();
-      options.auditor = obs.auditor();
-      options.diag = obs.diag();
-      options.health = obs.health();
+      options.Attach(obs.instruments());
       RunResult run = UnwrapOrDie(
           RunEngineExperiment(*workload, spec, options, ds.ticks,
                               args.seed,

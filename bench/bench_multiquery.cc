@@ -25,6 +25,7 @@
 #include "bench/bench_util.h"
 #include "core/digest_node.h"
 #include "obs/bridge.h"
+#include "workload/experiment.h"
 #include "workload/temperature.h"
 
 namespace digest {
@@ -39,6 +40,7 @@ struct ModeRun {
 int Run(int argc, char** argv) {
   const BenchArgs args = BenchArgs::Parse(argc, argv);
   ObsSession obs(args);
+  const obs::Instruments& in = obs.instruments();
   std::printf("=== Multi-query runtime: cost vs concurrent queries ===\n");
   const size_t ticks = args.quick ? 20 : 60;
   std::printf("TEMPERATURE workload, %zu ticks, AVG queries with "
@@ -70,23 +72,13 @@ int Run(int argc, char** argv) {
       options.sampler = SamplerKind::kTwoStageMcmc;
       options.sampling_options.walk_length = 500;  // Mesh mixing.
       options.sampling_options.reset_length = 72;
-      options.tracer = obs.tracer();
-      options.registry = obs.registry();
-      options.profiler = obs.profiler();
-      options.diag = obs.diag();
-      options.health = obs.health();
+      options.Attach(in);
       DigestNodeOptions node_options;
       node_options.coalesce_snapshots = coalesce;
       const std::string run_label =
           std::string(coalesce ? "coalesced" : "warm-pool") + " q=" +
           FmtInt(q);
-      if (obs::Tracing(obs.tracer())) {
-        obs.tracer()->set_now(0);
-        obs.tracer()->Emit(obs::RunBeginEvent{run_label});
-      }
-      if (obs.auditor() != nullptr) obs.auditor()->BeginRun(run_label);
-      if (obs.diag() != nullptr) obs.diag()->Reset();
-      if (obs.health() != nullptr) obs.health()->Reset();
+      BeginInstrumentedRun(in, 0, run_label);
       Rng rng(args.seed);
       const NodeId self =
           UnwrapOrDie(workload->graph().RandomLiveNode(rng), "node");
@@ -113,20 +105,20 @@ int Run(int argc, char** argv) {
         // tightest-ε tenant; the others run unaudited here (the suite
         // scenario covers all eight with per-query auditors).
         DigestEngineOptions per_query = options;
-        per_query.auditor = i == 0 ? obs.auditor() : nullptr;
+        per_query.auditor = i == 0 ? in.auditor : nullptr;
         UnwrapOrDie(node->IssueQuery(spec, per_query), "IssueQuery");
       }
       for (size_t t = 1; t <= ticks; ++t) {
         CheckOk(workload->Advance(), "Advance");
         CheckOk(node->Tick(static_cast<int64_t>(t)).status(), "Tick");
-        if (obs.auditor() != nullptr) {
+        if (in.auditor != nullptr) {
           const double oracle = UnwrapOrDie(
               workload->db().ExactAggregate(oracle_spec.query), "oracle");
-          obs.auditor()->RecordTruth(static_cast<int64_t>(t), oracle);
+          in.auditor->RecordTruth(static_cast<int64_t>(t), oracle);
         }
       }
-      if (obs.auditor() != nullptr) obs.auditor()->FinalizeRun();
-      obs::BridgeMessageMeter(meter, obs.registry());
+      if (in.auditor != nullptr) in.auditor->FinalizeRun();
+      obs::BridgeMessageMeter(meter, in.registry);
       const uint64_t total = meter.Total();
       std::string marginal = "-";
       if (prev_q > 0) {
@@ -157,8 +149,8 @@ int Run(int argc, char** argv) {
       "coalesced mode additionally merges same-tick snapshot demands\n"
       "into one walk batch sized by the tightest epsilon, so the\n"
       "marginal cost of an added query keeps falling with tenancy.\n");
-  if (obs.auditor() != nullptr && obs.registry() != nullptr) {
-    obs.auditor()->ExportToRegistry(obs.registry());
+  if (in.auditor != nullptr && in.registry != nullptr) {
+    in.auditor->ExportToRegistry(in.registry);
   }
   obs.Finish();
   return 0;

@@ -18,6 +18,7 @@
 #include <memory>
 #include <thread>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -101,36 +102,46 @@ struct Scenario {
   const char* name;
   const char* description;
   // Builds the workload/spec/options, runs the engine experiment once
-  // with `profiler` attached (options.profiler = profiler), and returns
-  // the run result. `wall_ns` receives the wall time of the engine run
-  // alone — workload construction is setup, not measured. A scenario
-  // may deposit a deterministic JSON object into `extra`; it is emitted
-  // verbatim as the scenario's "extra" field. `auditor` is the --audit
-  // precision auditor (null when auditing is off): scenarios attach it
-  // to their measured engine run, and the suite driver splices its
-  // SummaryJson into the extra object afterwards. `diag` is the --diag
-  // sampler-introspection aggregator with the same contract (null when
-  // off; summary spliced by the driver), and `health` the --health
-  // peer-health monitor (likewise; note it steers walk routing, so
-  // --health runs legitimately do different work than plain runs).
-  std::function<RunResult(const BenchArgs&, prof::Profiler*,
-                          uint64_t* wall_ns, std::string* extra,
-                          audit::PrecisionAuditor* auditor,
-                          diag::SamplerDiag* diag,
-                          PeerHealthMonitor* health)>
+  // with `in` attached, and returns the run result. `in.profiler` is
+  // always set; the auditor, diag and health monitor are the --audit /
+  // --diag / --health instruments (null when off). Scenarios attach
+  // them to their measured run, and the suite driver splices their
+  // summaries into the extra object afterwards (--health steers walk
+  // routing, so --health runs legitimately do different work than plain
+  // runs). `wall_ns` receives the wall time of the engine run alone —
+  // workload construction is setup, not measured. A scenario may
+  // deposit a deterministic JSON object into `extra`; it is emitted
+  // verbatim as the scenario's "extra" field.
+  std::function<RunResult(const BenchArgs&, const obs::Instruments& in,
+                          uint64_t* wall_ns, std::string* extra)>
       run;
 };
+
+// The summaries of the attached --audit / --diag / --health instruments,
+// keyed and ordered as they appear in a scenario's extra object.
+std::vector<std::pair<const char*, std::string>> InstrumentSummaries(
+    const obs::Instruments& in) {
+  std::vector<std::pair<const char*, std::string>> out;
+  if (in.auditor != nullptr) {
+    out.emplace_back("audit", in.auditor->SummaryJson());
+  }
+  if (in.diag != nullptr) out.emplace_back("diag", in.diag->SummaryJson());
+  if (in.health != nullptr) {
+    out.emplace_back("health", in.health->SummaryJson());
+  }
+  return out;
+}
 
 RunResult TimedExperiment(Workload& workload,
                           const ContinuousQuerySpec& spec,
                           const DigestEngineOptions& options, size_t ticks,
                           uint64_t seed, const char* label,
-                          prof::Profiler* profiler, uint64_t* wall_ns) {
-  const uint64_t t0 = profiler->ElapsedNs();
+                          uint64_t* wall_ns) {
+  const uint64_t t0 = options.profiler->ElapsedNs();
   RunResult run = UnwrapOrDie(
       RunEngineExperiment(workload, spec, options, ticks, seed, label),
       label);
-  *wall_ns = profiler->ElapsedNs() - t0;
+  *wall_ns = options.profiler->ElapsedNs() - t0;
   return run;
 }
 
@@ -150,10 +161,8 @@ std::vector<Scenario> BuildScenarios() {
       {"pred_indep_exact",
        "PRED-3 + INDEP over the exact central oracle (TEMPERATURE): "
        "extrapolator/scheduler cost, no walks",
-       [](const BenchArgs& args, prof::Profiler* profiler,
-          uint64_t* wall_ns, std::string* /*extra*/,
-          audit::PrecisionAuditor* auditor, diag::SamplerDiag* diag,
-          PeerHealthMonitor* health) {
+       [](const BenchArgs& args, const obs::Instruments& in,
+          uint64_t* wall_ns, std::string* /*extra*/) {
          TemperatureConfig config;
          config.num_units = args.Scaled(8000, 200);
          config.num_nodes = args.Scaled(530, 16);
@@ -167,13 +176,10 @@ std::vector<Scenario> BuildScenarios() {
          options.estimator = EstimatorKind::kIndependent;
          options.sampler = SamplerKind::kExactCentral;
          options.extrapolator.history_points = 3;
-         options.profiler = profiler;
-         options.auditor = auditor;
-         options.diag = diag;
-         options.health = health;
+         options.Attach(in);
          return TimedExperiment(*workload, spec, options,
                                 args.quick ? 120 : 400, args.seed,
-                                "pred_indep_exact", profiler, wall_ns);
+                                "pred_indep_exact", wall_ns);
        }});
 
   // The full distributed pipeline the paper is about: PRED-3 + RPT over
@@ -182,10 +188,8 @@ std::vector<Scenario> BuildScenarios() {
       {"pred_rpt_mcmc",
        "PRED-3 + RPT over the two-stage MCMC sampler (TEMPERATURE): the "
        "full distributed query path",
-       [](const BenchArgs& args, prof::Profiler* profiler,
-          uint64_t* wall_ns, std::string* /*extra*/,
-          audit::PrecisionAuditor* auditor, diag::SamplerDiag* diag,
-          PeerHealthMonitor* health) {
+       [](const BenchArgs& args, const obs::Instruments& in,
+          uint64_t* wall_ns, std::string* /*extra*/) {
          TemperatureConfig config;
          config.num_units = args.Scaled(2000, 200);
          config.num_nodes = args.Scaled(530, 16);
@@ -199,13 +203,10 @@ std::vector<Scenario> BuildScenarios() {
          options.estimator = EstimatorKind::kRepeated;
          options.sampler = SamplerKind::kTwoStageMcmc;
          options.extrapolator.history_points = 3;
-         options.profiler = profiler;
-         options.auditor = auditor;
-         options.diag = diag;
-         options.health = health;
+         options.Attach(in);
          return TimedExperiment(*workload, spec, options,
                                 args.quick ? 40 : 120, args.seed,
-                                "pred_rpt_mcmc", profiler, wall_ns);
+                                "pred_rpt_mcmc", wall_ns);
        }});
 
   // ALL scheduling: every tick samples, the densest walk workload per
@@ -214,10 +215,8 @@ std::vector<Scenario> BuildScenarios() {
       {"all_indep_mcmc",
        "ALL + INDEP over the two-stage MCMC sampler (TEMPERATURE): a "
        "snapshot query every tick",
-       [](const BenchArgs& args, prof::Profiler* profiler,
-          uint64_t* wall_ns, std::string* /*extra*/,
-          audit::PrecisionAuditor* auditor, diag::SamplerDiag* diag,
-          PeerHealthMonitor* health) {
+       [](const BenchArgs& args, const obs::Instruments& in,
+          uint64_t* wall_ns, std::string* /*extra*/) {
          TemperatureConfig config;
          config.num_units = args.Scaled(2000, 200);
          config.num_nodes = args.Scaled(530, 16);
@@ -230,13 +229,10 @@ std::vector<Scenario> BuildScenarios() {
          options.scheduler = SchedulerKind::kAll;
          options.estimator = EstimatorKind::kIndependent;
          options.sampler = SamplerKind::kTwoStageMcmc;
-         options.profiler = profiler;
-         options.auditor = auditor;
-         options.diag = diag;
-         options.health = health;
+         options.Attach(in);
          return TimedExperiment(*workload, spec, options,
                                 args.quick ? 25 : 80, args.seed,
-                                "all_indep_mcmc", profiler, wall_ns);
+                                "all_indep_mcmc", wall_ns);
        }});
 
   // Churning membership (MEMORY workload): stresses warm-agent reuse
@@ -244,10 +240,8 @@ std::vector<Scenario> BuildScenarios() {
   scenarios.push_back(
       {"churn_rpt_mcmc",
        "PRED-3 + RPT over MCMC on the churning MEMORY workload",
-       [](const BenchArgs& args, prof::Profiler* profiler,
-          uint64_t* wall_ns, std::string* /*extra*/,
-          audit::PrecisionAuditor* auditor, diag::SamplerDiag* diag,
-          PeerHealthMonitor* health) {
+       [](const BenchArgs& args, const obs::Instruments& in,
+          uint64_t* wall_ns, std::string* /*extra*/) {
          MemoryConfig config;
          config.num_units = args.Scaled(1000, 200);
          config.num_nodes = args.Scaled(820, 150);
@@ -261,13 +255,10 @@ std::vector<Scenario> BuildScenarios() {
          options.estimator = EstimatorKind::kRepeated;
          options.sampler = SamplerKind::kTwoStageMcmc;
          options.extrapolator.history_points = 3;
-         options.profiler = profiler;
-         options.auditor = auditor;
-         options.diag = diag;
-         options.health = health;
+         options.Attach(in);
          return TimedExperiment(*workload, spec, options,
                                 args.quick ? 30 : 90, args.seed,
-                                "churn_rpt_mcmc", profiler, wall_ns);
+                                "churn_rpt_mcmc", wall_ns);
        }});
 
   // Fault injection: retry/backoff, agent restarts, degraded fallback —
@@ -276,10 +267,8 @@ std::vector<Scenario> BuildScenarios() {
       {"faults_mcmc",
        "ALL + RPT over MCMC under injected faults (5% loss, 2% drop, "
        "stalls): retry + degradation overhead",
-       [](const BenchArgs& args, prof::Profiler* profiler,
-          uint64_t* wall_ns, std::string* /*extra*/,
-          audit::PrecisionAuditor* auditor, diag::SamplerDiag* diag,
-          PeerHealthMonitor* health) {
+       [](const BenchArgs& args, const obs::Instruments& in,
+          uint64_t* wall_ns, std::string* /*extra*/) {
          MemoryConfig config;
          config.num_units = args.Scaled(1000, 200);
          config.num_nodes = args.Scaled(820, 150);
@@ -301,13 +290,10 @@ std::vector<Scenario> BuildScenarios() {
          options.fault_plan = &plan;
          options.sampling_options.walk_length = 60;
          options.sampling_options.reset_length = 15;
-         options.profiler = profiler;
-         options.auditor = auditor;
-         options.diag = diag;
-         options.health = health;
+         options.Attach(in);
          return TimedExperiment(*workload, spec, options,
                                 args.quick ? 20 : 60, args.seed,
-                                "faults_mcmc", profiler, wall_ns);
+                                "faults_mcmc", wall_ns);
        }});
 
   // Recovery path: ALL + RPT over MCMC under stall-heavy faults with a
@@ -320,10 +306,8 @@ std::vector<Scenario> BuildScenarios() {
        "ALL + RPT over MCMC under stall-heavy faults with a mid-run "
        "kill/checkpoint/restore; extra compares hedged vs unhedged p90 "
        "per-snapshot message cost",
-       [](const BenchArgs& args, prof::Profiler* profiler,
-          uint64_t* wall_ns, std::string* extra,
-          audit::PrecisionAuditor* auditor, diag::SamplerDiag* diag,
-          PeerHealthMonitor* health) {
+       [](const BenchArgs& args, const obs::Instruments& in,
+          uint64_t* wall_ns, std::string* extra) {
          const size_t ticks = args.quick ? 24 : 72;
          // Heterogeneous loss (edge_spread 1.0 puts concrete edges
          // anywhere from lossless to 2× the base rate) is what gives
@@ -347,8 +331,7 @@ std::vector<Scenario> BuildScenarios() {
          // killed) run, so the ledger round-trips through the mid-run
          // checkpoint blob and the diag summary covers one run's walks.
          auto drive = [&](bool hedge, bool kill_mid_run,
-                          audit::PrecisionAuditor* aud,
-                          diag::SamplerDiag* dg, PeerHealthMonitor* hm,
+                          const obs::Instruments& attached,
                           uint64_t* ns) -> PhaseOut {
            TemperatureConfig config;
            config.num_units = args.Scaled(2000, 200);
@@ -368,20 +351,16 @@ std::vector<Scenario> BuildScenarios() {
            options.sampling_options.hedge.enabled = hedge;
            options.estimator_options.allow_partial = true;
            options.fault_plan = &plan;
-           options.profiler = profiler;
-           options.auditor = aud;
-           options.diag = dg;
-           options.health = hm;
-           if (aud != nullptr) aud->BeginRun("recovery_rpt_mcmc");
-           if (dg != nullptr) dg->Reset();
-           if (hm != nullptr) hm->Reset();
+           options.Attach(attached);
+           BeginInstrumentedRun(attached, workload->now(),
+                                "recovery_rpt_mcmc");
 
            PhaseOut out;
            Rng rng(args.seed);
            const NodeId querying = UnwrapOrDie(
                workload->graph().RandomLiveNode(rng), "origin");
            workload->ProtectNode(querying);
-           const uint64_t t0 = profiler->ElapsedNs();
+           const uint64_t t0 = attached.profiler->ElapsedNs();
            auto engine = UnwrapOrDie(
                DigestEngine::Create(&workload->graph(), &workload->db(),
                                     spec, querying, rng.Fork(),
@@ -399,7 +378,9 @@ std::vector<Scenario> BuildScenarios() {
              out.run.truth.push_back(truth);
              out.run.ci_halfwidths.push_back(tick.ci_halfwidth);
              if (tick.degraded) ++out.run.degraded_ticks;
-             if (aud != nullptr) aud->RecordTruth(workload->now(), truth);
+             if (attached.auditor != nullptr) {
+               attached.auditor->RecordTruth(workload->now(), truth);
+             }
              const uint64_t total = out.run.meter.Total();
              if (tick.snapshot_executed) {
                out.snapshot_msgs.push_back(
@@ -429,8 +410,8 @@ std::vector<Scenario> BuildScenarios() {
            out.run.stats = engine->stats();
            out.run.correlation_estimate = engine->correlation_estimate();
            out.run.final_health = engine->health();
-           if (aud != nullptr) aud->FinalizeRun();
-           *ns += profiler->ElapsedNs() - t0;
+           if (attached.auditor != nullptr) attached.auditor->FinalizeRun();
+           *ns += attached.profiler->ElapsedNs() - t0;
            out.run.precision = UnwrapOrDie(
                EvaluatePrecision(out.run.reported, out.run.truth,
                                  spec.precision),
@@ -444,11 +425,10 @@ std::vector<Scenario> BuildScenarios() {
          };
 
          uint64_t ns = 0;
-         PhaseOut hedged = drive(/*hedge=*/true, /*kill_mid_run=*/true,
-                                 auditor, diag, health, &ns);
+         PhaseOut hedged =
+             drive(/*hedge=*/true, /*kill_mid_run=*/true, in, &ns);
          PhaseOut unhedged = drive(/*hedge=*/false, /*kill_mid_run=*/false,
-                                   /*aud=*/nullptr, /*dg=*/nullptr,
-                                   /*hm=*/nullptr, &ns);
+                                   {.profiler = in.profiler}, &ns);
          *wall_ns = ns;
          std::string x = "{\"p90_snapshot_msgs_hedged\":";
          x += FmtRate(Percentile(hedged.snapshot_msgs, 90));
@@ -479,10 +459,8 @@ std::vector<Scenario> BuildScenarios() {
        "ALL + RPT over MCMC through seeded partition/heal episodes: "
        "quarantine-aware routing (measured) vs a breakers-off ablation; "
        "extra compares both coverages against the binomial floor",
-       [](const BenchArgs& args, prof::Profiler* profiler,
-          uint64_t* wall_ns, std::string* extra,
-          audit::PrecisionAuditor* auditor, diag::SamplerDiag* diag,
-          PeerHealthMonitor* health) {
+       [](const BenchArgs& args, const obs::Instruments& in,
+          uint64_t* wall_ns, std::string* extra) {
          const size_t ticks = args.quick ? 24 : 72;
          FaultPlanConfig faults;
          faults.message_loss = 0.02;
@@ -493,9 +471,7 @@ std::vector<Scenario> BuildScenarios() {
          faults.partition_components = 2;
          CheckOk(faults.Validate(), "fault config");
 
-         auto drive = [&](PeerHealthMonitor* monitor,
-                          audit::PrecisionAuditor* aud,
-                          diag::SamplerDiag* dg,
+         auto drive = [&](const obs::Instruments& attached,
                           uint64_t* ns) -> RunResult {
            TemperatureConfig config;
            config.num_units = args.Scaled(2000, 200);
@@ -514,16 +490,13 @@ std::vector<Scenario> BuildScenarios() {
            options.sampling_options.reset_length = 15;
            options.estimator_options.allow_partial = true;
            options.fault_plan = &plan;
-           options.profiler = profiler;
-           options.auditor = aud;
-           options.diag = dg;
-           options.health = monitor;
-           const uint64_t t0 = profiler->ElapsedNs();
+           options.Attach(attached);
+           const uint64_t t0 = attached.profiler->ElapsedNs();
            RunResult run = UnwrapOrDie(
                RunEngineExperiment(*workload, spec, options, ticks,
                                    args.seed, "partition_rpt_mcmc"),
                "partition_rpt_mcmc");
-           *ns += profiler->ElapsedNs() - t0;
+           *ns += attached.profiler->ElapsedNs() - t0;
            return run;
          };
 
@@ -532,9 +505,10 @@ std::vector<Scenario> BuildScenarios() {
          // --health is on (so the driver's spliced summary reflects this
          // run), else a scenario-local one — steering is on either way.
          PeerHealthMonitor local_monitor;
-         PeerHealthMonitor* aware =
-             health != nullptr ? health : &local_monitor;
-         RunResult steered = drive(aware, auditor, diag, &ns);
+         obs::Instruments steered_in = in;
+         if (steered_in.health == nullptr) steered_in.health = &local_monitor;
+         RunResult steered = drive(steered_in, &ns);
+         const PeerHealthMonitor* aware = steered_in.health;
          const uint64_t opens = aware->opens();
          const uint64_t reopens = aware->reopens();
          const double flap = aware->FlapRate();
@@ -543,7 +517,8 @@ std::vector<Scenario> BuildScenarios() {
          PeerHealthConfig ablated_config;
          ablated_config.breakers_enabled = false;
          PeerHealthMonitor ablated_monitor(ablated_config);
-         RunResult ablated = drive(&ablated_monitor, nullptr, nullptr, &ns);
+         RunResult ablated = drive(
+             {.profiler = in.profiler, .health = &ablated_monitor}, &ns);
          *wall_ns = ns;
 
          const double p = 0.95;
@@ -597,17 +572,14 @@ std::vector<Scenario> BuildScenarios() {
        "bit-identical across 1/2/4/8 threads; extra holds the speedup "
        "curve (4-thread run is the one measured)",
        [cached_extra = std::make_shared<std::string>()](
-           const BenchArgs& args, prof::Profiler* profiler,
-           uint64_t* wall_ns, std::string* extra,
-           audit::PrecisionAuditor* auditor, diag::SamplerDiag* diag,
-          PeerHealthMonitor* health) {
+           const BenchArgs& args, const obs::Instruments& in,
+           uint64_t* wall_ns, std::string* extra) {
          const size_t kThreadCounts[] = {1, 2, 4, 8};
          std::vector<double> curve_ms;
          RunResult measured;
          std::vector<double> reference_reported;
-         std::string reference_audit;
-         std::string reference_diag;
-         std::string reference_health;
+         std::vector<std::pair<const char*, std::string>>
+             reference_summaries;
          for (size_t threads : kThreadCounts) {
            TemperatureConfig config;
            config.num_units = args.Scaled(2000, 200);
@@ -623,15 +595,11 @@ std::vector<Scenario> BuildScenarios() {
            options.sampler = SamplerKind::kTwoStageMcmc;
            options.extrapolator.history_points = 3;
            options.sampling_options.num_threads = threads;
-           options.profiler = profiler;
-           options.auditor = auditor;
-           options.diag = diag;
-           options.health = health;
+           options.Attach(in);
            uint64_t ns = 0;
            RunResult run = TimedExperiment(*workload, spec, options,
                                            args.quick ? 40 : 120, args.seed,
-                                           "parallel_rpt_mcmc", profiler,
-                                           &ns);
+                                           "parallel_rpt_mcmc", &ns);
            curve_ms.push_back(static_cast<double>(ns) / 1e6);
            if (threads == kThreadCounts[0]) {
              reference_reported = run.reported;
@@ -643,54 +611,19 @@ std::vector<Scenario> BuildScenarios() {
                           threads);
              std::abort();
            }
-           if (auditor != nullptr) {
-             // The audit ledger must be thread-count-invariant too: the
-             // full summary (coverage, attribution, detector breaches)
-             // is a deterministic fold over the reported series.
-             const std::string audit_json = auditor->SummaryJson();
-             if (threads == kThreadCounts[0]) {
-               reference_audit = audit_json;
-             } else if (audit_json != reference_audit) {
+           // The instrument summaries must be byte-identical at any
+           // thread count too: the audit ledger is a deterministic fold
+           // over the reported series, and every diag and health fold
+           // happens in walk-index order on the calling thread.
+           const auto summaries = InstrumentSummaries(in);
+           if (threads == kThreadCounts[0]) reference_summaries = summaries;
+           for (size_t k = 0; k < summaries.size(); ++k) {
+             if (summaries[k].second != reference_summaries[k].second) {
                std::fprintf(stderr,
-                            "FATAL: parallel_rpt_mcmc audit summary "
-                            "differs at %zu threads vs 1 — the audit "
-                            "ledger is not thread-count-invariant\n",
-                            threads);
-               std::abort();
-             }
-           }
-           if (diag != nullptr) {
-             // Same invariance gate for the sampler diagnostics: every
-             // visit/probe/hop fold happens in walk-index order, so the
-             // full summary must be byte-identical at any thread count.
-             const std::string diag_json = diag->SummaryJson();
-             if (threads == kThreadCounts[0]) {
-               reference_diag = diag_json;
-             } else if (diag_json != reference_diag) {
-               std::fprintf(stderr,
-                            "FATAL: parallel_rpt_mcmc diag summary "
-                            "differs at %zu threads vs 1 — the sampler "
-                            "diagnostics are not thread-count-"
-                            "invariant\n",
-                            threads);
-               std::abort();
-             }
-           }
-           if (health != nullptr) {
-             // And for the peer-health monitor: outcome folds happen in
-             // walk-index order on the main thread, so breaker and
-             // quarantine state must be byte-identical at any thread
-             // count.
-             const std::string health_json = health->SummaryJson();
-             if (threads == kThreadCounts[0]) {
-               reference_health = health_json;
-             } else if (health_json != reference_health) {
-               std::fprintf(stderr,
-                            "FATAL: parallel_rpt_mcmc health summary "
-                            "differs at %zu threads vs 1 — the peer-"
-                            "health fold is not thread-count-"
-                            "invariant\n",
-                            threads);
+                            "FATAL: parallel_rpt_mcmc %s summary differs "
+                            "at %zu threads vs 1 — it is not "
+                            "thread-count-invariant\n",
+                            summaries[k].first, threads);
                std::abort();
              }
            }
@@ -740,10 +673,8 @@ std::vector<Scenario> BuildScenarios() {
        "MCMC), coalesced vs warm-pool-only; extra holds both marginal-"
        "message curves, ratio_q8, and the per-query coverage verdict "
        "(8-query coalesced run is the one measured)",
-       [](const BenchArgs& args, prof::Profiler* profiler,
-          uint64_t* wall_ns, std::string* extra,
-          audit::PrecisionAuditor* auditor, diag::SamplerDiag* diag,
-          PeerHealthMonitor* health) {
+       [](const BenchArgs& args, const obs::Instruments& in,
+          uint64_t* wall_ns, std::string* extra) {
          const size_t kQueryCounts[] = {1, 2, 4, 8};
          const size_t ticks = args.quick ? 16 : 40;
          struct NodeRunOut {
@@ -770,11 +701,10 @@ std::vector<Scenario> BuildScenarios() {
            options.sampling_options.walk_length = 500;  // Mesh mixing.
            options.sampling_options.reset_length = 72;
            if (measured) {
-             options.profiler = profiler;
-             options.diag = diag;
-             options.health = health;
-             if (diag != nullptr) diag->Reset();
-             if (health != nullptr) health->Reset();
+             // Each query below swaps in its own auditor.
+             options.Attach(in);
+             if (in.diag != nullptr) in.diag->Reset();
+             if (in.health != nullptr) in.health->Reset();
            }
            DigestNodeOptions node_options;
            node_options.coalesce_snapshots = coalesce;
@@ -782,7 +712,7 @@ std::vector<Scenario> BuildScenarios() {
            const NodeId self = UnwrapOrDie(
                workload->graph().RandomLiveNode(rng), "node");
            MessageMeter meter;
-           const uint64_t t0 = profiler->ElapsedNs();
+           const uint64_t t0 = in.profiler->ElapsedNs();
            auto node = UnwrapOrDie(
                DigestNode::Create(&workload->graph(), &workload->db(),
                                   self, rng.Fork(), &meter, options,
@@ -806,8 +736,8 @@ std::vector<Scenario> BuildScenarios() {
              DigestEngineOptions per_query = options;
              if (measured) {
                audit::PrecisionAuditor* qa;
-               if (i == 0 && auditor != nullptr) {
-                 qa = auditor;
+               if (i == 0 && in.auditor != nullptr) {
+                 qa = in.auditor;
                } else {
                  local.push_back(
                      std::make_unique<audit::PrecisionAuditor>());
@@ -834,7 +764,7 @@ std::vector<Scenario> BuildScenarios() {
                }
              }
            }
-           *ns = profiler->ElapsedNs() - t0;
+           *ns = in.profiler->ElapsedNs() - t0;
            for (audit::PrecisionAuditor* qa : query_auditors) {
              qa->FinalizeRun();
              out.coverage_ok_all =
@@ -1019,13 +949,13 @@ std::string RenderScenarioJson(const ScenarioReport& r,
 // ---------------------------------------------------------------------
 
 int Run(int argc, char** argv) {
-  const BenchArgs args = BenchArgs::Parse(
-      argc, argv,
-      {{"--repeats=", "measured repeats per scenario (default 5; 3 with "
-                      "--quick)"},
-       {"--warmup=", "unmeasured warmup runs per scenario (default 1)"},
-       {"--out-dir=", "directory for BENCH_*.json (default .)"},
-       {"--scenario=", "run only the named scenario (repeatable)"}});
+  const std::vector<ExtraFlag> suite_flags = {
+      {"--repeats=", "measured repeats per scenario (default 5; 3 with "
+                     "--quick)"},
+      {"--warmup=", "unmeasured warmup runs per scenario (default 1)"},
+      {"--out-dir=", "directory for BENCH_*.json (default .)"},
+      {"--scenario=", "run only the named scenario (repeatable)"}};
+  const BenchArgs args = BenchArgs::Parse(argc, argv, suite_flags);
   // The suite owns its profiler (one per scenario) and its repeat
   // structure; the per-bench export flags don't compose with that.
   // --audit and --diag DO compose: both are deterministic per run, so
@@ -1047,16 +977,17 @@ int Run(int argc, char** argv) {
   std::vector<std::string> only;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--repeats=", 10) == 0) {
-      repeats = static_cast<size_t>(std::strtoull(argv[i] + 10, nullptr, 10));
+      repeats = BenchArgs::ParseUintFlag(argv[0], "--repeats", argv[i] + 10,
+                                         1, suite_flags);
     } else if (std::strncmp(argv[i], "--warmup=", 9) == 0) {
-      warmup = static_cast<size_t>(std::strtoull(argv[i] + 9, nullptr, 10));
+      warmup = BenchArgs::ParseUintFlag(argv[0], "--warmup", argv[i] + 9, 0,
+                                        suite_flags);
     } else if (std::strncmp(argv[i], "--out-dir=", 10) == 0) {
       out_dir = argv[i] + 10;
     } else if (std::strncmp(argv[i], "--scenario=", 11) == 0) {
       only.push_back(argv[i] + 11);
     }
   }
-  if (repeats < 1) repeats = 1;
 
   std::vector<Scenario> scenarios = BuildScenarios();
   if (!only.empty()) {
@@ -1083,21 +1014,18 @@ int Run(int argc, char** argv) {
               scenarios.size(), warmup, repeats, args.scale,
               static_cast<unsigned long long>(args.seed));
 
-  // One auditor for the whole suite when --audit is on: each engine run
-  // opens its own audit window (BeginRun resets the accumulators), so
-  // the summary spliced into a scenario's extra reflects that
-  // scenario's measured run alone.
+  // One auditor, diagnostics aggregator and health monitor for the
+  // whole suite, as the flags ask: each engine run opens its own audit
+  // window and resets the other two (BeginInstrumentedRun), so the
+  // summaries spliced into a scenario's extra reflect that scenario's
+  // measured run alone.
   audit::PrecisionAuditor suite_auditor;
-  audit::PrecisionAuditor* auditor = args.audit ? &suite_auditor : nullptr;
-  // Same sharing scheme for --diag: every engine run resets the
-  // aggregator (RunEngineExperiment / the recovery scenario's drive), so
-  // the spliced summary describes the scenario's measured run alone.
   diag::SamplerDiag suite_diag;
-  diag::SamplerDiag* diag = args.diag ? &suite_diag : nullptr;
-  // And for --health: each engine run resets the monitor, so the
-  // spliced breaker/quarantine summary covers the measured run alone.
   PeerHealthMonitor suite_health;
-  PeerHealthMonitor* health = args.health ? &suite_health : nullptr;
+  const obs::Instruments instruments{
+      .auditor = args.audit ? &suite_auditor : nullptr,
+      .diag = args.diag ? &suite_diag : nullptr,
+      .health = args.health ? &suite_health : nullptr};
 
   std::vector<ScenarioReport> reports;
   for (const Scenario& scenario : scenarios) {
@@ -1109,12 +1037,15 @@ int Run(int argc, char** argv) {
     popt.capture_spans = false;
     for (size_t w = 0; w < warmup; ++w) {
       prof::Profiler scratch(popt);
+      obs::Instruments warm = instruments;
+      warm.profiler = &scratch;
       uint64_t ignored = 0;
       std::string scratch_extra;
-      scenario.run(args, &scratch, &ignored, &scratch_extra, auditor, diag,
-                   health);
+      scenario.run(args, warm, &ignored, &scratch_extra);
     }
     prof::Profiler profiler(popt);
+    obs::Instruments measured = instruments;
+    measured.profiler = &profiler;
     ScenarioReport report;
     report.name = scenario.name;
     report.description = scenario.description;
@@ -1125,40 +1056,18 @@ int Run(int argc, char** argv) {
           profiler.stats(prof::Phase::kWalkAdvance).items;
       uint64_t wall_ns = 0;
       std::string extra;
-      RunResult run = scenario.run(args, &profiler, &wall_ns, &extra,
-                                   auditor, diag, health);
-      if (auditor != nullptr) {
-        // Splice the measured run's audit summary into the extra
-        // object (coverage, δ-compliance, budget burn, attribution) so
-        // it lands in BENCH_*.json and bench_compare.py can gate
-        // accuracy regressions alongside the perf counters.
-        const std::string audit_json = auditor->SummaryJson();
+      RunResult run = scenario.run(args, measured, &wall_ns, &extra);
+      // Splice the measured run's instrument summaries into the extra
+      // object — audit coverage, δ-compliance, budget burn and
+      // attribution; diag mixing and load; health breakers and
+      // quarantine — so they land in BENCH_*.json and bench_compare.py
+      // gates them alongside the perf counters.
+      for (const auto& [key, json] : InstrumentSummaries(measured)) {
+        const std::string field = "\"" + std::string(key) + "\":" + json;
         if (extra.empty()) {
-          extra = "{\"audit\":" + audit_json + "}";
+          extra = "{" + field + "}";
         } else {
-          extra.insert(extra.size() - 1, ",\"audit\":" + audit_json);
-        }
-      }
-      if (diag != nullptr) {
-        // Same splice for the sampler diagnostics: the mixing/load
-        // summary of the measured run becomes part of the committed
-        // perf trajectory.
-        const std::string diag_json = diag->SummaryJson();
-        if (extra.empty()) {
-          extra = "{\"diag\":" + diag_json + "}";
-        } else {
-          extra.insert(extra.size() - 1, ",\"diag\":" + diag_json);
-        }
-      }
-      if (health != nullptr) {
-        // And the peer-health breaker/quarantine summary, so
-        // bench_compare.py can gate flap-rate and quarantine churn
-        // alongside the perf counters.
-        const std::string health_json = health->SummaryJson();
-        if (extra.empty()) {
-          extra = "{\"health\":" + health_json + "}";
-        } else {
-          extra.insert(extra.size() - 1, ",\"health\":" + health_json);
+          extra.insert(extra.size() - 1, "," + field);
         }
       }
       WorkCounts counts;

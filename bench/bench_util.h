@@ -6,7 +6,9 @@
 // as an aligned text table, with a --scale flag to trade fidelity for
 // runtime (scale=1.0 reproduces the paper's full workload sizes).
 
+#include <cctype>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -19,6 +21,7 @@
 #include "diag/diag.h"
 #include "net/peer_health.h"
 #include "obs/exporters.h"
+#include "obs/instruments.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "prof/profiler.h"
@@ -118,7 +121,7 @@ struct BenchArgs {
         }
         args.scale = scale;
       } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-        args.seed = std::strtoull(argv[i] + 7, nullptr, 10);
+        args.seed = ParseUintFlag(argv[0], "--seed", argv[i] + 7, 0, extra);
       } else if (std::strcmp(argv[i], "--quick") == 0) {
         args.quick = true;
       } else if (std::strcmp(argv[i], "--prof") == 0) {
@@ -147,6 +150,31 @@ struct BenchArgs {
     return args;
   }
 
+  /// Parses the value of an unsigned integer flag strictly; `text` is
+  /// what follows "<flag>=". An empty value, a sign or other non-digit,
+  /// trailing garbage, a value past 2^64 - 1 (ERANGE) or one below `min`
+  /// is rejected the way a bad --scale is: an error, the usage text and
+  /// exit 2.
+  static uint64_t ParseUintFlag(const char* binary, const char* flag,
+                                const char* text, uint64_t min,
+                                const std::vector<ExtraFlag>& extra) {
+    bool digits = *text != '\0';
+    for (const char* c = text; *c != '\0'; ++c) {
+      digits = digits && std::isdigit(static_cast<unsigned char>(*c));
+    }
+    errno = 0;
+    const unsigned long long value =
+        digits ? std::strtoull(text, nullptr, 10) : 0;
+    if (!digits || errno == ERANGE || value < min) {
+      std::fprintf(stderr,
+                   "%s: invalid %s value '%s' (need an integer >= %llu)\n\n",
+                   binary, flag, text, static_cast<unsigned long long>(min));
+      PrintUsage(stderr, binary, extra);
+      std::exit(2);
+    }
+    return value;
+  }
+
   bool ObservabilityRequested() const {
     return !trace_path.empty() || !trace_jsonl_path.empty() ||
            !metrics_path.empty();
@@ -169,41 +197,38 @@ inline void CheckOk(const Status& status, const char* what) {
 }
 
 /// Observability plumbing for a bench run, driven by the --trace /
-/// --trace-jsonl / --metrics / --prof flags. When none is given,
-/// tracer(), registry(), and profiler() return nullptr and the
-/// instrumented code takes its null fast path — the run is
-/// bit-identical to an uninstrumented binary. Call Finish() after the
-/// sweep to write the requested files and print the end-of-run tables.
+/// --trace-jsonl / --metrics / --prof / --audit / --diag / --health
+/// flags, handed out as one obs::Instruments that each engine run
+/// attaches with DigestEngineOptions::Attach. Every instrument whose
+/// flag is off is null, so the instrumented code takes its null fast
+/// path — a run with none is bit-identical to an uninstrumented binary.
+/// Call Finish() after the sweep to write the requested files and print
+/// the end-of-run tables.
 ///
-/// --prof is orthogonal to the deterministic exports: it attaches a
-/// wall-clock prof::Profiler, prints the phase table at Finish, and —
-/// when combined with --trace / --trace-jsonl / --metrics — adds the
-/// "wall" Chrome track, `prof_phase` JSONL lines, and the metrics
-/// `prof` section to the exported files.
+/// The tracer and registry exist iff an export flag is given. --prof
+/// attaches a wall-clock prof::Profiler, prints the phase table at
+/// Finish, and — with an export flag — adds the "wall" Chrome track,
+/// `prof_phase` JSONL lines, and the metrics `prof` section to the
+/// exported files. The auditor, diagnostics and health monitor compose
+/// freely with the exports (their events and metrics ride the same
+/// files) and with --prof. The health monitor steers walk routing
+/// (quarantine-aware Metropolis), so --health runs are NOT
+/// bit-identical to plain runs — by design.
 class ObsSession {
  public:
   explicit ObsSession(const BenchArgs& args)
-      : args_(args), enabled_(args.ObservabilityRequested()) {}
+      : args_(args),
+        instruments_{
+            .tracer = args.ObservabilityRequested() ? &tracer_ : nullptr,
+            .registry = args.ObservabilityRequested() ? &registry_ : nullptr,
+            .profiler = args.prof ? &profiler_ : nullptr,
+            .auditor = args.audit ? &auditor_ : nullptr,
+            .diag = args.diag ? &diag_ : nullptr,
+            .health = args.health ? &health_ : nullptr} {}
+  ObsSession(const ObsSession&) = delete;
+  ObsSession& operator=(const ObsSession&) = delete;
 
-  obs::Tracer* tracer() { return enabled_ ? &tracer_ : nullptr; }
-  obs::Registry* registry() { return enabled_ ? &registry_ : nullptr; }
-  prof::Profiler* profiler() { return args_.prof ? &profiler_ : nullptr; }
-  /// The --audit precision auditor. Composes freely with --trace /
-  /// --trace-jsonl / --metrics (audit_* events and audit.* metrics flow
-  /// into the same exports) and with --prof; null when --audit is off.
-  audit::PrecisionAuditor* auditor() {
-    return args_.audit ? &auditor_ : nullptr;
-  }
-  /// The --diag sampler-introspection aggregator. Same composition
-  /// rules as --audit: its events/metrics ride the --trace /
-  /// --trace-jsonl / --metrics exports; null when --diag is off.
-  diag::SamplerDiag* diag() { return args_.diag ? &diag_ : nullptr; }
-  /// The --health peer-health monitor. Unlike the observers above it
-  /// steers walk routing (quarantine-aware Metropolis), so --health runs
-  /// are NOT bit-identical to plain runs — by design. Its events and
-  /// health.* metrics ride the same exports; null when --health is off.
-  PeerHealthMonitor* health() { return args_.health ? &health_ : nullptr; }
-  bool enabled() const { return enabled_; }
+  const obs::Instruments& instruments() const { return instruments_; }
 
   void Finish() {
     if (args_.health) {
@@ -219,17 +244,18 @@ class ObsSession {
     if (args_.prof) {
       std::printf("\n%s", prof::RenderProfSummary(profiler_).c_str());
     }
-    if (!enabled_) return;
+    if (!args_.ObservabilityRequested()) return;
+    prof::Profiler* profiler = instruments_.profiler;
     if (!args_.trace_path.empty()) {
       CheckOk(obs::WriteChromeTrace(tracer_.events(), args_.trace_path,
-                                    profiler()),
+                                    profiler),
               "--trace");
       std::printf("\nwrote Chrome trace (%zu events) to %s\n",
                   tracer_.events().size(), args_.trace_path.c_str());
     }
     if (!args_.trace_jsonl_path.empty()) {
       CheckOk(obs::WriteJsonLines(tracer_.events(), args_.trace_jsonl_path,
-                                  profiler()),
+                                  profiler),
               "--trace-jsonl");
       std::printf("wrote JSONL trace (%zu events) to %s\n",
                   tracer_.events().size(),
@@ -237,7 +263,7 @@ class ObsSession {
     }
     if (!args_.metrics_path.empty()) {
       CheckOk(obs::WriteFile(args_.metrics_path,
-                             obs::RenderMetricsJson(registry_, profiler())),
+                             obs::RenderMetricsJson(registry_, profiler)),
               "--metrics");
       std::printf("wrote metrics registry to %s\n",
                   args_.metrics_path.c_str());
@@ -247,13 +273,13 @@ class ObsSession {
 
  private:
   BenchArgs args_;
-  bool enabled_;
   obs::MemoryTracer tracer_;
   obs::Registry registry_;
   prof::Profiler profiler_;
   audit::PrecisionAuditor auditor_;
   diag::SamplerDiag diag_;
   PeerHealthMonitor health_;
+  obs::Instruments instruments_;
 };
 
 /// One consistent rejection for a flag a bench cannot honor: same

@@ -56,13 +56,16 @@ Result<std::unique_ptr<DigestNode>> DigestNode::Create(
         default_options.sampling_options);
     // Full observability on the shared operator: its walk batches serve
     // every tenant, so their events/metrics/diag/health belong to the
-    // node (unlaned), not to any one query.
+    // node (unlaned), not to any one query. The fault plan and health
+    // monitor it drives report on the same unlaned tracer.
     node->operator_->SetFaultPlan(default_options.fault_plan);
-    node->operator_->SetObservability(default_options.tracer,
-                                      default_options.registry,
-                                      default_options.profiler);
-    node->operator_->SetDiag(default_options.diag);
-    node->operator_->SetHealth(default_options.health);
+    node->operator_->SetInstruments(default_options);
+    if (default_options.fault_plan != nullptr) {
+      default_options.fault_plan->SetTracer(default_options.tracer);
+    }
+    if (default_options.health != nullptr) {
+      default_options.health->SetTracer(default_options.tracer);
+    }
     if (node_options.coalesce_snapshots) {
       node->shared_sampler_ = std::make_unique<TwoStageTupleSampler>(
           db, node->operator_.get(), node->rng_.Fork());
@@ -110,13 +113,6 @@ Result<QueryId> DigestNode::IssueQuery(ContinuousQuerySpec spec,
       DigestEngine::CreateWithOperator(graph_, db_, std::move(spec), self_,
                                        rng_.Fork(), meter_,
                                        operator_.get(), options));
-  // Engine creation pointed the shared health monitor at this query's
-  // lane; node-level health events must stay unlaned.
-  if (options.health != nullptr) {
-    options.health->SetTracer(default_options_.tracer != nullptr
-                                  ? default_options_.tracer
-                                  : real);
-  }
   DIGEST_RETURN_IF_ERROR(scheduler_.Register(id, epsilon));
   engines_.emplace(id, std::move(engine));
   if (lane != nullptr) lanes_.emplace(id, std::move(lane));

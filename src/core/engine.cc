@@ -83,14 +83,10 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
   if (options.estimator_options.min_partial_samples < 2) {
     return Status::InvalidArgument("min_partial_samples must be >= 2");
   }
-  // One sink for the whole stack: the engine-level tracer flows into the
-  // estimator (explicit estimator_options.tracer wins when set) and into
-  // every operator the engine builds.
-  if (options.estimator_options.tracer == nullptr) {
-    options.estimator_options.tracer = options.tracer;
-  }
   std::unique_ptr<DigestEngine> engine(new DigestEngine(
       graph, db, std::move(spec), querying_node, meter, options));
+  // One sink for the whole stack. The engine wires its tracer into what
+  // it owns: the supervisor, the estimator (below) and the auditor.
   engine->supervisor_.SetTracer(options.tracer);
   if (options.auditor != nullptr) {
     DIGEST_RETURN_IF_ERROR(options.auditor->options().Validate());
@@ -101,9 +97,17 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
   }
   if (options.health != nullptr) {
     DIGEST_RETURN_IF_ERROR(options.health->config().Validate());
-    options.health->SetTracer(options.tracer);
   }
   engine->shared_operator_ = shared_operator != nullptr;
+  // The fault plan and the health monitor are driven by the operators;
+  // whoever builds those wires the tracer into them. A shared
+  // operator's owner (DigestNode) has done so already.
+  if (shared_operator == nullptr) {
+    if (options.fault_plan != nullptr) {
+      options.fault_plan->SetTracer(options.tracer);
+    }
+    if (options.health != nullptr) options.health->SetTracer(options.tracer);
+  }
 
   // Bottom tier: sample source.
   switch (options.sampler) {
@@ -114,14 +118,7 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
             graph, ContentSizeWeight(*db), rng.Fork(), meter,
             options.sampling_options);
         engine->sampling_operator_->SetFaultPlan(options.fault_plan);
-        engine->sampling_operator_->SetObservability(
-            options.tracer, options.registry, options.profiler);
-        // The diagnostics watch the content-weighted walks only — the
-        // chain whose stationary target the estimator's samples rely on.
-        engine->sampling_operator_->SetDiag(options.diag);
-        // Like the diagnostics, the health monitor watches (and steers)
-        // the content-weighted walks only.
-        engine->sampling_operator_->SetHealth(options.health);
+        engine->sampling_operator_->SetInstruments(options);
         op = engine->sampling_operator_.get();
       }
       // With an external sample source the node owns the sampler (and
@@ -154,8 +151,12 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
           graph, UniformWeight(), rng.Fork(), meter,
           options.sampling_options);
       engine->uniform_operator_->SetFaultPlan(options.fault_plan);
-      engine->uniform_operator_->SetObservability(
-          options.tracer, options.registry, options.profiler);
+      // Diag and health watch (and health steers) the content-weighted
+      // walks only — the chain whose stationary target the estimator's
+      // samples rely on.
+      engine->uniform_operator_->SetInstruments({.tracer = options.tracer,
+                                                 .registry = options.registry,
+                                                 .profiler = options.profiler});
       engine->size_oracle_ = std::make_unique<CollisionSizeEstimator>(
           db, engine->uniform_operator_.get(), querying_node,
           options.size_estimator_options);
@@ -180,6 +181,7 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
           rng.Fork(), options.estimator_options);
       break;
   }
+  engine->estimator_->SetTracer(options.tracer);
   return engine;
 }
 

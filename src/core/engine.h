@@ -17,26 +17,12 @@
 #include "net/graph.h"
 #include "net/message_meter.h"
 #include "numeric/rng.h"
+#include "obs/instruments.h"
 #include "sampling/sampling_operator.h"
 #include "sampling/size_estimator.h"
 #include "sampling/tuple_sampler.h"
 
 namespace digest {
-namespace audit {
-class PrecisionAuditor;
-}  // namespace audit
-namespace diag {
-class SamplerDiag;
-}  // namespace diag
-namespace obs {
-class Registry;
-class Tracer;
-}  // namespace obs
-namespace prof {
-class Profiler;
-}  // namespace prof
-
-class PeerHealthMonitor;
 
 /// Snapshot scheduling policy: ALL executes a snapshot query at every
 /// tick; PRED uses the extrapolation algorithm (§IV-A) to skip ticks the
@@ -68,7 +54,9 @@ enum class ReportMode { kHold, kExtrapolate };
 
 /// Full engine configuration. Digest proper is {kPred, kRepeated,
 /// kTwoStageMcmc}; the paper's comparison grid varies the first two.
-struct DigestEngineOptions {
+/// The optional instruments (`options.tracer` ... `options.health`)
+/// come from the obs::Instruments base.
+struct DigestEngineOptions : obs::Instruments {
   SchedulerKind scheduler = SchedulerKind::kPred;
   EstimatorKind estimator = EstimatorKind::kRepeated;
   SamplerKind sampler = SamplerKind::kTwoStageMcmc;
@@ -101,75 +89,13 @@ struct DigestEngineOptions {
   bool strict_resolution = false;
 
   /// Optional fault-injection plan (not owned; must outlive the engine).
-  /// Wired into the sampling operators the engine creates, so walks run
-  /// under the plan's message loss / stalls / drops and the engine
-  /// degrades gracefully when sampling times out. Callers passing a
-  /// shared operator via CreateWithOperator attach the plan to that
-  /// operator themselves.
+  /// Wired, with the engine's tracer, into the sampling operators the
+  /// engine creates, so walks run under the plan's message loss /
+  /// stalls / drops and the engine degrades gracefully when sampling
+  /// times out. Callers passing a shared operator via
+  /// CreateWithOperator attach the plan (and its tracer) to that
+  /// operator themselves, as DigestNode does.
   FaultPlan* fault_plan = nullptr;
-
-  /// Optional structured event tracer (not owned; must outlive the
-  /// engine; null disables). Create forwards it into the estimator and
-  /// the operators it builds, so one sink receives the whole stack's
-  /// events: per-tick TickEvents, PRED gap predictions, snapshot
-  /// execute/skip, sample-budget plans, CI widening, walk-batch
-  /// lifecycle. The engine drives the tracer's simulated clock
-  /// (set_now per Tick). Pure observation — estimates, RNG streams, and
-  /// MessageMeter totals are bit-identical with or without a tracer.
-  obs::Tracer* tracer = nullptr;
-
-  /// Optional metrics registry (not owned; null disables). Receives the
-  /// sampler's histograms/counters plus per-snapshot sample-count and
-  /// ρ̂ instruments from the engine. Same purity contract as `tracer`.
-  obs::Registry* registry = nullptr;
-
-  /// Optional wall-clock profiler (not owned; null disables — the null
-  /// fast path performs no clock reads at all). Unlike `tracer` and
-  /// `registry` this records *real* time, kept strictly out of the
-  /// deterministic trace: scoped timers cover Tick, PRED fit/predict,
-  /// snapshot estimation, and (through the operators Create builds)
-  /// walk batches and stepping. Same purity contract: estimates, RNG
-  /// streams, and meter totals are bit-identical with or without one.
-  prof::Profiler* profiler = nullptr;
-
-  /// Optional precision auditor (not owned; null disables). The engine
-  /// feeds it one observation per tick — RecordSnapshot on sampling
-  /// occasions, RecordTimeout on hold-under-fault ticks, RecordSkip on
-  /// PRED-skipped ticks — and the driver resolves each with ground truth
-  /// via RecordTruth when an oracle is available (see audit/audit.h).
-  /// The auditor's only feedback edge is deliberate and deterministic:
-  /// sustained drift breaches queue a flip that the engine drains at the
-  /// top of the *next* Tick into SessionSupervisor::RecordAuditBreach.
-  /// With no auditor attached the engine's estimates, RNG streams, and
-  /// meter totals are bit-identical to pre-audit builds (test-enforced).
-  audit::PrecisionAuditor* auditor = nullptr;
-
-  /// Optional sampler-introspection aggregator (not owned; null
-  /// disables). Wired into the content sampling operator the engine
-  /// builds: every walk batch folds its visit/probe/hop record and
-  /// closes with mixing + load diagnostics against the live membership.
-  /// When the diagnostics flag a stationary-gap breach, the engine
-  /// stamps the next snapshot observation's mixing_breach so the
-  /// auditor can attribute a coinciding miss to poor_mixing. Same
-  /// purity contract as `tracer`: estimates, RNG streams, and meter
-  /// totals are bit-identical with or without one (test-enforced).
-  diag::SamplerDiag* diag = nullptr;
-
-  /// Optional peer-health monitor (not owned; null disables). Wired into
-  /// the content sampling operator the engine builds: walk batches fold
-  /// per-peer probe/hop outcomes into the monitor's phi-accrual scores
-  /// and per-peer circuit breakers, and each batch routes around the
-  /// quarantine set frozen at its start (see net/peer_health.h). Unlike
-  /// the pure observers above, the monitor deliberately STEERS walks —
-  /// but deterministically: health state folds in walk-index order, so
-  /// results stay bit-identical across thread counts. The engine drives
-  /// the monitor's virtual clock (set_now per Tick), stamps snapshot
-  /// observations' `quarantine` flag for audit attribution, and drains
-  /// TakePendingQuarantineFlip into
-  /// SessionSupervisor::RecordQuarantineBreach one tick after the
-  /// quarantine fraction crosses its threshold. With no monitor attached
-  /// the engine is bit-identical to pre-health builds (test-enforced).
-  PeerHealthMonitor* health = nullptr;
 
   /// Optional external sample source (not owned; must outlive the
   /// engine). When set, the engine draws every fresh sample through it

@@ -268,14 +268,14 @@ Result<SnapshotEstimate> IndependentEstimator::Evaluate(NodeId origin) {
   // Hand the drawn set to a wrapping repeated-sampling estimator.
   last_samples_ = std::move(samples);
   last_ys_ = std::move(ys);
-  if (obs::Tracing(options_.tracer)) {
+  if (obs::Tracing(tracer_)) {
     // INDEP sizes iteratively from the pilot, so the realized draw count
     // *is* the budget the CLT formula settled on.
-    options_.tracer->Emit(obs::SampleBudgetEvent{
+    tracer_->Emit(obs::SampleBudgetEvent{
         /*repeated=*/false, /*rho_hat=*/0.0, est.sigma,
         static_cast<uint64_t>(drawn_total), /*planned_retained=*/0});
     if (partial) {
-      options_.tracer->Emit(obs::PartialSnapshotEvent{
+      tracer_->Emit(obs::PartialSnapshotEvent{
           static_cast<uint64_t>(est.contributing_samples),
           static_cast<uint64_t>(planned_total), est.ci_halfwidth});
     }
@@ -387,8 +387,8 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
       static_cast<double>(n_target) * static_cast<double>(plan.retained) /
       static_cast<double>(std::max<size_t>(plan.total, 1)));
   g_target = std::min(g_target, prev_samples_.size());
-  if (obs::Tracing(options_.tracer)) {
-    options_.tracer->Emit(obs::SampleBudgetEvent{
+  if (obs::Tracing(tracer_)) {
+    tracer_->Emit(obs::SampleBudgetEvent{
         /*repeated=*/true, rho_hat_, sigma_hat_,
         static_cast<uint64_t>(n_target), static_cast<uint64_t>(g_target)});
   }
@@ -591,8 +591,8 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
   DIGEST_ASSIGN_OR_RETURN(
       est.ci_halfwidth,
       independent_.ScaleToQueryUnits(z * std::sqrt(combined_var)));
-  if (partial && obs::Tracing(options_.tracer)) {
-    options_.tracer->Emit(obs::PartialSnapshotEvent{
+  if (partial && obs::Tracing(tracer_)) {
+    tracer_->Emit(obs::PartialSnapshotEvent{
         static_cast<uint64_t>(yf.size()),
         static_cast<uint64_t>(planned_fresh), est.ci_halfwidth});
   }

@@ -123,11 +123,6 @@ struct EstimatorOptions {
   /// this the occasion still fails with kUnavailable (an estimate from
   /// fewer points has no usable variance). Must be >= 2.
   size_t min_partial_samples = 8;
-  /// Optional structured event sink (not owned; null disables). Each
-  /// occasion emits one SampleBudgetEvent describing the planned split
-  /// (RPT retained/fresh with ρ̂, or INDEP's CLT size). Pure
-  /// observation: estimates and RNG streams are unchanged by tracing.
-  obs::Tracer* tracer = nullptr;
 };
 
 /// Outcome of one sampling occasion (one snapshot-query evaluation).
@@ -212,6 +207,14 @@ class SnapshotEstimator {
   /// configuration (the checkpoint blob carries no config).
   virtual EstimatorState SaveState() const = 0;
   virtual void RestoreState(const EstimatorState& state) = 0;
+
+  /// Attaches (or, with nullptr, detaches) the event sink; not owned.
+  /// Each occasion emits one SampleBudgetEvent (RPT's retained/fresh
+  /// split with ρ̂, or INDEP's CLT size). Pure observation.
+  virtual void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
+
+ protected:
+  obs::Tracer* tracer_ = nullptr;
 };
 
 /// Classical independent sampling (paper §IV-B1): every occasion draws a
@@ -303,6 +306,12 @@ class RepeatedSamplingEstimator : public SnapshotEstimator {
 
   EstimatorState SaveState() const override;
   void RestoreState(const EstimatorState& state) override;
+
+  /// Also attaches it to the wrapped estimator of the first occasion.
+  void SetTracer(obs::Tracer* tracer) override {
+    SnapshotEstimator::SetTracer(tracer);
+    independent_.SetTracer(tracer);
+  }
 
   /// Current smoothed estimate of the inter-occasion correlation ρ̂.
   double correlation_estimate() const { return rho_hat_; }

@@ -122,7 +122,6 @@ class FaultPlan {
   /// must outlive the plan. Observation only — the draw stream is
   /// untouched, so a traced run injects the identical fault schedule.
   void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
-  obs::Tracer* tracer() const { return tracer_; }
 
   /// Attaches (or detaches) a wall-clock track: the Bernoulli/noise
   /// draws (LoseMessage, DropAgent, StaleProbe, DistortWeight) fold

@@ -225,7 +225,8 @@ class PeerHealthMonitor {
   size_t peers_tracked() const;
 
   /// Flap rate: re-opens per open — breakers that keep bouncing between
-  /// open and half-open (tools/health_report.py gates on it).
+  /// open and half-open (`tools/digest_report.py health --gate` gates on
+  /// it).
   double FlapRate() const;
 
   /// Clears all state back to construction (the experiment harness

@@ -185,7 +185,8 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
   // barrier, so the result is bit-identical at any thread count. Since
   // walks cannot see each other, hedge statistics freeze at batch start
   // and the hop budget cuts at walk granularity (see the merge below).
-  prof::ScopedTimer batch_timer(profiler_, prof::Phase::kWalkBatch);
+  const obs::Instruments& in = instruments_;
+  prof::ScopedTimer batch_timer(in.profiler, prof::Phase::kWalkBatch);
   if (graph_->NodeCount() == 0) {
     return Status::FailedPrecondition("cannot sample an empty network");
   }
@@ -203,8 +204,8 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
   // this batch routes against the same breaker snapshot, and outcome
   // folds (which may flip breakers) happen only at the merge.
   const QuarantineView health_view =
-      health_ != nullptr ? health_->SnapshotView() : QuarantineView();
-  const QuarantineView* qv = health_ != nullptr ? &health_view : nullptr;
+      in.health != nullptr ? in.health->SnapshotView() : QuarantineView();
+  const QuarantineView* qv = in.health != nullptr ? &health_view : nullptr;
   const size_t base = next_agent_;
   const size_t warm_pool =
       options_.warm_walks && agents_.size() > base ? agents_.size() - base : 0;
@@ -224,9 +225,9 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
     budget = static_cast<uint64_t>(std::ceil(
         options_.retry.hop_budget_factor * static_cast<double>(planned)));
   }
-  const bool tracing = obs::Tracing(tracer_);
+  const bool tracing = obs::Tracing(in.tracer);
   if (tracing) {
-    tracer_->Emit(obs::WalkBatchEvent{n, warm, walk_len, reset_len, budget});
+    in.tracer->Emit(obs::WalkBatchEvent{n, warm, walk_len, reset_len, budget});
   }
 
   // The batch key is the ONLY draw this batch takes from the operator's
@@ -264,8 +265,8 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
 
   // Each worker times its walks into a private track, folded below.
   std::vector<prof::Track> tracks;
-  if (profiler_ != nullptr) {
-    tracks.assign(pool_->num_threads(), prof::Track(profiler_));
+  if (in.profiler != nullptr) {
+    tracks.assign(pool_->num_threads(), prof::Track(in.profiler));
   }
 
   const Status walk_status = pool_->ParallelFor(
@@ -284,9 +285,10 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
                         .meter = meter_ != nullptr ? &slot.meter : nullptr,
                         .retry = &options_.retry,
                         .telemetry = &slot.telemetry,
-                        .diag = diag_ != nullptr ? &slot.diag : nullptr,
+                        .diag = in.diag != nullptr ? &slot.diag : nullptr,
                         .quarantine = qv,
-                        .health = health_ != nullptr ? &slot.health : nullptr};
+                        .health =
+                            in.health != nullptr ? &slot.health : nullptr};
         prof::Track* track = tracks.empty() ? nullptr : &tracks[worker];
         RandomWalk agent(slot.start, options_.laziness);
         // One agent's stepping to convergence (cold mix or warm reset);
@@ -385,7 +387,7 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
   // barrier only; the deterministic parts (calls, items) are per-walk
   // counts, so the fold is schedule-independent.
   for (size_t w = 0; w < tracks.size(); ++w) {
-    profiler_->FoldTrack(w, tracks[w]);
+    in.profiler->FoldTrack(w, tracks[w]);
   }
   DIGEST_RETURN_IF_ERROR(walk_status);
 
@@ -414,7 +416,7 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
                                 o.fault_stale);
     }
     for (obs::EventPayload& payload : o.events) {
-      tracer_->EmitLane(std::move(payload), static_cast<int64_t>(i));
+      in.tracer->EmitLane(std::move(payload), static_cast<int64_t>(i));
     }
     MergeTelemetry(last_telemetry_, o.telemetry);
     if (base + i < agents_.size()) {
@@ -427,8 +429,8 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
     out.push_back(o.final_pos);
     // Delivered walk: its diagnostic and health records fold here, in
     // walk-index order on the calling thread.
-    if (diag_ != nullptr) diag_->FoldWalk(o.diag);
-    if (health_ != nullptr) health_->FoldWalk(o.health);
+    if (in.diag != nullptr) in.diag->FoldWalk(o.diag);
+    if (in.health != nullptr) in.health->FoldWalk(o.health);
     cum_attempts += o.telemetry.attempts;
     if (faults_ != nullptr) {
       // Completed-walk statistics feed later batches' thresholds.
@@ -446,24 +448,24 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
   if (tracing && cut) {
     // The overlay was too lossy/stalled to finish this batch in time:
     // the caller degrades (or finalizes a partial snapshot).
-    tracer_->Emit(obs::HopBudgetExhaustedEvent{last_telemetry_.attempts,
-                                               budget});
+    in.tracer->Emit(obs::HopBudgetExhaustedEvent{last_telemetry_.attempts,
+                                                 budget});
   } else if (tracing) {
     if (last_telemetry_.stalled_steps > 0) {
-      tracer_->Emit(obs::FaultStallEvent{last_telemetry_.stalled_steps});
+      in.tracer->Emit(obs::FaultStallEvent{last_telemetry_.stalled_steps});
     }
-    tracer_->Emit(obs::WalkBatchDoneEvent{
+    in.tracer->Emit(obs::WalkBatchDoneEvent{
         out.size(), last_telemetry_.attempts, last_telemetry_.retries,
         last_telemetry_.losses, last_telemetry_.drops,
         last_telemetry_.stalled_steps, last_telemetry_.hedges,
         last_telemetry_.hedge_wins});
   }
-  ObserveBatch(registry_, last_telemetry_, out.size(), cut);
-  if (diag_ != nullptr) {
-    diag_->FinishBatch(overlay_, last_telemetry_.proposals,
-                       last_telemetry_.accepted, tracer_, registry_);
+  ObserveBatch(in.registry, last_telemetry_, out.size(), cut);
+  if (in.diag != nullptr) {
+    in.diag->FinishBatch(overlay_, last_telemetry_.proposals,
+                         last_telemetry_.accepted, in.tracer, in.registry);
   }
-  if (health_ != nullptr) health_->FinishBatch(graph_->NodeCount());
+  if (in.health != nullptr) in.health->FinishBatch(graph_->NodeCount());
   return PartialBatch{std::move(out), cut};
 }
 

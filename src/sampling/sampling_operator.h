@@ -11,25 +11,14 @@
 #include "net/message_meter.h"
 #include "net/overlay_snapshot.h"
 #include "numeric/rng.h"
+#include "obs/instruments.h"
 #include "sampling/random_walk.h"
 #include "sampling/weight.h"
 
 namespace digest {
-namespace diag {
-class SamplerDiag;
-}  // namespace diag
 namespace exec {
 class WorkerPool;
 }  // namespace exec
-namespace obs {
-class Registry;
-class Tracer;
-}  // namespace obs
-namespace prof {
-class Profiler;
-}  // namespace prof
-
-class PeerHealthMonitor;
 
 /// Straggler mitigation for fault-injected walks: when one agent has
 /// consumed far more budget than completed walks typically need, launch
@@ -150,50 +139,22 @@ class SamplingOperator {
   /// plan is not owned and must outlive the operator. A plan with all
   /// rates zero leaves every draw bit-identical to no plan.
   void SetFaultPlan(FaultPlan* faults) { faults_ = faults; }
-  FaultPlan* fault_plan() const { return faults_; }
 
-  /// Attaches structured observability (each may be null; none is
-  /// owned). The tracer receives walk-batch lifecycle events (launch,
-  /// agent restart, hop-budget exhaustion, completion); the registry
-  /// receives hop-count/acceptance-rate/retry histograms and batch
-  /// counters; the wall-clock profiler times whole batches
-  /// (prof::Phase::kWalkBatch, items = samples drawn) and per-agent
-  /// stepping (kWalkAdvance, items = hops). Pure observation: the
-  /// sampled nodes, the RNG stream, and all MessageMeter accounting are
-  /// bit-identical with or without.
-  void SetObservability(obs::Tracer* tracer, obs::Registry* registry,
-                        prof::Profiler* profiler = nullptr) {
-    tracer_ = tracer;
-    registry_ = registry;
-    profiler_ = profiler;
+  /// Attaches the run's instruments (each may be null; none is owned;
+  /// the auditor is not read here). The tracer receives walk-batch
+  /// lifecycle events; the registry hop-count, acceptance and retry
+  /// histograms and batch counters; the profiler times whole batches
+  /// (kWalkBatch, items = samples) and per-agent stepping (kWalkAdvance,
+  /// items = hops). Diag and health fold each delivered walk's record in
+  /// walk-index order and close every batch with FinishBatch; health
+  /// also STEERS, routing each batch around the quarantine view frozen
+  /// at its start. The rest are pure observation: samples, RNG stream
+  /// and meter are bit-identical with or without them, as they are with
+  /// a monitor whose quarantine set is empty. Diag and health state are
+  /// invariant across num_threads (test-enforced).
+  void SetInstruments(const obs::Instruments& instruments) {
+    instruments_ = instruments;
   }
-  obs::Tracer* tracer() const { return tracer_; }
-  obs::Registry* registry() const { return registry_; }
-  prof::Profiler* profiler() const { return profiler_; }
-
-  /// Attaches (or detaches, with nullptr) the sampler-introspection
-  /// aggregator. Not owned. Each delivered walk's visit/probe/hop record
-  /// is folded in walk-index order and every batch is closed with
-  /// SamplerDiag::FinishBatch against the batch's overlay snapshot. Pure
-  /// observation with the same contract as SetObservability: a null
-  /// diag is the fast path, bit-identical to an uninstrumented build,
-  /// and the folded state is invariant across num_threads.
-  void SetDiag(diag::SamplerDiag* diag) { diag_ = diag; }
-  diag::SamplerDiag* diag() const { return diag_; }
-
-  /// Attaches (or detaches, with nullptr) the adaptive peer-health
-  /// monitor. Not owned. Unlike the pure observers above, the monitor
-  /// STEERS: each batch routes against the quarantine view frozen at
-  /// batch start (open breakers drop out of the proposal distribution,
-  /// with degree corrections that preserve the stationary target over
-  /// the live nodes), and each delivered walk's transmission outcomes
-  /// are folded back in walk-index order, closing with
-  /// FinishBatch(live population). A monitor whose quarantine set is
-  /// empty leaves every draw bit-identical to no monitor, and the
-  /// folded health state is invariant across num_threads
-  /// (test-enforced).
-  void SetHealth(PeerHealthMonitor* health) { health_ = health; }
-  PeerHealthMonitor* health() const { return health_; }
 
   /// Draws one sample node, originating the walk at `origin`. Returning
   /// the sampled node id to the originator costs one transfer message.
@@ -270,11 +231,7 @@ class SamplingOperator {
   MessageMeter* meter_;
   SamplingOperatorOptions options_;
   FaultPlan* faults_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
-  obs::Registry* registry_ = nullptr;
-  prof::Profiler* profiler_ = nullptr;
-  diag::SamplerDiag* diag_ = nullptr;
-  PeerHealthMonitor* health_ = nullptr;
+  obs::Instruments instruments_;
   WalkTelemetry last_telemetry_;
   // The batch's overlay: refreshed on the calling thread at batch start,
   // read by every walk and by the diag batch close.

@@ -10,6 +10,24 @@
 
 namespace digest {
 
+void BeginInstrumentedRun(const obs::Instruments& instruments, int64_t now,
+                          const std::string& run_label) {
+  if (obs::Tracing(instruments.tracer)) {
+    // Rewind the shared tracer clock to this run's start so a marker
+    // left over from a previous run cannot stamp it with stale time.
+    instruments.tracer->set_now(now);
+    instruments.tracer->Emit(obs::RunBeginEvent{run_label});
+  }
+  if (instruments.auditor != nullptr) {
+    instruments.auditor->BeginRun(run_label);
+  }
+  // Mirror the auditor: shared diagnostics and health monitors start
+  // every run from a clean slate, so repeat runs accumulate identically
+  // and breaker state never leaks across runs.
+  if (instruments.diag != nullptr) instruments.diag->Reset();
+  if (instruments.health != nullptr) instruments.health->Reset();
+}
+
 Result<RunResult> RunEngineExperiment(Workload& workload,
                                       const ContinuousQuerySpec& spec,
                                       const DigestEngineOptions& options,
@@ -20,29 +38,8 @@ Result<RunResult> RunEngineExperiment(Workload& workload,
                           workload.graph().RandomLiveNode(rng));
   workload.ProtectNode(querying_node);
 
-  if (obs::Tracing(options.tracer)) {
-    // Rewind the shared tracer clock to this run's start so a marker
-    // left over from a previous run cannot stamp it with stale time.
-    options.tracer->set_now(workload.now());
-    options.tracer->Emit(obs::RunBeginEvent{
-        run_label.empty() ? "engine-run" : run_label});
-  }
-  if (options.fault_plan != nullptr) {
-    options.fault_plan->SetTracer(options.tracer);
-  }
-  if (options.auditor != nullptr) {
-    options.auditor->BeginRun(run_label.empty() ? "engine-run" : run_label);
-  }
-  if (options.diag != nullptr) {
-    // Mirror the auditor: a shared diagnostics aggregator starts every
-    // run from a clean slate, so repeat runs accumulate identically.
-    options.diag->Reset();
-  }
-  if (options.health != nullptr) {
-    // Same clean-slate discipline for the peer-health monitor: breaker
-    // and quarantine state never leaks across runs.
-    options.health->Reset();
-  }
+  BeginInstrumentedRun(options, workload.now(),
+                       run_label.empty() ? "engine-run" : run_label);
 
   RunResult out;
   DIGEST_ASSIGN_OR_RETURN(

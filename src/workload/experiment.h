@@ -1,6 +1,7 @@
 #ifndef DIGEST_WORKLOAD_EXPERIMENT_H_
 #define DIGEST_WORKLOAD_EXPERIMENT_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -31,15 +32,23 @@ struct RunResult {
   SessionHealth final_health = SessionHealth::kHealthy;
 };
 
+/// Opens one run on the attached instruments: rewinds the tracer clock
+/// to `now` and emits a RunBeginEvent labelled `run_label`, opens an
+/// audit run under the same label, and resets the sampler diagnostics
+/// and the peer-health monitor. RunEngineExperiment calls it; drivers
+/// that tick an engine or node themselves call it once per run.
+void BeginInstrumentedRun(const obs::Instruments& instruments, int64_t now,
+                          const std::string& run_label);
+
 /// Runs a Digest engine configuration over `ticks` ticks of `workload`.
 /// A querying node is drawn with `seed`; the workload is consumed (pass
 /// a fresh instance per run — identical seeds give identical data).
 /// If options.fault_plan is set, the plan's clock is advanced in step
 /// with the workload so stall windows track simulation time.
 ///
-/// With options.tracer set, the run opens with a RunBeginEvent labelled
-/// `run_label` (exporters map each run to its own process lane) and the
-/// fault plan, if any, shares the tracer. With options.registry set,
+/// The run opens with BeginInstrumentedRun under `run_label` (or
+/// "engine-run"): with options.tracer set, a RunBeginEvent maps the run
+/// to its own exporter process lane. With options.registry set,
 /// the run's final EngineStats and MessageMeter are bridged into it
 /// (engine.* / net.* counters) when the run completes.
 ///

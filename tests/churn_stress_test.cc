@@ -106,7 +106,7 @@ ChurnDiagRun DriveChurnedBatches(diag::SamplerDiag* diag) {
   options.walk_length = 50;
   options.reset_length = 15;
   SamplingOperator op(&graph, UniformWeight(), Rng(4), nullptr, options);
-  if (diag != nullptr) op.SetDiag(diag);
+  op.SetInstruments({.diag = diag});
 
   ChurnDiagRun run;
   run.first_batch = op.SampleNodes(0, 20).value();
@@ -115,7 +115,9 @@ ChurnDiagRun DriveChurnedBatches(diag::SamplerDiag* diag) {
   Rng rng(5);
   for (NodeId victim : graph.LiveNodes()) {
     if (victim == 0) continue;  // Keep the origin.
-    if (rng.NextBernoulli(0.6)) EXPECT_TRUE(graph.RemoveNode(victim).ok());
+    if (rng.NextBernoulli(0.6)) {
+      EXPECT_TRUE(graph.RemoveNode(victim).ok());
+    }
   }
   RepairConnectivity(graph, rng);
   run.live_after = graph.NodeCount();

@@ -6,11 +6,15 @@
 
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "core/digest_node.h"
 #include "core/query_scheduler.h"
+#include "diag/diag.h"
+#include "net/fault_plan.h"
+#include "net/peer_health.h"
 #include "net/topology.h"
 #include "obs/tracer.h"
 
@@ -191,6 +195,66 @@ TEST(DigestNodeSchedulerTest, TraceLanesSeparateQueries) {
   // One tick event per query per tick, on that query's lane.
   EXPECT_EQ(lane_events[static_cast<int64_t>(q1)], 3u);
   EXPECT_EQ(lane_events[static_cast<int64_t>(q2)], 3u);
+}
+
+TEST(DigestNodeSchedulerTest, NodeLevelHealthEventsStayUnlaned) {
+  // The shared operator's walk batches, the sampler diagnostics, the
+  // peer-health monitor and the fault plan serve every tenant, so their
+  // events belong to the node (lane -1); each engine's tick events ride
+  // its own QueryId lane. The lossy, partitioned overlay makes the
+  // breakers move.
+  Fixture f;
+  FaultPlanConfig faults;
+  faults.message_loss = 0.2;
+  faults.edge_spread = 0.5;
+  faults.partition_every = 4;
+  faults.partition_length = 2;
+  faults.partition_components = 2;
+  ASSERT_TRUE(faults.Validate().ok());
+  FaultPlan plan(faults, 9);
+  PeerHealthMonitor health;
+  diag::SamplerDiag diag;
+  obs::MemoryTracer tracer;
+  DigestEngineOptions options = FastOptions();
+  options.fault_plan = &plan;
+  options.tracer = &tracer;
+  options.diag = &diag;
+  options.health = &health;
+  auto node = DigestNode::Create(&f.graph, f.db.get(), 0, Rng(7), nullptr,
+                                 options)
+                  .value();
+  const QueryId q1 =
+      node->IssueQuery(Spec("SELECT AVG(cpu) FROM R", 1.0)).value();
+  const QueryId q2 =
+      node->IssueQuery(Spec("SELECT AVG(memory) FROM R", 2.0)).value();
+  constexpr int64_t kTicks = 8;
+  for (int64_t t = 1; t <= kTicks; ++t) {
+    plan.set_now(t);
+    ASSERT_TRUE(node->Tick(t).ok()) << "tick " << t;
+  }
+
+  const std::set<std::string> node_level = {
+      "walk_batch",     "walk_batch_done",    "hop_budget_exhausted",
+      "fault_stall",    "walk_mixing",        "stationary_gap",
+      "peer_load",      "acceptance_rate",    "peer_suspect",
+      "breaker_transition", "partition_begin", "partition_end"};
+  std::map<std::string, size_t> node_events;
+  std::map<int64_t, size_t> tick_lanes;
+  for (const obs::TraceEvent& ev : tracer.events()) {
+    const std::string name = obs::EventName(ev.payload);
+    if (name == "tick") ++tick_lanes[ev.lane];
+    if (node_level.count(name) == 0) continue;
+    ++node_events[name];
+    EXPECT_EQ(ev.lane, -1) << name;
+  }
+  EXPECT_GE(node_events["breaker_transition"], 1u);
+  EXPECT_GE(node_events["walk_batch"], 1u);
+  EXPECT_GE(node_events["stationary_gap"], 1u);
+  EXPECT_EQ(tick_lanes.size(), 2u);
+  EXPECT_EQ(tick_lanes[static_cast<int64_t>(q1)],
+            static_cast<size_t>(kTicks));
+  EXPECT_EQ(tick_lanes[static_cast<int64_t>(q2)],
+            static_cast<size_t>(kTicks));
 }
 
 // Runs `ticks` ticks from `from + 1`, appending each tick's per-query

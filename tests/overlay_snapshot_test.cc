@@ -256,7 +256,7 @@ std::vector<NodeId> ChurnedSession(size_t threads, std::string* diag_json) {
   SamplingOperator op(&g, [&w](NodeId v) { return w[v]; }, Rng(37), nullptr,
                       options);
   diag::SamplerDiag diag;
-  op.SetDiag(&diag);
+  op.SetInstruments({.diag = &diag});
   Rng churn(41);
   std::vector<NodeId> samples;
   for (int batch = 0; batch < 6; ++batch) {

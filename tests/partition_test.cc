@@ -263,8 +263,8 @@ TEST(PartitionTest, QuarantineAwareRoutingHoldsCoverageAblationBreaches) {
   // Mechanism check, not just outcome: routing around the dead
   // component means fewer ticks spent degraded-holding a stale value.
   EXPECT_LT(aware->degraded_ticks, ablated->degraded_ticks);
-  // Breakers hold rather than bounce (the health_report.py gate, at
-  // test scale).
+  // Breakers hold rather than bounce (the digest_report.py health gate,
+  // at test scale).
   EXPECT_LE(aware->flap_rate, 0.5)
       << "opens=" << aware->opens << " reopens=" << aware->reopens;
 }

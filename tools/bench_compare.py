@@ -47,9 +47,9 @@ import argparse
 import json
 import sys
 
-# Schema tables shared with check_trace.py / audit_report.py /
-# diag_report.py live in trace_schema.py — one source of truth for the
-# bench_suite JSON layout this script gates.
+# Schema tables shared with check_trace.py / digest_report.py live in
+# trace_schema.py — one source of truth for the bench_suite JSON layout
+# this script gates.
 #
 # Audit gate: a scenario whose baseline met its coverage floor
 # (coverage_ok true) must still meet it — a flip to false is an

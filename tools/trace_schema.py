@@ -8,9 +8,9 @@ gated by tools/bench_compare.py). Adding an event to the C++ tracer
 means adding its row to EVENT_SCHEMA here — check_trace.py rejects
 unknown events, so a missing row fails CI loudly.
 
-Stdlib only; imported by check_trace.py, audit_report.py,
-bench_compare.py, and diag_report.py (all run as `python3 tools/X.py`,
-which puts tools/ on sys.path).
+Stdlib only; imported by check_trace.py, bench_compare.py, and
+digest_report.py (all run as `python3 tools/X.py`, which puts tools/ on
+sys.path).
 """
 
 import json
