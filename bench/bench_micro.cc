@@ -4,6 +4,8 @@
 // estimation.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "core/snapshot_estimator.h"
 #include "db/expression.h"
 #include "db/local_store.h"
@@ -55,18 +57,38 @@ void BM_LocalStoreUniformSample(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalStoreUniformSample);
 
+// One reset-length walk (26 steps, the reset length ceil(4 ln N) at
+// the paper's N = 530) per iteration over a uniform-weight overlay of
+// N = range(0) peers, continuing from where the last one stopped; items
+// count steps, so the time per item is the time per step. range(1) = 1
+// builds the TEMPERATURE mesh (the near-square grid TemperatureWorkload
+// lays N stations on) instead of a Barabási–Albert graph.
 void BM_WalkStep(benchmark::State& state) {
-  Rng topo_rng(2);
-  Graph g = MakeBarabasiAlbert(size_t(state.range(0)), 3, topo_rng).value();
+  constexpr size_t kResetSteps = 26;
+  const size_t n = size_t(state.range(0));
+  Graph g;
+  if (state.range(1) != 0) {
+    const size_t rows = size_t(std::floor(std::sqrt(double(n))));
+    g = MakeMesh(rows, (n + rows - 1) / rows).value();
+  } else {
+    Rng topo_rng(2);
+    g = MakeBarabasiAlbert(n, 3, topo_rng).value();
+  }
   Rng rng(3);
   const OverlaySnapshot overlay(g, UniformWeight());
   const WalkContext ctx{.overlay = overlay, .rng = rng, .fallback = 0};
   RandomWalk walk(0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(walk.Advance(ctx, 1));
+    benchmark::DoNotOptimize(walk.Advance(ctx, kResetSteps));
   }
+  state.SetItemsProcessed(int64_t(state.iterations()) * kResetSteps);
 }
-BENCHMARK(BM_WalkStep)->Arg(64)->Arg(512)->Arg(4096);
+BENCHMARK(BM_WalkStep)
+    ->ArgNames({"n", "mesh"})
+    ->Args({64, 0})
+    ->Args({512, 0})
+    ->Args({4096, 0})
+    ->Args({530, 1});
 
 // One whole walk batch: the operator's per-batch overlay refresh, plan,
 // walks and merge, on a MEMORY power-law overlay of N = range(0) peers

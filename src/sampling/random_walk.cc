@@ -1,5 +1,7 @@
 #include "sampling/random_walk.h"
 
+#include <cmath>
+
 #include "diag/diag.h"
 #include "net/peer_health.h"
 #include "sampling/metropolis.h"
@@ -66,17 +68,29 @@ size_t LiveDegree(const OverlaySnapshot& overlay, NodeId node,
   return live;
 }
 
-}  // namespace
+// The lazy coin's "always stay, draw nothing" threshold.
+constexpr uint64_t kAlwaysLazy = UINT64_MAX;
 
-Status RandomWalk::Advance(const WalkContext& ctx, size_t steps) {
+// The one transition loop of RandomWalk::Advance. kHooks = false is the
+// clean instantiation: its hook pointers are null, so every fault,
+// quarantine, diag and health branch below folds away at compile time
+// and the same source compiles to the lean loop. `position` is read on
+// entry and written back on return.
+template <bool kHooks>
+Status Transitions(const WalkContext& ctx, size_t steps,
+                   uint64_t lazy_threshold, NodeId& position) {
+  if (steps == 0) return Status::OK();
   static const RetryPolicy kDefaultRetry;
   const OverlaySnapshot& overlay = ctx.overlay;
-  FaultPlan* faults = ctx.faults;
   const RetryPolicy& retry = ctx.retry != nullptr ? *ctx.retry : kDefaultRetry;
   MessageMeter* meter = ctx.meter;
   WalkTelemetry* telemetry = ctx.telemetry;
-  diag::WalkDiagBuffer* diag = ctx.diag;
-  WalkHealthBuffer* health = ctx.health;
+  // The hooks, null in the clean instantiation. Not const: GCC's
+  // -Wnonnull flags calls through a const null pointer even in the
+  // branches that fold away.
+  FaultPlan* faults = kHooks ? ctx.faults : nullptr;
+  diag::WalkDiagBuffer* diag = kHooks ? ctx.diag : nullptr;
+  WalkHealthBuffer* health = kHooks ? ctx.health : nullptr;
   // Quarantine-aware routing: with a non-empty quarantine view, the
   // proposal is uniform over the LIVE (non-quarantined) neighbors and
   // both degree corrections use live degrees — the walk becomes the
@@ -84,53 +98,65 @@ Status RandomWalk::Advance(const WalkContext& ctx, size_t steps) {
   // distribution is the same weight target restricted to live nodes.
   // An empty view must draw exactly like no view, so an attached-but-
   // idle monitor stays bit-identical to no monitor.
-  const QuarantineView* quarantine =
-      ctx.quarantine != nullptr && ctx.quarantine->Any() ? ctx.quarantine
-                                                         : nullptr;
-  // This call's counts, folded into the meter and telemetry on return.
-  uint64_t attempts = 0;
+  const QuarantineView* const quarantine =
+      kHooks && ctx.quarantine != nullptr && ctx.quarantine->Any()
+          ? ctx.quarantine
+          : nullptr;
+  // The walk's state, in locals until the call returns: the generator,
+  // the position with its row and weight, and this call's counts (folded
+  // into the meter and telemetry on return).
+  Rng rng = ctx.rng;
+  NodeId current = position;
   uint64_t proposals = 0;     // One weight probe each.
   uint64_t accepted = 0;      // One walk-hop message each.
   uint64_t reinjections = 0;  // Churn restarts: one walk-hop message each.
+  size_t step = 0;            // Transitions attempted.
   const char* failure = nullptr;
-  for (size_t step = 0; step < steps && failure == nullptr; ++step) {
-    ++attempts;
+  // The only liveness check: every snapshot row holds live ids alone
+  // (Graph::AddEdge needs live endpoints and RemoveNode detaches every
+  // edge), so a walk that starts this call live stays live.
+  if (!overlay.HasNode(current)) {
+    if (overlay.HasNode(ctx.fallback)) {
+      // The node hosting the agent left the network; the originator
+      // restarts the agent (one message to re-inject it).
+      current = ctx.fallback;
+      ++reinjections;
+    } else {
+      failure = "walk origin left the network";
+      step = 1;  // The failed transition still counts as an attempt.
+    }
+  }
+  std::span<const NodeId> row = overlay.Neighbors(current);
+  double weight = overlay.Weight(current);
+  for (; step < steps && failure == nullptr; ++step) {
     // One transition: returns null once it is over, moved or not, and
     // the reason when no transition is possible.
     failure = [&]() -> const char* {
-      if (!overlay.HasNode(current_)) {
-        // The node hosting the agent left the network; the originator
-        // restarts the agent (one message to re-inject it).
-        if (!overlay.HasNode(ctx.fallback)) {
-          return "walk origin left the network";
-        }
-        current_ = ctx.fallback;
-        ++reinjections;
-      }
-      if (faults != nullptr && faults->IsBlackholed(current_)) {
+      if (faults != nullptr && faults->IsBlackholed(current)) {
         // The host is stalled: the agent is frozen until the node wakes
         // up. A frozen step is also health evidence against the host.
         if (telemetry != nullptr) ++telemetry->stalled_steps;
-        if (health != nullptr) health->RecordFailure(current_);
+        if (health != nullptr) health->RecordFailure(current);
         return nullptr;
       }
       // Laziness: self-loop with the configured probability, free of
       // messages (½ in the paper, Eq. 12's prefactor).
-      if (laziness_ > 0.0 && ctx.rng.NextBernoulli(laziness_)) {
+      if (lazy_threshold != 0 &&
+          (lazy_threshold == kAlwaysLazy ||
+           (rng.NextU64() >> 11) < lazy_threshold)) {
         return nullptr;
       }
-      const std::span<const NodeId> row = overlay.Neighbors(current_);
       // Isolated node (transiently possible under churn): stay.
       if (row.empty()) return nullptr;
       NodeId proposal = kInvalidNode;
       size_t degree_i = row.size();
       if (quarantine != nullptr) {
-        const size_t live = LiveDegree(overlay, current_, *quarantine);
+        const size_t live = LiveDegree(overlay, current, *quarantine);
         // Every neighbor is quarantined: hold position this step (the
         // next batch routes against a fresh view).
         if (live == 0) return nullptr;
         degree_i = live;
-        size_t pick = ctx.rng.NextIndex(live);
+        size_t pick = rng.NextIndex(live);
         for (NodeId n : row) {
           if (quarantine->Quarantined(n)) continue;
           if (pick == 0) {
@@ -140,14 +166,14 @@ Status RandomWalk::Advance(const WalkContext& ctx, size_t steps) {
           --pick;
         }
       } else {
-        proposal = row[ctx.rng.NextIndex(row.size())];
+        proposal = row[rng.NextIndex(row.size())];
       }
       // Probing the neighbor's weight costs one message (charged whether
       // or not the transmission survives — the sender pays for the send).
       ++proposals;
-      if (diag != nullptr) diag->RecordProbe(current_, proposal);
+      if (diag != nullptr) diag->RecordProbe(current, proposal);
       if (faults != nullptr) {
-        if (!TryDeliver(*faults, retry, current_, proposal, meter, telemetry,
+        if (!TryDeliver(*faults, retry, current, proposal, meter, telemetry,
                         health)) {
           // Probe never answered within the retry budget: abandon the
           // transition, the agent stays put.
@@ -157,25 +183,26 @@ Status RandomWalk::Advance(const WalkContext& ctx, size_t steps) {
       } else if (health != nullptr) {
         health->RecordSuccess(proposal);
       }
-      double proposal_weight = overlay.Weight(proposal);
+      const double proposal_weight = overlay.Weight(proposal);
+      double probed_weight = proposal_weight;
       if (faults != nullptr && faults->StaleProbe()) {
         // The probe was answered from a stale cache: the acceptance test
         // sees a distorted weight. The chain's target distribution bends
         // accordingly — degradation the widened intervals account for.
-        proposal_weight = faults->DistortWeight(proposal_weight);
+        probed_weight = faults->DistortWeight(proposal_weight);
         if (telemetry != nullptr) ++telemetry->stale_probes;
       }
+      const std::span<const NodeId> proposal_row = overlay.Neighbors(proposal);
       const size_t degree_j = quarantine != nullptr
                                   ? LiveDegree(overlay, proposal, *quarantine)
-                                  : overlay.Degree(proposal);
+                                  : proposal_row.size();
       const double accept =
-          MetropolisAcceptance(overlay.Weight(current_), degree_i,
-                               proposal_weight, degree_j);
-      if (!ctx.rng.NextBernoulli(accept)) return nullptr;
+          MetropolisAcceptance(weight, degree_i, probed_weight, degree_j);
+      if (!rng.NextBernoulli(accept)) return nullptr;
       ++accepted;
-      if (diag != nullptr) diag->RecordHop(current_, proposal);
+      if (diag != nullptr) diag->RecordHop(current, proposal);
       if (faults != nullptr) {
-        if (!TryDeliver(*faults, retry, current_, proposal, meter, telemetry,
+        if (!TryDeliver(*faults, retry, current, proposal, meter, telemetry,
                         health)) {
           // Forward message abandoned: the agent never left.
           if (telemetry != nullptr) ++telemetry->abandoned;
@@ -191,17 +218,24 @@ Status RandomWalk::Advance(const WalkContext& ctx, size_t steps) {
           if (!overlay.HasNode(ctx.fallback)) {
             return "dropped agent's origin left the network";
           }
-          current_ = ctx.fallback;
+          current = ctx.fallback;
+          row = overlay.Neighbors(current);
+          weight = overlay.Weight(current);
           return nullptr;
         }
       } else if (health != nullptr) {
         health->RecordSuccess(proposal);
       }
-      current_ = proposal;
+      // The true weight moves with the agent, even after a stale probe.
+      current = proposal;
+      row = proposal_row;
+      weight = proposal_weight;
       return nullptr;
     }();
-    if (failure == nullptr && diag != nullptr) diag->RecordVisit(current_);
+    if (failure == nullptr && diag != nullptr) diag->RecordVisit(current);
   }
+  position = current;
+  ctx.rng = rng;
   if (meter != nullptr) {
     meter->AddWeightProbe(proposals);
     meter->AddWalkHop(accepted + reinjections);
@@ -209,12 +243,46 @@ Status RandomWalk::Advance(const WalkContext& ctx, size_t steps) {
   if (telemetry != nullptr) {
     // Saturating: a saturated backoff cost may already have pinned the
     // total at the ceiling (see TryDeliver).
-    telemetry->attempts = SatAdd(telemetry->attempts, attempts);
+    telemetry->attempts = SatAdd(telemetry->attempts, step);
     telemetry->proposals += proposals;
     telemetry->accepted += accepted;
   }
   if (failure != nullptr) return Status::Unavailable(failure);
   return Status::OK();
+}
+
+}  // namespace
+
+void WalkTelemetry::Merge(const WalkTelemetry& other) {
+  attempts = SatAdd(attempts, other.attempts);
+  retries += other.retries;
+  losses += other.losses;
+  drops += other.drops;
+  abandoned += other.abandoned;
+  stale_probes += other.stale_probes;
+  stalled_steps += other.stalled_steps;
+  proposals += other.proposals;
+  accepted += other.accepted;
+  backoff_units = SatAdd(backoff_units, other.backoff_units);
+  hedges += other.hedges;
+  hedge_wins += other.hedge_wins;
+}
+
+uint64_t RandomWalk::LazyThreshold(double laziness) {
+  // NextBernoulli(p) stays iff (NextU64() >> 11) · 2^-53 < p. Both sides
+  // scale by 2^53 exactly, and an integer is below p · 2^53 iff it is
+  // below its ceiling.
+  if (!(laziness > 0.0)) return 0;
+  if (laziness >= 1.0) return kAlwaysLazy;
+  return static_cast<uint64_t>(std::ceil(laziness * 0x1.0p53));
+}
+
+Status RandomWalk::Advance(const WalkContext& ctx, size_t steps) {
+  const bool hooked =
+      ctx.faults != nullptr || ctx.diag != nullptr || ctx.health != nullptr ||
+      (ctx.quarantine != nullptr && ctx.quarantine->Any());
+  return hooked ? Transitions<true>(ctx, steps, lazy_threshold_, current_)
+                : Transitions<false>(ctx, steps, lazy_threshold_, current_);
 }
 
 }  // namespace digest

@@ -37,6 +37,14 @@ struct WalkTelemetry {
   uint64_t backoff_units = 0;  ///< Retry latency paid, in budget ticks.
   uint64_t hedges = 0;         ///< Redundant walks launched vs stragglers.
   uint64_t hedge_wins = 0;     ///< Hedges that delivered before the primary.
+
+  /// Adds every counter of `other` into this one (a batch's ordered
+  /// merge of its walks). The two budget counters, `attempts` and
+  /// `backoff_units`, saturate at UINT64_MAX as Advance's do, so a
+  /// saturated walk pins the sum instead of wrapping it.
+  void Merge(const WalkTelemetry& other);
+
+  bool operator==(const WalkTelemetry&) const = default;
 };
 
 /// Everything one walk's transitions read or write besides the agent's
@@ -101,7 +109,7 @@ class RandomWalk {
   /// bipartite graphs (e.g., even rings, meshes) — exposed for the
   /// ablation in bench_mixing.
   explicit RandomWalk(NodeId origin, double laziness = 0.5)
-      : current_(origin), laziness_(laziness) {}
+      : current_(origin), lazy_threshold_(LazyThreshold(laziness)) {}
 
   /// Node the agent currently resides on.
   NodeId current() const { return current_; }
@@ -127,11 +135,30 @@ class RandomWalk {
   /// Under faults a caller that owns a hop budget, hedges or restart
   /// bookkeeping steps one transition per call and reads the telemetry
   /// in between.
+  ///
+  /// The loop is compiled twice from one source, and each call picks
+  /// one instantiation up front. A walk with no fault plan, no non-empty
+  /// quarantine view and no diag or health buffer (`meter` and
+  /// `telemetry` may be set) runs the clean instantiation, with every
+  /// hook branch compiled out; any other walk runs the hooked one. Both
+  /// make the same draws. In both, the walk's state lives in locals for
+  /// the whole call: a copy of `ctx.rng`, written back on return; the
+  /// position with its neighbour row and weight, carried from step to
+  /// step; and the call's counts. Liveness is checked once, on entry:
+  /// snapshot rows hold only live ids, so a walk that starts live stays
+  /// live.
   Status Advance(const WalkContext& ctx, size_t steps);
 
  private:
+  /// The lazy coin as an integer threshold on NextU64() >> 11, which
+  /// draws exactly like Rng::NextBernoulli(laziness): 0 never stays and
+  /// draws nothing (laziness <= 0 or NaN); UINT64_MAX always stays and
+  /// draws nothing (laziness >= 1); any other value is
+  /// ceil(laziness · 2^53), in [1, 2^53).
+  static uint64_t LazyThreshold(double laziness);
+
   NodeId current_;
-  double laziness_;
+  uint64_t lazy_threshold_;
 };
 
 }  // namespace digest

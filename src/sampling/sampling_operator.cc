@@ -63,23 +63,6 @@ void ObserveBatch(obs::Registry* registry, const WalkTelemetry& telemetry,
       ->Observe(static_cast<double>(telemetry.backoff_units));
 }
 
-// Sums every per-walk telemetry counter into the batch aggregate (the
-// ordered post-barrier merge).
-void MergeTelemetry(WalkTelemetry& into, const WalkTelemetry& from) {
-  into.attempts += from.attempts;
-  into.retries += from.retries;
-  into.losses += from.losses;
-  into.drops += from.drops;
-  into.abandoned += from.abandoned;
-  into.stale_probes += from.stale_probes;
-  into.stalled_steps += from.stalled_steps;
-  into.proposals += from.proposals;
-  into.accepted += from.accepted;
-  into.backoff_units += from.backoff_units;
-  into.hedges += from.hedges;
-  into.hedge_wins += from.hedge_wins;
-}
-
 }  // namespace
 
 // One walk of a batch: its plan, fixed on the calling thread before
@@ -399,10 +382,10 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
   // index), telemetry, and final agent position.
   std::vector<NodeId> out;
   out.reserve(n);
-  uint64_t cum_attempts = 0;
   bool cut = false;
   for (size_t i = 0; i < n; ++i) {
-    if (faults_ != nullptr && cum_attempts >= budget) {
+    // The merged attempts so far are the delivered walks' (saturating).
+    if (faults_ != nullptr && last_telemetry_.attempts >= budget) {
       // Budget crossed at a walk boundary: this walk and all later ones
       // are discarded as if never launched (their agents keep their
       // start-of-batch positions).
@@ -418,7 +401,7 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
     for (obs::EventPayload& payload : o.events) {
       in.tracer->EmitLane(std::move(payload), static_cast<int64_t>(i));
     }
-    MergeTelemetry(last_telemetry_, o.telemetry);
+    last_telemetry_.Merge(o.telemetry);
     if (base + i < agents_.size()) {
       agents_[base + i] = RandomWalk(o.final_pos, options_.laziness);
     } else {
@@ -431,7 +414,6 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
     // walk-index order on the calling thread.
     if (in.diag != nullptr) in.diag->FoldWalk(o.diag);
     if (in.health != nullptr) in.health->FoldWalk(o.health);
-    cum_attempts += o.telemetry.attempts;
     if (faults_ != nullptr) {
       // Completed-walk statistics feed later batches' thresholds.
       ++done_walks_;

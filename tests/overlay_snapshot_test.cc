@@ -63,6 +63,46 @@ TEST(OverlaySnapshotTest, RowsMatchGraphNeighborsInOrder) {
   }
   EXPECT_FALSE(overlay.HasNode(7));
   EXPECT_EQ(overlay.Degree(31), 0u);
+
+  // A seeded mix of joins, departures, edge adds and edge removals,
+  // refreshed into one snapshot every 25 mutations. Rows hold live ids
+  // only, and dead ids have empty rows: RandomWalk::Advance checks
+  // liveness once per call and relies on both.
+  OverlaySnapshot churned;
+  for (int op = 1; op <= 400; ++op) {
+    const NodeId a = static_cast<NodeId>(rng.NextIndex(g.NextId()));
+    const NodeId b = static_cast<NodeId>(rng.NextIndex(g.NextId()));
+    switch (rng.NextIndex(4)) {
+      case 0: {
+        const NodeId joined_now = g.AddNode();
+        (void)g.AddEdge(joined_now, a);
+        break;
+      }
+      case 1:
+        (void)g.RemoveNode(a);
+        break;
+      case 2:
+        (void)g.AddEdge(a, b);
+        break;
+      default:
+        if (g.HasNode(a) && !g.Neighbors(a).empty()) {
+          ASSERT_TRUE(g.RemoveEdge(a, g.Neighbors(a).back()).ok());
+        }
+        break;
+    }
+    if (op % 25 != 0) continue;
+    churned.Refresh(g, IdWeight);
+    ExpectMirrors(g, churned);
+    for (NodeId id = 0; id < churned.NextId(); ++id) {
+      if (!churned.HasNode(id)) {
+        EXPECT_TRUE(churned.Neighbors(id).empty()) << "dead node " << id;
+      }
+      for (NodeId n : churned.Neighbors(id)) {
+        EXPECT_TRUE(churned.HasNode(n)) << "row " << id << " holds " << n;
+      }
+    }
+  }
+  EXPECT_LT(g.NodeCount(), g.NextId());  // The churn did kill nodes.
 }
 
 TEST(OverlaySnapshotTest, EverySuccessfulMutationMovesTheVersion) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "diag/diag.h"
 #include "net/topology.h"
 #include "sampling/metropolis.h"
 
@@ -105,6 +109,158 @@ TEST(RandomWalkTest, IsolatedNodeStays) {
   ASSERT_TRUE(
       walk.Advance({.overlay = overlay, .rng = rng, .fallback = 0}, 1).ok());
   EXPECT_EQ(walk.current(), 0u);
+}
+
+// What a clean and a hooked run of the same walk must agree on.
+struct WalkEnd {
+  Status status;
+  NodeId position = kInvalidNode;
+  uint64_t probes = 0;
+  uint64_t hops = 0;
+  WalkTelemetry telemetry;
+  uint64_t next_draw = 0;  // The generator's end state.
+};
+
+// Advances a fresh walk from `start` by `steps` transitions, in calls of
+// `per_call` steps. A non-null `diag` forces the hooked instantiation of
+// the transition loop; it consumes no randomness.
+WalkEnd RunWalk(const OverlaySnapshot& overlay, NodeId start, NodeId fallback,
+                double laziness, size_t steps, size_t per_call,
+                diag::WalkDiagBuffer* diag) {
+  Rng rng(42);
+  MessageMeter meter;
+  WalkEnd end;
+  RandomWalk walk(start, laziness);
+  const WalkContext ctx{.overlay = overlay,
+                        .rng = rng,
+                        .fallback = fallback,
+                        .meter = &meter,
+                        .telemetry = &end.telemetry,
+                        .diag = diag};
+  for (size_t done = 0; done < steps && end.status.ok(); done += per_call) {
+    end.status = walk.Advance(ctx, per_call);
+  }
+  end.position = walk.current();
+  end.probes = meter.weight_probes();
+  end.hops = meter.walk_hops();
+  end.next_draw = rng.NextU64();
+  return end;
+}
+
+TEST(RandomWalkTest, CleanAndHookedInstantiationsDrawAlike) {
+  Rng topo_rng(9);
+  const Graph irregular = MakeBarabasiAlbert(40, 2, topo_rng).value();
+  Graph left = MakeComplete(6).value();
+  ASSERT_TRUE(left.RemoveNode(2).ok());
+  Graph isolated;
+  for (int i = 0; i < 3; ++i) isolated.AddNode();
+  ASSERT_TRUE(isolated.AddEdge(1, 2).ok());
+  const Graph ring = MakeRing(6).value();
+  Graph dead = MakeComplete(4).value();
+  ASSERT_TRUE(dead.RemoveNode(1).ok());
+  ASSERT_TRUE(dead.RemoveNode(2).ok());
+  const WeightFn varied = [](NodeId v) { return 1.0 + (v % 4); };
+  struct Case {
+    const char* name;
+    OverlaySnapshot overlay;
+    NodeId start;
+    NodeId fallback;
+    uint64_t reinjections;
+  };
+  const Case cases[] = {
+      {"irregular", OverlaySnapshot(irregular, varied), 0, 0, 0},
+      {"start left", OverlaySnapshot(left, UniformWeight()), 2, 4, 1},
+      {"isolated", OverlaySnapshot(isolated, UniformWeight()), 0, 1, 0},
+      // Node 1 weighs nothing: it is never entered, and a walk started
+      // on it escapes at its first proposal.
+      {"zero-weight neighbour",
+       OverlaySnapshot(ring, [](NodeId v) { return v == 1 ? 0.0 : 2.0; }),
+       1, 0, 0},
+      {"start and fallback dead", OverlaySnapshot(dead, UniformWeight()), 1,
+       2, 0},
+  };
+  const size_t steps = 300;
+  for (double laziness :
+       {0.0, 0x1.0p-53, 0.3, 0.5, 1.0 - 0x1.0p-53, 1.0}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.name) +
+                   " laziness=" + std::to_string(laziness));
+      const WalkEnd clean =
+          RunWalk(c.overlay, c.start, c.fallback, laziness, steps, steps,
+                  nullptr);
+      diag::WalkDiagBuffer diag;
+      const WalkEnd hooked = RunWalk(c.overlay, c.start, c.fallback, laziness,
+                                     steps, steps, &diag);
+      EXPECT_EQ(hooked.status.code(), clean.status.code());
+      EXPECT_EQ(hooked.position, clean.position);
+      EXPECT_EQ(hooked.probes, clean.probes);
+      EXPECT_EQ(hooked.hops, clean.hops);
+      EXPECT_TRUE(hooked.telemetry == clean.telemetry);
+      EXPECT_EQ(hooked.next_draw, clean.next_draw);
+      if (!clean.status.ok()) {
+        // Neither the agent's node nor the fallback is live: the walk
+        // fails its first transition, which still counts as an attempt.
+        EXPECT_EQ(clean.status.code(), StatusCode::kUnavailable);
+        EXPECT_EQ(clean.telemetry.attempts, 1u);
+        EXPECT_EQ(clean.probes + clean.hops, 0u);
+        EXPECT_EQ(clean.next_draw, Rng(42).NextU64());
+        EXPECT_TRUE(diag.visits.empty());
+        continue;
+      }
+      EXPECT_EQ(diag.visits.size(), steps);
+      EXPECT_EQ(clean.telemetry.attempts, steps);
+      EXPECT_EQ(clean.telemetry.proposals, clean.probes);
+      // Every hop message is an accepted move or a re-injection.
+      EXPECT_EQ(clean.hops, clean.telemetry.accepted + c.reinjections);
+      EXPECT_TRUE(c.overlay.HasNode(clean.position));
+      if (laziness <= 0.5) {
+        EXPECT_GT(c.overlay.Weight(clean.position), 0.0);
+      }
+      // One step per call (the hedge race's pattern) walks alike too.
+      const WalkEnd stepped =
+          RunWalk(c.overlay, c.start, c.fallback, laziness, steps, 1,
+                  nullptr);
+      EXPECT_EQ(stepped.position, clean.position);
+      EXPECT_TRUE(stepped.telemetry == clean.telemetry);
+      EXPECT_EQ(stepped.next_draw, clean.next_draw);
+    }
+  }
+}
+
+TEST(RandomWalkTest, StaleProbeLeavesTheCarriedWeightTrue) {
+  // Every probe is answered stale, so each acceptance test sees a
+  // distorted weight. The walk must still carry its position's true
+  // weight from step to step: one call of N steps walks exactly like N
+  // calls of one step, each of which reads the weight afresh on entry.
+  Rng topo_rng(11);
+  const Graph g = MakeBarabasiAlbert(40, 2, topo_rng).value();
+  const OverlaySnapshot overlay(g, [](NodeId v) { return 1.0 + (v % 4); });
+  FaultPlanConfig config;
+  config.stale_probe = 1.0;
+  const size_t steps = 400;
+  std::vector<WalkEnd> ends;
+  for (size_t per_call : {steps, size_t{1}}) {
+    Rng rng(5);
+    FaultPlan plan(config, 13);
+    WalkEnd end;
+    RandomWalk walk(0);
+    const WalkContext ctx{.overlay = overlay,
+                          .rng = rng,
+                          .fallback = 0,
+                          .faults = &plan,
+                          .telemetry = &end.telemetry};
+    for (size_t done = 0; done < steps; done += per_call) {
+      ASSERT_TRUE(walk.Advance(ctx, per_call).ok());
+    }
+    end.position = walk.current();
+    end.next_draw = rng.NextU64();
+    ends.push_back(end);
+  }
+  EXPECT_GT(ends[0].telemetry.accepted, 0u);
+  EXPECT_EQ(ends[0].telemetry.stale_probes, ends[0].telemetry.proposals);
+  EXPECT_EQ(ends[1].position, ends[0].position);
+  EXPECT_TRUE(ends[1].telemetry == ends[0].telemetry);
+  EXPECT_EQ(ends[1].next_draw, ends[0].next_draw);
 }
 
 TEST(RandomWalkTest, LongRunVisitsMatchTargetDistribution) {

@@ -115,6 +115,45 @@ TEST(RetryBackoffTest, SaturatedBackoffStillReconcilesWithMeter) {
   EXPECT_EQ(meter.FaultOverhead(), meter.retries() + meter.agent_restarts());
 }
 
+TEST(RetryBackoffTest, SaturatedWalksPinBatchTelemetryInsteadOfWrapping) {
+  // Each walk's first retransmission costs SIZE_MAX / 2 budget units, so
+  // two retrying walks sum past UINT64_MAX. Walks saturate their own
+  // budget counters; the batch total must saturate too, or a cut batch
+  // reports fewer attempts than the budget it exhausted (and the
+  // registry histograms observe the wrapped sums).
+  const Graph graph = MakeComplete(12).value();
+  SamplingOperatorOptions options;
+  options.walk_length = 16;
+  options.reset_length = 4;
+  options.retry.max_attempts = static_cast<size_t>(-1);
+  options.retry.backoff_base = static_cast<size_t>(-1) / 2;
+  options.retry.hop_budget_factor = 8.0;
+  const uint64_t budget = 8 * 8 * 16;  // Factor x 8 cold walks x length.
+  FaultPlanConfig config;
+  config.message_loss = 0.02;
+  size_t cut_batches = 0;
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    SamplingOperator op(&graph, DegreeWeight(graph), Rng(seed), nullptr,
+                        options);
+    FaultPlan plan(config, seed + 7);
+    op.SetFaultPlan(&plan);
+    Result<PartialBatch> batch = op.SampleNodesPartial(0, 8);
+    ASSERT_TRUE(batch.ok()) << "seed " << seed;
+    const WalkTelemetry& t = op.last_telemetry();
+    // Every backoff unit is also an attempt unit.
+    EXPECT_LE(t.backoff_units, t.attempts) << "seed " << seed;
+    if (!batch->timed_out) continue;
+    ++cut_batches;
+    EXPECT_GE(t.attempts, budget) << "seed " << seed;
+    if (seed == 28) {
+      // Cut after 6 samples, with two retrying walks merged: pinned.
+      EXPECT_EQ(batch->nodes.size(), 6u);
+      EXPECT_EQ(t.attempts, UINT64_MAX);
+    }
+  }
+  EXPECT_GT(cut_batches, 0u);
+}
+
 TEST(RetryBackoffTest, BudgetExhaustionReturnsUnavailableNotCrash) {
   const Graph graph = MakeComplete(12).value();
   SamplingOperatorOptions options;
