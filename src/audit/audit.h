@@ -37,8 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "common/json.h"
-#include "common/result.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
@@ -142,6 +140,28 @@ struct CoverageRecord {
   uint64_t fresh_samples = 0;
   uint64_t retained_samples = 0;
   uint64_t message_cost = 0;
+
+  /// Checkpoint field list (common/checkpoint_codec.h).
+  template <class V>
+  void Fields(V& v) {
+    v("tick", tick);
+    v("estimate", estimate);
+    v("ci_halfwidth", ci_halfwidth);
+    v("truth", truth);
+    v("has_truth", has_truth);
+    v("hit", hit);
+    v("cause", cause, kNumMissCauses);
+    v("degraded", degraded);
+    v("partial", partial);
+    v("timeout", timeout);
+    v("mixing_breach", mixing_breach);
+    v("quarantine", quarantine);
+    v("health", health);
+    v("total_samples", total_samples);
+    v("fresh_samples", fresh_samples);
+    v("retained_samples", retained_samples);
+    v("message_cost", message_cost);
+  }
 };
 
 /// EWMA + two-sided CUSUM over one scalar stream. Plain serializable
@@ -153,6 +173,17 @@ struct DriftDetector {
   double cusum_neg = 0.0;
   uint64_t breaches = 0;  ///< Resolutions that ended in breach.
   uint64_t streak = 0;    ///< Consecutive in-breach resolutions.
+
+  /// Checkpoint field list (common/checkpoint_codec.h).
+  template <class V>
+  void Fields(V& v) {
+    v("ewma", ewma);
+    v("initialized", initialized);
+    v("cusum_pos", cusum_pos);
+    v("cusum_neg", cusum_neg);
+    v("breaches", breaches);
+    v("streak", streak);
+  }
 };
 
 /// The per-session precision audit ledger. Wiring (mirrors the
@@ -261,11 +292,11 @@ class PrecisionAuditor {
 
   /// The run's ledger so far (snapshot occasions only; skipped ticks
   /// fold into the δ-compliance counters).
-  const std::vector<CoverageRecord>& records() const { return records_; }
+  const std::vector<CoverageRecord>& records() const { return state_.records; }
 
-  /// Serializable per-run state for the engine checkpoint (v2 blobs).
-  /// completed_runs() is session-, not run-state, and deliberately
-  /// stays out.
+  /// The auditor's per-run state, which is also the engine checkpoint's
+  /// "audit" section (digest-checkpoint-v2 and later). completed_runs()
+  /// is session-, not run-state, and deliberately stays out.
   struct State {
     std::string run_label;
     std::vector<CoverageRecord> records;
@@ -285,20 +316,36 @@ class PrecisionAuditor {
     DriftDetector cost_detector;
     uint64_t supervisor_flips = 0;
     uint64_t pending_flips = 0;
+
+    /// Checkpoint field list (common/checkpoint_codec.h). The pending
+    /// record and skip fields ride only while pending.
+    template <class V>
+    void Fields(V& v) {
+      v("run_label", run_label);
+      v("hits", hits);
+      v("misses", misses);
+      v("delta_ticks", delta_ticks);
+      v("delta_misses", delta_misses);
+      v("unmatched_truths", unmatched_truths);
+      v("cause_counts", cause_counts);
+      v("error_detector", error_detector);
+      v("cost_detector", cost_detector);
+      v("supervisor_flips", supervisor_flips);
+      v("pending_flips", pending_flips);
+      v("pending_snapshot", pending_snapshot);
+      v.Optional("pending_record", pending_snapshot, pending_record);
+      v("pending_skip", pending_skip);
+      v.Optional("skip_tick", pending_skip, skip_tick);
+      v.Optional("skip_reported", pending_skip, skip_reported);
+      v.Optional("skip_ci", pending_skip, skip_ci);
+      v("records", records);
+    }
   };
-  State SaveState() const;
+  State SaveState() const { return state_; }
   /// Installs `state`, rebuilding the quantile histograms by replaying
   /// the ledger. The contract (AttachContract) is configuration, not
   /// state, matching the checkpoint discipline.
   void RestoreState(const State& state);
-
-  /// JSON codec for State, used by the engine checkpoint ("audit"
-  /// section of digest-checkpoint-v2 and later). Append emits a stable
-  /// object;
-  /// Parse validates everything before returning (so the engine's
-  /// parse-all-then-install discipline extends to audit state).
-  static void AppendStateJson(const State& state, std::string* out);
-  static Result<State> ParseStateJson(const json::Value& value);
 
  private:
   void FlushPending();
@@ -316,26 +363,7 @@ class PrecisionAuditor {
   double delta_ = 0.0;
   double epsilon_ = 1.0;
   double confidence_ = 0.95;
-  std::string run_label_;
-
-  std::vector<CoverageRecord> records_;
-  bool pending_snapshot_ = false;
-  CoverageRecord pending_record_;
-  bool pending_skip_ = false;
-  int64_t skip_tick_ = 0;
-  double skip_reported_ = 0.0;
-  double skip_ci_ = 0.0;
-
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t delta_ticks_ = 0;
-  uint64_t delta_misses_ = 0;
-  uint64_t unmatched_truths_ = 0;
-  uint64_t cause_counts_[kNumMissCauses] = {};
-  DriftDetector error_detector_;
-  DriftDetector cost_detector_;
-  uint64_t supervisor_flips_ = 0;
-  uint64_t pending_flips_ = 0;
+  State state_;  ///< The run's ledger, counters and detectors.
 
   obs::Histogram abs_error_hist_;  ///< |error|/ε of resolved occasions.
   obs::Histogram cost_hist_;       ///< Message cost per occasion.

@@ -14,13 +14,14 @@ namespace json {
 
 /// Minimal JSON document model + recursive-descent parser.
 ///
-/// This exists for one consumer: the engine checkpoint/restore path,
-/// which round-trips its own exporter-style output (objects, arrays,
-/// strings escaped by AppendJsonEscaped, numbers printed with %.17g,
-/// and uint64 values carried as decimal strings because a JSON double
-/// cannot hold 2^64-1). It is a strict parser — trailing garbage,
-/// trailing commas, and unescaped control characters are errors — and
-/// all failures surface as Status::InvalidArgument, never exceptions.
+/// This exists for the checkpoint codec (common/checkpoint_codec.h),
+/// which reads back the engine, node, audit and health blobs it wrote
+/// (objects, arrays, strings escaped by AppendJsonEscaped, numbers
+/// printed with %.17g, and uint64 values carried as decimal strings
+/// because a JSON double cannot hold 2^64-1). It is a strict parser —
+/// trailing garbage, trailing commas, and unescaped control characters
+/// are errors — and all failures surface as Status::InvalidArgument,
+/// never exceptions.
 ///
 /// Numbers are kept as their raw source text; callers pick the lossless
 /// conversion they need (AsDouble / AsInt64 / AsUInt64).

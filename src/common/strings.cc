@@ -97,4 +97,16 @@ std::string JsonEscape(std::string_view s) {
   return out;
 }
 
+void AppendDouble(std::string* out, double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  out->append(buf);
+}
+
+std::string FormatDouble(double v) {
+  std::string out;
+  AppendDouble(&out, v);
+  return out;
+}
+
 }  // namespace digest

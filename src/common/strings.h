@@ -31,6 +31,15 @@ void AppendJsonEscaped(std::string* out, std::string_view s);
 /// Returns the escaped body (AppendJsonEscaped into a fresh string).
 std::string JsonEscape(std::string_view s);
 
+/// Appends `v` printed as %.17g, which round-trips every double through
+/// strtod. The one double format of every JSON emitter (traces, metrics,
+/// summaries, checkpoints), so a value always serializes to the same
+/// bytes.
+void AppendDouble(std::string* out, double v);
+
+/// Returns AppendDouble's text for `v`.
+std::string FormatDouble(double v);
+
 }  // namespace digest
 
 #endif  // DIGEST_COMMON_STRINGS_H_

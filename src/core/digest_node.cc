@@ -1,15 +1,12 @@
 #include "core/digest_node.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/json.h"
-#include "common/strings.h"
-#include "core/checkpoint_util.h"
+#include "common/checkpoint_codec.h"
 #include "net/message_meter.h"
 #include "net/peer_health.h"
 #include "obs/metrics.h"
@@ -20,20 +17,54 @@ namespace {
 
 constexpr char kNodeCheckpointVersion[] = "digest-node-checkpoint-v1";
 
-/// Decimal QueryId map key, strictly ("12", not "12x" or "").
-Result<QueryId> ParseQueryKey(const std::string& key) {
-  if (key.empty()) {
-    return Status::InvalidArgument("node checkpoint: empty query id");
+struct NodeScalars {
+  NodeId self = kInvalidNode;
+  QueryId next_id = 0;
+  bool coalesce = false;
+  Rng::State rng;
+
+  template <class V>
+  void Fields(V& v) {
+    v("self", self);
+    v("next_id", next_id);
+    v("coalesce", coalesce);
+    v("rng", rng);
   }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long id = std::strtoull(key.c_str(), &end, 10);
-  if (end != key.c_str() + key.size() || errno == ERANGE) {
-    return Status::InvalidArgument("node checkpoint: bad query id '" + key +
-                                   "'");
+};
+
+struct SchedulerLedger {
+  uint64_t coalesced_ticks = 0;
+  std::map<QueryId, QueryCost> costs;
+
+  template <class V>
+  void Fields(V& v) {
+    v("coalesced_ticks", coalesced_ticks);
+    v("costs", costs);
   }
-  return static_cast<QueryId>(id);
-}
+};
+
+/// The node blob. The shared operator and the coalescing sampler are
+/// present exactly when the node has them. Every engine's own v3 blob
+/// rides as an escaped JSON string: the engine codec owns its format;
+/// the node embeds, never re-encodes.
+struct NodeBlob {
+  NodeScalars node;
+  SchedulerLedger scheduler;
+  bool has_operator = false;
+  bool has_sampler = false;
+  SamplingOperator::State op;
+  Rng::State sampler_rng;
+  std::map<QueryId, std::string> queries;
+
+  template <class V>
+  void Fields(V& v) {
+    v("node", node);
+    v("scheduler", scheduler);
+    v.Optional("operator", has_operator, op);
+    v.Optional("sampler_rng", has_sampler, sampler_rng);
+    v("queries", queries);
+  }
+};
 
 }  // namespace
 
@@ -219,179 +250,60 @@ void DigestNode::ExportRegistry() {
 }
 
 Result<std::string> DigestNode::Checkpoint() const {
-  using namespace ckpt;  // NOLINT: one codec family, one encoding.
-  std::string out;
-  out.reserve(8192);
-  out += "{\"version\":\"";
-  out += kNodeCheckpointVersion;
-  out += "\",\"node\":{\"self\":";
-  AppendU64(&out, self_);
-  out += ",\"next_id\":";
-  AppendU64(&out, next_id_);
-  out += ",\"coalesce\":";
-  AppendBool(&out, shared_source_ != nullptr);
-  out += ",\"rng\":";
-  AppendRng(&out, rng_.SaveState());
-  out += "}";
-
-  out += ",\"scheduler\":{\"coalesced_ticks\":";
-  AppendU64(&out, scheduler_.coalesced_ticks());
-  out += ",\"costs\":{";
-  bool first = true;
-  for (const auto& [id, cost] : scheduler_.costs()) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += std::to_string(id);
-    out += "\":{\"epsilon\":";
-    AppendDouble(&out, cost.epsilon);
-    out += ",\"ticks\":";
-    AppendU64(&out, cost.ticks);
-    out += ",\"snapshots\":";
-    AppendU64(&out, cost.snapshots);
-    out += ",\"coalesced\":";
-    AppendU64(&out, cost.coalesced);
-    out += ",\"messages\":";
-    AppendU64(&out, cost.messages);
-    out += '}';
-  }
-  out += "}}";
-
-  if (operator_ != nullptr) {
-    out += ",\"operator\":";
-    AppendOperatorState(&out, operator_->SaveState());
-  }
-  if (shared_sampler_ != nullptr) {
-    out += ",\"sampler_rng\":";
-    AppendRng(&out, shared_sampler_->SaveRngState());
-  }
-
-  // Every engine's own v3 blob rides as an escaped JSON string — the
-  // engine codec owns its format; the node embeds, never re-encodes.
-  out += ",\"queries\":{";
-  first = true;
+  NodeBlob blob;
+  blob.has_operator = operator_ != nullptr;
+  blob.has_sampler = shared_sampler_ != nullptr;
+  blob.node = {self_, next_id_, shared_source_ != nullptr, rng_.SaveState()};
+  blob.scheduler = {scheduler_.coalesced_ticks(), scheduler_.costs()};
+  if (blob.has_operator) blob.op = operator_->SaveState();
+  if (blob.has_sampler) blob.sampler_rng = shared_sampler_->SaveRngState();
   for (const auto& [id, engine] : engines_) {
-    DIGEST_ASSIGN_OR_RETURN(std::string blob, engine->Checkpoint());
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += std::to_string(id);
-    out += "\":\"";
-    AppendJsonEscaped(&out, blob);
-    out += '"';
+    DIGEST_ASSIGN_OR_RETURN(blob.queries[id], engine->Checkpoint());
   }
-  out += "}}";
-  return out;
+  return ckpt::EncodeBlob(kNodeCheckpointVersion, blob);
 }
 
-Status DigestNode::Restore(std::string_view blob) {
-  using namespace ckpt;  // NOLINT
-  DIGEST_ASSIGN_OR_RETURN(json::Value root, json::Parse(blob));
-  DIGEST_ASSIGN_OR_RETURN(std::string version, root.GetString("version"));
-  if (version != kNodeCheckpointVersion) {
-    return Status::InvalidArgument("node checkpoint: unsupported version '" +
-                                   version + "'");
-  }
-
-  // Parse and validate everything before installing anything.
-  DIGEST_ASSIGN_OR_RETURN(const json::Value* node, root.GetObject("node"));
-  DIGEST_ASSIGN_OR_RETURN(uint64_t self, node->GetUInt64("self"));
-  if (self != self_) {
+Status DigestNode::Restore(std::string_view text) {
+  // Decode and validate everything before installing anything.
+  NodeBlob blob;
+  blob.has_operator = operator_ != nullptr;
+  blob.has_sampler = shared_sampler_ != nullptr;
+  DIGEST_RETURN_IF_ERROR(
+      ckpt::DecodeBlob(text, kNodeCheckpointVersion, &blob));
+  if (blob.node.self != self_) {
     return Status::InvalidArgument(
         "node checkpoint: host node does not match");
   }
-  DIGEST_ASSIGN_OR_RETURN(uint64_t next_id, node->GetUInt64("next_id"));
-  DIGEST_ASSIGN_OR_RETURN(bool coalesce, node->GetBool("coalesce"));
-  if (coalesce != (shared_source_ != nullptr)) {
+  if (blob.node.coalesce != (shared_source_ != nullptr)) {
     return Status::InvalidArgument(
         "node checkpoint: coalescing topology does not match");
-  }
-  DIGEST_ASSIGN_OR_RETURN(const json::Value* node_rng_v,
-                          node->GetObject("rng"));
-  DIGEST_ASSIGN_OR_RETURN(Rng::State node_rng, ParseRng(*node_rng_v));
-
-  DIGEST_ASSIGN_OR_RETURN(const json::Value* sched,
-                          root.GetObject("scheduler"));
-  DIGEST_ASSIGN_OR_RETURN(uint64_t coalesced_ticks,
-                          sched->GetUInt64("coalesced_ticks"));
-  DIGEST_ASSIGN_OR_RETURN(const json::Value* costs_v,
-                          sched->GetObject("costs"));
-  std::map<QueryId, QueryCost> costs;
-  for (const auto& [key, value] : costs_v->members()) {
-    QueryCost cost;
-    DIGEST_ASSIGN_OR_RETURN(cost.epsilon, value.GetDouble("epsilon"));
-    DIGEST_ASSIGN_OR_RETURN(cost.ticks, value.GetUInt64("ticks"));
-    DIGEST_ASSIGN_OR_RETURN(cost.snapshots, value.GetUInt64("snapshots"));
-    DIGEST_ASSIGN_OR_RETURN(cost.coalesced, value.GetUInt64("coalesced"));
-    DIGEST_ASSIGN_OR_RETURN(cost.messages, value.GetUInt64("messages"));
-    DIGEST_ASSIGN_OR_RETURN(const QueryId id, ParseQueryKey(key));
-    costs[id] = cost;
-  }
-
-  const bool have_operator = root.Find("operator") != nullptr;
-  if (have_operator != (operator_ != nullptr)) {
-    return Status::InvalidArgument(
-        "node checkpoint: operator topology does not match");
-  }
-  SamplingOperator::State op_state;
-  if (have_operator) {
-    DIGEST_ASSIGN_OR_RETURN(const json::Value* op,
-                            root.GetObject("operator"));
-    DIGEST_ASSIGN_OR_RETURN(op_state, ParseOperatorState(*op));
-  }
-  const bool have_sampler_rng = root.Find("sampler_rng") != nullptr;
-  if (have_sampler_rng != (shared_sampler_ != nullptr)) {
-    return Status::InvalidArgument(
-        "node checkpoint: shared-sampler topology does not match");
-  }
-  Rng::State sampler_rng;
-  if (have_sampler_rng) {
-    DIGEST_ASSIGN_OR_RETURN(const json::Value* v,
-                            root.GetObject("sampler_rng"));
-    DIGEST_ASSIGN_OR_RETURN(sampler_rng, ParseRng(*v));
-  }
-
-  DIGEST_ASSIGN_OR_RETURN(const json::Value* queries_v,
-                          root.GetObject("queries"));
-  std::map<QueryId, std::string> engine_blobs;
-  for (const auto& [key, value] : queries_v->members()) {
-    if (!value.is_string()) {
-      return Status::InvalidArgument(
-          "node checkpoint: query blob must be a string");
-    }
-    DIGEST_ASSIGN_OR_RETURN(const QueryId id, ParseQueryKey(key));
-    engine_blobs[id] = value.string_value();
   }
   // The restored registry must line up with the live one: same ids in
   // the scheduler ledger and the same engines to hand blobs to.
   auto same_keys = [this](const auto& m) {
-    if (m.size() != engines_.size()) return false;
-    auto it = engines_.begin();
-    for (const auto& [id, unused] : m) {
-      (void)unused;
-      if (it == engines_.end() || it->first != id) return false;
-      ++it;
-    }
-    return true;
+    return std::equal(m.begin(), m.end(), engines_.begin(), engines_.end(),
+                      [](const auto& a, const auto& b) {
+                        return a.first == b.first;
+                      });
   };
-  if (!same_keys(costs) || !same_keys(engine_blobs)) {
+  if (!same_keys(blob.scheduler.costs) || !same_keys(blob.queries)) {
     return Status::InvalidArgument(
         "node checkpoint: query registry does not match (restore "
         "requires the same issued queries)");
   }
 
-  // Install. Engine::Restore is itself parse-all-then-install, so a
+  // Install. Engine::Restore is itself decode-all-then-install, so a
   // blob of mismatched construction fails before touching that engine.
-  rng_.RestoreState(node_rng);
-  next_id_ = static_cast<QueryId>(next_id);
-  scheduler_.set_coalesced_ticks(coalesced_ticks);
-  for (const auto& [id, cost] : costs) scheduler_.RestoreCost(id, cost);
-  if (operator_ != nullptr) operator_->RestoreState(op_state);
-  if (shared_sampler_ != nullptr) {
-    shared_sampler_->RestoreRngState(sampler_rng);
+  rng_.RestoreState(blob.node.rng);
+  next_id_ = blob.node.next_id;
+  scheduler_.set_coalesced_ticks(blob.scheduler.coalesced_ticks);
+  for (const auto& [id, cost] : blob.scheduler.costs) {
+    scheduler_.RestoreCost(id, cost);
   }
+  if (blob.has_operator) operator_->RestoreState(blob.op);
+  if (blob.has_sampler) shared_sampler_->RestoreRngState(blob.sampler_rng);
   for (auto& [id, engine] : engines_) {
-    DIGEST_RETURN_IF_ERROR(engine->Restore(engine_blobs.at(id)));
+    DIGEST_RETURN_IF_ERROR(engine->Restore(blob.queries.at(id)));
   }
   ExportRegistry();
   return Status::OK();

@@ -140,6 +140,19 @@ struct EngineStats {
   size_t retained_samples = 0; ///< Re-evaluated in place.
   size_t degraded_ticks = 0;   ///< Ticks answered via degraded fallback.
   size_t partial_snapshots = 0;  ///< Snapshots finalized early on budget.
+
+  /// Checkpoint field list (common/checkpoint_codec.h).
+  template <class V>
+  void Fields(V& v) {
+    v("ticks", ticks);
+    v("snapshots", snapshots);
+    v("result_updates", result_updates);
+    v("total_samples", total_samples);
+    v("fresh_samples", fresh_samples);
+    v("retained_samples", retained_samples);
+    v("degraded_ticks", degraded_ticks);
+    v("partial_snapshots", partial_snapshots);
+  }
 };
 
 /// Publishes cumulative EngineStats counters into `registry` under the
@@ -223,13 +236,13 @@ class DigestEngine {
   /// stats, the PRED history window, the supervisor machine, estimator
   /// cross-occasion state (retained pool, regression recursion), every
   /// owned RNG stream position, and the meter's counters — into a
-  /// versioned JSON blob ("digest-checkpoint-v3"; v2 added the optional
-  /// "audit" section, present iff an auditor is attached; v3 the
-  /// optional "health" section, present iff a peer-health monitor is
-  /// attached). Emits one
-  /// CheckpointEvent when tracing. Engines sampling through a *shared*
-  /// operator (CreateWithOperator) record that the operator was external;
-  /// its warm agents and stream are the caller's to preserve.
+  /// versioned JSON blob ("digest-checkpoint-v3"). The optional
+  /// sections "meter", "audit" (v2) and "health" (v3) are present iff a
+  /// meter, an auditor and a peer-health monitor are attached; Restore
+  /// requires the same presence. Emits one CheckpointEvent when
+  /// tracing. Engines sampling through a *shared* operator
+  /// (CreateWithOperator) record that the operator was external; its
+  /// warm agents and stream are the caller's to preserve.
   Result<std::string> Checkpoint() const;
 
   /// Restores a checkpoint produced by an engine of identical
@@ -247,6 +260,9 @@ class DigestEngine {
   DigestEngine(const Graph* graph, const P2PDatabase* db,
                ContinuousQuerySpec spec, NodeId querying_node,
                MessageMeter* meter, DigestEngineOptions options);
+
+  /// The checkpoint blob's sections (engine_checkpoint.cc).
+  struct CheckpointBlob;
 
   const Graph* graph_;
   const P2PDatabase* db_;

@@ -1,21 +1,15 @@
 // Checkpoint/restore of a DigestEngine query session.
 //
-// The checkpoint is a versioned JSON blob ("digest-checkpoint-v3")
-// carrying every piece of *session* state a restored engine needs to
-// replay the exact tick/draw sequence an uninterrupted run would have
-// produced: engine scalars and stats, the PRED history window, the
-// supervisor state machine, the estimator's cross-occasion state
-// (retained pool, regression recursion, forward-regression pairs), the
-// RNG stream positions of every owned component, the warm-agent state of
-// owned sampling operators, and the message meter's counters. v2 added
-// the optional "audit" section: the attached PrecisionAuditor's full
-// ledger and detector state, present iff options.auditor != nullptr
-// (presence must match on restore, both ways). v3 added the optional
-// "health" section on the same terms: the attached PeerHealthMonitor's
-// per-peer phi/breaker state and counters, present iff
-// options.health != nullptr — so a mid-partition restore resumes with
-// the same quarantine set and breaker cooldowns the checkpointing
-// engine had.
+// The checkpoint is a versioned JSON blob ("digest-checkpoint-v3";
+// v2 added "audit", v3 "health") carrying every piece of *session*
+// state a restored engine needs to replay the exact tick/draw sequence
+// an uninterrupted run would have produced. Its sections are the fields
+// of CheckpointBlob below, written and read by the codec in
+// common/checkpoint_codec.h. The optional sections (owned samplers and
+// operators, "meter", "audit", "health") are present exactly when the
+// engine has that component; Restore rejects a blob whose presence
+// differs either way, and decodes and validates the whole blob before
+// it installs anything.
 //
 // Deliberately NOT in the blob:
 //  - configuration (graph, database, query spec, options, seeds):
@@ -28,20 +22,11 @@
 //    SamplingOperator::SaveState rather than once per engine. The blob
 //    records that the operator was external so a mismatched restore
 //    fails loudly.
-//
-// Number encoding: doubles print as %.17g (lossless round-trip through
-// strtod); int64 ticks print as plain JSON integers; uint64 counters
-// ride as decimal strings because a JSON double cannot hold 2^64−1 (see
-// common/json.h, whose As*() accept both forms).
 
-#include <cinttypes>
-#include <cstdio>
-#include <utility>
-#include <vector>
+#include <string>
 
 #include "audit/audit.h"
-#include "common/json.h"
-#include "core/checkpoint_util.h"
+#include "common/checkpoint_codec.h"
 #include "core/engine.h"
 #include "net/peer_health.h"
 #include "obs/tracer.h"
@@ -49,190 +34,138 @@
 namespace digest {
 namespace {
 
-using namespace ckpt;  // NOLINT: one codec family, one encoding.
-
 constexpr char kCheckpointVersion[] = "digest-checkpoint-v3";
+
+struct EngineScalars {
+  double reported_value = 0.0;
+  double last_ci_halfwidth = 0.0;
+  bool has_result = false;
+  int64_t next_snapshot_tick = 0;
+  int64_t last_tick = 0;
+  int64_t last_gap = 0;
+
+  template <class V>
+  void Fields(V& v) {
+    v("reported_value", reported_value);
+    v("last_ci_halfwidth", last_ci_halfwidth);
+    v("has_result", has_result);
+    v("next_snapshot_tick", next_snapshot_tick);
+    v("last_tick", last_tick);
+    v("last_gap", last_gap);
+  }
+};
+
+/// Draw streams of the tuple samplers the engine owns (stage 2 of the
+/// two-stage scheme, or the centralized exact sampler).
+struct SamplerStreams {
+  bool has_two_stage = false;
+  bool has_exact = false;
+  Rng::State two_stage;
+  Rng::State exact;
+
+  template <class V>
+  void Fields(V& v) {
+    v.Optional("two_stage_rng", has_two_stage, two_stage);
+    v.Optional("exact_rng", has_exact, exact);
+  }
+};
+
+/// Owned sampling operators (warm agents, walk stream, hedge stats).
+struct Operators {
+  bool shared = false;
+  bool has_sampling = false;
+  bool has_uniform = false;
+  SamplingOperator::State sampling;
+  SamplingOperator::State uniform;
+
+  template <class V>
+  void Fields(V& v) {
+    v("shared", shared);
+    v.Optional("sampling", has_sampling, sampling);
+    v.Optional("uniform", has_uniform, uniform);
+  }
+};
+
+struct MeterCounts {
+  uint64_t counts[MessageMeter::kNumCategories] = {};
+  uint64_t losses = 0;
+
+  template <class V>
+  void Fields(V& v) {
+    v("counts", counts);
+    v("losses", losses);
+  }
+};
 
 }  // namespace
 
+struct DigestEngine::CheckpointBlob {
+  /// The layout of `engine`'s blob: its optional sections switched on
+  /// for exactly the components it has.
+  explicit CheckpointBlob(const DigestEngine& e) {
+    samplers.has_two_stage = e.two_stage_sampler_ != nullptr;
+    samplers.has_exact = e.exact_sampler_ != nullptr;
+    operators.has_sampling = e.sampling_operator_ != nullptr;
+    operators.has_uniform = e.uniform_operator_ != nullptr;
+    has_meter = e.meter_ != nullptr;
+    has_audit = e.options_.auditor != nullptr;
+    has_health = e.options_.health != nullptr;
+  }
+
+  EngineScalars engine;
+  EngineStats stats;
+  Extrapolator::State extrapolator;
+  SessionSupervisor::State supervisor;
+  EstimatorState estimator;
+  SamplerStreams samplers;
+  Operators operators;
+  bool has_meter = false;
+  bool has_audit = false;
+  bool has_health = false;
+  MeterCounts meter;
+  audit::PrecisionAuditor::State audit;
+  PeerHealthMonitor::State health;
+
+  template <class V>
+  void Fields(V& v) {
+    v("engine", engine);
+    v("stats", stats);
+    v("extrapolator", extrapolator);
+    v("supervisor", supervisor);
+    v("estimator", estimator);
+    v("samplers", samplers);
+    v("operators", operators);
+    v.Optional("meter", has_meter, meter);
+    v.Optional("audit", has_audit, audit);
+    v.Optional("health", has_health, health);
+  }
+};
+
 Result<std::string> DigestEngine::Checkpoint() const {
-  std::string out;
-  out.reserve(4096);
-  out += "{\"version\":\"";
-  out += kCheckpointVersion;
-  out += "\"";
-
-  // Engine scalars.
-  out += ",\"engine\":{\"reported_value\":";
-  AppendDouble(&out, reported_value_);
-  out += ",\"last_ci_halfwidth\":";
-  AppendDouble(&out, last_ci_halfwidth_);
-  out += ",\"has_result\":";
-  AppendBool(&out, has_result_);
-  out += ",\"next_snapshot_tick\":";
-  AppendI64(&out, next_snapshot_tick_);
-  out += ",\"last_tick\":";
-  AppendI64(&out, last_tick_);
-  out += ",\"last_gap\":";
-  AppendI64(&out, last_gap_);
-  out += '}';
-
-  // Cumulative counters.
-  out += ",\"stats\":{\"ticks\":";
-  AppendU64(&out, stats_.ticks);
-  out += ",\"snapshots\":";
-  AppendU64(&out, stats_.snapshots);
-  out += ",\"result_updates\":";
-  AppendU64(&out, stats_.result_updates);
-  out += ",\"total_samples\":";
-  AppendU64(&out, stats_.total_samples);
-  out += ",\"fresh_samples\":";
-  AppendU64(&out, stats_.fresh_samples);
-  out += ",\"retained_samples\":";
-  AppendU64(&out, stats_.retained_samples);
-  out += ",\"degraded_ticks\":";
-  AppendU64(&out, stats_.degraded_ticks);
-  out += ",\"partial_snapshots\":";
-  AppendU64(&out, stats_.partial_snapshots);
-  out += '}';
-
-  // PRED history window.
-  const Extrapolator::State ex = extrapolator_.SaveState();
-  out += ",\"extrapolator\":{\"ticks\":[";
-  for (size_t i = 0; i < ex.ticks.size(); ++i) {
-    if (i > 0) out += ',';
-    AppendI64(&out, ex.ticks[i]);
-  }
-  out += "],\"values\":";
-  AppendDoubleArray(&out, ex.values);
-  out += '}';
-
-  // Supervisor state machine.
-  const SessionSupervisor::State sup = supervisor_.SaveState();
-  out += ",\"supervisor\":{\"health\":";
-  AppendU64(&out, static_cast<uint64_t>(sup.health));
-  out += ",\"consecutive_failures\":";
-  AppendU64(&out, sup.consecutive_failures);
-  out += ",\"consecutive_successes\":";
-  AppendU64(&out, sup.consecutive_successes);
-  out += ",\"transitions\":";
-  AppendU64(&out, sup.transitions);
-  out += ",\"outcome_counts\":[";
-  for (size_t i = 0; i < kNumSnapshotOutcomes; ++i) {
-    if (i > 0) out += ',';
-    AppendU64(&out, sup.outcome_counts[i]);
-  }
-  out += "],\"transition_counts\":[";
-  for (size_t from = 0; from < kNumSessionHealthStates; ++from) {
-    if (from > 0) out += ',';
-    out += '[';
-    for (size_t to = 0; to < kNumSessionHealthStates; ++to) {
-      if (to > 0) out += ',';
-      AppendU64(&out, sup.transition_counts[from][to]);
-    }
-    out += ']';
-  }
-  out += "]}";
-
-  // Estimator cross-occasion state.
-  const EstimatorState es = estimator_->SaveState();
-  out += ",\"estimator\":{\"rng\":";
-  AppendRng(&out, es.rng);
-  out += ",\"indep_rng\":";
-  AppendRng(&out, es.indep_rng);
-  out += ",\"retained_refs\":[";
-  for (size_t i = 0; i < es.retained_refs.size(); ++i) {
-    if (i > 0) out += ',';
-    out += "{\"node\":";
-    AppendU64(&out, es.retained_refs[i].node);
-    out += ",\"local\":";
-    AppendU64(&out, es.retained_refs[i].local);
-    out += '}';
-  }
-  out += "],\"retained_ys\":";
-  AppendDoubleArray(&out, es.retained_ys);
-  out += ",\"prev_mean_estimate\":";
-  AppendDouble(&out, es.prev_mean_estimate);
-  out += ",\"prev_variance\":";
-  AppendDouble(&out, es.prev_variance);
-  out += ",\"rho_hat\":";
-  AppendDouble(&out, es.rho_hat);
-  out += ",\"sigma_hat\":";
-  AppendDouble(&out, es.sigma_hat);
-  out += ",\"occasion\":";
-  AppendU64(&out, es.occasion);
-  out += ",\"last_pair_y1\":";
-  AppendDoubleArray(&out, es.last_pair_y1);
-  out += ",\"last_pair_y2\":";
-  AppendDoubleArray(&out, es.last_pair_y2);
-  out += ",\"before_update_mean\":";
-  AppendDouble(&out, es.before_update_mean);
-  out += ",\"before_update_var\":";
-  AppendDouble(&out, es.before_update_var);
-  out += ",\"after_update_mean\":";
-  AppendDouble(&out, es.after_update_mean);
-  out += ",\"after_update_var\":";
-  AppendDouble(&out, es.after_update_var);
-  out += '}';
-
-  // Tuple-sampler draw streams (stage 2 of the two-stage scheme, or the
-  // centralized exact sampler).
-  out += ",\"samplers\":{";
-  bool first_sampler = true;
-  if (two_stage_sampler_ != nullptr) {
-    out += "\"two_stage_rng\":";
-    AppendRng(&out, two_stage_sampler_->SaveRngState());
-    first_sampler = false;
-  }
-  if (exact_sampler_ != nullptr) {
-    if (!first_sampler) out += ',';
-    out += "\"exact_rng\":";
-    AppendRng(&out, exact_sampler_->SaveRngState());
-  }
-  out += '}';
-
-  // Owned sampling operators (warm agents + walk stream + hedge stats).
-  out += ",\"operators\":{\"shared\":";
-  AppendBool(&out, shared_operator_);
-  if (sampling_operator_ != nullptr) {
-    out += ",\"sampling\":";
-    AppendOperatorState(&out, sampling_operator_->SaveState());
-  }
-  if (uniform_operator_ != nullptr) {
-    out += ",\"uniform\":";
-    AppendOperatorState(&out, uniform_operator_->SaveState());
-  }
-  out += '}';
-
-  // Message meter counters.
-  if (meter_ != nullptr) {
-    out += ",\"meter\":{\"counts\":[";
+  CheckpointBlob b(*this);
+  b.engine = {reported_value_,     last_ci_halfwidth_, has_result_,
+              next_snapshot_tick_, last_tick_,         last_gap_};
+  b.stats = stats_;
+  b.extrapolator = extrapolator_.SaveState();
+  b.supervisor = supervisor_.SaveState();
+  b.estimator = estimator_->SaveState();
+  SamplerStreams& s = b.samplers;
+  if (s.has_two_stage) s.two_stage = two_stage_sampler_->SaveRngState();
+  if (s.has_exact) s.exact = exact_sampler_->SaveRngState();
+  Operators& ops = b.operators;
+  ops.shared = shared_operator_;
+  if (ops.has_sampling) ops.sampling = sampling_operator_->SaveState();
+  if (ops.has_uniform) ops.uniform = uniform_operator_->SaveState();
+  if (b.has_meter) {
     for (size_t i = 0; i < MessageMeter::kNumCategories; ++i) {
-      if (i > 0) out += ',';
-      AppendU64(&out,
-                meter_->Count(static_cast<MessageMeter::Category>(i)));
+      b.meter.counts[i] = meter_->Count(static_cast<MessageMeter::Category>(i));
     }
-    out += "],\"losses\":";
-    AppendU64(&out, meter_->losses());
-    out += '}';
+    b.meter.losses = meter_->losses();
   }
+  if (b.has_audit) b.audit = options_.auditor->SaveState();
+  if (b.has_health) b.health = options_.health->SaveState();
 
-  // Precision-audit ledger and detector state (v2; present iff an
-  // auditor is attached, so a restore into a differently-wired engine
-  // fails loudly instead of silently dropping the ledger).
-  if (options_.auditor != nullptr) {
-    out += ",\"audit\":";
-    audit::PrecisionAuditor::AppendStateJson(options_.auditor->SaveState(),
-                                             &out);
-  }
-
-  // Peer-health monitor state (v3; same presence discipline as audit).
-  if (options_.health != nullptr) {
-    out += ",\"health\":";
-    PeerHealthMonitor::AppendStateJson(options_.health->SaveState(), &out);
-  }
-
-  out += '}';
+  std::string out = ckpt::EncodeBlob(kCheckpointVersion, b);
   if (obs::Tracing(options_.tracer)) {
     options_.tracer->Emit(obs::CheckpointEvent{
         static_cast<uint64_t>(out.size()), last_tick_});
@@ -240,301 +173,44 @@ Result<std::string> DigestEngine::Checkpoint() const {
   return out;
 }
 
-Status DigestEngine::Restore(std::string_view blob) {
-  DIGEST_ASSIGN_OR_RETURN(json::Value doc, json::Parse(blob));
-  DIGEST_ASSIGN_OR_RETURN(std::string version, doc.GetString("version"));
-  if (version != kCheckpointVersion) {
-    return Status::InvalidArgument("checkpoint: unsupported version '" +
-                                   version + "' (this build reads " +
-                                   kCheckpointVersion + ")");
-  }
-
-  // Parse EVERYTHING into locals before installing anything, so a
-  // malformed blob can never leave the engine half-restored.
-  DIGEST_ASSIGN_OR_RETURN(const json::Value* eng, doc.GetObject("engine"));
-  double reported_value;
-  double last_ci;
-  bool has_result;
-  int64_t next_snapshot_tick, last_tick, last_gap;
-  DIGEST_ASSIGN_OR_RETURN(reported_value, eng->GetDouble("reported_value"));
-  DIGEST_ASSIGN_OR_RETURN(last_ci, eng->GetDouble("last_ci_halfwidth"));
-  DIGEST_ASSIGN_OR_RETURN(has_result, eng->GetBool("has_result"));
-  DIGEST_ASSIGN_OR_RETURN(next_snapshot_tick,
-                          eng->GetInt64("next_snapshot_tick"));
-  DIGEST_ASSIGN_OR_RETURN(last_tick, eng->GetInt64("last_tick"));
-  DIGEST_ASSIGN_OR_RETURN(last_gap, eng->GetInt64("last_gap"));
-
-  DIGEST_ASSIGN_OR_RETURN(const json::Value* st, doc.GetObject("stats"));
-  EngineStats stats;
-  {
-    uint64_t v;
-    DIGEST_ASSIGN_OR_RETURN(v, st->GetUInt64("ticks"));
-    stats.ticks = static_cast<size_t>(v);
-    DIGEST_ASSIGN_OR_RETURN(v, st->GetUInt64("snapshots"));
-    stats.snapshots = static_cast<size_t>(v);
-    DIGEST_ASSIGN_OR_RETURN(v, st->GetUInt64("result_updates"));
-    stats.result_updates = static_cast<size_t>(v);
-    DIGEST_ASSIGN_OR_RETURN(v, st->GetUInt64("total_samples"));
-    stats.total_samples = static_cast<size_t>(v);
-    DIGEST_ASSIGN_OR_RETURN(v, st->GetUInt64("fresh_samples"));
-    stats.fresh_samples = static_cast<size_t>(v);
-    DIGEST_ASSIGN_OR_RETURN(v, st->GetUInt64("retained_samples"));
-    stats.retained_samples = static_cast<size_t>(v);
-    DIGEST_ASSIGN_OR_RETURN(v, st->GetUInt64("degraded_ticks"));
-    stats.degraded_ticks = static_cast<size_t>(v);
-    DIGEST_ASSIGN_OR_RETURN(v, st->GetUInt64("partial_snapshots"));
-    stats.partial_snapshots = static_cast<size_t>(v);
-  }
-
-  DIGEST_ASSIGN_OR_RETURN(const json::Value* ex,
-                          doc.GetObject("extrapolator"));
-  Extrapolator::State ex_state;
-  {
-    DIGEST_ASSIGN_OR_RETURN(const json::Value* ticks, ex->GetArray("ticks"));
-    ex_state.ticks.reserve(ticks->array().size());
-    for (const json::Value& v : ticks->array()) {
-      DIGEST_ASSIGN_OR_RETURN(int64_t t, v.AsInt64());
-      ex_state.ticks.push_back(t);
-    }
-    DIGEST_ASSIGN_OR_RETURN(ex_state.values,
-                            ParseDoubleArray(*ex, "values"));
-    if (ex_state.ticks.size() != ex_state.values.size()) {
-      return Status::InvalidArgument(
-          "checkpoint: extrapolator ticks/values length mismatch");
-    }
-  }
-
-  DIGEST_ASSIGN_OR_RETURN(const json::Value* sup,
-                          doc.GetObject("supervisor"));
-  SessionSupervisor::State sup_state;
-  {
-    uint64_t health;
-    DIGEST_ASSIGN_OR_RETURN(health, sup->GetUInt64("health"));
-    if (health >= kNumSessionHealthStates) {
-      return Status::InvalidArgument(
-          "checkpoint: supervisor health out of range");
-    }
-    sup_state.health = static_cast<SessionHealth>(health);
-    DIGEST_ASSIGN_OR_RETURN(sup_state.consecutive_failures,
-                            sup->GetUInt64("consecutive_failures"));
-    DIGEST_ASSIGN_OR_RETURN(sup_state.consecutive_successes,
-                            sup->GetUInt64("consecutive_successes"));
-    DIGEST_ASSIGN_OR_RETURN(sup_state.transitions,
-                            sup->GetUInt64("transitions"));
-    DIGEST_ASSIGN_OR_RETURN(const json::Value* outcomes,
-                            sup->GetArray("outcome_counts"));
-    if (outcomes->array().size() != kNumSnapshotOutcomes) {
-      return Status::InvalidArgument(
-          "checkpoint: supervisor outcome_counts length mismatch");
-    }
-    for (size_t i = 0; i < kNumSnapshotOutcomes; ++i) {
-      DIGEST_ASSIGN_OR_RETURN(sup_state.outcome_counts[i],
-                              outcomes->array()[i].AsUInt64());
-    }
-    DIGEST_ASSIGN_OR_RETURN(const json::Value* trans,
-                            sup->GetArray("transition_counts"));
-    if (trans->array().size() != kNumSessionHealthStates) {
-      return Status::InvalidArgument(
-          "checkpoint: supervisor transition_counts length mismatch");
-    }
-    for (size_t from = 0; from < kNumSessionHealthStates; ++from) {
-      const json::Value& row = trans->array()[from];
-      if (!row.is_array() ||
-          row.array().size() != kNumSessionHealthStates) {
-        return Status::InvalidArgument(
-            "checkpoint: supervisor transition_counts row mismatch");
-      }
-      for (size_t to = 0; to < kNumSessionHealthStates; ++to) {
-        DIGEST_ASSIGN_OR_RETURN(sup_state.transition_counts[from][to],
-                                row.array()[to].AsUInt64());
-      }
-    }
-  }
-
-  DIGEST_ASSIGN_OR_RETURN(const json::Value* est,
-                          doc.GetObject("estimator"));
-  EstimatorState est_state;
-  {
-    DIGEST_ASSIGN_OR_RETURN(const json::Value* rng, est->GetObject("rng"));
-    DIGEST_ASSIGN_OR_RETURN(est_state.rng, ParseRng(*rng));
-    DIGEST_ASSIGN_OR_RETURN(const json::Value* irng,
-                            est->GetObject("indep_rng"));
-    DIGEST_ASSIGN_OR_RETURN(est_state.indep_rng, ParseRng(*irng));
-    DIGEST_ASSIGN_OR_RETURN(const json::Value* refs,
-                            est->GetArray("retained_refs"));
-    est_state.retained_refs.reserve(refs->array().size());
-    for (const json::Value& r : refs->array()) {
-      TupleRef ref;
-      uint64_t node;
-      DIGEST_ASSIGN_OR_RETURN(node, r.GetUInt64("node"));
-      ref.node = static_cast<NodeId>(node);
-      DIGEST_ASSIGN_OR_RETURN(ref.local, r.GetUInt64("local"));
-      est_state.retained_refs.push_back(ref);
-    }
-    DIGEST_ASSIGN_OR_RETURN(est_state.retained_ys,
-                            ParseDoubleArray(*est, "retained_ys"));
-    if (est_state.retained_refs.size() != est_state.retained_ys.size()) {
-      return Status::InvalidArgument(
-          "checkpoint: retained refs/ys length mismatch");
-    }
-    DIGEST_ASSIGN_OR_RETURN(est_state.prev_mean_estimate,
-                            est->GetDouble("prev_mean_estimate"));
-    DIGEST_ASSIGN_OR_RETURN(est_state.prev_variance,
-                            est->GetDouble("prev_variance"));
-    DIGEST_ASSIGN_OR_RETURN(est_state.rho_hat, est->GetDouble("rho_hat"));
-    DIGEST_ASSIGN_OR_RETURN(est_state.sigma_hat,
-                            est->GetDouble("sigma_hat"));
-    DIGEST_ASSIGN_OR_RETURN(est_state.occasion,
-                            est->GetUInt64("occasion"));
-    DIGEST_ASSIGN_OR_RETURN(est_state.last_pair_y1,
-                            ParseDoubleArray(*est, "last_pair_y1"));
-    DIGEST_ASSIGN_OR_RETURN(est_state.last_pair_y2,
-                            ParseDoubleArray(*est, "last_pair_y2"));
-    DIGEST_ASSIGN_OR_RETURN(est_state.before_update_mean,
-                            est->GetDouble("before_update_mean"));
-    DIGEST_ASSIGN_OR_RETURN(est_state.before_update_var,
-                            est->GetDouble("before_update_var"));
-    DIGEST_ASSIGN_OR_RETURN(est_state.after_update_mean,
-                            est->GetDouble("after_update_mean"));
-    DIGEST_ASSIGN_OR_RETURN(est_state.after_update_var,
-                            est->GetDouble("after_update_var"));
-  }
-
-  DIGEST_ASSIGN_OR_RETURN(const json::Value* samplers,
-                          doc.GetObject("samplers"));
-  bool have_two_stage_rng = false, have_exact_rng = false;
-  Rng::State two_stage_rng, exact_rng;
-  if (const json::Value* v = samplers->Find("two_stage_rng")) {
-    DIGEST_ASSIGN_OR_RETURN(two_stage_rng, ParseRng(*v));
-    have_two_stage_rng = true;
-  }
-  if (const json::Value* v = samplers->Find("exact_rng")) {
-    DIGEST_ASSIGN_OR_RETURN(exact_rng, ParseRng(*v));
-    have_exact_rng = true;
-  }
-  if (have_two_stage_rng != (two_stage_sampler_ != nullptr) ||
-      have_exact_rng != (exact_sampler_ != nullptr)) {
-    return Status::InvalidArgument(
-        "checkpoint: sampler kind does not match this engine's "
-        "construction");
-  }
-
-  DIGEST_ASSIGN_OR_RETURN(const json::Value* ops,
-                          doc.GetObject("operators"));
-  bool was_shared;
-  DIGEST_ASSIGN_OR_RETURN(was_shared, ops->GetBool("shared"));
-  if (was_shared != shared_operator_) {
+Status DigestEngine::Restore(std::string_view text) {
+  CheckpointBlob b(*this);
+  DIGEST_RETURN_IF_ERROR(ckpt::DecodeBlob(text, kCheckpointVersion, &b));
+  if (b.operators.shared != shared_operator_) {
     return Status::InvalidArgument(
         "checkpoint: shared-operator topology does not match (the owner "
         "of a shared operator checkpoints it separately)");
   }
-  bool have_sampling_op = false, have_uniform_op = false;
-  SamplingOperator::State sampling_op_state, uniform_op_state;
-  if (const json::Value* v = ops->Find("sampling")) {
-    DIGEST_ASSIGN_OR_RETURN(sampling_op_state, ParseOperatorState(*v));
-    have_sampling_op = true;
-  }
-  if (const json::Value* v = ops->Find("uniform")) {
-    DIGEST_ASSIGN_OR_RETURN(uniform_op_state, ParseOperatorState(*v));
-    have_uniform_op = true;
-  }
-  if (have_sampling_op != (sampling_operator_ != nullptr) ||
-      have_uniform_op != (uniform_operator_ != nullptr)) {
-    return Status::InvalidArgument(
-        "checkpoint: operator topology does not match this engine's "
-        "construction");
-  }
 
-  bool have_meter = false;
-  uint64_t meter_counts[MessageMeter::kNumCategories] = {};
-  uint64_t meter_losses = 0;
-  if (const json::Value* m = doc.Find("meter")) {
-    DIGEST_ASSIGN_OR_RETURN(const json::Value* counts,
-                            m->GetArray("counts"));
-    if (counts->array().size() != MessageMeter::kNumCategories) {
-      return Status::InvalidArgument(
-          "checkpoint: meter category count mismatch (blob from a "
-          "different build?)");
-    }
-    for (size_t i = 0; i < MessageMeter::kNumCategories; ++i) {
-      DIGEST_ASSIGN_OR_RETURN(meter_counts[i],
-                              counts->array()[i].AsUInt64());
-    }
-    DIGEST_ASSIGN_OR_RETURN(meter_losses, m->GetUInt64("losses"));
-    have_meter = true;
-  }
-
-  bool have_audit = false;
-  audit::PrecisionAuditor::State audit_state;
-  if (const json::Value* a = doc.Find("audit")) {
-    DIGEST_ASSIGN_OR_RETURN(audit_state,
-                            audit::PrecisionAuditor::ParseStateJson(*a));
-    have_audit = true;
-  }
-  if (have_audit != (options_.auditor != nullptr)) {
-    return Status::InvalidArgument(
-        have_audit
-            ? "checkpoint: blob carries audit state but this engine has "
-              "no auditor attached"
-            : "checkpoint: engine has an auditor attached but the blob "
-              "carries no audit state");
-  }
-
-  bool have_health = false;
-  PeerHealthMonitor::State health_state;
-  if (const json::Value* h = doc.Find("health")) {
-    DIGEST_ASSIGN_OR_RETURN(health_state,
-                            PeerHealthMonitor::ParseStateJson(*h));
-    have_health = true;
-  }
-  if (have_health != (options_.health != nullptr)) {
-    return Status::InvalidArgument(
-        have_health
-            ? "checkpoint: blob carries peer-health state but this "
-              "engine has no monitor attached"
-            : "checkpoint: engine has a peer-health monitor attached "
-              "but the blob carries no health state");
-  }
-
-  // All parsed and validated — install.
-  reported_value_ = reported_value;
-  last_ci_halfwidth_ = last_ci;
-  has_result_ = has_result;
-  next_snapshot_tick_ = next_snapshot_tick;
-  last_tick_ = last_tick;
-  last_gap_ = last_gap;
-  stats_ = stats;
-  extrapolator_.RestoreState(ex_state);
-  supervisor_.RestoreState(sup_state);
-  estimator_->RestoreState(est_state);
-  if (two_stage_sampler_ != nullptr) {
-    two_stage_sampler_->RestoreRngState(two_stage_rng);
-  }
-  if (exact_sampler_ != nullptr) {
-    exact_sampler_->RestoreRngState(exact_rng);
-  }
-  if (sampling_operator_ != nullptr) {
-    sampling_operator_->RestoreState(sampling_op_state);
-  }
-  if (uniform_operator_ != nullptr) {
-    uniform_operator_->RestoreState(uniform_op_state);
-  }
-  if (have_meter && meter_ != nullptr) {
+  // All decoded and validated — install.
+  reported_value_ = b.engine.reported_value;
+  last_ci_halfwidth_ = b.engine.last_ci_halfwidth;
+  has_result_ = b.engine.has_result;
+  next_snapshot_tick_ = b.engine.next_snapshot_tick;
+  last_tick_ = b.engine.last_tick;
+  last_gap_ = b.engine.last_gap;
+  stats_ = b.stats;
+  extrapolator_.RestoreState(b.extrapolator);
+  supervisor_.RestoreState(b.supervisor);
+  estimator_->RestoreState(b.estimator);
+  const SamplerStreams& s = b.samplers;
+  if (s.has_two_stage) two_stage_sampler_->RestoreRngState(s.two_stage);
+  if (s.has_exact) exact_sampler_->RestoreRngState(s.exact);
+  const Operators& ops = b.operators;
+  if (ops.has_sampling) sampling_operator_->RestoreState(ops.sampling);
+  if (ops.has_uniform) uniform_operator_->RestoreState(ops.uniform);
+  if (b.has_meter) {
     for (size_t i = 0; i < MessageMeter::kNumCategories; ++i) {
       meter_->RestoreCount(static_cast<MessageMeter::Category>(i),
-                           meter_counts[i]);
+                           b.meter.counts[i]);
     }
-    meter_->RestoreLosses(meter_losses);
+    meter_->RestoreLosses(b.meter.losses);
   }
-  if (have_audit) {
-    options_.auditor->RestoreState(audit_state);
-  }
-  if (have_health) {
-    options_.health->RestoreState(health_state);
-  }
+  if (b.has_audit) options_.auditor->RestoreState(b.audit);
+  if (b.has_health) options_.health->RestoreState(b.health);
   if (obs::Tracing(options_.tracer)) {
     options_.tracer->Emit(obs::RestoreEvent{
-        static_cast<uint64_t>(blob.size()), last_tick_});
+        static_cast<uint64_t>(text.size()), last_tick_});
   }
   return Status::OK();
 }

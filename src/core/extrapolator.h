@@ -83,6 +83,15 @@ class Extrapolator {
   struct State {
     std::vector<int64_t> ticks;
     std::vector<double> values;
+
+    /// Checkpoint field list (common/checkpoint_codec.h).
+    template <class V>
+    void Fields(V& v) {
+      v("ticks", ticks);
+      v("values", values);
+      v.Check([&] { return ticks.size() == values.size(); },
+              "ticks/values length mismatch");
+    }
   };
   State SaveState() const {
     State s;

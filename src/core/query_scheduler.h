@@ -86,6 +86,16 @@ struct QueryCost {
   uint64_t snapshots = 0;    ///< Sampling occasions opened.
   uint64_t coalesced = 0;    ///< Occasions served from a shared batch.
   uint64_t messages = 0;     ///< Meter delta attributed to this query.
+
+  /// Checkpoint field list (common/checkpoint_codec.h).
+  template <class V>
+  void Fields(V& v) {
+    v("epsilon", epsilon);
+    v("ticks", ticks);
+    v("snapshots", snapshots);
+    v("coalesced", coalesced);
+    v("messages", messages);
+  }
 };
 
 /// Orders and accounts the node's tick work. Scheduling policy: due

@@ -1,15 +1,21 @@
 #include "core/sampling_plan.h"
 
 #include <cmath>
+#include <cstdint>
 
 namespace digest {
 namespace {
 
 constexpr double kMaxPlanningRho = 0.99;
 
+// ceil(x) as a sample size: at least 1, and SIZE_MAX past the size_t
+// range (where the cast is undefined, and yields 0 on x86-64), so the
+// estimators' max_samples cap applies instead of the pilot floor.
 size_t CeilPositive(double x) {
   if (!(x > 0.0)) return 1;
-  return static_cast<size_t>(std::ceil(x));
+  const double n = std::ceil(x);
+  if (n >= static_cast<double>(SIZE_MAX)) return SIZE_MAX;
+  return static_cast<size_t>(n);
 }
 
 }  // namespace

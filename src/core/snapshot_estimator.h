@@ -177,6 +177,28 @@ struct EstimatorState {
   double before_update_var = 0.0;
   double after_update_mean = 0.0;
   double after_update_var = 0.0;
+
+  /// Checkpoint field list (common/checkpoint_codec.h).
+  template <class V>
+  void Fields(V& v) {
+    v("rng", rng);
+    v("indep_rng", indep_rng);
+    v("retained_refs", retained_refs);
+    v("retained_ys", retained_ys);
+    v("prev_mean_estimate", prev_mean_estimate);
+    v("prev_variance", prev_variance);
+    v("rho_hat", rho_hat);
+    v("sigma_hat", sigma_hat);
+    v("occasion", occasion);
+    v("last_pair_y1", last_pair_y1);
+    v("last_pair_y2", last_pair_y2);
+    v("before_update_mean", before_update_mean);
+    v("before_update_var", before_update_var);
+    v("after_update_mean", after_update_mean);
+    v("after_update_var", after_update_var);
+    v.Check([&] { return retained_refs.size() == retained_ys.size(); },
+            "retained refs/ys length mismatch");
+  }
 };
 
 /// A snapshot-query evaluator: called once per sampling occasion by the

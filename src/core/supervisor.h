@@ -127,6 +127,17 @@ class SessionSupervisor {
     uint64_t outcome_counts[kNumSnapshotOutcomes] = {0, 0, 0, 0};
     uint64_t transition_counts[kNumSessionHealthStates]
                               [kNumSessionHealthStates] = {};
+
+    /// Checkpoint field list (common/checkpoint_codec.h).
+    template <class V>
+    void Fields(V& v) {
+      v("health", health, kNumSessionHealthStates);
+      v("consecutive_failures", consecutive_failures);
+      v("consecutive_successes", consecutive_successes);
+      v("transitions", transitions);
+      v("outcome_counts", outcome_counts);
+      v("transition_counts", transition_counts);
+    }
   };
   State SaveState() const;
   void RestoreState(const State& state);

@@ -23,6 +23,13 @@ struct TupleRef {
   friend bool operator==(const TupleRef& a, const TupleRef& b) {
     return a.node == b.node && a.local == b.local;
   }
+
+  /// Checkpoint field list (common/checkpoint_codec.h).
+  template <class V>
+  void Fields(V& v) {
+    v("node", node);
+    v("local", local);
+  }
 };
 
 /// The peer-to-peer database: a single relation R horizontally

@@ -5,15 +5,11 @@
 #include <cstdio>
 #include <map>
 
+#include "common/strings.h"
+
 namespace digest {
 namespace diag {
 namespace {
-
-std::string Num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 void Field(std::string* out, const char* key, const std::string& value) {
   if (out->back() != '{') out->push_back(',');
@@ -278,26 +274,26 @@ void SamplerDiag::Reset() {
 std::string SamplerDiag::SummaryJson() const {
   std::string out = "{";
   Field(&out, "acceptance_rate",
-        Num(proposals_ > 0 ? static_cast<double>(accepted_) /
+        FormatDouble(proposals_ > 0 ? static_cast<double>(accepted_) /
                                  static_cast<double>(proposals_)
                            : 0.0));
   Field(&out, "accepted", accepted_);
   Field(&out, "batches", batches_);
   Field(&out, "breaches", breaches_);
   Field(&out, "dropped_dead_visits", dropped_dead_visits_);
-  Field(&out, "ess_last", Num(last_batch_.ess));
+  Field(&out, "ess_last", FormatDouble(last_batch_.ess));
   Field(&out, "hot_batches", hot_batches_);
   Field(&out, "hot_peer_last", static_cast<uint64_t>(last_batch_.hot_peer));
-  Field(&out, "lag1_last", Num(last_batch_.lag1_autocorr));
+  Field(&out, "lag1_last", FormatDouble(last_batch_.lag1_autocorr));
   Field(&out, "live_visits", live_visits_);
   Field(&out, "max_load_last", last_batch_.max_load);
   Field(&out, "proposals", proposals_);
-  Field(&out, "rhat_last", Num(last_batch_.rhat));
+  Field(&out, "rhat_last", FormatDouble(last_batch_.rhat));
   Field(&out, "steps", steps_);
-  Field(&out, "tv_last", Num(last_batch_.tv_distance));
-  Field(&out, "tv_max", Num(tv_max_));
+  Field(&out, "tv_last", FormatDouble(last_batch_.tv_distance));
+  Field(&out, "tv_max", FormatDouble(tv_max_));
   Field(&out, "tv_mean",
-        Num(batches_ > 0 ? tv_sum_ / static_cast<double>(batches_) : 0.0));
+        FormatDouble(batches_ > 0 ? tv_sum_ / static_cast<double>(batches_) : 0.0));
   Field(&out, "walks", walks_);
   out.push_back('}');
   return out;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "common/json.h"
 #include "common/strings.h"
 
 namespace digest {
@@ -14,79 +13,6 @@ namespace {
 // detector under an exponential inter-arrival model — phi = k means
 // "the chance this peer is merely slow is 10^-k".
 constexpr double kLn10 = 2.302585092994045684;
-
-void AppendDouble(std::string* out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  *out += buf;
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  // Checkpoint convention: uint64 counters ride as decimal strings
-  // (exact for the full range; see engine_checkpoint.cc).
-  *out += '"';
-  *out += std::to_string(v);
-  *out += '"';
-}
-
-void AppendBool(std::string* out, bool v) { *out += v ? "true" : "false"; }
-
-void AppendPeerJson(std::string* out, const PeerHealthMonitor::PeerState& p) {
-  *out += "{\"peer\":";
-  *out += std::to_string(p.peer);
-  *out += ",\"breaker\":";
-  *out += std::to_string(p.breaker);
-  *out += ",\"mean_interval\":";
-  AppendDouble(out, p.mean_interval);
-  *out += ",\"has_success\":";
-  AppendBool(out, p.has_success);
-  *out += ",\"last_success\":";
-  *out += std::to_string(p.last_success);
-  *out += ",\"consecutive_failures\":";
-  AppendU64(out, p.consecutive_failures);
-  *out += ",\"suspect_latched\":";
-  AppendBool(out, p.suspect_latched);
-  *out += ",\"open_until\":";
-  *out += std::to_string(p.open_until);
-  *out += ",\"trial_outcomes\":";
-  AppendU64(out, p.trial_outcomes);
-  *out += ",\"trial_successes\":";
-  AppendU64(out, p.trial_successes);
-  *out += ",\"successes\":";
-  AppendU64(out, p.peer_successes);
-  *out += ",\"failures\":";
-  AppendU64(out, p.peer_failures);
-  *out += '}';
-}
-
-Result<PeerHealthMonitor::PeerState> ParsePeerJson(const json::Value& v) {
-  PeerHealthMonitor::PeerState p;
-  uint64_t peer;
-  DIGEST_ASSIGN_OR_RETURN(peer, v.GetUInt64("peer"));
-  if (peer >= static_cast<uint64_t>(kInvalidNode)) {
-    return Status::InvalidArgument("health: peer id out of range");
-  }
-  p.peer = static_cast<NodeId>(peer);
-  int64_t breaker;
-  DIGEST_ASSIGN_OR_RETURN(breaker, v.GetInt64("breaker"));
-  if (breaker < 0 || breaker > 2) {
-    return Status::InvalidArgument("health: breaker state out of range");
-  }
-  p.breaker = static_cast<int>(breaker);
-  DIGEST_ASSIGN_OR_RETURN(p.mean_interval, v.GetDouble("mean_interval"));
-  DIGEST_ASSIGN_OR_RETURN(p.has_success, v.GetBool("has_success"));
-  DIGEST_ASSIGN_OR_RETURN(p.last_success, v.GetInt64("last_success"));
-  DIGEST_ASSIGN_OR_RETURN(p.consecutive_failures,
-                          v.GetUInt64("consecutive_failures"));
-  DIGEST_ASSIGN_OR_RETURN(p.suspect_latched, v.GetBool("suspect_latched"));
-  DIGEST_ASSIGN_OR_RETURN(p.open_until, v.GetInt64("open_until"));
-  DIGEST_ASSIGN_OR_RETURN(p.trial_outcomes, v.GetUInt64("trial_outcomes"));
-  DIGEST_ASSIGN_OR_RETURN(p.trial_successes,
-                          v.GetUInt64("trial_successes"));
-  DIGEST_ASSIGN_OR_RETURN(p.peer_successes, v.GetUInt64("successes"));
-  DIGEST_ASSIGN_OR_RETURN(p.peer_failures, v.GetUInt64("failures"));
-  return p;
-}
 
 }  // namespace
 
@@ -500,79 +426,6 @@ void PeerHealthMonitor::RestoreState(const State& state) {
   degrade_latched_ = state.degrade_latched;
   pending_flips_ = state.pending_flips;
   quarantine_since_read_ = state.quarantine_since_read;
-}
-
-void PeerHealthMonitor::AppendStateJson(const State& s, std::string* out) {
-  *out += "{\"now\":";
-  *out += std::to_string(s.now);
-  *out += ",\"outcomes\":";
-  AppendU64(out, s.outcomes_folded);
-  *out += ",\"successes\":";
-  AppendU64(out, s.successes);
-  *out += ",\"failures\":";
-  AppendU64(out, s.failures);
-  *out += ",\"suspects\":";
-  AppendU64(out, s.suspects);
-  *out += ",\"breaker_transitions\":";
-  AppendU64(out, s.breaker_transitions);
-  *out += ",\"opens\":";
-  AppendU64(out, s.opens);
-  *out += ",\"reopens\":";
-  AppendU64(out, s.reopens);
-  *out += ",\"closes\":";
-  AppendU64(out, s.closes);
-  *out += ",\"batches\":";
-  AppendU64(out, s.batches);
-  *out += ",\"population\":";
-  AppendU64(out, s.population);
-  *out += ",\"degrade_latched\":";
-  AppendBool(out, s.degrade_latched);
-  *out += ",\"pending_flips\":";
-  AppendU64(out, s.pending_flips);
-  *out += ",\"quarantine_since_read\":";
-  AppendBool(out, s.quarantine_since_read);
-  *out += ",\"peers\":[";
-  for (size_t i = 0; i < s.peers.size(); ++i) {
-    if (i > 0) *out += ',';
-    AppendPeerJson(out, s.peers[i]);
-  }
-  *out += "]}";
-}
-
-Result<PeerHealthMonitor::State> PeerHealthMonitor::ParseStateJson(
-    const json::Value& v) {
-  State s;
-  DIGEST_ASSIGN_OR_RETURN(s.now, v.GetInt64("now"));
-  DIGEST_ASSIGN_OR_RETURN(s.outcomes_folded, v.GetUInt64("outcomes"));
-  DIGEST_ASSIGN_OR_RETURN(s.successes, v.GetUInt64("successes"));
-  DIGEST_ASSIGN_OR_RETURN(s.failures, v.GetUInt64("failures"));
-  DIGEST_ASSIGN_OR_RETURN(s.suspects, v.GetUInt64("suspects"));
-  DIGEST_ASSIGN_OR_RETURN(s.breaker_transitions,
-                          v.GetUInt64("breaker_transitions"));
-  DIGEST_ASSIGN_OR_RETURN(s.opens, v.GetUInt64("opens"));
-  DIGEST_ASSIGN_OR_RETURN(s.reopens, v.GetUInt64("reopens"));
-  DIGEST_ASSIGN_OR_RETURN(s.closes, v.GetUInt64("closes"));
-  DIGEST_ASSIGN_OR_RETURN(s.batches, v.GetUInt64("batches"));
-  DIGEST_ASSIGN_OR_RETURN(s.population, v.GetUInt64("population"));
-  DIGEST_ASSIGN_OR_RETURN(s.degrade_latched, v.GetBool("degrade_latched"));
-  DIGEST_ASSIGN_OR_RETURN(s.pending_flips, v.GetUInt64("pending_flips"));
-  DIGEST_ASSIGN_OR_RETURN(s.quarantine_since_read,
-                          v.GetBool("quarantine_since_read"));
-  DIGEST_ASSIGN_OR_RETURN(const json::Value* peers, v.GetArray("peers"));
-  s.peers.reserve(peers->array().size());
-  NodeId last = 0;
-  bool first = true;
-  for (const json::Value& pv : peers->array()) {
-    DIGEST_ASSIGN_OR_RETURN(PeerState p, ParsePeerJson(pv));
-    if (!first && p.peer <= last) {
-      return Status::InvalidArgument(
-          "health: peers must be strictly ascending by id");
-    }
-    first = false;
-    last = p.peer;
-    s.peers.push_back(p);
-  }
-  return s;
 }
 
 }  // namespace digest

@@ -36,20 +36,18 @@
 // src/diag TV gate), so steering trades coverage of the quarantined
 // peer for unbiasedness over everyone else.
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
-#include "common/result.h"
 #include "common/status.h"
 #include "net/graph.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 
 namespace digest {
-namespace json {
-class Value;
-}  // namespace json
 
 /// Tuning for the phi detector and the breaker state machine. The
 /// defaults suit tick-granular virtual time where a peer sees a handful
@@ -108,6 +106,8 @@ enum class BreakerState : int {
   kOpen = 1,      ///< Quarantined: removed from proposal distributions.
   kHalfOpen = 2,  ///< Trial: routed again, first outcomes decide.
 };
+
+constexpr int kNumBreakerStates = 3;
 
 /// Stable lower-snake name (trace events, reports).
 const char* BreakerStateName(BreakerState state);
@@ -261,6 +261,23 @@ class PeerHealthMonitor {
     uint64_t trial_successes = 0;
     uint64_t peer_successes = 0;
     uint64_t peer_failures = 0;
+
+    /// Checkpoint field list (common/checkpoint_codec.h).
+    template <class V>
+    void Fields(V& v) {
+      v.Index("peer", peer, kInvalidNode);
+      v.Index("breaker", breaker, kNumBreakerStates);
+      v("mean_interval", mean_interval);
+      v("has_success", has_success);
+      v("last_success", last_success);
+      v("consecutive_failures", consecutive_failures);
+      v("suspect_latched", suspect_latched);
+      v("open_until", open_until);
+      v("trial_outcomes", trial_outcomes);
+      v("trial_successes", trial_successes);
+      v("successes", peer_successes);
+      v("failures", peer_failures);
+    }
   };
   struct State {
     int64_t now = 0;
@@ -278,16 +295,35 @@ class PeerHealthMonitor {
     bool degrade_latched = false;
     uint64_t pending_flips = 0;
     bool quarantine_since_read = false;
+
+    /// Checkpoint field list (common/checkpoint_codec.h).
+    template <class V>
+    void Fields(V& v) {
+      v("now", now);
+      v("outcomes", outcomes_folded);
+      v("successes", successes);
+      v("failures", failures);
+      v("suspects", suspects);
+      v("breaker_transitions", breaker_transitions);
+      v("opens", opens);
+      v("reopens", reopens);
+      v("closes", closes);
+      v("batches", batches);
+      v("population", population);
+      v("degrade_latched", degrade_latched);
+      v("pending_flips", pending_flips);
+      v("quarantine_since_read", quarantine_since_read);
+      v("peers", peers);
+      v.Check(
+          [&] {
+            return std::ranges::adjacent_find(peers, std::greater_equal<>(),
+                                              &PeerState::peer) == peers.end();
+          },
+          "peers must be strictly ascending by id");
+    }
   };
   State SaveState() const;
   void RestoreState(const State& state);
-
-  /// JSON codec for State, used by the engine checkpoint. Append emits
-  /// a stable object; Parse validates everything before returning (so
-  /// the engine's parse-all-then-install discipline extends to health
-  /// state).
-  static void AppendStateJson(const State& state, std::string* out);
-  static Result<State> ParseStateJson(const json::Value& value);
 
  private:
   struct Peer {

@@ -110,6 +110,14 @@ class Rng {
     uint64_t words[4] = {0, 0, 0, 0};
     bool has_spare_gaussian = false;
     double spare_gaussian = 0.0;
+
+    /// Checkpoint field list (common/checkpoint_codec.h).
+    template <class V>
+    void Fields(V& v) {
+      v("words", words);
+      v("has_spare_gaussian", has_spare_gaussian);
+      v("spare_gaussian", spare_gaussian);
+    }
   };
 
   State SaveState() const {

@@ -10,12 +10,7 @@ namespace digest {
 namespace obs {
 namespace {
 
-std::string Num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
+std::string Num(double v) { return FormatDouble(v); }
 std::string Num(uint64_t v) { return std::to_string(v); }
 std::string Num(int64_t v) { return std::to_string(v); }
 

@@ -1,19 +1,12 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/strings.h"
 
 namespace digest {
 namespace obs {
 namespace {
-
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 void AppendJsonString(std::string* out, const std::string& s) {
   out->push_back('"');

@@ -205,8 +205,13 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
     const uint64_t planned =
         static_cast<uint64_t>(warm) * reset_len +
         static_cast<uint64_t>(n - warm) * walk_len;
-    budget = static_cast<uint64_t>(std::ceil(
-        options_.retry.hop_budget_factor * static_cast<double>(planned)));
+    const double cap = std::ceil(options_.retry.hop_budget_factor *
+                                 static_cast<double>(planned));
+    // Saturate: past the uint64 range (a factor of +inf included) the
+    // cast is undefined, and a wrapped 0 would cut every batch.
+    budget = cap >= static_cast<double>(UINT64_MAX)
+                 ? UINT64_MAX
+                 : static_cast<uint64_t>(cap);
   }
   const bool tracing = obs::Tracing(in.tracer);
   if (tracing) {

@@ -209,6 +209,17 @@ class SamplingOperator {
     uint64_t done_walks = 0;
     uint64_t done_attempts = 0;
     uint64_t done_steps = 0;
+
+    /// Checkpoint field list (common/checkpoint_codec.h).
+    template <class V>
+    void Fields(V& v) {
+      v("agent_positions", agent_positions);
+      v("next_agent", next_agent);
+      v("rng", rng);
+      v("done_walks", done_walks);
+      v("done_attempts", done_attempts);
+      v("done_steps", done_steps);
+    }
   };
   State SaveState() const;
   void RestoreState(const State& state);

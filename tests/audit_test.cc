@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "audit/audit.h"
+#include "common/checkpoint_codec.h"
 #include "common/json.h"
 #include "core/engine.h"
 #include "core/supervisor.h"
@@ -278,16 +279,16 @@ TEST(PrecisionAuditorTest, StateJsonRoundTrips) {
   const PrecisionAuditor::State state = auditor.SaveState();
   EXPECT_TRUE(state.pending_snapshot);
   std::string encoded;
-  PrecisionAuditor::AppendStateJson(state, &encoded);
+  ckpt::Encode(&encoded, state);
   const Result<json::Value> parsed = json::Parse(encoded);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const Result<PrecisionAuditor::State> decoded =
-      PrecisionAuditor::ParseStateJson(parsed.value());
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  PrecisionAuditor::State decoded;
+  const Status read = ckpt::Decode(parsed.value(), &decoded);
+  ASSERT_TRUE(read.ok()) << read.ToString();
 
   PrecisionAuditor restored;
   restored.AttachContract(1.0, 2.0, 0.9);
-  restored.RestoreState(decoded.value());
+  restored.RestoreState(decoded);
   EXPECT_EQ(restored.SummaryJson(), auditor.SummaryJson());
   // The breached record survived the round trip with flag and cause.
   ASSERT_FALSE(restored.records().empty());
@@ -301,18 +302,17 @@ TEST(PrecisionAuditorTest, StateJsonRoundTrips) {
   EXPECT_EQ(restored.SummaryJson(), auditor.SummaryJson());
   // Re-encoding the restored state is byte-identical.
   std::string re_encoded;
-  PrecisionAuditor::AppendStateJson(restored.SaveState(), &re_encoded);
+  ckpt::Encode(&re_encoded, restored.SaveState());
   std::string original_after;
-  PrecisionAuditor::AppendStateJson(auditor.SaveState(), &original_after);
+  ckpt::Encode(&original_after, auditor.SaveState());
   EXPECT_EQ(re_encoded, original_after);
 }
 
 TEST(PrecisionAuditorTest, ParseStateJsonRejectsMalformedInput) {
   const Result<json::Value> not_object = json::Parse("[1,2]");
   ASSERT_TRUE(not_object.ok());
-  EXPECT_EQ(PrecisionAuditor::ParseStateJson(not_object.value())
-                .status()
-                .code(),
+  PrecisionAuditor::State decoded;
+  EXPECT_EQ(ckpt::Decode(not_object.value(), &decoded).code(),
             StatusCode::kInvalidArgument);
   // A record with an out-of-range cause index must not install.
   PrecisionAuditor::State state;
@@ -320,12 +320,11 @@ TEST(PrecisionAuditorTest, ParseStateJsonRejectsMalformedInput) {
   bad.cause = static_cast<MissCause>(99);
   state.records.push_back(bad);
   std::string encoded;
-  PrecisionAuditor::AppendStateJson(state, &encoded);
+  ckpt::Encode(&encoded, state);
   const Result<json::Value> parsed = json::Parse(encoded);
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(
-      PrecisionAuditor::ParseStateJson(parsed.value()).status().code(),
-      StatusCode::kInvalidArgument);
+  EXPECT_EQ(ckpt::Decode(parsed.value(), &decoded).code(),
+            StatusCode::kInvalidArgument);
 }
 
 // --- Engine-level checkpoint-v2 integration ---

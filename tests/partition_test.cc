@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/checkpoint_codec.h"
 #include "core/engine.h"
 #include "core/metrics.h"
 #include "db/p2p_database.h"
@@ -127,7 +128,7 @@ struct DriveResult {
   uint64_t closes = 0;
   double flap_rate = 0.0;
   std::string health_summary;  ///< PeerHealthMonitor::SummaryJson().
-  std::string health_state;    ///< AppendStateJson(SaveState()).
+  std::string health_state;    ///< ckpt::Encode of SaveState().
 };
 
 Result<DriveResult> Drive(const DriveConfig& cfg) {
@@ -220,8 +221,7 @@ Result<DriveResult> Drive(const DriveConfig& cfg) {
   out.closes = monitor.closes();
   out.flap_rate = monitor.FlapRate();
   out.health_summary = monitor.SummaryJson();
-  PeerHealthMonitor::AppendStateJson(monitor.SaveState(),
-                                     &out.health_state);
+  ckpt::Encode(&out.health_state, monitor.SaveState());
   return out;
 }
 

@@ -9,6 +9,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/checkpoint_codec.h"
 #include "common/json.h"
 #include "net/peer_health.h"
 #include "obs/tracer.h"
@@ -315,20 +316,20 @@ TEST(PeerHealthTest, StateCodecRoundTripsByteIdentically) {
 
   const PeerHealthMonitor::State state = original.SaveState();
   std::string encoded;
-  PeerHealthMonitor::AppendStateJson(state, &encoded);
+  ckpt::Encode(&encoded, state);
   const Result<json::Value> doc = json::Parse(encoded);
   ASSERT_TRUE(doc.ok()) << doc.status().message();
-  const Result<PeerHealthMonitor::State> decoded =
-      PeerHealthMonitor::ParseStateJson(*doc);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  PeerHealthMonitor::State decoded;
+  const Status read = ckpt::Decode(*doc, &decoded);
+  ASSERT_TRUE(read.ok()) << read.message();
 
   PeerHealthMonitor restored;
-  restored.RestoreState(*decoded);
+  restored.RestoreState(decoded);
 
   // Re-encoding the restored state is byte-identical, and so is the
   // summary the bench gates byte-compare.
   std::string re_encoded;
-  PeerHealthMonitor::AppendStateJson(restored.SaveState(), &re_encoded);
+  ckpt::Encode(&re_encoded, restored.SaveState());
   EXPECT_EQ(encoded, re_encoded);
   EXPECT_EQ(original.SummaryJson(), restored.SummaryJson());
   EXPECT_EQ(restored.StateOf(1), BreakerState::kOpen);
@@ -348,8 +349,8 @@ TEST(PeerHealthTest, StateCodecRoundTripsByteIdentically) {
   EXPECT_EQ(original.TakePendingQuarantineFlip(),
             restored.TakePendingQuarantineFlip());
   std::string a, b;
-  PeerHealthMonitor::AppendStateJson(original.SaveState(), &a);
-  PeerHealthMonitor::AppendStateJson(restored.SaveState(), &b);
+  ckpt::Encode(&a, original.SaveState());
+  ckpt::Encode(&b, restored.SaveState());
   EXPECT_EQ(a, b);
 }
 
@@ -357,7 +358,7 @@ TEST(PeerHealthTest, ParseStateJsonValidatesBeforeReturning) {
   PeerHealthMonitor monitor;
   DriveRichState(&monitor);
   std::string encoded;
-  PeerHealthMonitor::AppendStateJson(monitor.SaveState(), &encoded);
+  ckpt::Encode(&encoded, monitor.SaveState());
 
   {  // A breaker ladder index outside [0, 2] is rejected.
     std::string bad = encoded;
@@ -366,7 +367,8 @@ TEST(PeerHealthTest, ParseStateJsonValidatesBeforeReturning) {
     bad.replace(pos, 12, "\"breaker\":7,");
     const Result<json::Value> doc = json::Parse(bad);
     ASSERT_TRUE(doc.ok());
-    EXPECT_FALSE(PeerHealthMonitor::ParseStateJson(*doc).ok());
+    PeerHealthMonitor::State decoded;
+    EXPECT_FALSE(ckpt::Decode(*doc, &decoded).ok());
   }
   {  // A missing counter is rejected (parse-all-then-install: the
      // engine installs nothing on failure).
@@ -376,7 +378,8 @@ TEST(PeerHealthTest, ParseStateJsonValidatesBeforeReturning) {
     bad.replace(pos, 10, "\"botches\":");
     const Result<json::Value> doc = json::Parse(bad);
     ASSERT_TRUE(doc.ok());
-    EXPECT_FALSE(PeerHealthMonitor::ParseStateJson(*doc).ok());
+    PeerHealthMonitor::State decoded;
+    EXPECT_FALSE(ckpt::Decode(*doc, &decoded).ok());
   }
 }
 

@@ -4,6 +4,7 @@
 // injected losses.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "core/engine.h"
@@ -152,6 +153,29 @@ TEST(RetryBackoffTest, SaturatedWalksPinBatchTelemetryInsteadOfWrapping) {
     }
   }
   EXPECT_GT(cut_batches, 0u);
+}
+
+TEST(RetryBackoffTest, HopBudgetSaturatesInsteadOfWrapping) {
+  // A factor so large that factor x planned hops leaves the uint64
+  // range is an unlimited budget, not a zero one: under an empty fault
+  // plan every batch delivers in full.
+  const Graph graph = MakeComplete(12).value();
+  for (double factor : {8.0, 1e18, 1e30,
+                        std::numeric_limits<double>::infinity()}) {
+    SamplingOperatorOptions options;
+    options.walk_length = 16;
+    options.reset_length = 4;
+    options.retry.hop_budget_factor = factor;
+    ASSERT_TRUE(options.retry.Validate().ok()) << factor;
+    SamplingOperator op(&graph, DegreeWeight(graph), Rng(3), nullptr,
+                        options);
+    FaultPlan plan(FaultPlanConfig(), 5);
+    op.SetFaultPlan(&plan);
+    Result<PartialBatch> batch = op.SampleNodesPartial(0, 8);  // Cold.
+    ASSERT_TRUE(batch.ok()) << factor;
+    EXPECT_FALSE(batch->timed_out) << factor;
+    EXPECT_EQ(batch->nodes.size(), 8u) << factor;
+  }
 }
 
 TEST(RetryBackoffTest, BudgetExhaustionReturnsUnavailableNotCrash) {

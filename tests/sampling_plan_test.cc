@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "core/snapshot_estimator.h"
 #include "net/topology.h"
@@ -121,6 +122,23 @@ TEST(PlanTest, ImprovementRatioMatchesEq11) {
               2.0 / (1.0 + std::sqrt(1.0 - 0.89 * 0.89)), 1e-12);
 }
 
+TEST(CltSampleSizeTest, SaturatesPastTheSizeRange) {
+  // (1.96 * 10 / 1e-9)^2 ~ 3.8e20 > 2^64: the cast alone would wrap.
+  EXPECT_EQ(CltSampleSize(10.0, 1e-9, 1.96).value(), SIZE_MAX);
+}
+
+TEST(HoeffdingSampleSizeTest, SaturatesPastTheSizeRange) {
+  EXPECT_EQ(HoeffdingSampleSize(150.0, 1e-8, 0.95).value(), SIZE_MAX);
+}
+
+TEST(PlanTest, TotalSaturatesPastTheSizeRange) {
+  const RepeatedSamplingPlan plan =
+      PlanRepeatedOccasion(10.0, 0.9, 1e-9, 1.96).value();
+  EXPECT_EQ(plan.total, SIZE_MAX);
+  EXPECT_GT(plan.retained, 0u);
+  EXPECT_EQ(plan.retained + plan.fresh, plan.total);
+}
+
 TEST(PlanTest, Validation) {
   EXPECT_FALSE(PlanRepeatedOccasion(-1.0, 0.5, 1.0, 2.0).ok());
   EXPECT_FALSE(PlanRepeatedOccasion(1.0, 0.5, 0.0, 2.0).ok());
@@ -168,6 +186,33 @@ TEST(HoeffdingEstimatorTest, PolicyDrawsTheHoeffdingSize) {
   IndependentEstimator bad(spec, &db, &source, nullptr, nullptr, Rng(5),
                            no_range);
   EXPECT_FALSE(bad.Evaluate(0).ok());
+}
+
+TEST(CltEstimatorTest, SizesPastTheSizeRangeDrawTheCapNotThePilot) {
+  // AVG at ε = 1e-9 needs ~1e20 samples; the occasion must draw the
+  // max_samples cap, not fall back to the 30-sample pilot.
+  Graph graph = MakeComplete(6).value();
+  P2PDatabase db(Schema::Create({"v"}).value());
+  Rng data(1);
+  for (NodeId node : graph.LiveNodes()) {
+    ASSERT_TRUE(db.AddNode(node).ok());
+    for (int i = 0; i < 100; ++i) {
+      db.StoreAt(node).value()->Insert({data.NextDouble() * 20.0});
+    }
+  }
+  ContinuousQuerySpec spec =
+      ContinuousQuerySpec::Create("SELECT AVG(v) FROM R",
+                                  PrecisionSpec{0.0, 1e-9, 0.95})
+          .value();
+  ExactTupleSampler sampler(&db, Rng(2), nullptr);
+  ExactSampleSource source(&sampler);
+  EstimatorOptions options;
+  options.max_samples = 500;
+  IndependentEstimator est(spec, &db, &source, nullptr, nullptr, Rng(3),
+                           options);
+  Result<SnapshotEstimate> e = est.Evaluate(0);
+  ASSERT_TRUE(e.ok()) << e.status();
+  EXPECT_EQ(e->total_samples, 500u);
 }
 
 }  // namespace
