@@ -292,8 +292,13 @@ Status DigestNode::Restore(std::string_view text) {
         "requires the same issued queries)");
   }
 
-  // Install. Engine::Restore is itself decode-all-then-install, so a
-  // blob of mismatched construction fails before touching that engine.
+  // Every engine blob decodes and checks before anything is installed:
+  // a bad blob for any query leaves the whole node as it was.
+  for (const auto& [id, engine] : engines_) {
+    DIGEST_RETURN_IF_ERROR(engine->CheckCheckpoint(blob.queries.at(id)));
+  }
+
+  // Install. Each Restore repeats its engine's check, which passed above.
   rng_.RestoreState(blob.node.rng);
   next_id_ = blob.node.next_id;
   scheduler_.set_coalesced_ticks(blob.scheduler.coalesced_ticks);

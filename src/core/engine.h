@@ -256,6 +256,13 @@ class DigestEngine {
   /// installed. Emits one RestoreEvent when tracing.
   Status Restore(std::string_view blob);
 
+  /// Restore's decode-only first step: decodes `blob` and checks it
+  /// against this engine's construction, installing nothing. Returns
+  /// what Restore would fail with, or OK when Restore would succeed —
+  /// so a caller restoring several engines together (DigestNode) can
+  /// check every blob before it changes any engine.
+  Status CheckCheckpoint(std::string_view blob) const;
+
  private:
   DigestEngine(const Graph* graph, const P2PDatabase* db,
                ContinuousQuerySpec spec, NodeId querying_node,
@@ -263,6 +270,10 @@ class DigestEngine {
 
   /// The checkpoint blob's sections (engine_checkpoint.cc).
   struct CheckpointBlob;
+
+  /// Decodes `text` into `b` (laid out for this engine) and checks its
+  /// topology; shared by Restore and CheckCheckpoint.
+  Status DecodeCheckpoint(std::string_view text, CheckpointBlob* b) const;
 
   const Graph* graph_;
   const P2PDatabase* db_;

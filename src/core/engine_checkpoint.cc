@@ -173,14 +173,25 @@ Result<std::string> DigestEngine::Checkpoint() const {
   return out;
 }
 
-Status DigestEngine::Restore(std::string_view text) {
-  CheckpointBlob b(*this);
-  DIGEST_RETURN_IF_ERROR(ckpt::DecodeBlob(text, kCheckpointVersion, &b));
-  if (b.operators.shared != shared_operator_) {
+Status DigestEngine::DecodeCheckpoint(std::string_view text,
+                                      CheckpointBlob* b) const {
+  DIGEST_RETURN_IF_ERROR(ckpt::DecodeBlob(text, kCheckpointVersion, b));
+  if (b->operators.shared != shared_operator_) {
     return Status::InvalidArgument(
         "checkpoint: shared-operator topology does not match (the owner "
         "of a shared operator checkpoints it separately)");
   }
+  return Status::OK();
+}
+
+Status DigestEngine::CheckCheckpoint(std::string_view text) const {
+  CheckpointBlob b(*this);
+  return DecodeCheckpoint(text, &b);
+}
+
+Status DigestEngine::Restore(std::string_view text) {
+  CheckpointBlob b(*this);
+  DIGEST_RETURN_IF_ERROR(DecodeCheckpoint(text, &b));
 
   // All decoded and validated — install.
   reported_value_ = b.engine.reported_value;

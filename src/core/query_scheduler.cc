@@ -35,14 +35,11 @@ Result<PartialTupleBatch> CoalescingSampleSource::Serve(NodeId origin,
                               sampler_->SampleBatchPartial(origin,
                                                            shortfall));
       timed_out = got.timed_out;
-      pool_.insert(pool_.end(),
-                   std::make_move_iterator(got.samples.begin()),
-                   std::make_move_iterator(got.samples.end()));
+      pool_.insert(pool_.end(), got.samples.begin(), got.samples.end());
     } else {
       DIGEST_ASSIGN_OR_RETURN(std::vector<TupleSample> got,
                               sampler_->SampleBatch(origin, shortfall));
-      pool_.insert(pool_.end(), std::make_move_iterator(got.begin()),
-                   std::make_move_iterator(got.end()));
+      pool_.insert(pool_.end(), got.begin(), got.end());
     }
   }
   const size_t available = std::min(n, pool_.size() - cursor);

@@ -35,6 +35,11 @@ using QueryId = uint64_t;
 /// RNG stream advances in a schedule-independent sequence. BeginTick
 /// clears the pool — checkpoints cut at tick boundaries carry no pool
 /// state, only the sampler's RNG position.
+///
+/// The pool holds borrowed samples (TupleSample): every tenant reads the
+/// same stored tuples, and no tuple is copied per tenant. They stay
+/// valid for the whole tick, since nothing the node runs can change the
+/// database; BeginTick drops them before the next tick reads anything.
 class CoalescingSampleSource : public SampleSource {
  public:
   /// `sampler` is the node's shared two-stage sampler (not owned; must

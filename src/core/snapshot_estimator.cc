@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/sampling_plan.h"
 #include "numeric/normal.h"
@@ -128,7 +129,7 @@ Result<SnapshotEstimate> IndependentEstimator::Evaluate(NodeId origin) {
   DIGEST_RETURN_IF_ERROR(EnsureInitialized());
   DIGEST_ASSIGN_OR_RETURN(double eps_mean, MeanEpsilon());
 
-  std::vector<TupleSample> samples;  // Contributing samples only.
+  std::vector<TupleRef> refs;  // Contributing samples only.
   std::vector<double> ys;
   RunningStats stats;
   size_t drawn_total = 0;
@@ -152,13 +153,13 @@ Result<SnapshotEstimate> IndependentEstimator::Evaluate(NodeId origin) {
         DIGEST_ASSIGN_OR_RETURN(PartialTupleBatch batch,
                                 source_->DrawFreshPartial(origin, count));
         drawn_total += batch.samples.size();
-        for (TupleSample& s : batch.samples) {
+        for (const TupleSample& s : batch.samples) {
           DIGEST_ASSIGN_OR_RETURN(std::optional<double> y,
-                                  ContributionValue(s.tuple));
+                                  ContributionValue(*s.tuple));
           if (!y.has_value()) continue;
           ys.push_back(*y);
           stats.Add(*y);
-          samples.push_back(std::move(s));
+          refs.push_back(s.ref);
           --count;
         }
         if (batch.timed_out) {
@@ -169,13 +170,13 @@ Result<SnapshotEstimate> IndependentEstimator::Evaluate(NodeId origin) {
         DIGEST_ASSIGN_OR_RETURN(std::vector<TupleSample> batch,
                                 source_->DrawFresh(origin, count));
         drawn_total += batch.size();
-        for (TupleSample& s : batch) {
+        for (const TupleSample& s : batch) {
           DIGEST_ASSIGN_OR_RETURN(std::optional<double> y,
-                                  ContributionValue(s.tuple));
+                                  ContributionValue(*s.tuple));
           if (!y.has_value()) continue;
           ys.push_back(*y);
           stats.Add(*y);
-          samples.push_back(std::move(s));
+          refs.push_back(s.ref);
           --count;
         }
       }
@@ -266,7 +267,7 @@ Result<SnapshotEstimate> IndependentEstimator::Evaluate(NodeId origin) {
         ScaleToQueryUnits(z_ * std::sqrt(est.variance_of_mean)));
   }
   // Hand the drawn set to a wrapping repeated-sampling estimator.
-  last_samples_ = std::move(samples);
+  last_refs_ = std::move(refs);
   last_ys_ = std::move(ys);
   if (obs::Tracing(tracer_)) {
     // INDEP sizes iteratively from the pilot, so the realized draw count
@@ -345,10 +346,10 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::EvaluateFirstOccasion(
   DIGEST_ASSIGN_OR_RETURN(SnapshotEstimate est,
                           independent_.Evaluate(origin));
   prev_samples_.clear();
-  prev_samples_.reserve(independent_.last_samples_.size());
-  for (size_t i = 0; i < independent_.last_samples_.size(); ++i) {
-    prev_samples_.push_back(Retained{independent_.last_samples_[i].ref,
-                                     independent_.last_ys_[i]});
+  prev_samples_.reserve(independent_.last_refs_.size());
+  for (size_t i = 0; i < independent_.last_refs_.size(); ++i) {
+    prev_samples_.push_back(
+        Retained{independent_.last_refs_[i], independent_.last_ys_[i]});
   }
   prev_mean_estimate_ = est.mean_estimate;
   prev_variance_ = est.variance_of_mean;
@@ -406,8 +407,8 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
   for (const Retained& r : prev_samples_) {
     if (y1g.size() >= g_target) break;
     if (meter_ != nullptr) meter_->AddRefresh(options_.refresh_message_cost);
-    Result<Tuple> tuple = db_->GetTuple(r.ref);
-    if (!tuple.ok()) continue;  // Deleted or node left: always replaced.
+    const Tuple* tuple = db_->FindTuple(r.ref);
+    if (tuple == nullptr) continue;  // Deleted or node left: replaced.
     Result<std::optional<double>> y2 =
         independent_.ContributionValue(*tuple);
     if (!y2.ok() || !y2->has_value()) {
@@ -438,9 +439,9 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
         DIGEST_ASSIGN_OR_RETURN(PartialTupleBatch batch,
                                 source_->DrawFreshPartial(origin, count));
         fresh_drawn_total += batch.samples.size();
-        for (TupleSample& s : batch.samples) {
+        for (const TupleSample& s : batch.samples) {
           DIGEST_ASSIGN_OR_RETURN(std::optional<double> y,
-                                  independent_.ContributionValue(s.tuple));
+                                  independent_.ContributionValue(*s.tuple));
           if (!y.has_value()) continue;
           yf.push_back(*y);
           fresh_refs.push_back(s.ref);
@@ -454,9 +455,9 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
         DIGEST_ASSIGN_OR_RETURN(std::vector<TupleSample> batch,
                                 source_->DrawFresh(origin, count));
         fresh_drawn_total += batch.size();
-        for (TupleSample& s : batch) {
+        for (const TupleSample& s : batch) {
           DIGEST_ASSIGN_OR_RETURN(std::optional<double> y,
-                                  independent_.ContributionValue(s.tuple));
+                                  independent_.ContributionValue(*s.tuple));
           if (!y.has_value()) continue;
           yf.push_back(*y);
           fresh_refs.push_back(s.ref);
@@ -477,6 +478,31 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
         "hop budget exhausted before the minimum partial sample count");
   }
 
+  // The retained pairs are fixed once refreshed, so their regression
+  // slope, correlation and means hold across the top-up rounds below:
+  // computed once here. The pooled stats take y2g, then each fresh value
+  // once as it arrives, in draw order, so every round sees exactly the
+  // statistics a full pass over y2g and yf would.
+  bool regression_ok = g >= 3;
+  double b = 0.0;
+  double rho_regression = 0.0;
+  if (regression_ok) {
+    Result<LinearFit> fit = SimpleLinearRegression(y1g, y2g);
+    Result<double> rho = PearsonCorrelation(y1g, y2g);
+    if (fit.ok() && rho.ok()) {
+      b = fit->slope;
+      rho_regression = *rho;
+    } else {
+      regression_ok = false;
+    }
+  }
+  const double ybar1g = Mean(y1g);
+  const double ybar2g = Mean(y2g);
+  RunningStats all;
+  for (double y : y2g) all.Add(y);
+  double sum_f = 0.0;  // Σ yf in draw order, the sum Mean(yf) takes.
+  size_t folded = 0;   // Leading yf values already in `all` and sum_f.
+
   // Estimate, then top-up fresh samples until the combined variance meets
   // the contract (or caps are hit).
   double combined = 0.0;
@@ -486,24 +512,13 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
   const double needed_var = (eps_mean / z) * (eps_mean / z);
   for (size_t round = 0;; ++round) {
     const size_t f = yf.size();
-    RunningStats all;
-    for (double y : y2g) all.Add(y);
-    for (double y : yf) all.Add(y);
+    for (; folded < f; ++folded) {
+      all.Add(yf[folded]);
+      sum_f += yf[folded];
+    }
     sigma2 = all.SampleStdDev();
     const double sigma2_sq = sigma2 * sigma2;
 
-    bool regression_ok = g >= 3;
-    double b = 0.0;
-    if (regression_ok) {
-      Result<LinearFit> fit = SimpleLinearRegression(y1g, y2g);
-      Result<double> rho = PearsonCorrelation(y1g, y2g);
-      if (fit.ok() && rho.ok()) {
-        b = fit->slope;
-        rho_sample = *rho;
-      } else {
-        regression_ok = false;
-      }
-    }
     if (!regression_ok || f == 0) {
       // Degenerate occasion: fall back to the plain mean of everything.
       combined = all.Mean();
@@ -512,9 +527,8 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
                                                      all.count()));
       rho_sample = rho_hat_;
     } else {
-      const double ybar1g = Mean(y1g);
-      const double ybar2g = Mean(y2g);
-      const double ybar2f = Mean(yf);
+      rho_sample = rho_regression;
+      const double ybar2f = sum_f / static_cast<double>(f);
       const double rho_s2 = std::min(rho_sample * rho_sample, 0.9801);
       // Table 1 (recursive form): the regression estimate leans on the
       // previous occasion's combined estimate and inherits its variance.
@@ -558,8 +572,8 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
   }
 
   // Keep the pair data for forward regression before rolling state.
-  last_pair_y1_ = y1g;
-  last_pair_y2_ = y2g;
+  last_pair_y1_ = std::move(y1g);
+  last_pair_y2_ = std::move(y2g);
   before_update_mean_ = prev_mean_estimate_;
   before_update_var_ = prev_variance_;
   after_update_mean_ = combined;
@@ -615,8 +629,8 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::EvaluateDegraded(
   RunningStats stats;
   for (const Retained& r : prev_samples_) {
     if (meter_ != nullptr) meter_->AddRefresh(options_.refresh_message_cost);
-    Result<Tuple> tuple = db_->GetTuple(r.ref);
-    if (!tuple.ok()) continue;
+    const Tuple* tuple = db_->FindTuple(r.ref);
+    if (tuple == nullptr) continue;
     Result<std::optional<double>> y = independent_.ContributionValue(*tuple);
     if (!y.ok() || !y->has_value()) continue;
     survivors.push_back(Retained{r.ref, **y});

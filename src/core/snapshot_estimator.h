@@ -285,9 +285,11 @@ class IndependentEstimator : public SnapshotEstimator {
   Predicate bound_where_;
   double z_ = 0.0;  // Two-sided normal quantile for the confidence level.
   bool initialized_ = false;
-  // The most recent occasion's sample set, exposed to a wrapping
-  // RepeatedSamplingEstimator so occasion 1 can seed the retained pool.
-  std::vector<TupleSample> last_samples_;
+  // The most recent occasion's contributing samples, exposed to a
+  // wrapping RepeatedSamplingEstimator so occasion 1 can seed the
+  // retained pool. Refs only: a drawn tuple is borrowed for the call
+  // that drew it, never kept past it.
+  std::vector<TupleRef> last_refs_;
   std::vector<double> last_ys_;
 
   Status EnsureInitialized();

@@ -51,20 +51,11 @@ Status LocalStore::Erase(LocalTupleId id) {
 }
 
 Result<Tuple> LocalStore::Get(LocalTupleId id) const {
-  auto it = index_.find(id);
-  if (it == index_.end()) {
+  const Tuple* tuple = Find(id);
+  if (tuple == nullptr) {
     return Status::NotFound("no tuple with local id " + std::to_string(id));
   }
-  return slots_[it->second].tuple;
-}
-
-Result<std::pair<LocalTupleId, Tuple>> LocalStore::UniformSample(
-    Rng& rng) const {
-  if (slots_.empty()) {
-    return Status::FailedPrecondition("store is empty");
-  }
-  const Slot& slot = slots_[rng.NextIndex(slots_.size())];
-  return std::make_pair(slot.id, slot.tuple);
+  return *tuple;
 }
 
 void LocalStore::ForEach(

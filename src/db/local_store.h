@@ -23,8 +23,18 @@ using LocalTupleId = uint64_t;
 /// Supports O(1) insert, update, erase, membership test, and uniform
 /// random sampling — the local half of the two-stage sampling scheme
 /// (§III).
+///
+/// Borrowed lookups (Find, UniformPick) return pointers into the store:
+/// valid and unchanged until the store next changes (any insert, update,
+/// erase, or the store's removal from its database).
 class LocalStore {
  public:
+  /// One stored tuple and its id.
+  struct Slot {
+    LocalTupleId id;
+    Tuple tuple;
+  };
+
   LocalStore() = default;
 
   /// Inserts a tuple, returning its fresh local id.
@@ -45,25 +55,30 @@ class LocalStore {
     return index_.find(id) != index_.end();
   }
 
-  /// Read access; fails with kNotFound for absent ids.
+  /// Borrowed read access; null for absent ids.
+  const Tuple* Find(LocalTupleId id) const {
+    auto it = index_.find(id);
+    return it == index_.end() ? nullptr : &slots_[it->second].tuple;
+  }
+
+  /// Checked copying read access; fails with kNotFound for absent ids.
   Result<Tuple> Get(LocalTupleId id) const;
 
   /// Number of stored tuples (m_v).
   size_t Size() const { return slots_.size(); }
 
-  /// Uniformly random stored tuple; fails when empty.
-  Result<std::pair<LocalTupleId, Tuple>> UniformSample(Rng& rng) const;
+  /// Uniformly random stored tuple, borrowed; null when the store is
+  /// empty, in which case no draw is taken from `rng`.
+  const Slot* UniformPick(Rng& rng) const {
+    if (slots_.empty()) return nullptr;
+    return &slots_[rng.NextIndex(slots_.size())];
+  }
 
   /// Calls `fn(id, tuple)` for every stored tuple (unspecified order).
   void ForEach(
       const std::function<void(LocalTupleId, const Tuple&)>& fn) const;
 
  private:
-  struct Slot {
-    LocalTupleId id;
-    Tuple tuple;
-  };
-
   std::vector<Slot> slots_;
   std::unordered_map<LocalTupleId, size_t> index_;  // id -> slot position
   LocalTupleId next_id_ = 0;

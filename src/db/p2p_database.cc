@@ -30,11 +30,11 @@ Result<LocalStore*> P2PDatabase::StoreAt(NodeId node) {
 }
 
 Result<const LocalStore*> P2PDatabase::StoreAt(NodeId node) const {
-  auto it = stores_.find(node);
-  if (it == stores_.end()) {
+  const LocalStore* store = FindStore(node);
+  if (store == nullptr) {
     return Status::NotFound("node " + std::to_string(node) + " has no store");
   }
-  return &it->second;
+  return store;
 }
 
 size_t P2PDatabase::ContentSize(NodeId node) const {
@@ -62,17 +62,17 @@ std::vector<NodeId> P2PDatabase::Nodes() const {
 }
 
 Result<Tuple> P2PDatabase::GetTuple(const TupleRef& ref) const {
-  auto it = stores_.find(ref.node);
-  if (it == stores_.end()) {
+  const LocalStore* store = FindStore(ref.node);
+  if (store == nullptr) {
     return Status::Unavailable("node " + std::to_string(ref.node) +
                                " left the network");
   }
-  Result<Tuple> tuple = it->second.Get(ref.local);
-  if (!tuple.ok()) {
+  const Tuple* tuple = store->Find(ref.local);
+  if (tuple == nullptr) {
     return Status::NotFound("tuple was deleted from node " +
                             std::to_string(ref.node));
   }
-  return tuple;
+  return *tuple;
 }
 
 Result<double> P2PDatabase::ExactAggregate(const AggregateQuery& query) const {

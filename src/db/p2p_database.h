@@ -40,6 +40,13 @@ struct TupleRef {
 /// ExactAggregate is a centralized oracle used only for ground truth in
 /// tests and experiment metrics — the algorithms under study never call
 /// it.
+///
+/// Sample lifetime: the borrowed lookups (FindStore, FindTuple, and the
+/// stores' Find/UniformPick) return pointers that stay valid and
+/// unchanged until the database next changes — any node added or
+/// removed, or any tuple inserted, updated or erased. Within one tick
+/// that is the §II snapshot: the engine and node hold only a
+/// `const P2PDatabase*`, so nothing they run can change it.
 class P2PDatabase {
  public:
   explicit P2PDatabase(Schema schema) : schema_(std::move(schema)) {}
@@ -64,6 +71,12 @@ class P2PDatabase {
   /// Read access to a node's store; fails with kNotFound when absent.
   Result<const LocalStore*> StoreAt(NodeId node) const;
 
+  /// Borrowed read access to a node's store; null when absent.
+  const LocalStore* FindStore(NodeId node) const {
+    auto it = stores_.find(node);
+    return it == stores_.end() ? nullptr : &it->second;
+  }
+
   /// Content size m_v of the node; 0 for unknown nodes (so it can be used
   /// directly as a sampling weight function).
   size_t ContentSize(NodeId node) const;
@@ -74,8 +87,15 @@ class P2PDatabase {
   /// Ids of all nodes that currently have stores.
   std::vector<NodeId> Nodes() const;
 
-  /// Resolves a TupleRef. Fails with kUnavailable when the node left and
-  /// kNotFound when the tuple was deleted.
+  /// Borrowed resolution of a TupleRef; null when the node left or the
+  /// tuple was deleted.
+  const Tuple* FindTuple(const TupleRef& ref) const {
+    const LocalStore* store = FindStore(ref.node);
+    return store == nullptr ? nullptr : store->Find(ref.local);
+  }
+
+  /// Checked copying resolution of a TupleRef. Fails with kUnavailable
+  /// when the node left and kNotFound when the tuple was deleted.
   Result<Tuple> GetTuple(const TupleRef& ref) const;
 
   /// Centralized oracle evaluation of a snapshot aggregate query over the

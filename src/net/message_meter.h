@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/saturating.h"
+
 namespace digest {
 
 /// Communication-cost accounting (the efficiency metric of §VI-B3).
@@ -144,14 +146,6 @@ class MessageMeter {
   void RestoreLosses(uint64_t n) { losses_ = n; }
 
  private:
-  static uint64_t SatAdd(uint64_t a, uint64_t b) {
-    uint64_t sum = 0;
-    if (__builtin_add_overflow(a, b, &sum)) {
-      return ~static_cast<uint64_t>(0);
-    }
-    return sum;
-  }
-
   uint64_t counts_[kNumCategories] = {};
   uint64_t losses_ = 0;
 };

@@ -2,21 +2,13 @@
 
 #include <cmath>
 
+#include "common/saturating.h"
 #include "diag/diag.h"
 #include "net/peer_health.h"
 #include "sampling/metropolis.h"
 
 namespace digest {
 namespace {
-
-// Saturating add for the telemetry budget counters: BackoffCost already
-// saturates at SIZE_MAX, and a saturated cost added to a running total
-// must pin at the ceiling rather than wrap past it.
-uint64_t SatAdd(uint64_t a, uint64_t b) {
-  uint64_t sum;
-  if (__builtin_add_overflow(a, b, &sum)) return UINT64_MAX;
-  return sum;
-}
 
 // Delivers one message over (from, to) under faults, retransmitting
 // with exponential backoff. The first transmission is pre-charged by

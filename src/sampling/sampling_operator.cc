@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "common/saturating.h"
 #include "diag/diag.h"
 #include "exec/worker_pool.h"
 #include "net/peer_health.h"
@@ -420,10 +421,13 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
     if (in.diag != nullptr) in.diag->FoldWalk(o.diag);
     if (in.health != nullptr) in.health->FoldWalk(o.health);
     if (faults_ != nullptr) {
-      // Completed-walk statistics feed later batches' thresholds.
-      ++done_walks_;
-      done_attempts_ += o.telemetry.attempts;
-      done_steps_ += o.steps;
+      // Completed-walk statistics feed later batches' thresholds. They
+      // saturate like the telemetry: a walk whose retransmissions
+      // pinned its attempts near UINT64_MAX must not wrap the sum and
+      // collapse HedgeThreshold.
+      done_walks_ = SatAdd(done_walks_, 1);
+      done_attempts_ = SatAdd(done_attempts_, o.telemetry.attempts);
+      done_steps_ = SatAdd(done_steps_, o.steps);
     }
     // The agent reports the sampled node back to the originator.
     if (meter_ != nullptr) meter_->AddSampleTransfer();

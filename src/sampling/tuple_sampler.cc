@@ -1,5 +1,7 @@
 #include "sampling/tuple_sampler.h"
 
+#include <algorithm>
+
 namespace digest {
 
 Result<TupleSample> TwoStageTupleSampler::Sample(NodeId origin) {
@@ -41,11 +43,12 @@ Result<PartialTupleBatch> TwoStageTupleSampler::SampleBatchPartial(
       // Under churn the sampled node may have vanished between the walk
       // and the local draw, or may hold no tuples (weight raced with an
       // update); such draws are retried.
-      Result<const LocalStore*> store = db_->StoreAt(node);
-      if (!store.ok() || (*store)->Size() == 0) continue;
-      DIGEST_ASSIGN_OR_RETURN(auto pick, (*store)->UniformSample(rng_));
-      out.samples.push_back(TupleSample{TupleRef{node, pick.first},
-                                        std::move(pick.second)});
+      const LocalStore* store = db_->FindStore(node);
+      if (store == nullptr) continue;
+      const LocalStore::Slot* pick = store->UniformPick(rng_);
+      if (pick == nullptr) continue;
+      out.samples.push_back(TupleSample{TupleRef{node, pick->id},
+                                        &pick->tuple});
     }
     if (nodes.timed_out) {
       // The walk budget is spent; hand back whatever completed instead
@@ -64,7 +67,7 @@ Result<std::vector<TupleSample>> ClusterSampler::SampleCluster(
   std::vector<TupleSample> out;
   out.reserve(store->Size());
   store->ForEach([&](LocalTupleId id, const Tuple& tuple) {
-    out.push_back(TupleSample{TupleRef{node, id}, tuple});
+    out.push_back(TupleSample{TupleRef{node, id}, &tuple});
   });
   return out;
 }
@@ -80,24 +83,37 @@ Result<std::vector<TupleSample>> ExactTupleSampler::SampleBatch(size_t n) {
     return Status::FailedPrecondition("relation R is empty");
   }
   // Content-size-weighted node pick followed by a uniform local pick is
-  // exactly uniform over tuples.
-  std::vector<NodeId> nodes = db_->Nodes();
-  std::vector<double> weights(nodes.size());
+  // exactly uniform over tuples. The node pick is Rng::NextWeightedIndex
+  // over the content sizes, by binary search over their running sums
+  // instead of a scan: one draw r = u·total picks the first node whose
+  // running sum exceeds r (the last non-empty node if rounding put r at
+  // the total). Sizes are integers, so every running sum is exact and
+  // the two agree draw for draw, at O(log N) per draw instead of O(N).
+  const std::vector<NodeId> nodes = db_->Nodes();
+  std::vector<double> running(nodes.size());
+  double sum = 0.0;
   for (size_t i = 0; i < nodes.size(); ++i) {
-    weights[i] = static_cast<double>(db_->ContentSize(nodes[i]));
+    sum += static_cast<double>(db_->ContentSize(nodes[i]));
+    running[i] = sum;
   }
+  const size_t last_nonempty =
+      std::lower_bound(running.begin(), running.end(), sum) - running.begin();
   std::vector<TupleSample> out;
   out.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    const size_t pick = rng_.NextWeightedIndex(weights);
-    if (pick >= nodes.size()) {
-      return Status::Internal("weighted pick failed on non-empty relation");
+    const double r = rng_.NextDouble() * sum;
+    const size_t pick = std::min<size_t>(
+        std::upper_bound(running.begin(), running.end(), r) - running.begin(),
+        last_nonempty);
+    const LocalStore* store = db_->FindStore(nodes[pick]);
+    const LocalStore::Slot* tuple_pick =
+        store == nullptr ? nullptr : store->UniformPick(rng_);
+    if (tuple_pick == nullptr) {
+      return Status::Internal("weighted pick landed on an empty store");
     }
-    DIGEST_ASSIGN_OR_RETURN(const LocalStore* store, db_->StoreAt(nodes[pick]));
-    DIGEST_ASSIGN_OR_RETURN(auto tuple_pick, store->UniformSample(rng_));
     if (meter_ != nullptr) meter_->AddSampleTransfer();
-    out.push_back(TupleSample{TupleRef{nodes[pick], tuple_pick.first},
-                              std::move(tuple_pick.second)});
+    out.push_back(TupleSample{TupleRef{nodes[pick], tuple_pick->id},
+                              &tuple_pick->tuple});
   }
   return out;
 }

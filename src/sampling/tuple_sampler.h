@@ -11,12 +11,16 @@
 
 namespace digest {
 
-/// A drawn sample: the tuple value plus the reference needed to revisit
-/// it (repeated sampling retains samples across occasions and
-/// re-evaluates them in place, §IV-B2).
+/// A drawn sample: the reference needed to revisit the tuple (repeated
+/// sampling retains samples across occasions and re-evaluates them in
+/// place, §IV-B2) and a borrowed view of its value. `tuple` points into
+/// the database and stays valid and unchanged until the database next
+/// changes (see P2PDatabase); keep `ref`, never the pointer, past that.
+/// The one source that changes the world mid-draw
+/// (InterleavingSampleSource) points it at copies it owns instead.
 struct TupleSample {
   TupleRef ref;
-  Tuple tuple;
+  const Tuple* tuple = nullptr;
 };
 
 /// A tuple batch that may have been cut short by the sampling hop

@@ -1,7 +1,10 @@
 #ifndef DIGEST_WORKLOAD_TIMESCALE_H_
 #define DIGEST_WORKLOAD_TIMESCALE_H_
 
+#include <algorithm>
 #include <cstddef>
+#include <deque>
+#include <vector>
 
 #include "core/snapshot_estimator.h"
 #include "workload/workload.h"
@@ -19,6 +22,12 @@ namespace digest {
 /// approaches 1, each occasion smears over many data versions and the
 /// estimate converges to a time-average rather than a snapshot —
 /// `bench_timescale` quantifies the degradation.
+///
+/// It is the one source that changes the database mid-draw, so it cannot
+/// hand out borrowed samples: an advance may rewrite or drop the tuples
+/// an earlier chunk borrowed. Each chunk's tuples are copied before the
+/// world moves on, and the returned samples point at those copies, which
+/// hold the draw-time values until the next DrawFresh call.
 class InterleavingSampleSource : public SampleSource {
  public:
   /// Neither pointer is owned; both must outlive the source.
@@ -31,6 +40,7 @@ class InterleavingSampleSource : public SampleSource {
 
   Result<std::vector<TupleSample>> DrawFresh(NodeId origin,
                                              size_t n) override {
+    owned_.clear();
     std::vector<TupleSample> out;
     out.reserve(n);
     while (out.size() < n) {
@@ -39,7 +49,10 @@ class InterleavingSampleSource : public SampleSource {
       DIGEST_ASSIGN_OR_RETURN(std::vector<TupleSample> batch,
                               inner_->DrawFresh(origin, chunk));
       pending_draws_ += batch.size();
-      for (TupleSample& s : batch) out.push_back(std::move(s));
+      for (const TupleSample& s : batch) {
+        owned_.push_back(*s.tuple);
+        out.push_back(TupleSample{s.ref, &owned_.back()});
+      }
       if (pending_draws_ >= draws_per_advance_) {
         DIGEST_RETURN_IF_ERROR(workload_->Advance());
         ++mid_occasion_advances_;
@@ -58,6 +71,9 @@ class InterleavingSampleSource : public SampleSource {
   size_t draws_per_advance_;
   size_t pending_draws_ = 0;
   size_t mid_occasion_advances_ = 0;
+  // The last call's tuple copies; a deque keeps them in place as it
+  // grows.
+  std::deque<Tuple> owned_;
 };
 
 }  // namespace digest

@@ -367,6 +367,36 @@ TEST(CheckpointRestoreTest, NodeBlobMissingAnyMemberIsRejectedUnapplied) {
   ExpectEveryRemovalRejected(session.node());
 }
 
+TEST(CheckpointRestoreTest, NodeWithABadEngineBlobInstallsNothing) {
+  // A's second engine blob is broken. Restore must fail before it
+  // installs the node's RNG, ledger, shared operator, sampler stream or
+  // first engine, so the node stays exactly at B.
+  NodeSession session(/*coalesce=*/true);
+  ASSERT_TRUE(session.Run(5).ok());
+  const std::string a = session.node().Checkpoint().value();
+  ASSERT_TRUE(session.Run(5).ok());
+  const std::string b = session.node().Checkpoint().value();
+  ASSERT_NE(a, b);
+
+  const json::Value doc = json::Parse(a).value();
+  const json::Value* queries = doc.Find("queries");
+  ASSERT_NE(queries, nullptr);
+  ASSERT_EQ(queries->members().size(), 2u);
+  const std::string second = queries->members()[1].second.string_value();
+  const std::string broken =
+      Replaced(second, "\"rho_hat\":", "\"rho_hat_typo\":");
+  const std::string tampered =
+      Replaced(a, JsonEscape(second), JsonEscape(broken));
+  ASSERT_NE(tampered, a);
+
+  EXPECT_EQ(session.node().Restore(tampered).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(session.node().Checkpoint().value(), b);
+  // The intact blob still restores.
+  ASSERT_TRUE(session.node().Restore(a).ok());
+  EXPECT_EQ(session.node().Checkpoint().value(), a);
+}
+
 TEST(CheckpointRestoreTest, MeterSectionMustMatchTheEngineBothWays) {
   EngineCase metered;
   metered.auditor = false;

@@ -17,6 +17,9 @@
 #include "net/peer_health.h"
 #include "net/topology.h"
 #include "obs/tracer.h"
+#include "sampling/sampling_operator.h"
+#include "sampling/tuple_sampler.h"
+#include "sampling/weight.h"
 
 namespace digest {
 namespace {
@@ -86,6 +89,61 @@ TEST(QuerySchedulerTest, RecordTickAccumulatesPerQuery) {
   EXPECT_EQ(cost->coalesced, 1u);
   EXPECT_EQ(cost->messages, 125u);
   EXPECT_EQ(sched.Cost(9), nullptr);
+}
+
+TEST(QuerySchedulerTest, CursorsShareOnePoolOfBorrowedTuples) {
+  Fixture f;
+  SamplingOperatorOptions walk;
+  walk.walk_length = 40;
+  walk.reset_length = 10;
+  SamplingOperator op(&f.graph, ContentSizeWeight(*f.db), Rng(3), nullptr,
+                      walk);
+  TwoStageTupleSampler sampler(f.db.get(), &op, Rng(4));
+  CoalescingSampleSource source(&sampler);
+  // The same draws made directly, for what a fresh pool must hold.
+  SamplingOperator twin_op(&f.graph, ContentSizeWeight(*f.db), Rng(3),
+                           nullptr, walk);
+  TwoStageTupleSampler twin(f.db.get(), &twin_op, Rng(4));
+
+  source.BeginTick();
+  source.SetActiveQuery(1);
+  const std::vector<TupleSample> first = source.DrawFresh(0, 12).value();
+  source.SetActiveQuery(2);
+  const std::vector<TupleSample> second = source.DrawFresh(0, 8).value();
+  ASSERT_EQ(first.size(), 12u);
+  ASSERT_EQ(second.size(), 8u);
+  EXPECT_EQ(source.shared_samples(), 12u);  // Query 2 rode the prefix.
+  for (size_t i = 0; i < second.size(); ++i) {
+    EXPECT_EQ(second[i].ref, first[i].ref) << i;
+    // One stored tuple read by both cursors, not a copy per tenant.
+    EXPECT_EQ(second[i].tuple, first[i].tuple) << i;
+    EXPECT_EQ(first[i].tuple, f.db->FindTuple(first[i].ref)) << i;
+  }
+  const std::vector<TupleSample> twin_first = twin.SampleBatch(0, 12).value();
+  for (size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].ref, twin_first[i].ref) << i;
+  }
+
+  // The next tick serves only its own draws: both cursors start over on
+  // a pool the sampler refills, never on the previous tick's samples.
+  source.BeginTick();
+  EXPECT_EQ(source.shared_samples(), 0u);
+  EXPECT_EQ(source.queries_served(), 0u);
+  source.SetActiveQuery(2);
+  const std::vector<TupleSample> next = source.DrawFresh(0, 12).value();
+  source.SetActiveQuery(1);
+  const std::vector<TupleSample> next_rider = source.DrawFresh(0, 4).value();
+  EXPECT_EQ(source.shared_samples(), 12u);
+  const std::vector<TupleSample> twin_next = twin.SampleBatch(0, 12).value();
+  ASSERT_EQ(next.size(), 12u);
+  for (size_t i = 0; i < next.size(); ++i) {
+    EXPECT_EQ(next[i].ref, twin_next[i].ref) << i;
+    EXPECT_EQ(next[i].tuple, f.db->FindTuple(next[i].ref)) << i;
+  }
+  ASSERT_EQ(next_rider.size(), 4u);
+  for (size_t i = 0; i < next_rider.size(); ++i) {
+    EXPECT_EQ(next_rider[i].tuple, next[i].tuple) << i;
+  }
 }
 
 TEST(DigestNodeSchedulerTest, AdmissionCapEnforced) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include "net/topology.h"
@@ -254,6 +256,60 @@ TEST(RepeatedSamplingTest, FewerSamplesThanIndependentUnderCorrelation) {
   EXPECT_LT(rpt_samples, indep_samples);
   // Theory bound: improvement cannot exceed 2x (Eq. 11).
   EXPECT_GT(2 * rpt_samples, indep_samples);
+}
+
+// Counts DrawFresh calls: an RPT occasion makes one for its initial
+// fresh draw and one per top-up round.
+class CountingSource : public SampleSource {
+ public:
+  explicit CountingSource(SampleSource* inner) : inner_(inner) {}
+  Result<std::vector<TupleSample>> DrawFresh(NodeId origin,
+                                             size_t n) override {
+    ++calls_;
+    return inner_->DrawFresh(origin, n);
+  }
+  size_t TakeCalls() {
+    const size_t calls = calls_;
+    calls_ = 0;
+    return calls;
+  }
+
+ private:
+  SampleSource* inner_;
+  size_t calls_ = 0;
+};
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+TEST(RepeatedSamplingTest, TopUpRoundsKeepTheRecordedEstimate) {
+  // The top-up loop fits the retained regression once per occasion and
+  // folds each fresh value into the pooled statistics once. The bits
+  // below were recorded from the loop that recomputed all of it every
+  // round; the first occasion here with >= 3 top-up rounds (occasion 6,
+  // 4 rounds) must reproduce them exactly.
+  Ar1Database data(8, 100, 50.0, 10.0, 0.3, 72);
+  ExactTupleSampler sampler(data.db.get(), Rng(73), nullptr);
+  ExactSampleSource exact(&sampler);
+  CountingSource source(&exact);
+  RepeatedSamplingEstimator est(AvgSpec(0.0, 1.0, 0.95), data.db.get(),
+                                &source, nullptr, nullptr, Rng(74));
+  int occasion = 0;
+  size_t calls = 0;
+  Result<SnapshotEstimate> e = Status::Internal("no occasion ran");
+  for (; occasion < 20; ++occasion) {
+    e = est.Evaluate(0);
+    ASSERT_TRUE(e.ok()) << occasion;
+    calls = source.TakeCalls();
+    if (occasion > 0 && calls >= 4) break;
+    data.Advance();
+  }
+  EXPECT_EQ(occasion, 6);
+  EXPECT_EQ(calls, 5u);  // The initial fresh draw and 4 top-ups.
+  EXPECT_EQ(Bits(e->value), 0x40485709a22df845u);
+  EXPECT_EQ(Bits(e->ci_halfwidth), 0x3feffd6d35d055f9u);
+  EXPECT_EQ(Bits(est.correlation_estimate()), 0x3fe428a75c94423bu);
+  EXPECT_EQ(e->retained_samples, 287u);
+  EXPECT_EQ(e->fresh_samples, 416u);
 }
 
 TEST(RepeatedSamplingTest, StaysAccurateAcrossOccasions) {

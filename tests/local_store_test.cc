@@ -82,8 +82,9 @@ TEST(LocalStoreTest, EraseHeavyChurnKeepsIndexConsistent) {
 TEST(LocalStoreTest, UniformSampleFailsWhenEmpty) {
   LocalStore store;
   Rng rng(1);
-  EXPECT_EQ(store.UniformSample(rng).status().code(),
-            StatusCode::kFailedPrecondition);
+  Rng untouched(1);
+  EXPECT_EQ(store.UniformPick(rng), nullptr);
+  EXPECT_EQ(rng.NextU64(), untouched.NextU64());  // No draw was taken.
 }
 
 TEST(LocalStoreTest, UniformSampleIsUniform) {
@@ -93,9 +94,10 @@ TEST(LocalStoreTest, UniformSampleIsUniform) {
   Rng rng(2);
   std::vector<int> counts(5, 0);
   for (int i = 0; i < 50000; ++i) {
-    Result<std::pair<LocalTupleId, Tuple>> pick = store.UniformSample(rng);
-    ASSERT_TRUE(pick.ok());
-    ++counts[static_cast<size_t>(pick->second[0])];
+    const LocalStore::Slot* pick = store.UniformPick(rng);
+    ASSERT_NE(pick, nullptr);
+    ASSERT_EQ(store.Find(pick->id), &pick->tuple);
+    ++counts[static_cast<size_t>(pick->tuple[0])];
   }
   for (int c : counts) EXPECT_NEAR(c, 10000, 600);
 }

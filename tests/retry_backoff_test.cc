@@ -155,6 +155,37 @@ TEST(RetryBackoffTest, SaturatedWalksPinBatchTelemetryInsteadOfWrapping) {
   EXPECT_GT(cut_batches, 0u);
 }
 
+TEST(RetryBackoffTest, HedgeStatisticsSaturateInsteadOfWrapping) {
+  // A retrying walk's first retransmission costs SIZE_MAX / 2 attempt
+  // units, and an unlimited budget lets two such walks deliver in one
+  // batch. The completed-walk sums that feed HedgeThreshold must pin at
+  // UINT64_MAX: wrapped, the attempt sum falls below the step sum and
+  // the threshold collapses.
+  const Graph graph = MakeComplete(12).value();
+  SamplingOperatorOptions options;
+  options.walk_length = 16;
+  options.reset_length = 4;
+  options.retry.max_attempts = static_cast<size_t>(-1);
+  options.retry.backoff_base = static_cast<size_t>(-1) / 2;
+  options.retry.hop_budget_factor = std::numeric_limits<double>::infinity();
+  FaultPlanConfig config;
+  config.message_loss = 0.02;
+  bool two_delivered = false;
+  for (uint64_t seed = 0; seed < 200 && !two_delivered; ++seed) {
+    SamplingOperator op(&graph, DegreeWeight(graph), Rng(seed), nullptr,
+                        options);
+    FaultPlan plan(config, seed + 7);
+    op.SetFaultPlan(&plan);
+    Result<PartialBatch> batch = op.SampleNodesPartial(0, 8);
+    ASSERT_TRUE(batch.ok()) << "seed " << seed;
+    EXPECT_GE(op.hedge_done_attempts(), op.hedge_done_steps())
+        << "seed " << seed;
+    // Only two delivered retrying walks take the sum past the range.
+    two_delivered = op.hedge_done_attempts() == UINT64_MAX;
+  }
+  EXPECT_TRUE(two_delivered);
+}
+
 TEST(RetryBackoffTest, HopBudgetSaturatesInsteadOfWrapping) {
   // A factor so large that factor x planned hops leaves the uint64
   // range is an unlimited budget, not a zero one: under an empty fault

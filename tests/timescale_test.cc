@@ -6,6 +6,7 @@
 
 #include "numeric/stats.h"
 
+#include "workload/memory.h"
 #include "workload/temperature.h"
 
 namespace digest {
@@ -53,6 +54,36 @@ TEST(InterleavingSourceTest, ZeroQuotaBehavesAsOne) {
   InterleavingSampleSource source(f.inner.get(), f.workload.get(), 0);
   ASSERT_TRUE(source.DrawFresh(0, 7).ok());
   EXPECT_EQ(source.mid_occasion_advances(), 7u);
+}
+
+TEST(InterleavingSourceTest, ReturnedTuplesOutliveChurnMidCall) {
+  // MEMORY with churn: every draw advances the world, and departing
+  // peers drop their stores (and the tuples an earlier draw picked)
+  // before DrawFresh returns. The returned samples must still read
+  // their draw-time tuples; a dangling borrow is a use-after-free that
+  // ASan reports.
+  MemoryConfig config;
+  config.num_units = 200;
+  config.num_nodes = 40;
+  config.join_rate = 2.0;
+  config.leave_rate = 2.0;
+  auto workload = MemoryWorkload::Create(config).value();
+  ExactTupleSampler sampler(&workload->db(), Rng(3), nullptr);
+  ExactSampleSource inner(&sampler);
+  InterleavingSampleSource source(&inner, workload.get(),
+                                  /*draws_per_advance=*/1);
+  Result<std::vector<TupleSample>> batch = source.DrawFresh(0, 80);
+  ASSERT_TRUE(batch.ok());
+  ASSERT_EQ(batch->size(), 80u);
+  EXPECT_EQ(source.mid_occasion_advances(), 80u);
+  size_t departed = 0;
+  for (const TupleSample& s : *batch) {
+    ASSERT_NE(s.tuple, nullptr);
+    ASSERT_EQ(s.tuple->size(), 1u);
+    EXPECT_GE((*s.tuple)[0], 0.0);  // Free memory, clamped to [0, cap].
+    if (!workload->db().HasNode(s.ref.node)) ++departed;
+  }
+  EXPECT_GT(departed, 0u);
 }
 
 TEST(InterleavingSourceTest, FastChangeDegradesSnapshotAccuracy) {

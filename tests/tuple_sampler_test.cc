@@ -41,7 +41,7 @@ TEST(TwoStageSamplerTest, SamplesComeFromTheDatabase) {
   for (const TupleSample& s : *batch) {
     Result<Tuple> stored = f.db->GetTuple(s.ref);
     ASSERT_TRUE(stored.ok());
-    EXPECT_EQ(*stored, s.tuple);
+    EXPECT_EQ(*stored, *s.tuple);
   }
 }
 
@@ -70,7 +70,7 @@ TEST(TwoStageSamplerTest, TupleDistributionIsUniform) {
   std::map<double, int> counts;
   Result<std::vector<TupleSample>> batch = sampler.SampleBatch(0, n);
   ASSERT_TRUE(batch.ok());
-  for (const TupleSample& s : *batch) counts[s.tuple[0]] += 1;
+  for (const TupleSample& s : *batch) counts[(*s.tuple)[0]] += 1;
 
   const double expected = static_cast<double>(n) / f.total_tuples;
   ASSERT_EQ(f.total_tuples, 21u);
@@ -88,13 +88,42 @@ TEST(ExactSamplerTest, UniformOverTuples) {
   std::map<double, int> counts;
   Result<std::vector<TupleSample>> batch = sampler.SampleBatch(n);
   ASSERT_TRUE(batch.ok());
-  for (const TupleSample& s : *batch) counts[s.tuple[0]] += 1;
+  for (const TupleSample& s : *batch) counts[(*s.tuple)[0]] += 1;
   const double expected = static_cast<double>(n) / f.total_tuples;
   for (const auto& [value, count] : counts) {
     EXPECT_NEAR(count, expected, expected * 0.2) << "tuple " << value;
   }
   EXPECT_EQ(meter.sample_transfers(), static_cast<uint64_t>(n));
   EXPECT_EQ(meter.walk_hops(), 0u);  // Centralized: no walking.
+}
+
+TEST(ExactSamplerTest, NodePickMatchesTheWeightedIndexReference) {
+  // The sampler binary-searches the running content sizes where
+  // Rng::NextWeightedIndex scans them: the same draw must pick the same
+  // node, on skewed sizes with empty stores in between.
+  Graph g = MakeComplete(40).value();
+  P2PDatabase db(Schema::Create({"v"}).value());
+  Rng fill(3);
+  for (NodeId node : g.LiveNodes()) {
+    ASSERT_TRUE(db.AddNode(node).ok());
+    const size_t size = node % 4 == 1 ? 0 : fill.NextIndex(900);
+    for (size_t i = 0; i < size; ++i) {
+      db.StoreAt(node).value()->Insert({static_cast<double>(i)});
+    }
+  }
+  const std::vector<NodeId> nodes = db.Nodes();
+  std::vector<double> weights;
+  for (NodeId node : nodes) {
+    weights.push_back(static_cast<double>(db.ContentSize(node)));
+  }
+  ExactTupleSampler sampler(&db, Rng(21), nullptr);
+  Rng reference(21);
+  const std::vector<TupleSample> batch = sampler.SampleBatch(5000).value();
+  for (const TupleSample& s : batch) {
+    const NodeId node = nodes[reference.NextWeightedIndex(weights)];
+    ASSERT_EQ(s.ref.node, node);
+    reference.NextIndex(db.ContentSize(node));  // The local pick's draw.
+  }
 }
 
 TEST(ExactSamplerTest, EmptyRelationFails) {
@@ -147,7 +176,7 @@ TEST(ClusterSamplerTest, ClusterEstimateIsWorseUnderIntraNodeCorrelation) {
 
   auto mean_of = [](const std::vector<TupleSample>& samples) {
     double acc = 0.0;
-    for (const TupleSample& s : samples) acc += s.tuple[0];
+    for (const TupleSample& s : samples) acc += (*s.tuple)[0];
     return acc / static_cast<double>(samples.size());
   };
   double cluster_sq_err = 0.0;
