@@ -51,6 +51,12 @@ size_t P2PDatabase::TotalTuples() const {
   return total;
 }
 
+bool P2PDatabase::HasTuples() const {
+  return std::any_of(stores_.begin(), stores_.end(), [](const auto& entry) {
+    return entry.second.Size() > 0;
+  });
+}
+
 std::vector<NodeId> P2PDatabase::Nodes() const {
   std::vector<NodeId> out;
   out.reserve(stores_.size());

@@ -84,6 +84,10 @@ class P2PDatabase {
   /// Total number of tuples in R across all nodes.
   size_t TotalTuples() const;
 
+  /// True iff R holds a tuple: TotalTuples() > 0, stopping at the first
+  /// non-empty store.
+  bool HasTuples() const;
+
   /// Ids of all nodes that currently have stores.
   std::vector<NodeId> Nodes() const;
 

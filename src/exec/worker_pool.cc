@@ -44,6 +44,30 @@ void WorkerPool::WorkerLoop(size_t worker) {
   }
 }
 
+Status WorkerPool::RunInline(size_t n, const ItemFn& fn) {
+  // Items run in index order, so the first failure met is the lowest
+  // index one; later items still run.
+  Status first = Status::OK();
+  std::exception_ptr first_exception;
+  bool failed = false;
+  for (size_t item = 0; item < n; ++item) {
+    try {
+      Status s = fn(item, 0);
+      if (!s.ok() && !failed) {
+        first = std::move(s);
+        failed = true;
+      }
+    } catch (...) {
+      if (!failed) {
+        first_exception = std::current_exception();
+        failed = true;
+      }
+    }
+  }
+  if (first_exception) std::rethrow_exception(first_exception);
+  return first;
+}
+
 void WorkerPool::RunBatchShare(Batch& batch, size_t worker) {
   std::vector<Batch::Failure> local_failures;
   // Own shard first, then steal cyclically. fetch_add may overshoot a
@@ -78,6 +102,7 @@ void WorkerPool::RunBatchShare(Batch& batch, size_t worker) {
 
 Status WorkerPool::ParallelFor(size_t n, const ItemFn& fn) {
   if (n == 0) return Status::OK();
+  if (threads_.empty()) return RunInline(n, fn);
 
   Batch batch;
   batch.n = n;
@@ -89,20 +114,17 @@ Status WorkerPool::ParallelFor(size_t n, const ItemFn& fn) {
   }
   batch.workers_remaining = threads_.size();
 
-  if (!threads_.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      batch_ = &batch;
-      ++generation_;
-    }
-    batch_ready_.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    batch_ = &batch;
+    ++generation_;
   }
+  batch_ready_.notify_all();
 
-  // The calling thread is worker 0; with no spawned threads this IS the
-  // whole batch, run inline in index order.
+  // The calling thread is worker 0.
   RunBatchShare(batch, 0);
 
-  if (!threads_.empty()) {
+  {
     std::unique_lock<std::mutex> lock(mu_);
     batch_done_.wait(lock, [&] { return batch.workers_remaining == 0; });
     batch_ = nullptr;

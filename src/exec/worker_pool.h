@@ -37,15 +37,16 @@ namespace exec {
 ///
 /// The pool spawns `num_threads - 1` persistent workers; the calling
 /// thread itself acts as worker 0 during ParallelFor, so a pool built
-/// with num_threads <= 1 spawns nothing and runs items inline — the
+/// with num_threads <= 1 spawns nothing and runs items inline, as a
+/// plain loop in index order with no claim cursor, atomic or lock — the
 /// serial reference schedule that the determinism tests compare against.
 ///
-/// Work distribution is a sharded queue with stealing: the item range is
-/// cut into one contiguous shard per worker, each with an atomic claim
-/// cursor; a worker drains its own shard first, then steals from the
-/// others in cyclic order. Claims use relaxed atomics (only uniqueness
-/// matters); the end-of-batch barrier (mutex + condition variable)
-/// publishes every item's writes to the caller.
+/// With workers, distribution is a sharded queue with stealing: the item
+/// range is cut into one contiguous shard per worker, each with an atomic
+/// claim cursor; a worker drains its own shard first, then steals from
+/// the others in cyclic order. Claims use relaxed atomics (only
+/// uniqueness matters); the end-of-batch barrier (mutex + condition
+/// variable) publishes every item's writes to the caller.
 ///
 /// ParallelFor is not reentrant and the pool is not itself thread-safe:
 /// one batch at a time, driven from one thread (the engine's tick loop).
@@ -92,6 +93,10 @@ class WorkerPool {
   };
 
   void WorkerLoop(size_t worker);
+
+  /// ParallelFor with no spawned worker: every item on the calling
+  /// thread, in index order, under the same failure contract.
+  Status RunInline(size_t n, const ItemFn& fn);
 
   /// Drains shards for `worker`, collecting failures locally; merges
   /// them into batch.failures under mu_ at the end.

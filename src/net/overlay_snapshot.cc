@@ -1,16 +1,26 @@
 #include "net/overlay_snapshot.h"
 
+#include <bit>
+
 namespace digest {
 
-void OverlaySnapshot::Refresh(const Graph& graph,
+bool OverlaySnapshot::Refresh(const Graph& graph,
                               const std::function<double(NodeId)>& weight) {
+  bool changed = false;
   if (source_ != &graph || source_version_ != graph.version()) {
     BuildRows(graph);
+    changed = true;
   }
   weights_.resize(live_.size());
   for (NodeId id = 0; id < live_.size(); ++id) {
-    weights_[id] = live_[id] != 0 ? weight(id) : 0.0;
+    const double w = live_[id] != 0 ? weight(id) : 0.0;
+    // Bitwise, so a NaN weight that stays NaN is no change.
+    changed |= std::bit_cast<uint64_t>(w) !=
+               std::bit_cast<uint64_t>(weights_[id]);
+    weights_[id] = w;
   }
+  if (changed) has_coins_ = false;
+  return changed;
 }
 
 void OverlaySnapshot::BuildRows(const Graph& graph) {

@@ -77,22 +77,27 @@ size_t Rng::NextWeightedIndex(const std::vector<double>& weights) {
 
 Rng Rng::Fork() { return Rng(NextU64()); }
 
-Rng Rng::Split(uint64_t index) const {
-  // Hash (state, index) down to one substream seed without touching
-  // state_. Each word gets its own odd salt so permutations of the state
+Rng::Splitter::Splitter(const Rng& parent) {
+  // Hash (state, index) down to one substream seed without touching the
+  // parent. Each word gets its own odd salt so permutations of the state
   // words cannot cancel; the SplitMix64 finalizer between accumulation
   // steps provides avalanche, so Split(i) and Split(i+1) share no
-  // structure (see rng_test.cc's collision/statistical battery).
+  // structure (see rng_test.cc's collision/statistical battery). The
+  // state words' part is the same for every index, so it is hashed here,
+  // once.
   uint64_t acc = 0x9e3779b97f4a7c15ULL;
   const uint64_t salts[4] = {0xa0761d6478bd642fULL, 0xe7037ed1a0b428dbULL,
                              0x8ebc6af09c88c6e3ULL, 0x589965cc75374cc3ULL};
   for (int i = 0; i < 4; ++i) {
-    acc ^= state_[i] * salts[i];
+    acc ^= parent.state_[i] * salts[i];
     acc = SplitMix64(acc);
   }
-  acc ^= index;
-  acc = SplitMix64(acc);
-  return Rng(acc);
+  state_hash_ = acc;
+}
+
+Rng Rng::Splitter::operator()(uint64_t index) const {
+  uint64_t acc = state_hash_ ^ index;
+  return Rng(SplitMix64(acc));
 }
 
 }  // namespace digest

@@ -1,6 +1,7 @@
 #ifndef DIGEST_NUMERIC_RNG_H_
 #define DIGEST_NUMERIC_RNG_H_
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -67,11 +68,49 @@ class Rng {
     return mean + stddev * NextGaussian();
   }
 
-  /// True with probability `p` (clamped to [0,1]).
+  /// True with probability `p` (clamped to [0,1]). A NaN `p` draws once
+  /// and returns false.
   bool NextBernoulli(double p) {
     if (p <= 0.0) return false;
     if (p >= 1.0) return true;
     return NextDouble() < p;
+  }
+
+  /// NextBernoulli(p) as an integer, made once for a probability that is
+  /// flipped many times (a walk's lazy coin, a snapshot's per-edge
+  /// acceptance coins). Flip(Coin::Of(p)) makes the same draws and
+  /// returns the same outcome as NextBernoulli(p) for every double p:
+  ///
+  ///  - p <= 0 (-0.0 and -inf included): tails, no draw;
+  ///  - p >= 1 (+inf included): heads, no draw;
+  ///  - NaN: one draw, always tails (`threshold` 0);
+  ///  - otherwise one draw, heads iff (NextU64() >> 11) < `threshold`,
+  ///    which is ceil(p · 2^53), in [1, 2^53).
+  struct Coin {
+    static constexpr uint64_t kTails = UINT64_MAX - 1;
+    static constexpr uint64_t kHeads = UINT64_MAX;
+
+    uint64_t threshold = kTails;
+
+    static Coin Of(double p) {
+      // NextBernoulli(p) draws u = NextU64() >> 11 and is heads iff
+      // u · 2^-53 < p. Both sides scale by 2^53 exactly, and an integer
+      // is below p · 2^53 iff it is below its ceiling, taken here as
+      // floor + 1 unless p · 2^53 is whole (exact below 2^53).
+      if (p <= 0.0) return Coin{kTails};
+      if (p >= 1.0) return Coin{kHeads};
+      if (std::isnan(p)) return Coin{0};
+      const double scaled = p * 0x1.0p53;
+      const uint64_t floor = static_cast<uint64_t>(scaled);
+      return Coin{floor + (static_cast<double>(floor) < scaled ? 1 : 0)};
+    }
+    bool operator==(const Coin&) const = default;
+  };
+
+  /// Flips a coin made by Coin::Of.
+  bool Flip(Coin coin) {
+    if (coin.threshold >= Coin::kTails) return coin.threshold == Coin::kHeads;
+    return (NextU64() >> 11) < coin.threshold;
   }
 
   /// Exponential variate with rate `lambda` (> 0).
@@ -99,8 +138,22 @@ class Rng {
   /// variance-maximizing multipliers 0xbf58476d1ce4e5b9 /
   /// 0x94d049bb133111eb from Stafford's Mix13 finalizer — giving full
   /// avalanche between adjacent indices. Per-word salts (distinct odd
-  /// constants) keep permuted state words from colliding.
-  Rng Split(uint64_t index) const;
+  /// constants) keep permuted state words from colliding. A caller that
+  /// splits one state many times (a walk batch: two substreams per walk)
+  /// hashes the state words once through a Splitter.
+  Rng Split(uint64_t index) const { return Splitter(*this)(index); }
+
+  /// Split() with the parent's four state words hashed once, at
+  /// construction: splitter(i) equals parent.Split(i) for every i, at the
+  /// cost of the index's hash alone.
+  class Splitter {
+   public:
+    explicit Splitter(const Rng& parent);
+    Rng operator()(uint64_t index) const;
+
+   private:
+    uint64_t state_hash_;
+  };
 
   /// Complete serializable generator state. Restoring a saved state makes
   /// the generator resume its stream exactly where the save happened —

@@ -1,7 +1,5 @@
 #include "sampling/random_walk.h"
 
-#include <cmath>
-
 #include "common/saturating.h"
 #include "diag/diag.h"
 #include "net/peer_health.h"
@@ -60,17 +58,18 @@ size_t LiveDegree(const OverlaySnapshot& overlay, NodeId node,
   return live;
 }
 
-// The lazy coin's "always stay, draw nothing" threshold.
-constexpr uint64_t kAlwaysLazy = UINT64_MAX;
-
-// The one transition loop of RandomWalk::Advance. kHooks = false is the
+// The one transition loop of RandomWalk::Advance. kHooks = false is a
 // clean instantiation: its hook pointers are null, so every fault,
 // quarantine, diag and health branch below folds away at compile time
-// and the same source compiles to the lean loop. `position` is read on
-// entry and written back on return.
-template <bool kHooks>
-Status Transitions(const WalkContext& ctx, size_t steps,
-                   uint64_t lazy_threshold, NodeId& position) {
+// and the same source compiles to the lean loop. kCoins (clean only)
+// steps on the snapshot's acceptance-coin table: the walk carries its
+// position's coin row instead of its weight, and a proposal flips the
+// drawn entry's coin instead of computing the acceptance. `position` is
+// read on entry and written back on return.
+template <bool kHooks, bool kCoins>
+Status Transitions(const WalkContext& ctx, size_t steps, Rng::Coin lazy_coin,
+                   NodeId& position) {
+  static_assert(!(kHooks && kCoins), "hooked walks compute the acceptance");
   if (steps == 0) return Status::OK();
   static const RetryPolicy kDefaultRetry;
   const OverlaySnapshot& overlay = ctx.overlay;
@@ -95,8 +94,8 @@ Status Transitions(const WalkContext& ctx, size_t steps,
           ? ctx.quarantine
           : nullptr;
   // The walk's state, in locals until the call returns: the generator,
-  // the position with its row and weight, and this call's counts (folded
-  // into the meter and telemetry on return).
+  // the position with its row and its weight or coin row, and this
+  // call's counts (folded into the meter and telemetry on return).
   Rng rng = ctx.rng;
   NodeId current = position;
   uint64_t proposals = 0;     // One weight probe each.
@@ -119,7 +118,8 @@ Status Transitions(const WalkContext& ctx, size_t steps,
     }
   }
   std::span<const NodeId> row = overlay.Neighbors(current);
-  double weight = overlay.Weight(current);
+  const Rng::Coin* coins = kCoins ? overlay.Coins(current) : nullptr;
+  double weight = kCoins ? 0.0 : overlay.Weight(current);
   for (; step < steps && failure == nullptr; ++step) {
     // One transition: returns null once it is over, moved or not, and
     // the reason when no transition is possible.
@@ -133,14 +133,11 @@ Status Transitions(const WalkContext& ctx, size_t steps,
       }
       // Laziness: self-loop with the configured probability, free of
       // messages (½ in the paper, Eq. 12's prefactor).
-      if (lazy_threshold != 0 &&
-          (lazy_threshold == kAlwaysLazy ||
-           (rng.NextU64() >> 11) < lazy_threshold)) {
-        return nullptr;
-      }
+      if (rng.Flip(lazy_coin)) return nullptr;
       // Isolated node (transiently possible under churn): stay.
       if (row.empty()) return nullptr;
       NodeId proposal = kInvalidNode;
+      size_t entry = 0;  // The proposal's index in `row`, unrouted only.
       size_t degree_i = row.size();
       if (quarantine != nullptr) {
         const size_t live = LiveDegree(overlay, current, *quarantine);
@@ -158,11 +155,22 @@ Status Transitions(const WalkContext& ctx, size_t steps,
           --pick;
         }
       } else {
-        proposal = row[rng.NextIndex(row.size())];
+        entry = rng.NextIndex(row.size());
+        proposal = row[entry];
       }
       // Probing the neighbor's weight costs one message (charged whether
       // or not the transmission survives — the sender pays for the send).
       ++proposals;
+      if constexpr (kCoins) {
+        // Both ends are frozen for the batch, so the entry's coin is the
+        // acceptance this proposal would compute, flipped alike.
+        if (!rng.Flip(coins[entry])) return nullptr;
+        ++accepted;
+        current = proposal;
+        row = overlay.Neighbors(current);
+        coins = overlay.Coins(current);
+        return nullptr;
+      }
       if (diag != nullptr) diag->RecordProbe(current, proposal);
       if (faults != nullptr) {
         if (!TryDeliver(*faults, retry, current, proposal, meter, telemetry,
@@ -260,21 +268,14 @@ void WalkTelemetry::Merge(const WalkTelemetry& other) {
   hedge_wins += other.hedge_wins;
 }
 
-uint64_t RandomWalk::LazyThreshold(double laziness) {
-  // NextBernoulli(p) stays iff (NextU64() >> 11) · 2^-53 < p. Both sides
-  // scale by 2^53 exactly, and an integer is below p · 2^53 iff it is
-  // below its ceiling.
-  if (!(laziness > 0.0)) return 0;
-  if (laziness >= 1.0) return kAlwaysLazy;
-  return static_cast<uint64_t>(std::ceil(laziness * 0x1.0p53));
-}
-
 Status RandomWalk::Advance(const WalkContext& ctx, size_t steps) {
   const bool hooked =
       ctx.faults != nullptr || ctx.diag != nullptr || ctx.health != nullptr ||
       (ctx.quarantine != nullptr && ctx.quarantine->Any());
-  return hooked ? Transitions<true>(ctx, steps, lazy_threshold_, current_)
-                : Transitions<false>(ctx, steps, lazy_threshold_, current_);
+  if (hooked) return Transitions<true, false>(ctx, steps, lazy_coin_, current_);
+  return ctx.overlay.HasCoins()
+             ? Transitions<false, true>(ctx, steps, lazy_coin_, current_)
+             : Transitions<false, false>(ctx, steps, lazy_coin_, current_);
 }
 
 }  // namespace digest

@@ -109,7 +109,13 @@ class RandomWalk {
   /// bipartite graphs (e.g., even rings, meshes) — exposed for the
   /// ablation in bench_mixing.
   explicit RandomWalk(NodeId origin, double laziness = 0.5)
-      : current_(origin), lazy_threshold_(LazyThreshold(laziness)) {}
+      : RandomWalk(origin, Rng::Coin::Of(laziness)) {}
+
+  /// Starts a walk at `origin` whose lazy coin is
+  /// Rng::Coin::Of(laziness), made once by a caller that starts many
+  /// walks.
+  RandomWalk(NodeId origin, Rng::Coin lazy_coin)
+      : current_(origin), lazy_coin_(lazy_coin) {}
 
   /// Node the agent currently resides on.
   NodeId current() const { return current_; }
@@ -136,29 +142,30 @@ class RandomWalk {
   /// bookkeeping steps one transition per call and reads the telemetry
   /// in between.
   ///
-  /// The loop is compiled twice from one source, and each call picks
-  /// one instantiation up front. A walk with no fault plan, no non-empty
-  /// quarantine view and no diag or health buffer (`meter` and
-  /// `telemetry` may be set) runs the clean instantiation, with every
-  /// hook branch compiled out; any other walk runs the hooked one. Both
-  /// make the same draws. In both, the walk's state lives in locals for
-  /// the whole call: a copy of `ctx.rng`, written back on return; the
-  /// position with its neighbour row and weight, carried from step to
-  /// step; and the call's counts. Liveness is checked once, on entry:
-  /// snapshot rows hold only live ids, so a walk that starts live stays
-  /// live.
+  /// The loop is compiled three times from one source, and each call
+  /// picks one instantiation up front from what the context and the
+  /// snapshot hold. A walk with a fault plan, a non-empty quarantine view
+  /// or a diag or health buffer runs the hooked instantiation. Any other
+  /// walk (`meter` and `telemetry` may be set) runs a clean one, with
+  /// every hook branch compiled out: over a snapshot that holds its coin
+  /// table (OverlaySnapshot::BuildCoins), a proposal reads the drawn
+  /// entry's neighbour and acceptance coin and nothing else, no weight,
+  /// degree or floating point; without the table it computes the
+  /// acceptance from the two weights and degrees, as the hooked one
+  /// does. All three make the same draws: the lazy coin and every coin
+  /// in the table are Rng::Coin values, which flip exactly as
+  /// Rng::NextBernoulli of their probability does, NaN included. In each,
+  /// the walk's state lives in locals for the whole call: a copy of
+  /// `ctx.rng`, written back on return; the position with its neighbour
+  /// row and its weight or coin row, carried from step to step; and the
+  /// call's counts. Liveness is checked once, on entry: snapshot rows
+  /// hold only live ids, so a walk that starts live stays live.
   Status Advance(const WalkContext& ctx, size_t steps);
 
  private:
-  /// The lazy coin as an integer threshold on NextU64() >> 11, which
-  /// draws exactly like Rng::NextBernoulli(laziness): 0 never stays and
-  /// draws nothing (laziness <= 0 or NaN); UINT64_MAX always stays and
-  /// draws nothing (laziness >= 1); any other value is
-  /// ceil(laziness · 2^53), in [1, 2^53).
-  static uint64_t LazyThreshold(double laziness);
-
   NodeId current_;
-  uint64_t lazy_threshold_;
+  /// Stays put on heads: Rng::Coin::Of(laziness).
+  Rng::Coin lazy_coin_;
 };
 
 }  // namespace digest

@@ -11,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "prof/profiler.h"
+#include "sampling/metropolis.h"
 
 namespace digest {
 namespace {
@@ -99,6 +100,7 @@ SamplingOperator::SamplingOperator(const Graph* graph, WeightFn weight,
       rng_(rng),
       meter_(meter),
       options_(options),
+      lazy_coin_(Rng::Coin::Of(options.laziness)),
       pool_(std::make_unique<exec::WorkerPool>(options.num_threads)) {}
 
 SamplingOperator::~SamplingOperator() = default;
@@ -183,7 +185,7 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
   // here, before fan-out: rows only if the graph mutated since the last
   // batch, weights always. Workers only read it, and the graph cannot
   // change before FinishBatch below reads it again.
-  overlay_.Refresh(*graph_, weight_);
+  const bool overlay_changed = overlay_.Refresh(*graph_, weight_);
   // Quarantine view, frozen before any walk launches: every walk in
   // this batch routes against the same breaker snapshot, and outcome
   // folds (which may flip breakers) happen only at the merge.
@@ -196,6 +198,20 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
   const size_t warm = std::min(n, warm_pool);
   const size_t walk_len = EffectiveWalkLength();
   const size_t reset_len = EffectiveResetLength();
+  const uint64_t planned = static_cast<uint64_t>(warm) * reset_len +
+                           static_cast<uint64_t>(n - warm) * walk_len;
+  // Clean walks (no fault plan, diag or health) step on the snapshot's
+  // acceptance-coin table when it is there. It is built here, before
+  // fan-out, for a batch of clean walks that plans at least one step per
+  // CSR entry over an overlay its refresh found unchanged: a build costs
+  // a few steps' time per entry, so only an overlay that repeats from
+  // batch to batch pays it back, and the batch's own steps cover a good
+  // part. The refresh drops the table on any change, so a static overlay
+  // builds it once, and a churned one never does and steps as before.
+  if (faults_ == nullptr && in.diag == nullptr && in.health == nullptr &&
+      !overlay_changed && planned >= overlay_.EntryCount()) {
+    overlay_.BuildCoins<MetropolisAcceptance>();
+  }
   // Batch attempt budget, provisioned up front: a batch planned to take
   // S hops total may spend at most ceil(hop_budget_factor · S) attempt
   // units (hops, retries, and backoff delays) before it is cut. The
@@ -203,9 +219,6 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
   // repeatedly dropped mid-walk) can borrow slack from the others.
   uint64_t budget = 0;
   if (faults_ != nullptr) {
-    const uint64_t planned =
-        static_cast<uint64_t>(warm) * reset_len +
-        static_cast<uint64_t>(n - warm) * walk_len;
     const double cap = std::ceil(options_.retry.hop_budget_factor *
                                  static_cast<double>(planned));
     // Saturate: past the uint64 range (a factor of +inf included) the
@@ -222,9 +235,10 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
   // The batch key is the ONLY draw this batch takes from the operator's
   // stream: walk i's randomness comes from Split(2i) of an rng seeded by
   // the key, its fault substream key from Split(2i+1) — pure functions
-  // of (stream state, i), identical on any worker and schedule.
+  // of (stream state, i), identical on any worker and schedule. The
+  // splitter hashes the seeded state once for the whole batch.
   const uint64_t batch_key = rng_.NextU64();
-  const Rng substream_base(batch_key);
+  const Rng::Splitter substream(Rng{batch_key});
 
   // Per-walk plan. The hedge donor is the start-of-batch position of
   // walk i-1's agent: already mixed when it is a pre-batch warm agent,
@@ -234,7 +248,7 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     WalkSlot& slot = slots_[i];
     const bool is_warm = options_.warm_walks && base + i < agents_.size();
-    slot.start = is_warm ? agents_[base + i].current() : fallback;
+    slot.start = is_warm ? agents_[base + i] : fallback;
     slot.steps = is_warm ? reset_len : walk_len;
     if (faults_ == nullptr) continue;
     slot.threshold = HedgeThreshold(slot.steps);
@@ -243,13 +257,13 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
     if (options_.warm_walks && base + i >= 1) {
       const size_t donor = base + i - 1;
       const NodeId donor_pos =
-          donor < agents_.size() ? agents_[donor].current() : fallback;
+          donor < agents_.size() ? agents_[donor] : fallback;
       if (overlay_.HasNode(donor_pos)) {
         slot.hedge_origin = donor_pos;
         slot.hedge_steps = donor < agents_.size() ? reset_len : walk_len;
       }
     }
-    slot.fault_key = substream_base.Split(2 * i + 1).NextU64();
+    slot.fault_key = substream(2 * i + 1).NextU64();
   }
 
   // Each worker times its walks into a private track, folded below.
@@ -267,7 +281,7 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
         slot.health.Clear();
         slot.events.clear();
         slot.timed_out = false;
-        Rng walk_rng = substream_base.Split(2 * i);
+        Rng walk_rng = substream(2 * i);
         WalkContext ctx{.overlay = overlay_,
                         .rng = walk_rng,
                         .fallback = fallback,
@@ -279,7 +293,7 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
                         .health =
                             in.health != nullptr ? &slot.health : nullptr};
         prof::Track* track = tracks.empty() ? nullptr : &tracks[worker];
-        RandomWalk agent(slot.start, options_.laziness);
+        RandomWalk agent(slot.start, lazy_coin_);
         // One agent's stepping to convergence (cold mix or warm reset);
         // items count the attempted hops.
         prof::ScopedTrackTimer advance_timer(track, prof::Phase::kWalkAdvance);
@@ -300,7 +314,7 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
         // units, the deterministic stand-in for wall clock); each round
         // the walker that has spent less since the launch steps next.
         // Both draw from this walk's substream.
-        RandomWalk hedge(fallback, options_.laziness);
+        RandomWalk hedge(fallback, lazy_coin_);
         size_t hedge_remaining = 0;
         bool hedged = false;
         uint64_t primary_spent = 0;  // Attempt units since the launch.
@@ -312,7 +326,7 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
             // the agent costs one message; its hops are charged as
             // ordinary walk hops as it steps.
             hedged = true;
-            hedge = RandomWalk(slot.hedge_origin, options_.laziness);
+            hedge = RandomWalk(slot.hedge_origin, lazy_coin_);
             hedge_remaining = slot.hedge_steps;
             primary_spent = 0;
             hedge_spent = 0;
@@ -409,9 +423,9 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
     }
     last_telemetry_.Merge(o.telemetry);
     if (base + i < agents_.size()) {
-      agents_[base + i] = RandomWalk(o.final_pos, options_.laziness);
+      agents_[base + i] = o.final_pos;
     } else {
-      agents_.emplace_back(o.final_pos, options_.laziness);
+      agents_.push_back(o.final_pos);
     }
     cut = o.timed_out;
     if (cut) break;
@@ -462,10 +476,7 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
 
 SamplingOperator::State SamplingOperator::SaveState() const {
   State state;
-  state.agent_positions.reserve(agents_.size());
-  for (const RandomWalk& agent : agents_) {
-    state.agent_positions.push_back(agent.current());
-  }
+  state.agent_positions = agents_;
   state.next_agent = next_agent_;
   state.rng = rng_.SaveState();
   state.done_walks = done_walks_;
@@ -475,11 +486,7 @@ SamplingOperator::State SamplingOperator::SaveState() const {
 }
 
 void SamplingOperator::RestoreState(const State& state) {
-  agents_.clear();
-  agents_.reserve(state.agent_positions.size());
-  for (NodeId position : state.agent_positions) {
-    agents_.emplace_back(position, options_.laziness);
-  }
+  agents_ = state.agent_positions;
   next_agent_ = static_cast<size_t>(state.next_agent);
   rng_.RestoreState(state.rng);
   done_walks_ = state.done_walks;

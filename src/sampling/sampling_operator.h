@@ -191,6 +191,10 @@ class SamplingOperator {
 
   const SamplingOperatorOptions& options() const { return options_; }
 
+  /// The snapshot the most recent batch stepped over, with its
+  /// acceptance-coin table when that batch had or built one.
+  const OverlaySnapshot& overlay() const { return overlay_; }
+
   /// Completed-walk statistics feeding the hedge straggler threshold
   /// (attempts and planned steps of every agent that delivered under
   /// faults this run).
@@ -244,10 +248,13 @@ class SamplingOperator {
   FaultPlan* faults_ = nullptr;
   obs::Instruments instruments_;
   WalkTelemetry last_telemetry_;
+  // Every walk's lazy coin: Rng::Coin::Of(options_.laziness).
+  Rng::Coin lazy_coin_;
   // The batch's overlay: refreshed on the calling thread at batch start,
   // read by every walk and by the diag batch close.
   OverlaySnapshot overlay_;
-  std::vector<RandomWalk> agents_;  // Warm agents, reused round-robin.
+  // Positions of the warm agents, reused round-robin.
+  std::vector<NodeId> agents_;
   size_t next_agent_ = 0;
   std::unique_ptr<exec::WorkerPool> pool_;
   // One plan + outcome slot per walk of the current batch, reused across

@@ -25,7 +25,7 @@ Result<std::vector<TupleSample>> TwoStageTupleSampler::SampleBatch(
 
 Result<PartialTupleBatch> TwoStageTupleSampler::SampleBatchPartial(
     NodeId origin, size_t n) {
-  if (db_->TotalTuples() == 0) {
+  if (!db_->HasTuples()) {
     return Status::FailedPrecondition("relation R is empty");
   }
   PartialTupleBatch out;

@@ -10,12 +10,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "diag/diag.h"
 #include "net/graph.h"
+#include "net/fault_plan.h"
 #include "net/topology.h"
+#include "sampling/metropolis.h"
 #include "sampling/random_walk.h"
 #include "sampling/sampling_operator.h"
 #include "sampling/weight.h"
@@ -282,6 +287,184 @@ TEST(OverlaySnapshotTest, WarmAgentWhoseNodeLeftRestartsAtFallback) {
     const bool at_origin = positions[i] == gone || positions[i] == 0;
     EXPECT_EQ(after[i] == 0, at_origin) << "agent " << i;
   }
+}
+
+// Checks every coin of `overlay` against the acceptance of its entry,
+// computed from the snapshot's weights and degrees.
+void ExpectCoinsMatchAcceptance(const OverlaySnapshot& overlay) {
+  ASSERT_TRUE(overlay.HasCoins());
+  size_t entries = 0;
+  for (NodeId i = 0; i < overlay.NextId(); ++i) {
+    const std::span<const NodeId> row = overlay.Neighbors(i);
+    const Rng::Coin* coins = overlay.Coins(i);
+    for (size_t k = 0; k < row.size(); ++k) {
+      const NodeId j = row[k];
+      EXPECT_EQ(coins[k],
+                Rng::Coin::Of(MetropolisAcceptance(
+                    overlay.Weight(i), overlay.Degree(i), overlay.Weight(j),
+                    overlay.Degree(j))))
+          << i << " -> " << j;
+      ++entries;
+    }
+  }
+  EXPECT_EQ(entries, overlay.EntryCount());
+}
+
+TEST(OverlaySnapshotTest, CoinsMatchTheAcceptanceAfterChurnAndWeightChanges) {
+  Rng rng(17);
+  Graph g = MakeBarabasiAlbert(50, 3, rng).value();
+  // Weights cover the ratio's edge cases: zero, denormal, huge, infinite
+  // and NaN weights sit among ordinary ones.
+  const double special[] = {0.0, std::numeric_limits<double>::denorm_min(),
+                            1e308, std::numeric_limits<double>::infinity(),
+                            std::nan("")};
+  std::vector<double> w(400);
+  for (size_t v = 0; v < w.size(); ++v) {
+    w[v] = v % 9 < 5 ? special[v % 9] : 1.0 + static_cast<double>(v % 13);
+  }
+  const WeightFn weight = [&w](NodeId v) { return w[v]; };
+  OverlaySnapshot overlay(g, weight);
+  overlay.BuildCoins<MetropolisAcceptance>();
+  ExpectCoinsMatchAcceptance(overlay);
+  for (int round = 0; round < 12; ++round) {
+    switch (round % 3) {
+      case 0: {  // Joins.
+        for (int k = 0; k < 3; ++k) {
+          const NodeId joined = g.AddNode();
+          (void)g.AddEdge(joined, static_cast<NodeId>(rng.NextIndex(joined)));
+          (void)g.AddEdge(joined, static_cast<NodeId>(rng.NextIndex(joined)));
+        }
+        break;
+      }
+      case 1: {  // Leaves.
+        const std::vector<NodeId> live = g.LiveNodes();
+        ASSERT_TRUE(g.RemoveNode(live[rng.NextIndex(live.size())]).ok());
+        break;
+      }
+      default:  // Weight-only changes.
+        w[rng.NextIndex(g.NextId())] *= 3.0;
+        w[rng.NextIndex(g.NextId())] = 0.5;
+        break;
+    }
+    overlay.Refresh(g, weight);
+    EXPECT_FALSE(overlay.HasCoins()) << "round " << round;
+    overlay.BuildCoins<MetropolisAcceptance>();
+    ExpectCoinsMatchAcceptance(overlay);
+  }
+}
+
+TEST(OverlaySnapshotTest, CoinTableIsBuiltKeptAndDroppedByRefreshes) {
+  Graph g = MakeRing(8).value();
+  std::vector<double> w(16, 2.0);
+  const WeightFn weight = [&w](NodeId v) { return w[v]; };
+  OverlaySnapshot overlay(g, weight);
+  EXPECT_FALSE(overlay.HasCoins());
+  EXPECT_EQ(overlay.coin_builds(), 0u);
+  overlay.BuildCoins<MetropolisAcceptance>();
+  overlay.BuildCoins<MetropolisAcceptance>();  // Already built: kept.
+  EXPECT_TRUE(overlay.HasCoins());
+  EXPECT_EQ(overlay.coin_builds(), 1u);
+
+  // Unchanged rows and weights keep it, NaN weights included.
+  w[3] = std::nan("");
+  overlay.Refresh(g, weight);
+  EXPECT_FALSE(overlay.HasCoins());
+  overlay.BuildCoins<MetropolisAcceptance>();
+  EXPECT_EQ(overlay.coin_builds(), 2u);
+  overlay.Refresh(g, weight);
+  overlay.Refresh(g, weight);
+  EXPECT_TRUE(overlay.HasCoins());
+  EXPECT_EQ(overlay.coin_builds(), 2u);
+
+  // A weight change, even to -0.0 from 0.0, drops it, and so does a
+  // row rebuild; only BuildCoins builds it again.
+  w[5] = 0.0;
+  overlay.Refresh(g, weight);
+  EXPECT_FALSE(overlay.HasCoins());
+  overlay.BuildCoins<MetropolisAcceptance>();
+  w[5] = -0.0;
+  overlay.Refresh(g, weight);
+  EXPECT_FALSE(overlay.HasCoins());
+  overlay.Refresh(g, weight);
+  EXPECT_FALSE(overlay.HasCoins());
+  overlay.BuildCoins<MetropolisAcceptance>();
+  EXPECT_EQ(overlay.coin_builds(), 4u);
+  ASSERT_TRUE(g.AddEdge(0, 4).ok());
+  overlay.Refresh(g, weight);
+  EXPECT_FALSE(overlay.HasCoins());
+  EXPECT_EQ(overlay.row_builds(), 2u);
+  EXPECT_EQ(overlay.coin_builds(), 4u);
+  overlay.BuildCoins<MetropolisAcceptance>();
+  ExpectCoinsMatchAcceptance(overlay);
+  EXPECT_EQ(overlay.coin_builds(), 5u);
+}
+
+TEST(OverlaySnapshotTest, OperatorBuildsCoinsOnlyOverARepeatingOverlay) {
+  // Uniform weights on a 12-node ring: 24 CSR entries. Cold walks take
+  // 6 steps, warm ones 3. A clean batch builds the table when its
+  // refresh found the overlay unchanged and it plans a step per entry.
+  Graph g = MakeRing(12).value();
+  std::vector<double> w(16, 1.0);
+  SamplingOperatorOptions options;
+  options.walk_length = 6;
+  options.reset_length = 3;
+  SamplingOperator op(&g, [&w](NodeId v) { return w[v]; }, Rng(9), nullptr,
+                      options);
+  const OverlaySnapshot& overlay = op.overlay();
+  ASSERT_TRUE(op.SampleNodes(0, 8).ok());  // First refresh: a change.
+  EXPECT_EQ(overlay.EntryCount(), 24u);
+  EXPECT_FALSE(overlay.HasCoins());
+  ASSERT_TRUE(op.SampleNodes(0, 2).ok());  // 2·3 = 6 planned steps < 24.
+  EXPECT_FALSE(overlay.HasCoins());
+  ASSERT_TRUE(op.SampleNodes(0, 8).ok());  // 8·3 = 24 >= 24.
+  EXPECT_TRUE(overlay.HasCoins());
+  EXPECT_EQ(overlay.coin_builds(), 1u);
+  // Kept across batches of any size while nothing changes.
+  ASSERT_TRUE(op.SampleNodes(0, 1).ok());
+  ASSERT_TRUE(op.SampleNodes(0, 12).ok());
+  EXPECT_TRUE(overlay.HasCoins());
+  EXPECT_EQ(overlay.coin_builds(), 1u);
+  ExpectCoinsMatchAcceptance(overlay);
+
+  // A weight change drops it, and the batch that sees the change does
+  // not rebuild it, however large; the next large one does.
+  w[4] = 3.0;
+  ASSERT_TRUE(op.SampleNodes(0, 12).ok());
+  EXPECT_FALSE(overlay.HasCoins());
+  ASSERT_TRUE(op.SampleNodes(0, 12).ok());
+  EXPECT_EQ(overlay.coin_builds(), 2u);
+  ExpectCoinsMatchAcceptance(overlay);
+
+  // A churned overlay: every batch rebuilds the rows and none builds
+  // the table, so its walks compute every acceptance, as they would
+  // without one.
+  for (int round = 0; round < 4; ++round) {
+    const NodeId joined = g.AddNode();
+    ASSERT_TRUE(g.AddEdge(joined, 1).ok());
+    ASSERT_TRUE(op.SampleNodes(0, 40).ok());
+    EXPECT_FALSE(overlay.HasCoins());
+  }
+  EXPECT_EQ(overlay.coin_builds(), 2u);
+  ASSERT_TRUE(op.SampleNodes(0, 40).ok());
+  EXPECT_EQ(overlay.coin_builds(), 3u);
+  ExpectCoinsMatchAcceptance(overlay);
+
+  // Hooked batches compute every acceptance and never build the table.
+  w[4] = 5.0;
+  diag::SamplerDiag diag;
+  op.SetInstruments({.diag = &diag});
+  ASSERT_TRUE(op.SampleNodes(0, 40).ok());
+  ASSERT_TRUE(op.SampleNodes(0, 40).ok());
+  EXPECT_FALSE(overlay.HasCoins());
+  op.SetInstruments({});
+  FaultPlan faults(FaultPlanConfig{}, 3);
+  op.SetFaultPlan(&faults);
+  ASSERT_TRUE(op.SampleNodes(0, 40).ok());
+  EXPECT_FALSE(overlay.HasCoins());
+  EXPECT_EQ(overlay.coin_builds(), 3u);
+  op.SetFaultPlan(nullptr);
+  ASSERT_TRUE(op.SampleNodes(0, 40).ok());
+  EXPECT_EQ(overlay.coin_builds(), 4u);
 }
 
 // One session of batches with churn and weight changes between them,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -160,6 +162,25 @@ TEST(RandomWalkTest, CleanAndHookedInstantiationsDrawAlike) {
   ASSERT_TRUE(dead.RemoveNode(1).ok());
   ASSERT_TRUE(dead.RemoveNode(2).ok());
   const WeightFn varied = [](NodeId v) { return 1.0 + (v % 4); };
+  // Weights at the edges of the double range: zero is never entered; a
+  // denormal or 1e308 weight drives the ratio to underflow or overflow;
+  // an infinite weight traps the walk (it always moves on, never off);
+  // two adjacent infinite weights, or one 1e308 pair whose products
+  // overflow, give the acceptance inf/inf = NaN, a one-draw reject; a
+  // NaN weight rejects every move onto or off it, with one draw each.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double extremes[] = {1.0,
+                             0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             1e308,
+                             inf,
+                             std::nan(""),
+                             2.5};
+  const WeightFn extreme = [&](NodeId v) { return extremes[v % 7]; };
+  const Graph complete = MakeComplete(5).value();
+  const WeightFn infinite_pair = [&](NodeId v) {
+    return v == 1 || v == 2 ? inf : 1.0;
+  };
   struct Case {
     const char* name;
     OverlaySnapshot overlay;
@@ -178,53 +199,92 @@ TEST(RandomWalkTest, CleanAndHookedInstantiationsDrawAlike) {
        1, 0, 0},
       {"start and fallback dead", OverlaySnapshot(dead, UniformWeight()), 1,
        2, 0},
+      {"extreme weights", OverlaySnapshot(irregular, extreme), 0, 0, 0},
+      // Each walk is trapped at node 1 or 2, then proposes the other.
+      {"infinite pair", OverlaySnapshot(complete, infinite_pair), 0, 0, 0},
   };
   const size_t steps = 300;
   for (double laziness :
        {0.0, 0x1.0p-53, 0.3, 0.5, 1.0 - 0x1.0p-53, 1.0}) {
     for (const Case& c : cases) {
-      SCOPED_TRACE(std::string(c.name) +
-                   " laziness=" + std::to_string(laziness));
-      const WalkEnd clean =
-          RunWalk(c.overlay, c.start, c.fallback, laziness, steps, steps,
-                  nullptr);
-      diag::WalkDiagBuffer diag;
-      const WalkEnd hooked = RunWalk(c.overlay, c.start, c.fallback, laziness,
-                                     steps, steps, &diag);
-      EXPECT_EQ(hooked.status.code(), clean.status.code());
-      EXPECT_EQ(hooked.position, clean.position);
-      EXPECT_EQ(hooked.probes, clean.probes);
-      EXPECT_EQ(hooked.hops, clean.hops);
-      EXPECT_TRUE(hooked.telemetry == clean.telemetry);
-      EXPECT_EQ(hooked.next_draw, clean.next_draw);
-      if (!clean.status.ok()) {
-        // Neither the agent's node nor the fallback is live: the walk
-        // fails its first transition, which still counts as an attempt.
-        EXPECT_EQ(clean.status.code(), StatusCode::kUnavailable);
-        EXPECT_EQ(clean.telemetry.attempts, 1u);
-        EXPECT_EQ(clean.probes + clean.hops, 0u);
-        EXPECT_EQ(clean.next_draw, Rng(42).NextU64());
-        EXPECT_TRUE(diag.visits.empty());
-        continue;
+      // The clean instantiation steps on the acceptance-coin table when
+      // the snapshot holds one and computes each acceptance when it does
+      // not; the hooked one always computes. All must draw alike.
+      OverlaySnapshot with_coins = c.overlay;
+      with_coins.BuildCoins<MetropolisAcceptance>();
+      ASSERT_TRUE(with_coins.HasCoins());
+      ASSERT_FALSE(c.overlay.HasCoins());
+      const OverlaySnapshot* const overlays[] = {&c.overlay, &with_coins};
+      for (const OverlaySnapshot* overlay : overlays) {
+        SCOPED_TRACE(std::string(c.name) + " laziness=" +
+                     std::to_string(laziness) +
+                     (overlay->HasCoins() ? " coins" : " no coins"));
+        const WalkEnd clean = RunWalk(*overlay, c.start, c.fallback, laziness,
+                                      steps, steps, nullptr);
+        diag::WalkDiagBuffer diag;
+        const WalkEnd hooked = RunWalk(*overlay, c.start, c.fallback,
+                                       laziness, steps, steps, &diag);
+        EXPECT_EQ(hooked.status.code(), clean.status.code());
+        EXPECT_EQ(hooked.position, clean.position);
+        EXPECT_EQ(hooked.probes, clean.probes);
+        EXPECT_EQ(hooked.hops, clean.hops);
+        EXPECT_TRUE(hooked.telemetry == clean.telemetry);
+        EXPECT_EQ(hooked.next_draw, clean.next_draw);
+        if (!clean.status.ok()) {
+          // Neither the agent's node nor the fallback is live: the walk
+          // fails its first transition, which still counts as an attempt.
+          EXPECT_EQ(clean.status.code(), StatusCode::kUnavailable);
+          EXPECT_EQ(clean.telemetry.attempts, 1u);
+          EXPECT_EQ(clean.probes + clean.hops, 0u);
+          EXPECT_EQ(clean.next_draw, Rng(42).NextU64());
+          EXPECT_TRUE(diag.visits.empty());
+          continue;
+        }
+        EXPECT_EQ(diag.visits.size(), steps);
+        EXPECT_EQ(clean.telemetry.attempts, steps);
+        EXPECT_EQ(clean.telemetry.proposals, clean.probes);
+        // Every hop message is an accepted move or a re-injection.
+        EXPECT_EQ(clean.hops, clean.telemetry.accepted + c.reinjections);
+        EXPECT_TRUE(overlay->HasNode(clean.position));
+        if (laziness <= 0.5) {
+          EXPECT_GT(overlay->Weight(clean.position), 0.0);
+        }
+        // One step per call (the hedge race's pattern) walks alike too.
+        const WalkEnd stepped = RunWalk(*overlay, c.start, c.fallback,
+                                        laziness, steps, 1, nullptr);
+        EXPECT_EQ(stepped.position, clean.position);
+        EXPECT_TRUE(stepped.telemetry == clean.telemetry);
+        EXPECT_EQ(stepped.next_draw, clean.next_draw);
       }
-      EXPECT_EQ(diag.visits.size(), steps);
-      EXPECT_EQ(clean.telemetry.attempts, steps);
-      EXPECT_EQ(clean.telemetry.proposals, clean.probes);
-      // Every hop message is an accepted move or a re-injection.
-      EXPECT_EQ(clean.hops, clean.telemetry.accepted + c.reinjections);
-      EXPECT_TRUE(c.overlay.HasNode(clean.position));
-      if (laziness <= 0.5) {
-        EXPECT_GT(c.overlay.Weight(clean.position), 0.0);
-      }
-      // One step per call (the hedge race's pattern) walks alike too.
-      const WalkEnd stepped =
-          RunWalk(c.overlay, c.start, c.fallback, laziness, steps, 1,
-                  nullptr);
-      EXPECT_EQ(stepped.position, clean.position);
-      EXPECT_TRUE(stepped.telemetry == clean.telemetry);
-      EXPECT_EQ(stepped.next_draw, clean.next_draw);
     }
   }
+}
+
+TEST(RandomWalkTest, NaNLazinessDrawsOnceAndNeverStays) {
+  // NextBernoulli(NaN) draws once and is false, so a NaN-lazy walk
+  // proposes at every step after one wasted draw; it must not walk like
+  // the non-lazy chain, which draws nothing for its lazy coin.
+  Rng topo_rng(12);
+  const Graph g = MakeBarabasiAlbert(30, 2, topo_rng).value();
+  const OverlaySnapshot overlay(g, [](NodeId v) { return 1.0 + (v % 3); });
+  const WalkEnd nan_lazy =
+      RunWalk(overlay, 0, 0, std::nan(""), 200, 200, nullptr);
+  const WalkEnd non_lazy = RunWalk(overlay, 0, 0, 0.0, 200, 200, nullptr);
+  EXPECT_EQ(nan_lazy.probes, 200u);
+  EXPECT_EQ(non_lazy.probes, 200u);
+  EXPECT_NE(nan_lazy.next_draw, non_lazy.next_draw);
+  // Step by step, the same walk with the lazy draw made by hand.
+  Rng rng(42);
+  NodeId position = 0;
+  for (int step = 0; step < 200; ++step) {
+    EXPECT_FALSE(rng.NextBernoulli(std::nan("")));
+    const WalkContext ctx{.overlay = overlay, .rng = rng, .fallback = 0};
+    RandomWalk walk(position, 0.0);
+    ASSERT_TRUE(walk.Advance(ctx, 1).ok());
+    position = walk.current();
+  }
+  EXPECT_EQ(position, nan_lazy.position);
+  EXPECT_EQ(rng.NextU64(), nan_lazy.next_draw);
 }
 
 TEST(RandomWalkTest, StaleProbeLeavesTheCarriedWeightTrue) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <utility>
 #include <vector>
@@ -132,6 +133,64 @@ TEST(RngTest, BernoulliEdgeCases) {
   }
 }
 
+TEST(RngTest, CoinFlipsExactlyLikeNextBernoulli) {
+  // A coin made once must draw as NextBernoulli does on every double:
+  // the no-draw tails and heads ends, NaN's one-draw tails, and the
+  // threshold at the smallest, a middle and the largest open-interval p.
+  const double cases[] = {std::nan(""),
+                          -std::numeric_limits<double>::infinity(),
+                          -1.0,
+                          -0.0,
+                          0.0,
+                          std::numeric_limits<double>::denorm_min(),
+                          0x1.0p-53,
+                          0.3,
+                          0.5,
+                          1.0 - 0x1.0p-53,
+                          1.0,
+                          1.5,
+                          std::numeric_limits<double>::infinity()};
+  for (double p : cases) {
+    const Rng::Coin coin = Rng::Coin::Of(p);
+    for (uint64_t seed = 0; seed < 2000; ++seed) {
+      Rng bernoulli(seed);
+      Rng flip(seed);
+      ASSERT_EQ(flip.Flip(coin), bernoulli.NextBernoulli(p))
+          << "p=" << p << " seed=" << seed;
+      ASSERT_EQ(flip.NextU64(), bernoulli.NextU64())
+          << "p=" << p << " seed=" << seed;
+    }
+  }
+  // Random probabilities in (0, 1), one per stream.
+  Rng draw(77);
+  for (int i = 0; i < 20000; ++i) {
+    const double p = draw.NextDouble();
+    Rng bernoulli(1000 + i);
+    Rng flip(1000 + i);
+    ASSERT_EQ(flip.Flip(Rng::Coin::Of(p)), bernoulli.NextBernoulli(p)) << p;
+    ASSERT_EQ(flip.NextU64(), bernoulli.NextU64()) << p;
+  }
+}
+
+TEST(RngTest, CoinThresholdIsTheCeilingOfPTimesTwoToThe53) {
+  // A draw u = NextU64() >> 11 is heads iff u · 2^-53 < p, i.e. iff u is
+  // below ceil(p · 2^53): p = k · 2^-53 admits u < k, and the next double
+  // above it admits u = k too.
+  for (uint64_t k : {uint64_t{1}, uint64_t{2}, uint64_t{3}, uint64_t{1} << 52,
+                     (uint64_t{1} << 53) - 1}) {
+    const double p = static_cast<double>(k) * 0x1.0p-53;
+    EXPECT_EQ(Rng::Coin::Of(p).threshold, k) << k;
+    if (k + 1 < (uint64_t{1} << 53)) {
+      EXPECT_EQ(Rng::Coin::Of(std::nextafter(p, 1.0)).threshold, k + 1) << k;
+    }
+  }
+  EXPECT_EQ(Rng::Coin::Of(std::numeric_limits<double>::denorm_min()).threshold,
+            1u);
+  EXPECT_EQ(Rng::Coin::Of(std::nan("")).threshold, 0u);
+  EXPECT_EQ(Rng::Coin::Of(-0.0).threshold, Rng::Coin::kTails);
+  EXPECT_EQ(Rng::Coin::Of(1.0).threshold, Rng::Coin::kHeads);
+}
+
 TEST(RngTest, BernoulliFrequency) {
   Rng rng(29);
   int hits = 0;
@@ -205,6 +264,53 @@ TEST(RngTest, SplitIsDeterministicAndPure) {
   (void)parent.Split(123456);  // More splits still do not advance.
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(parent.NextU64(), witness.NextU64());
+  }
+}
+
+TEST(RngTest, SplitterMatchesSplitAndItsRecordedStreams) {
+  // The splitter hashes the parent's state words once; each substream
+  // must stay bit-identical to Split(i). The expected first draws were
+  // recorded from Split before the state hash was hoisted.
+  const uint64_t indices[] = {0, 1, uint64_t{1} << 32, uint64_t{1} << 63,
+                              UINT64_MAX};
+  std::vector<Rng> parents = {Rng(0), Rng(1), Rng(20080407), Rng(7)};
+  for (int i = 0; i < 5; ++i) (void)parents[3].NextU64();
+  Rng::State extreme;
+  extreme.words[0] = UINT64_MAX;
+  extreme.words[1] = 1;
+  extreme.words[2] = 0;
+  extreme.words[3] = uint64_t{1} << 63;
+  parents.emplace_back();
+  parents.back().RestoreState(extreme);
+  const uint64_t recorded[5][5] = {
+      {0x3ed981577958de10ULL, 0x52e71b4e198868daULL, 0x80d61542eb588563ULL,
+       0x220cbf2a487b6304ULL, 0xf3ba47654d5ddd4fULL},
+      {0xf7a6575daa1842d9ULL, 0x33ca1388da9aaafbULL, 0x669a2c265eb7edafULL,
+       0x887c5a493fb2c13eULL, 0x7c5d66c7d36936e2ULL},
+      {0xdc73bbd444629e98ULL, 0x41c6e6c68367672bULL, 0x57b493d9a104c44eULL,
+       0x26d74884b190383bULL, 0xe8774d392faa2f49ULL},
+      {0xaa13a87112dbc849ULL, 0x0ce9da7bb3757269ULL, 0xddbf435da5e9598bULL,
+       0x98de84485f26642dULL, 0xfd24c56e005c45d9ULL},
+      {0x3566cac0ca177da2ULL, 0xecc10cdec0d0fb02ULL, 0xa5d93db63abc1b8dULL,
+       0x14a4aaad87864211ULL, 0x51efb1cb60ede1b5ULL},
+  };
+  for (size_t p = 0; p < parents.size(); ++p) {
+    const Rng::State before = parents[p].SaveState();
+    const Rng::Splitter splitter(parents[p]);
+    for (size_t k = 0; k < 5; ++k) {
+      Rng hoisted = splitter(indices[k]);
+      Rng direct = parents[p].Split(indices[k]);
+      for (int draw = 0; draw < 4; ++draw) {
+        const uint64_t value = hoisted.NextU64();
+        EXPECT_EQ(value, direct.NextU64()) << "parent " << p << " index " << k;
+        if (draw == 0) {
+          EXPECT_EQ(value, recorded[p][k]) << "parent " << p << " index " << k;
+        }
+      }
+    }
+    // Neither the splitter nor Split advanced the parent.
+    EXPECT_EQ(parents[p].SaveState().words[0], before.words[0]);
+    EXPECT_EQ(parents[p].SaveState().words[3], before.words[3]);
   }
 }
 

@@ -55,6 +55,37 @@ TEST(TwoStageSamplerTest, EmptyRelationFails) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST(TwoStageSamplerTest, OneStoreHoldingEveryTupleIsNotEmpty) {
+  // The emptiness test stops at the first non-empty store: here every
+  // store but one is empty, wherever the full one sits in the store map.
+  for (NodeId full : {NodeId{0}, NodeId{3}, NodeId{6}}) {
+    Graph g = MakeComplete(7).value();
+    P2PDatabase db(Schema::Create({"v"}).value());
+    for (NodeId node : g.LiveNodes()) ASSERT_TRUE(db.AddNode(node).ok());
+    std::vector<LocalTupleId> ids;
+    for (int i = 0; i < 5; ++i) {
+      ids.push_back(db.StoreAt(full).value()->Insert({static_cast<double>(i)}));
+    }
+    EXPECT_TRUE(db.HasTuples());
+    SamplingOperator op(&g, ContentSizeWeight(db), Rng(8), nullptr);
+    TwoStageTupleSampler sampler(&db, &op, Rng(9));
+    Result<std::vector<TupleSample>> batch = sampler.SampleBatch(1, 30);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_EQ(batch->size(), 30u);
+    for (const TupleSample& s : *batch) {
+      EXPECT_EQ(s.ref.node, full);
+      EXPECT_EQ(db.FindTuple(s.ref), s.tuple);
+    }
+    // Emptied again, the relation fails as before.
+    for (LocalTupleId id : ids) {
+      ASSERT_TRUE(db.StoreAt(full).value()->Erase(id).ok());
+    }
+    EXPECT_FALSE(db.HasTuples());
+    EXPECT_EQ(sampler.Sample(1).status().code(),
+              StatusCode::kFailedPrecondition);
+  }
+}
+
 TEST(TwoStageSamplerTest, TupleDistributionIsUniform) {
   // Two-stage sampling with the content-size weight must be uniform over
   // *tuples* even though node content sizes range from 1 to 6.

@@ -94,18 +94,21 @@ TEST(WorkerPoolTest, ReportsLowestIndexStatusFailureOnAnySchedule) {
 TEST(WorkerPoolTest, AllItemsStillRunWhenSomeFail) {
   // No early abort: a failure must not suppress later items' side
   // effects (the parallel sampler relies on this for deterministic
-  // outcome slots).
-  WorkerPool pool(4);
-  const size_t n = 200;
-  std::vector<std::atomic<int>> hits(n);
-  const Status s = pool.ParallelFor(n, [&](size_t item, size_t) {
-    hits[item].fetch_add(1, std::memory_order_relaxed);
-    if (item % 3 == 0) return Status::Internal("fail");
-    return Status::OK();
-  });
-  EXPECT_FALSE(s.ok());
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "item " << i;
+  // outcome slots). One thread runs the inline loop, four the shards.
+  for (size_t threads : {1u, 4u}) {
+    WorkerPool pool(threads);
+    const size_t n = 200;
+    std::vector<std::atomic<int>> hits(n);
+    const Status s = pool.ParallelFor(n, [&](size_t item, size_t) {
+      hits[item].fetch_add(1, std::memory_order_relaxed);
+      if (item % 3 == 0) return Status::Internal("fail");
+      if (item % 7 == 0) throw std::runtime_error("thrown");
+      return Status::OK();
+    });
+    EXPECT_EQ(s.code(), StatusCode::kInternal) << "threads=" << threads;
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "item " << i << " threads=" << threads;
+    }
   }
 }
 
@@ -127,29 +130,36 @@ TEST(WorkerPoolTest, RethrowsLowestIndexException) {
 }
 
 TEST(WorkerPoolTest, ExceptionBeatsLaterStatusAndViceVersa) {
-  WorkerPool pool(2);
-  // Lowest failing index returned a Status: the Status wins even though
-  // a later item threw.
-  const Status s = pool.ParallelFor(20, [&](size_t item, size_t) -> Status {
-    if (item == 3) return Status::Unavailable("status first");
-    if (item == 11) throw std::runtime_error("exception later");
-    return Status::OK();
-  });
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.message(), "status first");
-  // And the mirror: the exception at the lower index is rethrown.
-  EXPECT_THROW(
-      (void)pool.ParallelFor(20,
-                             [&](size_t item, size_t) -> Status {
-                               if (item == 3) {
-                                 throw std::runtime_error("exception first");
-                               }
-                               if (item == 11) {
-                                 return Status::Unavailable("status later");
-                               }
-                               return Status::OK();
-                             }),
-      std::runtime_error);
+  for (size_t threads : {1u, 2u}) {
+    WorkerPool pool(threads);
+    // Lowest failing index returned a Status: the Status wins even
+    // though a later item threw.
+    const Status s = pool.ParallelFor(20, [&](size_t item, size_t) -> Status {
+      if (item == 3) return Status::Unavailable("status first");
+      if (item == 11) throw std::runtime_error("exception later");
+      return Status::OK();
+    });
+    ASSERT_FALSE(s.ok());
+    EXPECT_EQ(s.message(), "status first") << "threads=" << threads;
+    // And the mirror: the exception at the lower index is rethrown, after
+    // every item ran.
+    std::atomic<size_t> ran{0};
+    EXPECT_THROW(
+        (void)pool.ParallelFor(20,
+                               [&](size_t item, size_t) -> Status {
+                                 ran.fetch_add(1, std::memory_order_relaxed);
+                                 if (item == 3) {
+                                   throw std::runtime_error("exception first");
+                                 }
+                                 if (item == 11) {
+                                   return Status::Unavailable("status later");
+                                 }
+                                 return Status::OK();
+                               }),
+        std::runtime_error)
+        << "threads=" << threads;
+    EXPECT_EQ(ran.load(), 20u) << "threads=" << threads;
+  }
 }
 
 TEST(WorkerPoolTest, PoolIsReusableAcrossManyBatches) {
