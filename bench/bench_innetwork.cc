@@ -74,12 +74,11 @@ int Run(int argc, char** argv) {
       SamplingOperator op(&net.graph, ContentSizeWeight(*net.db),
                           rng.Fork(), &meter, walk);
       TwoStageTupleSampler sampler(net.db.get(), &op, rng.Fork());
-      TwoStageSampleSource source(&sampler);
       ContinuousQuerySpec spec = UnwrapOrDie(
           ContinuousQuerySpec::Create("SELECT AVG(v) FROM R",
                                       PrecisionSpec{1.0, 2.0, 0.95}),
           "spec");
-      IndependentEstimator est(spec, net.db.get(), &source, nullptr,
+      IndependentEstimator est(spec, net.db.get(), &sampler, nullptr,
                                &meter, rng.Fork());
       SnapshotEstimate e = UnwrapOrDie(est.Evaluate(0), "estimate");
       table.AddRow({"Digest sampling (INDEP)", FmtInt(meter.Total()),

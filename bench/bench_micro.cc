@@ -184,8 +184,7 @@ void BM_SnapshotIndependent(benchmark::State& state) {
                                   PrecisionSpec{0.0, 1.0, 0.95})
           .value();
   ExactTupleSampler sampler(&db, Rng(8), nullptr);
-  ExactSampleSource source(&sampler);
-  IndependentEstimator est(spec, &db, &source, nullptr, nullptr, Rng(9));
+  IndependentEstimator est(spec, &db, &sampler, nullptr, nullptr, Rng(9));
   for (auto _ : state) {
     benchmark::DoNotOptimize(est.Evaluate(0));
   }
@@ -194,7 +193,8 @@ BENCHMARK(BM_SnapshotIndependent);
 
 // One steady-state RPT occasion (retained refresh, fresh draws and
 // top-up rounds) over the paper-scale TEMPERATURE database, 8000 units
-// on 530 stores, drawn through the exact source so no walk time is
+// on the 552 stores of its 23 x 24 mesh (530 stations rounded up to a
+// full rectangle), drawn through the exact source so no walk time is
 // included: the estimator's own work per occasion. The world advances
 // one tick between occasions, untimed, as it does between an engine's.
 void BM_SnapshotRepeated(benchmark::State& state) {
@@ -205,8 +205,7 @@ void BM_SnapshotRepeated(benchmark::State& state) {
                                   PrecisionSpec{0.0, 0.5, 0.95})
           .value();
   ExactTupleSampler sampler(&workload->db(), Rng(10), nullptr);
-  ExactSampleSource source(&sampler);
-  RepeatedSamplingEstimator est(spec, &workload->db(), &source, nullptr,
+  RepeatedSamplingEstimator est(spec, &workload->db(), &sampler, nullptr,
                                 nullptr, Rng(11));
   // The first occasion is a plain independent draw; later ones retain.
   for (int i = 0; i < 3; ++i) {

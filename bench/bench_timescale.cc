@@ -54,8 +54,7 @@ int Run(int argc, char** argv) {
       MessageMeter meter;
       ExactTupleSampler sampler(&workload->db(), Rng(args.seed + trial),
                                 &meter);
-      ExactSampleSource inner(&sampler);
-      InterleavingSampleSource source(&inner, workload.get(), k);
+      InterleavingSampleSource source(&sampler, workload.get(), k);
       IndependentEstimator est(spec, &workload->db(), &source, nullptr,
                                &meter, Rng(1000 + trial));
       SnapshotEstimate e = UnwrapOrDie(est.Evaluate(0), "estimate");

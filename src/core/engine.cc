@@ -80,9 +80,6 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
   }
   DIGEST_RETURN_IF_ERROR(options.supervisor.Validate());
   DIGEST_RETURN_IF_ERROR(options.sampling_options.hedge.Validate());
-  if (options.estimator_options.min_partial_samples < 2) {
-    return Status::InvalidArgument("min_partial_samples must be >= 2");
-  }
   std::unique_ptr<DigestEngine> engine(new DigestEngine(
       graph, db, std::move(spec), querying_node, meter, options));
   // One sink for the whole stack. The engine wires its tracer into what
@@ -109,7 +106,9 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
     if (options.health != nullptr) options.health->SetTracer(options.tracer);
   }
 
-  // Bottom tier: sample source.
+  // Bottom tier: sample source. An external one (the node's coalescing
+  // wrapper) substitutes for the engine's own sampler.
+  SampleSource* source = options.sample_source;
   switch (options.sampler) {
     case SamplerKind::kTwoStageMcmc: {
       SamplingOperator* op = shared_operator;
@@ -124,19 +123,17 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
       // With an external sample source the node owns the sampler (and
       // its RNG stream); building one here would fork a dead stream and
       // bloat the checkpoint with state nobody advances.
-      if (options.sample_source == nullptr) {
+      if (source == nullptr) {
         engine->two_stage_sampler_ =
             std::make_unique<TwoStageTupleSampler>(db, op, rng.Fork());
-        engine->sample_source_ = std::make_unique<TwoStageSampleSource>(
-            engine->two_stage_sampler_.get());
+        source = engine->two_stage_sampler_.get();
       }
       break;
     }
     case SamplerKind::kExactCentral: {
       engine->exact_sampler_ =
           std::make_unique<ExactTupleSampler>(db, rng.Fork(), meter);
-      engine->sample_source_ =
-          std::make_unique<ExactSampleSource>(engine->exact_sampler_.get());
+      source = engine->exact_sampler_.get();
       break;
     }
   }
@@ -164,11 +161,7 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
     }
   }
 
-  // Top tier: snapshot estimator. An external sample source (the
-  // node's coalescing wrapper) substitutes for the owned one.
-  SampleSource* source = options.sample_source != nullptr
-                             ? options.sample_source
-                             : engine->sample_source_.get();
+  // Top tier: snapshot estimator.
   switch (options.estimator) {
     case EstimatorKind::kIndependent:
       engine->estimator_ = std::make_unique<IndependentEstimator>(

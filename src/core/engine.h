@@ -287,7 +287,6 @@ class DigestEngine {
   std::unique_ptr<SamplingOperator> uniform_operator_;  // Size estimation.
   std::unique_ptr<TwoStageTupleSampler> two_stage_sampler_;
   std::unique_ptr<ExactTupleSampler> exact_sampler_;
-  std::unique_ptr<SampleSource> sample_source_;
   std::unique_ptr<SizeOracle> size_oracle_;
   std::unique_ptr<SnapshotEstimator> estimator_;
   Extrapolator extrapolator_;

@@ -1,7 +1,6 @@
 #include "core/query_scheduler.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace digest {
 
@@ -19,48 +18,26 @@ size_t CoalescingSampleSource::consumed_samples() const {
   return total;
 }
 
-Result<PartialTupleBatch> CoalescingSampleSource::Serve(NodeId origin,
-                                                        size_t n,
-                                                        bool budgeted) {
+Result<PartialTupleBatch> CoalescingSampleSource::DrawFresh(NodeId origin,
+                                                            size_t n) {
   size_t& cursor = cursors_[active_];
   // Extend the pool when the active cursor's window overruns it. The
   // shared sampler draws exactly the shortfall, so the pool's final
   // size is the max cumulative demand across consumers — the
   // tightest-ε query sizes the batch, everyone else rides its prefix.
-  bool timed_out = false;
+  PartialTupleBatch batch;
   if (cursor + n > pool_.size()) {
-    const size_t shortfall = cursor + n - pool_.size();
-    if (budgeted) {
-      DIGEST_ASSIGN_OR_RETURN(PartialTupleBatch got,
-                              sampler_->SampleBatchPartial(origin,
-                                                           shortfall));
-      timed_out = got.timed_out;
-      pool_.insert(pool_.end(), got.samples.begin(), got.samples.end());
-    } else {
-      DIGEST_ASSIGN_OR_RETURN(std::vector<TupleSample> got,
-                              sampler_->SampleBatch(origin, shortfall));
-      pool_.insert(pool_.end(), got.begin(), got.end());
-    }
+    DIGEST_ASSIGN_OR_RETURN(
+        PartialTupleBatch got,
+        sampler_->DrawFresh(origin, cursor + n - pool_.size()));
+    batch.timed_out = got.timed_out;
+    pool_.insert(pool_.end(), got.samples.begin(), got.samples.end());
   }
   const size_t available = std::min(n, pool_.size() - cursor);
-  PartialTupleBatch batch;
   batch.samples.assign(pool_.begin() + cursor,
                        pool_.begin() + cursor + available);
-  batch.timed_out = timed_out;
   cursor += available;
   return batch;
-}
-
-Result<std::vector<TupleSample>> CoalescingSampleSource::DrawFresh(
-    NodeId origin, size_t n) {
-  DIGEST_ASSIGN_OR_RETURN(PartialTupleBatch batch,
-                          Serve(origin, n, /*budgeted=*/false));
-  return std::move(batch.samples);
-}
-
-Result<PartialTupleBatch> CoalescingSampleSource::DrawFreshPartial(
-    NodeId origin, size_t n) {
-  return Serve(origin, n, /*budgeted=*/true);
 }
 
 Status QueryScheduler::Register(QueryId id, double epsilon) {

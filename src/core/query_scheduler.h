@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/snapshot_estimator.h"
 #include "sampling/tuple_sampler.h"
 
 namespace digest {
@@ -40,6 +39,11 @@ using QueryId = uint64_t;
 /// same stored tuples, and no tuple is copied per tenant. They stay
 /// valid for the whole tick, since nothing the node runs can change the
 /// database; BeginTick drops them before the next tick reads anything.
+///
+/// An extension the hop budget cuts keeps what it delivered: those
+/// samples were walked and charged, so they join the pool and the
+/// active cursor gets them with timed_out set. Later tenants read them
+/// like any other prefix and walk only past it.
 class CoalescingSampleSource : public SampleSource {
  public:
   /// `sampler` is the node's shared two-stage sampler (not owned; must
@@ -64,19 +68,12 @@ class CoalescingSampleSource : public SampleSource {
   /// Cursors touched since BeginTick — the tick's consumer count.
   size_t queries_served() const { return cursors_.size(); }
 
-  // SampleSource:
-  Result<std::vector<TupleSample>> DrawFresh(NodeId origin,
-                                             size_t n) override;
-  Result<PartialTupleBatch> DrawFreshPartial(NodeId origin,
-                                             size_t n) override;
+  /// Serves `n` samples from the active cursor, extending the pool
+  /// through the shared sampler when it is short. A cut extension
+  /// delivers fewer (timed_out = true).
+  Result<PartialTupleBatch> DrawFresh(NodeId origin, size_t n) override;
 
  private:
-  /// Serves `n` samples from the active cursor, extending the pool
-  /// through the shared sampler when it is short. Budget-limited
-  /// extension may deliver fewer (timed_out = true).
-  Result<PartialTupleBatch> Serve(NodeId origin, size_t n,
-                                  bool budgeted);
-
   TwoStageTupleSampler* sampler_;
   std::vector<TupleSample> pool_;
   std::map<QueryId, size_t> cursors_;

@@ -12,6 +12,24 @@
 namespace digest {
 namespace {
 
+// Sample-size iteration rounds per occasion: INDEP's pilot → re-size
+// rounds, RPT's estimate → top-up rounds.
+constexpr size_t kMaxSizingRounds = 8;
+// EWMA weight of the newest correlation measurement in the running ρ̂.
+constexpr double kCorrelationSmoothing = 0.5;
+// Multiplier of a degraded estimate's confidence half-width: the
+// retained pool is a stale sample of the population, so its nominal CLT
+// interval is honest only after widening for the unmodeled drift since
+// it was drawn.
+constexpr double kDegradedWidening = 2.0;
+// Contributing samples a partial finalization needs; below this the
+// occasion still fails with kUnavailable (an estimate from fewer points
+// has no usable variance).
+constexpr size_t kMinPartialSamples = 8;
+// Draw rounds one DrawContributing call may take before it gives up on
+// a predicate too selective to fill its count.
+constexpr size_t kMaxDrawRounds = 200;
+
 // ceil of a positive double into size_t with sane bounds.
 size_t CeilToCount(double x, size_t lo, size_t hi) {
   if (!(x > 0.0)) return lo;
@@ -125,62 +143,51 @@ Result<std::optional<double>> IndependentEstimator::ContributionValue(
   return Status::Internal("unhandled aggregate op");
 }
 
+Status IndependentEstimator::DrawContributing(NodeId origin, size_t count,
+                                              FreshDraws* fresh) {
+  // The same draws whether or not partial snapshots are allowed, so the
+  // two modes are bit-equal whenever no cut happens.
+  for (size_t round = 0; count > 0 && !fresh->partial; ++round) {
+    if (round == kMaxDrawRounds) {
+      return Status::Unavailable(
+          "predicate selectivity too low: could not collect the "
+          "required qualifying samples");
+    }
+    DIGEST_ASSIGN_OR_RETURN(PartialTupleBatch batch,
+                            source_->DrawFresh(origin, count));
+    if (batch.timed_out && !options_.allow_partial) {
+      return Status::Unavailable(
+          "sampling hop budget exhausted before the batch completed");
+    }
+    fresh->drawn += batch.samples.size();
+    for (const TupleSample& s : batch.samples) {
+      DIGEST_ASSIGN_OR_RETURN(std::optional<double> y,
+                              ContributionValue(*s.tuple));
+      if (!y.has_value()) continue;
+      fresh->ys.push_back(*y);
+      fresh->refs.push_back(s.ref);
+      --count;
+    }
+    if (batch.timed_out) {
+      fresh->partial = true;
+      fresh->planned = fresh->ys.size() + count;
+    }
+  }
+  return Status::OK();
+}
+
 Result<SnapshotEstimate> IndependentEstimator::Evaluate(NodeId origin) {
   DIGEST_RETURN_IF_ERROR(EnsureInitialized());
   DIGEST_ASSIGN_OR_RETURN(double eps_mean, MeanEpsilon());
 
-  std::vector<TupleRef> refs;  // Contributing samples only.
-  std::vector<double> ys;
+  FreshDraws fresh;
+  const std::vector<double>& ys = fresh.ys;
+  // Folds each new value once, in draw order, after every draw call, so
+  // the sizing rounds read the statistics of all values drawn so far.
   RunningStats stats;
-  size_t drawn_total = 0;
-  bool partial = false;      // Hop budget ran out mid-occasion.
-  size_t planned_total = 0;  // Contributing count wanted at the cutoff.
-
-  // Draws until `count` *contributing* samples have been collected (for
-  // a predicated AVG, non-qualifying draws cost traffic but are skipped).
-  // Under allow_partial a hop-budget timeout sets `partial` and stops
-  // drawing instead of failing; the identical draw sequence makes the
-  // two modes bit-equal whenever no timeout fires.
   auto draw = [&](size_t count) -> Status {
-    size_t guard = 0;
-    while (count > 0 && !partial) {
-      if (++guard > 200) {
-        return Status::Unavailable(
-            "predicate selectivity too low: could not collect the "
-            "required qualifying samples");
-      }
-      if (options_.allow_partial) {
-        DIGEST_ASSIGN_OR_RETURN(PartialTupleBatch batch,
-                                source_->DrawFreshPartial(origin, count));
-        drawn_total += batch.samples.size();
-        for (const TupleSample& s : batch.samples) {
-          DIGEST_ASSIGN_OR_RETURN(std::optional<double> y,
-                                  ContributionValue(*s.tuple));
-          if (!y.has_value()) continue;
-          ys.push_back(*y);
-          stats.Add(*y);
-          refs.push_back(s.ref);
-          --count;
-        }
-        if (batch.timed_out) {
-          partial = true;
-          planned_total = ys.size() + count;
-        }
-      } else {
-        DIGEST_ASSIGN_OR_RETURN(std::vector<TupleSample> batch,
-                                source_->DrawFresh(origin, count));
-        drawn_total += batch.size();
-        for (const TupleSample& s : batch) {
-          DIGEST_ASSIGN_OR_RETURN(std::optional<double> y,
-                                  ContributionValue(*s.tuple));
-          if (!y.has_value()) continue;
-          ys.push_back(*y);
-          stats.Add(*y);
-          refs.push_back(s.ref);
-          --count;
-        }
-      }
-    }
+    DIGEST_RETURN_IF_ERROR(DrawContributing(origin, count, &fresh));
+    for (size_t i = stats.count(); i < ys.size(); ++i) stats.Add(ys[i]);
     return Status::OK();
   };
 
@@ -206,7 +213,8 @@ Result<SnapshotEstimate> IndependentEstimator::Evaluate(NodeId origin) {
     DIGEST_RETURN_IF_ERROR(draw(needed));
   } else {
     DIGEST_RETURN_IF_ERROR(draw(options_.pilot_samples));
-    for (size_t round = 0; round < options_.max_rounds && !partial; ++round) {
+    for (size_t round = 0; round < kMaxSizingRounds && !fresh.partial;
+         ++round) {
       const double sigma = stats.SampleStdDev();
       if (sigma == 0.0) break;  // Degenerate population: any n suffices.
       // Eq. 6: n = (z_p σ̂ / ε)².
@@ -220,8 +228,7 @@ Result<SnapshotEstimate> IndependentEstimator::Evaluate(NodeId origin) {
     }
   }
 
-  if (partial &&
-      ys.size() < std::max<size_t>(2, options_.min_partial_samples)) {
+  if (fresh.partial && ys.size() < kMinPartialSamples) {
     // Too little arrived before the deadline to finalize honestly; let
     // the engine's degraded-fallback path take over.
     return Status::Unavailable(
@@ -244,14 +251,14 @@ Result<SnapshotEstimate> IndependentEstimator::Evaluate(NodeId origin) {
   est.variance_of_mean =
       stats.SampleVariance() / static_cast<double>(std::max<size_t>(1,
                                                    stats.count()));
-  est.total_samples = drawn_total;
-  est.fresh_samples = drawn_total;
+  est.total_samples = fresh.drawn;
+  est.fresh_samples = fresh.drawn;
   est.retained_samples = 0;
   est.contributing_samples = ys.size();
-  est.partial = partial;
+  est.partial = fresh.partial;
   DIGEST_ASSIGN_OR_RETURN(est.value, ScaleToQueryUnits(est.mean_estimate));
   if (spec_.query.op == AggregateOp::kMedian) {
-    if (partial) {
+    if (fresh.partial) {
       // Invert the DKW bound at the realized sample count: the honest
       // rank tolerance of the smaller set, wider than ε.
       est.ci_halfwidth =
@@ -267,18 +274,18 @@ Result<SnapshotEstimate> IndependentEstimator::Evaluate(NodeId origin) {
         ScaleToQueryUnits(z_ * std::sqrt(est.variance_of_mean)));
   }
   // Hand the drawn set to a wrapping repeated-sampling estimator.
-  last_refs_ = std::move(refs);
-  last_ys_ = std::move(ys);
+  last_refs_ = std::move(fresh.refs);
+  last_ys_ = std::move(fresh.ys);
   if (obs::Tracing(tracer_)) {
     // INDEP sizes iteratively from the pilot, so the realized draw count
     // *is* the budget the CLT formula settled on.
     tracer_->Emit(obs::SampleBudgetEvent{
         /*repeated=*/false, /*rho_hat=*/0.0, est.sigma,
-        static_cast<uint64_t>(drawn_total), /*planned_retained=*/0});
-    if (partial) {
+        static_cast<uint64_t>(fresh.drawn), /*planned_retained=*/0});
+    if (fresh.partial) {
       tracer_->Emit(obs::PartialSnapshotEvent{
           static_cast<uint64_t>(est.contributing_samples),
-          static_cast<uint64_t>(planned_total), est.ci_halfwidth});
+          static_cast<uint64_t>(fresh.planned), est.ci_halfwidth});
     }
   }
   return est;
@@ -290,7 +297,6 @@ RepeatedSamplingEstimator::RepeatedSamplingEstimator(
     Rng rng, EstimatorOptions options)
     : independent_(spec, db, source, size_oracle, meter, rng.Fork(), options),
       db_(db),
-      source_(source),
       meter_(meter),
       rng_(rng),
       options_(options) {}
@@ -406,7 +412,7 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
   y2g.reserve(g_target);
   for (const Retained& r : prev_samples_) {
     if (y1g.size() >= g_target) break;
-    if (meter_ != nullptr) meter_->AddRefresh(options_.refresh_message_cost);
+    if (meter_ != nullptr) meter_->AddRefresh();
     const Tuple* tuple = db_->FindTuple(r.ref);
     if (tuple == nullptr) continue;  // Deleted or node left: replaced.
     Result<std::optional<double>> y2 =
@@ -422,56 +428,13 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
   }
   const size_t g = y1g.size();
 
-  std::vector<double> yf;
-  std::vector<TupleRef> fresh_refs;
-  size_t fresh_drawn_total = 0;
-  bool partial = false;        // Hop budget ran out mid-occasion.
-  size_t planned_fresh = 0;    // Fresh count wanted at the cutoff.
-  auto draw_fresh = [&](size_t count) -> Status {
-    size_t guard = 0;
-    while (count > 0 && !partial) {
-      if (++guard > 200) {
-        return Status::Unavailable(
-            "predicate selectivity too low: could not collect the "
-            "required qualifying samples");
-      }
-      if (options_.allow_partial) {
-        DIGEST_ASSIGN_OR_RETURN(PartialTupleBatch batch,
-                                source_->DrawFreshPartial(origin, count));
-        fresh_drawn_total += batch.samples.size();
-        for (const TupleSample& s : batch.samples) {
-          DIGEST_ASSIGN_OR_RETURN(std::optional<double> y,
-                                  independent_.ContributionValue(*s.tuple));
-          if (!y.has_value()) continue;
-          yf.push_back(*y);
-          fresh_refs.push_back(s.ref);
-          --count;
-        }
-        if (batch.timed_out) {
-          partial = true;
-          planned_fresh = yf.size() + count;
-        }
-      } else {
-        DIGEST_ASSIGN_OR_RETURN(std::vector<TupleSample> batch,
-                                source_->DrawFresh(origin, count));
-        fresh_drawn_total += batch.size();
-        for (const TupleSample& s : batch) {
-          DIGEST_ASSIGN_OR_RETURN(std::optional<double> y,
-                                  independent_.ContributionValue(*s.tuple));
-          if (!y.has_value()) continue;
-          yf.push_back(*y);
-          fresh_refs.push_back(s.ref);
-          --count;
-        }
-      }
-    }
-    return Status::OK();
-  };
+  IndependentEstimator::FreshDraws fresh;
+  const std::vector<double>& yf = fresh.ys;
   const size_t f_initial =
       n_target > g ? n_target - g : std::max<size_t>(1, n_target / 4);
-  DIGEST_RETURN_IF_ERROR(draw_fresh(f_initial));
-  if (partial && g + yf.size() <
-                     std::max<size_t>(2, options_.min_partial_samples)) {
+  DIGEST_RETURN_IF_ERROR(independent_.DrawContributing(origin, f_initial,
+                                                       &fresh));
+  if (fresh.partial && g + yf.size() < kMinPartialSamples) {
     // Too little material before the deadline; the engine's degraded
     // fallback (retained pool refresh) is the honest answer instead.
     return Status::Unavailable(
@@ -552,8 +515,8 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
       }
     }
     const size_t total = g + yf.size();
-    if (partial || combined_var <= needed_var ||
-        round + 1 >= options_.max_rounds ||
+    if (fresh.partial || combined_var <= needed_var ||
+        round + 1 >= kMaxSizingRounds ||
         total >= options_.max_samples || sigma2 == 0.0) {
       break;
     }
@@ -568,7 +531,8 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
     double f_req = sigma2 * sigma2 * (1.0 / needed_var - inv_var_g);
     size_t f_want = CeilToCount(f_req, yf.size() + 1,
                                 options_.max_samples - g);
-    DIGEST_RETURN_IF_ERROR(draw_fresh(f_want - yf.size()));
+    DIGEST_RETURN_IF_ERROR(independent_.DrawContributing(
+        origin, f_want - yf.size(), &fresh));
   }
 
   // Keep the pair data for forward regression before rolling state.
@@ -581,34 +545,34 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
 
   // Memorize this occasion for the next one.
   for (size_t i = 0; i < yf.size(); ++i) {
-    current.push_back(Retained{fresh_refs[i], yf[i]});
+    current.push_back(Retained{fresh.refs[i], yf[i]});
   }
   prev_samples_ = std::move(current);
   prev_mean_estimate_ = combined;
   prev_variance_ = combined_var;
   sigma_hat_ = sigma2;
-  const double w = options_.correlation_smoothing;
-  rho_hat_ = (1.0 - w) * rho_hat_ + w * rho_sample;
+  rho_hat_ = (1.0 - kCorrelationSmoothing) * rho_hat_ +
+             kCorrelationSmoothing * rho_sample;
   ++occasion_;
 
   SnapshotEstimate est;
   est.mean_estimate = combined;
   est.sigma = sigma2;
   est.variance_of_mean = combined_var;
-  est.total_samples = g + fresh_drawn_total;
-  est.fresh_samples = fresh_drawn_total;
+  est.total_samples = g + fresh.drawn;
+  est.fresh_samples = fresh.drawn;
   est.retained_samples = g;
   est.contributing_samples = g + yf.size();
-  est.partial = partial;
+  est.partial = fresh.partial;
   DIGEST_ASSIGN_OR_RETURN(est.value,
                           independent_.ScaleToQueryUnits(combined));
   DIGEST_ASSIGN_OR_RETURN(
       est.ci_halfwidth,
       independent_.ScaleToQueryUnits(z * std::sqrt(combined_var)));
-  if (partial && obs::Tracing(tracer_)) {
+  if (fresh.partial && obs::Tracing(tracer_)) {
     tracer_->Emit(obs::PartialSnapshotEvent{
         static_cast<uint64_t>(yf.size()),
-        static_cast<uint64_t>(planned_fresh), est.ci_halfwidth});
+        static_cast<uint64_t>(fresh.planned), est.ci_halfwidth});
   }
   return est;
 }
@@ -628,7 +592,7 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::EvaluateDegraded(
   survivors.reserve(prev_samples_.size());
   RunningStats stats;
   for (const Retained& r : prev_samples_) {
-    if (meter_ != nullptr) meter_->AddRefresh(options_.refresh_message_cost);
+    if (meter_ != nullptr) meter_->AddRefresh();
     const Tuple* tuple = db_->FindTuple(r.ref);
     if (tuple == nullptr) continue;
     Result<std::optional<double>> y = independent_.ContributionValue(*tuple);
@@ -658,8 +622,8 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::EvaluateDegraded(
   // widened by the configured factor.
   DIGEST_ASSIGN_OR_RETURN(
       est.ci_halfwidth,
-      independent_.ScaleToQueryUnits(options_.degraded_widening *
-                                     independent_.z_ * std::sqrt(var)));
+      independent_.ScaleToQueryUnits(kDegradedWidening * independent_.z_ *
+                                     std::sqrt(var)));
   // Roll the refreshed values forward so the next healthy occasion's
   // regression pairs against up-to-date retained values.
   prev_samples_ = std::move(survivors);

@@ -19,65 +19,6 @@ namespace obs {
 class Tracer;
 }  // namespace obs
 
-/// Source of fresh uniform tuple samples for an estimator. Abstracts over
-/// the distributed two-stage MCMC sampler (production path) and the
-/// centralized exact sampler (tests and baselines).
-class SampleSource {
- public:
-  virtual ~SampleSource() = default;
-
-  /// Draws `n` uniform samples with replacement, originating any network
-  /// traffic at `origin`.
-  virtual Result<std::vector<TupleSample>> DrawFresh(NodeId origin,
-                                                     size_t n) = 0;
-
-  /// Deadline-budgeted variant: sources backed by a hop-budgeted sampler
-  /// return whatever completed before the budget ran out with
-  /// timed_out = true. The default wraps DrawFresh and never times out
-  /// (sources without a budget always deliver the full batch or fail).
-  virtual Result<PartialTupleBatch> DrawFreshPartial(NodeId origin,
-                                                     size_t n) {
-    DIGEST_ASSIGN_OR_RETURN(std::vector<TupleSample> samples,
-                            DrawFresh(origin, n));
-    PartialTupleBatch batch;
-    batch.samples = std::move(samples);
-    return batch;
-  }
-};
-
-/// SampleSource over the two-stage MCMC tuple sampler (§III).
-class TwoStageSampleSource : public SampleSource {
- public:
-  explicit TwoStageSampleSource(TwoStageTupleSampler* sampler)
-      : sampler_(sampler) {}
-  Result<std::vector<TupleSample>> DrawFresh(NodeId origin,
-                                             size_t n) override {
-    return sampler_->SampleBatch(origin, n);
-  }
-  Result<PartialTupleBatch> DrawFreshPartial(NodeId origin,
-                                             size_t n) override {
-    return sampler_->SampleBatchPartial(origin, n);
-  }
-
- private:
-  TwoStageTupleSampler* sampler_;
-};
-
-/// SampleSource over the centralized exact sampler.
-class ExactSampleSource : public SampleSource {
- public:
-  explicit ExactSampleSource(ExactTupleSampler* sampler)
-      : sampler_(sampler) {}
-  Result<std::vector<TupleSample>> DrawFresh(NodeId origin,
-                                             size_t n) override {
-    (void)origin;
-    return sampler_->SampleBatch(n);
-  }
-
- private:
-  ExactTupleSampler* sampler_;
-};
-
 /// How the per-occasion sample size is derived from (ε, p).
 enum class SampleSizePolicy {
   /// Eq. 6's CLT size n = (z·σ̂/ε)², iterated from a pilot (the paper's
@@ -95,22 +36,10 @@ enum class SampleSizePolicy {
 struct EstimatorOptions {
   size_t pilot_samples = 30;   ///< Minimum/pilot sample-set size.
   size_t max_samples = 200000; ///< Hard cap per sampling occasion.
-  size_t max_rounds = 8;       ///< Sample-size iteration rounds.
   SampleSizePolicy sample_size_policy = SampleSizePolicy::kClt;
   /// Width of the attribute's support, required by kHoeffding (e.g.,
   /// 150 for temperatures confined to [-50, 100] °F).
   double value_range = 0.0;
-  /// EWMA weight of the newest correlation measurement when updating the
-  /// running ρ̂ (1.0 = use the newest only).
-  double correlation_smoothing = 0.5;
-  /// Messages charged for re-evaluating one retained sample (§VI-B2:
-  /// "negligible communication cost" — a direct contact, not a walk).
-  size_t refresh_message_cost = 1;
-  /// Multiplier applied to the confidence half-width of a *degraded*
-  /// estimate (EvaluateDegraded): the retained pool is a stale sample of
-  /// the population, so its nominal CLT interval is honest only after
-  /// widening for the unmodeled drift since it was drawn.
-  double degraded_widening = 2.0;
   /// Deadline-budgeted snapshots: when fresh sampling times out against
   /// the hop budget mid-occasion, finalize the estimate from the samples
   /// collected so far (honestly wider CI, SnapshotEstimate::partial set)
@@ -119,10 +48,6 @@ struct EstimatorOptions {
   /// in. With no fault plan no timeout ever fires, so enabling this
   /// leaves fault-free runs bit-identical.
   bool allow_partial = false;
-  /// Minimum contributing samples a partial finalization needs; below
-  /// this the occasion still fails with kUnavailable (an estimate from
-  /// fewer points has no usable variance). Must be >= 2.
-  size_t min_partial_samples = 8;
 };
 
 /// Outcome of one sampling occasion (one snapshot-query evaluation).
@@ -261,6 +186,23 @@ class IndependentEstimator : public SnapshotEstimator {
  private:
   friend class RepeatedSamplingEstimator;
 
+  /// The fresh samples an occasion has drawn so far.
+  struct FreshDraws {
+    std::vector<TupleRef> refs;  ///< Contributing samples only.
+    std::vector<double> ys;      ///< Their contributions, in draw order.
+    size_t drawn = 0;            ///< Every sample drawn, contributing or not.
+    bool partial = false;        ///< The hop budget cut the occasion short.
+    size_t planned = 0;          ///< Contributing count wanted at the cut.
+  };
+
+  /// The one fresh-draw loop of both estimators: draws from the source
+  /// until `count` more *contributing* samples are in `fresh` (for a
+  /// predicated AVG, non-qualifying draws cost traffic but are skipped).
+  /// It alone decides what a hop-budget cut means: kUnavailable before
+  /// any cut sample is evaluated, or, under allow_partial, the samples
+  /// that completed with `fresh->partial` set and no further draws.
+  Status DrawContributing(NodeId origin, size_t count, FreshDraws* fresh);
+
   /// ε expressed in per-tuple-mean units (divides by N for SUM).
   Result<double> MeanEpsilon() const;
 
@@ -319,8 +261,8 @@ class RepeatedSamplingEstimator : public SnapshotEstimator {
 
   /// Degraded occasion (graceful degradation under faults): re-evaluate
   /// the retained pool in place — direct contacts, no walks — and
-  /// report its mean with a confidence interval widened by
-  /// EstimatorOptions::degraded_widening. The refreshed values roll
+  /// report its mean with a confidence interval widened twofold for the
+  /// drift since the pool was drawn. The refreshed values roll
   /// into the retained pool so the next healthy occasion's regression
   /// stays coherent. Fails before the first occasion or when fewer than
   /// two retained tuples are still reachable.
@@ -361,7 +303,6 @@ class RepeatedSamplingEstimator : public SnapshotEstimator {
 
   IndependentEstimator independent_;  // Reused for occasion 1 & fallbacks.
   const P2PDatabase* db_;
-  SampleSource* source_;
   MessageMeter* meter_;
   Rng rng_;
   EstimatorOptions options_;

@@ -16,6 +16,12 @@
 namespace digest {
 namespace {
 
+// Multipliers of the automatic walk lengths: a cold agent mixes for
+// ceil(kMixingFactor · ln²(N)) steps, a warm one resets for
+// ceil(kResetFactor · ln(N)).
+constexpr double kMixingFactor = 4.0;
+constexpr double kResetFactor = 4.0;
+
 size_t AutoLength(size_t node_count, double factor, bool squared) {
   const double ln_n = std::log(std::max<size_t>(node_count, 2));
   const double raw = squared ? factor * ln_n * ln_n : factor * ln_n;
@@ -107,14 +113,12 @@ SamplingOperator::~SamplingOperator() = default;
 
 size_t SamplingOperator::EffectiveWalkLength() const {
   if (options_.walk_length > 0) return options_.walk_length;
-  return AutoLength(graph_->NodeCount(), options_.mixing_factor,
-                    /*squared=*/true);
+  return AutoLength(graph_->NodeCount(), kMixingFactor, /*squared=*/true);
 }
 
 size_t SamplingOperator::EffectiveResetLength() const {
   if (options_.reset_length > 0) return options_.reset_length;
-  return AutoLength(graph_->NodeCount(), options_.reset_factor,
-                    /*squared=*/false);
+  return AutoLength(graph_->NodeCount(), kResetFactor, /*squared=*/false);
 }
 
 Status HedgePolicy::Validate() const {
@@ -128,8 +132,12 @@ Status HedgePolicy::Validate() const {
 }
 
 Result<NodeId> SamplingOperator::SampleNode(NodeId origin) {
-  DIGEST_ASSIGN_OR_RETURN(std::vector<NodeId> nodes, SampleNodes(origin, 1));
-  return nodes.front();
+  DIGEST_ASSIGN_OR_RETURN(PartialBatch batch, SampleNodes(origin, 1));
+  if (batch.timed_out) {
+    return Status::Unavailable(
+        "sampling hop budget exhausted under faults (walk timeout)");
+  }
+  return batch.nodes.front();
 }
 
 uint64_t SamplingOperator::HedgeThreshold(size_t steps) const {
@@ -148,22 +156,7 @@ uint64_t SamplingOperator::HedgeThreshold(size_t steps) const {
                 static_cast<double>(steps)));
 }
 
-Result<std::vector<NodeId>> SamplingOperator::SampleNodes(NodeId origin,
-                                                          size_t n) {
-  DIGEST_ASSIGN_OR_RETURN(PartialBatch batch, SampleBatch(origin, n));
-  if (batch.timed_out) {
-    return Status::Unavailable(
-        "sampling hop budget exhausted under faults (walk timeout)");
-  }
-  return std::move(batch.nodes);
-}
-
-Result<PartialBatch> SamplingOperator::SampleNodesPartial(NodeId origin,
-                                                          size_t n) {
-  return SampleBatch(origin, n);
-}
-
-Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
+Result<PartialBatch> SamplingOperator::SampleNodes(NodeId origin, size_t n) {
   // DESIGN.md "Parallel execution & determinism model": randomness,
   // fault injection, accounting and tracing are keyed by WALK INDEX and
   // land in the walk's slot; walks share nothing mutable, and the
@@ -192,10 +185,7 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
   const QuarantineView health_view =
       in.health != nullptr ? in.health->SnapshotView() : QuarantineView();
   const QuarantineView* qv = in.health != nullptr ? &health_view : nullptr;
-  const size_t base = next_agent_;
-  const size_t warm_pool =
-      options_.warm_walks && agents_.size() > base ? agents_.size() - base : 0;
-  const size_t warm = std::min(n, warm_pool);
+  const size_t warm = options_.warm_walks ? std::min(n, agents_.size()) : 0;
   const size_t walk_len = EffectiveWalkLength();
   const size_t reset_len = EffectiveResetLength();
   const uint64_t planned = static_cast<uint64_t>(warm) * reset_len +
@@ -247,15 +237,15 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
   if (slots_.size() < n) slots_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     WalkSlot& slot = slots_[i];
-    const bool is_warm = options_.warm_walks && base + i < agents_.size();
-    slot.start = is_warm ? agents_[base + i] : fallback;
+    const bool is_warm = options_.warm_walks && i < agents_.size();
+    slot.start = is_warm ? agents_[i] : fallback;
     slot.steps = is_warm ? reset_len : walk_len;
     if (faults_ == nullptr) continue;
     slot.threshold = HedgeThreshold(slot.steps);
     slot.hedge_origin = fallback;
     slot.hedge_steps = walk_len;
-    if (options_.warm_walks && base + i >= 1) {
-      const size_t donor = base + i - 1;
+    if (options_.warm_walks && i >= 1) {
+      const size_t donor = i - 1;
       const NodeId donor_pos =
           donor < agents_.size() ? agents_[donor] : fallback;
       if (overlay_.HasNode(donor_pos)) {
@@ -422,8 +412,8 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
       in.tracer->EmitLane(std::move(payload), static_cast<int64_t>(i));
     }
     last_telemetry_.Merge(o.telemetry);
-    if (base + i < agents_.size()) {
-      agents_[base + i] = o.final_pos;
+    if (i < agents_.size()) {
+      agents_[i] = o.final_pos;
     } else {
       agents_.push_back(o.final_pos);
     }
@@ -447,8 +437,6 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
     if (meter_ != nullptr) meter_->AddSampleTransfer();
   }
 
-  // Round-robin reuse: the next batch starts over from the first agent.
-  next_agent_ = 0;
   if (!cut && !options_.warm_walks) agents_.clear();
   if (tracing && cut) {
     // The overlay was too lossy/stalled to finish this batch in time:
@@ -477,7 +465,6 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
 SamplingOperator::State SamplingOperator::SaveState() const {
   State state;
   state.agent_positions = agents_;
-  state.next_agent = next_agent_;
   state.rng = rng_.SaveState();
   state.done_walks = done_walks_;
   state.done_attempts = done_attempts_;
@@ -487,7 +474,6 @@ SamplingOperator::State SamplingOperator::SaveState() const {
 
 void SamplingOperator::RestoreState(const State& state) {
   agents_ = state.agent_positions;
-  next_agent_ = static_cast<size_t>(state.next_agent);
   rng_.RestoreState(state.rng);
   done_walks_ = state.done_walks;
   done_attempts_ = state.done_attempts;

@@ -55,17 +55,13 @@ struct HedgePolicy {
 struct SamplingOperatorOptions {
   /// Steps a cold agent walks before its position counts as a sample
   /// (the mixing time). 0 selects an automatic value of
-  /// ceil(mixing_factor · ln²(N)), per Theorem 4's poly-log bound.
+  /// ceil(4 · ln²(N)), per Theorem 4's poly-log bound.
   size_t walk_length = 0;
 
   /// Steps a warm agent walks between successive samples (the reset
   /// time, §VI-A: much shorter than the mixing time). 0 selects
-  /// ceil(reset_factor · ln(N)).
+  /// ceil(4 · ln(N)).
   size_t reset_length = 0;
-
-  /// Multipliers for the automatic lengths above.
-  double mixing_factor = 4.0;
-  double reset_factor = 4.0;
 
   /// Keep agents warm across invocations (continue the converged walk
   /// instead of restarting), as in the paper's experimental setup. When
@@ -94,8 +90,8 @@ struct SamplingOperatorOptions {
   size_t num_threads = 1;
 };
 
-/// A batch that may have been cut short by the hop budget: `nodes` holds
-/// whatever samples completed before `timed_out` became true.
+/// One batch of sample nodes: every node asked for, or, when the hop
+/// budget cut the batch (`timed_out`), the nodes that completed first.
 struct PartialBatch {
   std::vector<NodeId> nodes;
   bool timed_out = false;
@@ -124,8 +120,9 @@ struct PartialBatch {
 /// cuts at walk granularity: walks are accepted in index order until
 /// their attempts cross it, the walk that crosses it is charged but
 /// delivers nothing, and later walks are discarded as if never launched.
-/// A cut batch makes SampleNodes fail with kUnavailable — the caller
-/// (e.g. DigestEngine) degrades gracefully instead of blocking forever
+/// A cut batch comes back with the nodes that completed and timed_out
+/// set; the caller decides what the cut means (the estimators fail the
+/// occasion or finalize a partial snapshot), instead of blocking forever
 /// on an unreachable overlay.
 class SamplingOperator {
  public:
@@ -159,19 +156,15 @@ class SamplingOperator {
   /// Draws one sample node, originating the walk at `origin`. Returning
   /// the sampled node id to the originator costs one transfer message.
   /// Fails if the graph is empty or the origin is dead with no live node
-  /// remaining.
+  /// remaining, and with kUnavailable when the hop budget cuts the walk.
   Result<NodeId> SampleNode(NodeId origin);
 
   /// Draws `n` sample nodes in batch mode (§VI-A): n agents with
-  /// overlapping convergence, each contributing one node. Under faults,
-  /// fails with kUnavailable when the batch hop budget times out.
-  Result<std::vector<NodeId>> SampleNodes(NodeId origin, size_t n);
-
-  /// Deadline-budgeted variant: identical draws, meter accounting, and
-  /// trace emission to SampleNodes, but when the batch hop budget runs
-  /// out it returns the samples completed so far with timed_out = true
-  /// instead of failing — the raw material for a partial snapshot.
-  Result<PartialBatch> SampleNodesPartial(NodeId origin, size_t n);
+  /// overlapping convergence, each contributing one node. Plans every
+  /// walk, runs the walks on the worker pool, and merges them in
+  /// walk-index order. Under faults the batch hop budget may cut it:
+  /// the nodes that completed come back with timed_out = true.
+  Result<PartialBatch> SampleNodes(NodeId origin, size_t n);
 
   /// Drops all warm agents (e.g., after a topology change large enough
   /// that their positions should not be trusted).
@@ -202,12 +195,13 @@ class SamplingOperator {
   uint64_t hedge_done_attempts() const { return done_attempts_; }
   uint64_t hedge_done_steps() const { return done_steps_; }
 
-  /// Serializable session state: warm-agent positions, the round-robin
-  /// cursor, the RNG stream, and the hedge statistics. Everything a
-  /// restored operator needs to replay the exact draw sequence an
-  /// uninterrupted run would have made.
+  /// Serializable session state: warm-agent positions, the RNG stream,
+  /// and the hedge statistics. Everything a restored operator needs to
+  /// replay the exact draw sequence an uninterrupted run would have made.
   struct State {
     std::vector<NodeId> agent_positions;
+    /// Always 0: every batch walks the warm agents from the first. The
+    /// key stays so saved blobs keep their layout.
     uint64_t next_agent = 0;
     Rng::State rng;
     uint64_t done_walks = 0;
@@ -223,18 +217,13 @@ class SamplingOperator {
       v("done_walks", done_walks);
       v("done_attempts", done_attempts);
       v("done_steps", done_steps);
+      v.Check([&] { return next_agent == 0; }, "next_agent must be 0");
     }
   };
   State SaveState() const;
   void RestoreState(const State& state);
 
  private:
-  /// The one batch implementation behind SampleNodes /
-  /// SampleNodesPartial: plan every walk, run the walks on the worker
-  /// pool, merge them in walk-index order. The two wrappers differ only
-  /// in how a hop-budget cut is reported.
-  Result<PartialBatch> SampleBatch(NodeId origin, size_t n);
-
   /// Hedge straggler threshold in attempt units for an agent planned to
   /// walk `steps` steps; 0 means hedging is disarmed (disabled, or not
   /// enough completed walks observed yet).
@@ -253,9 +242,8 @@ class SamplingOperator {
   // The batch's overlay: refreshed on the calling thread at batch start,
   // read by every walk and by the diag batch close.
   OverlaySnapshot overlay_;
-  // Positions of the warm agents, reused round-robin.
+  // Positions of the warm agents; every batch reuses them from the first.
   std::vector<NodeId> agents_;
-  size_t next_agent_ = 0;
   std::unique_ptr<exec::WorkerPool> pool_;
   // One plan + outcome slot per walk of the current batch, reused across
   // batches so a batch allocates no per-walk state.

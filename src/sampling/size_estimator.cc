@@ -18,15 +18,21 @@ CollisionSizeEstimator::ComputeEstimate() {
     // pool makes every batch a set of fresh, fully mixed walkers
     // (collisions *within* a batch come from distinct agents).
     op_->ResetAgents();
-    DIGEST_ASSIGN_OR_RETURN(std::vector<NodeId> nodes,
+    DIGEST_ASSIGN_OR_RETURN(PartialBatch nodes,
                             op_->SampleNodes(origin_, batch));
-    for (NodeId v : nodes) {
+    // A cut batch is short by an amount the faults chose, and counting
+    // collisions over it would bias |V|^: no estimate this round.
+    if (nodes.timed_out) {
+      return Status::Unavailable(
+          "sampling hop budget exhausted under faults (walk timeout)");
+    }
+    for (NodeId v : nodes.nodes) {
       size_t& k = counts[v];
       collisions += k;  // C(k+1, 2) − C(k, 2) = k new colliding pairs.
       ++k;
       content_sum += static_cast<double>(db_->ContentSize(v));
     }
-    samples += nodes.size();
+    samples += nodes.nodes.size();
     if (collisions >= options_.collision_target) break;
     if (samples >= options_.max_samples) {
       if (collisions == 0) {

@@ -4,27 +4,8 @@
 
 namespace digest {
 
-Result<TupleSample> TwoStageTupleSampler::Sample(NodeId origin) {
-  DIGEST_ASSIGN_OR_RETURN(std::vector<TupleSample> batch,
-                          SampleBatch(origin, 1));
-  return batch.front();
-}
-
-Result<std::vector<TupleSample>> TwoStageTupleSampler::SampleBatch(
-    NodeId origin, size_t n) {
-  // Same draws as the partial variant; only the timeout reporting
-  // differs, so the two paths cannot diverge.
-  DIGEST_ASSIGN_OR_RETURN(PartialTupleBatch batch,
-                          SampleBatchPartial(origin, n));
-  if (batch.timed_out) {
-    return Status::Unavailable(
-        "sampling hop budget exhausted before the batch completed");
-  }
-  return std::move(batch.samples);
-}
-
-Result<PartialTupleBatch> TwoStageTupleSampler::SampleBatchPartial(
-    NodeId origin, size_t n) {
+Result<PartialTupleBatch> TwoStageTupleSampler::DrawFresh(NodeId origin,
+                                                          size_t n) {
   if (!db_->HasTuples()) {
     return Status::FailedPrecondition("relation R is empty");
   }
@@ -37,8 +18,7 @@ Result<PartialTupleBatch> TwoStageTupleSampler::SampleBatchPartial(
           "two-stage sampling repeatedly hit empty/departed nodes");
     }
     const size_t want = n - out.samples.size();
-    DIGEST_ASSIGN_OR_RETURN(PartialBatch nodes,
-                            op_->SampleNodesPartial(origin, want));
+    DIGEST_ASSIGN_OR_RETURN(PartialBatch nodes, op_->SampleNodes(origin, want));
     for (NodeId node : nodes.nodes) {
       // Under churn the sampled node may have vanished between the walk
       // and the local draw, or may hold no tuples (weight raced with an
@@ -72,12 +52,8 @@ Result<std::vector<TupleSample>> ClusterSampler::SampleCluster(
   return out;
 }
 
-Result<TupleSample> ExactTupleSampler::Sample() {
-  DIGEST_ASSIGN_OR_RETURN(std::vector<TupleSample> batch, SampleBatch(1));
-  return batch.front();
-}
-
-Result<std::vector<TupleSample>> ExactTupleSampler::SampleBatch(size_t n) {
+Result<PartialTupleBatch> ExactTupleSampler::DrawFresh(NodeId /*origin*/,
+                                                       size_t n) {
   const size_t total = db_->TotalTuples();
   if (total == 0) {
     return Status::FailedPrecondition("relation R is empty");
@@ -98,8 +74,8 @@ Result<std::vector<TupleSample>> ExactTupleSampler::SampleBatch(size_t n) {
   }
   const size_t last_nonempty =
       std::lower_bound(running.begin(), running.end(), sum) - running.begin();
-  std::vector<TupleSample> out;
-  out.reserve(n);
+  PartialTupleBatch out;
+  out.samples.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     const double r = rng_.NextDouble() * sum;
     const size_t pick = std::min<size_t>(
@@ -112,8 +88,8 @@ Result<std::vector<TupleSample>> ExactTupleSampler::SampleBatch(size_t n) {
       return Status::Internal("weighted pick landed on an empty store");
     }
     if (meter_ != nullptr) meter_->AddSampleTransfer();
-    out.push_back(TupleSample{TupleRef{nodes[pick], tuple_pick->id},
-                              &tuple_pick->tuple});
+    out.samples.push_back(TupleSample{TupleRef{nodes[pick], tuple_pick->id},
+                                      &tuple_pick->tuple});
   }
   return out;
 }

@@ -17,18 +17,34 @@ namespace digest {
 /// the database and stays valid and unchanged until the database next
 /// changes (see P2PDatabase); keep `ref`, never the pointer, past that.
 /// The one source that changes the world mid-draw
-/// (InterleavingSampleSource) points it at copies it owns instead.
+/// (InterleavingSampleSource) points it at copies it owns instead, valid
+/// until its next DrawFresh call.
 struct TupleSample {
   TupleRef ref;
   const Tuple* tuple = nullptr;
 };
 
-/// A tuple batch that may have been cut short by the sampling hop
-/// budget: `samples` holds whatever completed before `timed_out` became
-/// true (the raw material for a deadline-budgeted partial snapshot).
+/// One batch of tuple samples: every sample asked for, or, when the
+/// sampling hop budget cut the batch (`timed_out`), the samples that
+/// completed first (the raw material for a partial snapshot).
 struct PartialTupleBatch {
   std::vector<TupleSample> samples;
   bool timed_out = false;
+};
+
+/// Source of fresh uniform tuple samples for an estimator: the
+/// distributed two-stage MCMC sampler (production path), the centralized
+/// exact sampler (tests and baselines), or a wrapper around one of them
+/// (the node's shared pool, the interleaving source).
+class SampleSource {
+ public:
+  virtual ~SampleSource() = default;
+
+  /// Draws `n` uniform samples with replacement, originating any network
+  /// traffic at `origin`. A source with a hop budget returns the samples
+  /// that completed before a cut with timed_out = true; whether that
+  /// fails the caller's occasion is the caller's decision.
+  virtual Result<PartialTupleBatch> DrawFresh(NodeId origin, size_t n) = 0;
 };
 
 /// Uniform tuple sampling from R by the two-stage scheme of §III:
@@ -38,23 +54,15 @@ struct PartialTupleBatch {
 /// over all tuples of R.
 ///
 /// Holds references to the database and operator; both must outlive it.
-class TwoStageTupleSampler {
+class TwoStageTupleSampler : public SampleSource {
  public:
   TwoStageTupleSampler(const P2PDatabase* db, SamplingOperator* op, Rng rng)
       : db_(db), op_(op), rng_(rng) {}
 
-  /// Draws one uniform tuple sample, originating walks at `origin`.
-  /// Fails when the relation is empty.
-  Result<TupleSample> Sample(NodeId origin);
-
-  /// Draws `n` samples (with replacement) in batch mode.
-  Result<std::vector<TupleSample>> SampleBatch(NodeId origin, size_t n);
-
-  /// Deadline-budgeted variant: identical draws and accounting to
-  /// SampleBatch, but when the operator's hop budget times out it
-  /// returns the samples completed so far with timed_out = true instead
-  /// of failing with kUnavailable.
-  Result<PartialTupleBatch> SampleBatchPartial(NodeId origin, size_t n);
+  /// Draws `n` samples (with replacement) in batch mode, originating
+  /// walks at `origin`. Fails when the relation is empty; a batch the
+  /// operator's hop budget cuts comes back with what completed.
+  Result<PartialTupleBatch> DrawFresh(NodeId origin, size_t n) override;
 
   /// Serializable stage-2 RNG stream (the local uniform tuple pick), for
   /// the engine checkpoint. The stage-1 walk stream lives in the
@@ -88,16 +96,15 @@ class ClusterSampler {
 /// Centralized uniform tuple sampler with global knowledge — the
 /// "optimal sampling" comparator the paper measures S against. Same
 /// interface, zero walk cost: one transfer message per sample.
-class ExactTupleSampler {
+class ExactTupleSampler : public SampleSource {
  public:
   ExactTupleSampler(const P2PDatabase* db, Rng rng, MessageMeter* meter)
       : db_(db), rng_(rng), meter_(meter) {}
 
-  /// Draws one exactly uniform tuple sample. Fails when R is empty.
-  Result<TupleSample> Sample();
-
-  /// Draws `n` samples with replacement.
-  Result<std::vector<TupleSample>> SampleBatch(size_t n);
+  /// Draws `n` exactly uniform samples with replacement. It walks
+  /// nowhere, so it ignores `origin` and is never cut. Fails when R is
+  /// empty.
+  Result<PartialTupleBatch> DrawFresh(NodeId origin, size_t n) override;
 
   /// Serializable draw stream, for the engine checkpoint.
   Rng::State SaveRngState() const { return rng_.SaveState(); }

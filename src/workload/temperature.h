@@ -41,10 +41,13 @@ struct TemperatureConfig {
   double regional_ar = 0.9;        ///< Persistence of the shared front.
 };
 
-/// Builds the TEMPERATURE workload: a mesh overlay of num_nodes stations,
-/// units assigned randomly (so station content sizes vary, exercising the
-/// nonuniform content-size weight), one tuple per unit with a single
-/// `temperature` attribute, every tuple updated every tick.
+/// Builds the TEMPERATURE workload: a mesh overlay of floor(√num_nodes)
+/// rows and ceil(num_nodes / rows) columns, which rounds num_nodes up to
+/// a full rectangle (the default 530 stations make a 23 × 24 mesh of 552
+/// peers), units assigned randomly over all its peers (so station
+/// content sizes vary, exercising the nonuniform content-size weight),
+/// one tuple per unit with a single `temperature` attribute, every tuple
+/// updated every tick.
 class TemperatureWorkload : public Workload {
  public:
   static Result<std::unique_ptr<TemperatureWorkload>> Create(

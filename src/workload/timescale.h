@@ -6,7 +6,7 @@
 #include <deque>
 #include <vector>
 
-#include "core/snapshot_estimator.h"
+#include "sampling/tuple_sampler.h"
 #include "workload/workload.h"
 
 namespace digest {
@@ -27,7 +27,9 @@ namespace digest {
 /// hand out borrowed samples: an advance may rewrite or drop the tuples
 /// an earlier chunk borrowed. Each chunk's tuples are copied before the
 /// world moves on, and the returned samples point at those copies, which
-/// hold the draw-time values until the next DrawFresh call.
+/// hold the draw-time values until the next DrawFresh call. An inner
+/// batch the hop budget cuts ends the call: the copies made so far come
+/// back with timed_out set, and their draws count toward the quota.
 class InterleavingSampleSource : public SampleSource {
  public:
   /// Neither pointer is owned; both must outlive the source.
@@ -38,21 +40,21 @@ class InterleavingSampleSource : public SampleSource {
         draws_per_advance_(draws_per_advance == 0 ? 1
                                                   : draws_per_advance) {}
 
-  Result<std::vector<TupleSample>> DrawFresh(NodeId origin,
-                                             size_t n) override {
+  Result<PartialTupleBatch> DrawFresh(NodeId origin, size_t n) override {
     owned_.clear();
-    std::vector<TupleSample> out;
-    out.reserve(n);
-    while (out.size() < n) {
+    PartialTupleBatch out;
+    out.samples.reserve(n);
+    while (out.samples.size() < n && !out.timed_out) {
       const size_t quota = draws_per_advance_ - pending_draws_;
-      const size_t chunk = std::min(n - out.size(), quota);
-      DIGEST_ASSIGN_OR_RETURN(std::vector<TupleSample> batch,
+      const size_t chunk = std::min(n - out.samples.size(), quota);
+      DIGEST_ASSIGN_OR_RETURN(PartialTupleBatch batch,
                               inner_->DrawFresh(origin, chunk));
-      pending_draws_ += batch.size();
-      for (const TupleSample& s : batch) {
+      pending_draws_ += batch.samples.size();
+      for (const TupleSample& s : batch.samples) {
         owned_.push_back(*s.tuple);
-        out.push_back(TupleSample{s.ref, &owned_.back()});
+        out.samples.push_back(TupleSample{s.ref, &owned_.back()});
       }
+      out.timed_out = batch.timed_out;
       if (pending_draws_ >= draws_per_advance_) {
         DIGEST_RETURN_IF_ERROR(workload_->Advance());
         ++mid_occasion_advances_;

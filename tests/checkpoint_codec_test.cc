@@ -443,6 +443,19 @@ TEST(CheckpointRestoreTest, AgentPositionPastNodeIdRangeIsRejected) {
   EXPECT_EQ(session.engine().Checkpoint().value(), blob);
 }
 
+TEST(CheckpointRestoreTest, NonZeroAgentCursorIsRejected) {
+  // Every batch walks the warm agents from the first, so the saved
+  // cursor is always 0; any other value is a hand-made blob.
+  EngineSession session(GoldenEngineCase());
+  ASSERT_TRUE(session.Run(3).ok());
+  const std::string blob = session.engine().Checkpoint().value();
+  const std::string tampered =
+      Replaced(blob, "\"next_agent\":\"0\"", "\"next_agent\":\"3\"");
+  EXPECT_EQ(session.engine().Restore(tampered).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(session.engine().Checkpoint().value(), blob);
+}
+
 TEST(CheckpointRestoreTest, AuditRecordHealthPastIntRangeIsRejected) {
   audit::PrecisionAuditor::State state;
   audit::CoverageRecord record;

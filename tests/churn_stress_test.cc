@@ -81,9 +81,9 @@ TEST(ChurnStressTest, SamplingOperatorSurvivesMassDeparture) {
   ASSERT_GT(removed, 30u);
   RepairConnectivity(graph, rng);
 
-  Result<std::vector<NodeId>> nodes = op.SampleNodes(0, 20);
-  ASSERT_TRUE(nodes.ok()) << nodes.status();
-  for (NodeId v : *nodes) EXPECT_TRUE(graph.HasNode(v));
+  Result<PartialBatch> batch = op.SampleNodes(0, 20);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  for (NodeId v : batch->nodes) EXPECT_TRUE(graph.HasNode(v));
 }
 
 struct ChurnDiagRun {
@@ -109,7 +109,7 @@ ChurnDiagRun DriveChurnedBatches(diag::SamplerDiag* diag) {
   op.SetInstruments({.diag = diag});
 
   ChurnDiagRun run;
-  run.first_batch = op.SampleNodes(0, 20).value();
+  run.first_batch = op.SampleNodes(0, 20).value().nodes;
   if (diag != nullptr) run.live_peers_before = diag->last_batch().live_peers;
 
   Rng rng(5);
@@ -122,7 +122,7 @@ ChurnDiagRun DriveChurnedBatches(diag::SamplerDiag* diag) {
   RepairConnectivity(graph, rng);
   run.live_after = graph.NodeCount();
 
-  run.second_batch = op.SampleNodes(0, 20).value();
+  run.second_batch = op.SampleNodes(0, 20).value().nodes;
   if (diag != nullptr) {
     run.live_peers_after = diag->last_batch().live_peers;
     run.batches = diag->batches();
@@ -236,7 +236,7 @@ TEST(ChurnStressTest, TwoStageSamplerFailsCleanlyOnEmptyStores) {
   SamplingOperator op(&graph, ContentSizeWeight(db), Rng(6), nullptr,
                       options);
   TwoStageTupleSampler sampler(&db, &op, Rng(7));
-  Result<std::vector<TupleSample>> batch = sampler.SampleBatch(0, 5);
+  Result<PartialTupleBatch> batch = sampler.DrawFresh(0, 5);
   EXPECT_FALSE(batch.ok());
   EXPECT_EQ(batch.status().code(), StatusCode::kUnavailable);
 }

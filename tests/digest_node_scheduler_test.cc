@@ -107,9 +107,11 @@ TEST(QuerySchedulerTest, CursorsShareOnePoolOfBorrowedTuples) {
 
   source.BeginTick();
   source.SetActiveQuery(1);
-  const std::vector<TupleSample> first = source.DrawFresh(0, 12).value();
+  const std::vector<TupleSample> first =
+      source.DrawFresh(0, 12).value().samples;
   source.SetActiveQuery(2);
-  const std::vector<TupleSample> second = source.DrawFresh(0, 8).value();
+  const std::vector<TupleSample> second =
+      source.DrawFresh(0, 8).value().samples;
   ASSERT_EQ(first.size(), 12u);
   ASSERT_EQ(second.size(), 8u);
   EXPECT_EQ(source.shared_samples(), 12u);  // Query 2 rode the prefix.
@@ -119,7 +121,8 @@ TEST(QuerySchedulerTest, CursorsShareOnePoolOfBorrowedTuples) {
     EXPECT_EQ(second[i].tuple, first[i].tuple) << i;
     EXPECT_EQ(first[i].tuple, f.db->FindTuple(first[i].ref)) << i;
   }
-  const std::vector<TupleSample> twin_first = twin.SampleBatch(0, 12).value();
+  const std::vector<TupleSample> twin_first =
+      twin.DrawFresh(0, 12).value().samples;
   for (size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].ref, twin_first[i].ref) << i;
   }
@@ -130,11 +133,14 @@ TEST(QuerySchedulerTest, CursorsShareOnePoolOfBorrowedTuples) {
   EXPECT_EQ(source.shared_samples(), 0u);
   EXPECT_EQ(source.queries_served(), 0u);
   source.SetActiveQuery(2);
-  const std::vector<TupleSample> next = source.DrawFresh(0, 12).value();
+  const std::vector<TupleSample> next =
+      source.DrawFresh(0, 12).value().samples;
   source.SetActiveQuery(1);
-  const std::vector<TupleSample> next_rider = source.DrawFresh(0, 4).value();
+  const std::vector<TupleSample> next_rider =
+      source.DrawFresh(0, 4).value().samples;
   EXPECT_EQ(source.shared_samples(), 12u);
-  const std::vector<TupleSample> twin_next = twin.SampleBatch(0, 12).value();
+  const std::vector<TupleSample> twin_next =
+      twin.DrawFresh(0, 12).value().samples;
   ASSERT_EQ(next.size(), 12u);
   for (size_t i = 0; i < next.size(); ++i) {
     EXPECT_EQ(next[i].ref, twin_next[i].ref) << i;
@@ -144,6 +150,48 @@ TEST(QuerySchedulerTest, CursorsShareOnePoolOfBorrowedTuples) {
   for (size_t i = 0; i < next_rider.size(); ++i) {
     EXPECT_EQ(next_rider[i].tuple, next[i].tuple) << i;
   }
+}
+
+TEST(QuerySchedulerTest, CutExtensionStaysInThePool) {
+  // The hop budget cuts the first cursor's 12-sample extension after k
+  // walks. Those k samples were walked and charged: the cursor gets them
+  // with timed_out set, and a later tenant asking for no more than k
+  // reads them from the pool without walking again.
+  Fixture f;
+  SamplingOperatorOptions walk;
+  walk.walk_length = 40;
+  walk.reset_length = 10;
+  walk.retry.hop_budget_factor = 1.0;
+  MessageMeter meter;
+  SamplingOperator op(&f.graph, ContentSizeWeight(*f.db), Rng(3), &meter,
+                      walk);
+  FaultPlanConfig faults;
+  faults.message_loss = 0.2;
+  FaultPlan plan(faults, 5);
+  op.SetFaultPlan(&plan);
+  TwoStageTupleSampler sampler(f.db.get(), &op, Rng(4));
+  CoalescingSampleSource source(&sampler);
+
+  source.BeginTick();
+  source.SetActiveQuery(1);
+  const PartialTupleBatch first = source.DrawFresh(0, 12).value();
+  ASSERT_TRUE(first.timed_out);
+  const size_t k = first.samples.size();
+  ASSERT_GT(k, 0u);
+  ASSERT_LT(k, 12u);
+  EXPECT_EQ(source.shared_samples(), k);
+
+  const uint64_t messages = meter.Total();
+  source.SetActiveQuery(2);
+  const PartialTupleBatch second = source.DrawFresh(0, k).value();
+  EXPECT_FALSE(second.timed_out);
+  ASSERT_EQ(second.samples.size(), k);
+  for (size_t i = 0; i < k; ++i) {
+    EXPECT_EQ(second.samples[i].ref, first.samples[i].ref) << i;
+    EXPECT_EQ(second.samples[i].tuple, first.samples[i].tuple) << i;
+  }
+  EXPECT_EQ(meter.Total(), messages);
+  EXPECT_EQ(source.shared_samples(), k);
 }
 
 TEST(DigestNodeSchedulerTest, AdmissionCapEnforced) {

@@ -75,11 +75,10 @@ TEST(IndependentEstimatorTest, EstimateWithinEpsilonMostOfTheTime) {
   Ar1Database data(8, 100, 50.0, 10.0, 0.8, 1);
   ContinuousQuerySpec spec = AvgSpec(0.0, 1.0, 0.95);
   ExactTupleSampler sampler(data.db.get(), Rng(2), nullptr);
-  ExactSampleSource source(&sampler);
   int within = 0;
   const int trials = 60;
   for (int i = 0; i < trials; ++i) {
-    IndependentEstimator est(spec, data.db.get(), &source, nullptr, nullptr,
+    IndependentEstimator est(spec, data.db.get(), &sampler, nullptr, nullptr,
                              Rng(100 + i));
     Result<SnapshotEstimate> e = est.Evaluate(0);
     ASSERT_TRUE(e.ok()) << e.status();
@@ -92,9 +91,8 @@ TEST(IndependentEstimatorTest, EstimateWithinEpsilonMostOfTheTime) {
 TEST(IndependentEstimatorTest, SampleSizeMatchesCltFormula) {
   Ar1Database data(8, 200, 50.0, 10.0, 0.8, 3);
   ExactTupleSampler sampler(data.db.get(), Rng(4), nullptr);
-  ExactSampleSource source(&sampler);
   ContinuousQuerySpec spec = AvgSpec(0.0, 1.0, 0.95);
-  IndependentEstimator est(spec, data.db.get(), &source, nullptr, nullptr,
+  IndependentEstimator est(spec, data.db.get(), &sampler, nullptr, nullptr,
                            Rng(5));
   Result<SnapshotEstimate> e = est.Evaluate(0);
   ASSERT_TRUE(e.ok());
@@ -108,11 +106,10 @@ TEST(IndependentEstimatorTest, SampleSizeMatchesCltFormula) {
 TEST(IndependentEstimatorTest, TighterEpsilonNeedsMoreSamples) {
   Ar1Database data(8, 300, 50.0, 10.0, 0.8, 6);
   ExactTupleSampler sampler(data.db.get(), Rng(7), nullptr);
-  ExactSampleSource source(&sampler);
   size_t last = 0;
   for (double eps : {4.0, 2.0, 1.0, 0.5}) {
     IndependentEstimator est(AvgSpec(0.0, eps, 0.95), data.db.get(),
-                             &source, nullptr, nullptr, Rng(8));
+                             &sampler, nullptr, nullptr, Rng(8));
     Result<SnapshotEstimate> e = est.Evaluate(0);
     ASSERT_TRUE(e.ok());
     EXPECT_GT(e->total_samples, last) << "eps=" << eps;
@@ -123,10 +120,9 @@ TEST(IndependentEstimatorTest, TighterEpsilonNeedsMoreSamples) {
 TEST(IndependentEstimatorTest, HigherConfidenceNeedsMoreSamples) {
   Ar1Database data(8, 300, 50.0, 10.0, 0.8, 9);
   ExactTupleSampler sampler(data.db.get(), Rng(10), nullptr);
-  ExactSampleSource source(&sampler);
-  IndependentEstimator low(AvgSpec(0.0, 1.0, 0.80), data.db.get(), &source,
+  IndependentEstimator low(AvgSpec(0.0, 1.0, 0.80), data.db.get(), &sampler,
                            nullptr, nullptr, Rng(11));
-  IndependentEstimator high(AvgSpec(0.0, 1.0, 0.99), data.db.get(), &source,
+  IndependentEstimator high(AvgSpec(0.0, 1.0, 0.99), data.db.get(), &sampler,
                             nullptr, nullptr, Rng(11));
   Result<SnapshotEstimate> e_low = low.Evaluate(0);
   Result<SnapshotEstimate> e_high = high.Evaluate(0);
@@ -138,18 +134,17 @@ TEST(IndependentEstimatorTest, HigherConfidenceNeedsMoreSamples) {
 TEST(IndependentEstimatorTest, SumNeedsSizeOracle) {
   Ar1Database data(4, 50, 50.0, 10.0, 0.8, 12);
   ExactTupleSampler sampler(data.db.get(), Rng(13), nullptr);
-  ExactSampleSource source(&sampler);
   ContinuousQuerySpec spec =
       ContinuousQuerySpec::Create("SELECT SUM(v) FROM R",
                                   PrecisionSpec{0.0, 200.0, 0.95})
           .value();
-  IndependentEstimator no_oracle(spec, data.db.get(), &source, nullptr,
+  IndependentEstimator no_oracle(spec, data.db.get(), &sampler, nullptr,
                                  nullptr, Rng(14));
   EXPECT_EQ(no_oracle.Evaluate(0).status().code(),
             StatusCode::kFailedPrecondition);
 
   ExactSizeOracle oracle(data.db.get());
-  IndependentEstimator with_oracle(spec, data.db.get(), &source, &oracle,
+  IndependentEstimator with_oracle(spec, data.db.get(), &sampler, &oracle,
                                    nullptr, Rng(14));
   Result<SnapshotEstimate> e = with_oracle.Evaluate(0);
   ASSERT_TRUE(e.ok());
@@ -161,13 +156,12 @@ TEST(IndependentEstimatorTest, SumNeedsSizeOracle) {
 TEST(IndependentEstimatorTest, CountIsExactViaOracle) {
   Ar1Database data(4, 25, 50.0, 10.0, 0.8, 15);
   ExactTupleSampler sampler(data.db.get(), Rng(16), nullptr);
-  ExactSampleSource source(&sampler);
   ExactSizeOracle oracle(data.db.get());
   ContinuousQuerySpec spec =
       ContinuousQuerySpec::Create("SELECT COUNT(*) FROM R",
                                   PrecisionSpec{0.0, 1.0, 0.95})
           .value();
-  IndependentEstimator est(spec, data.db.get(), &source, &oracle, nullptr,
+  IndependentEstimator est(spec, data.db.get(), &sampler, &oracle, nullptr,
                            Rng(17));
   Result<SnapshotEstimate> e = est.Evaluate(0);
   ASSERT_TRUE(e.ok());
@@ -177,10 +171,9 @@ TEST(IndependentEstimatorTest, CountIsExactViaOracle) {
 TEST(IndependentEstimatorTest, InvalidSpecRejected) {
   Ar1Database data(4, 25, 50.0, 10.0, 0.8, 18);
   ExactTupleSampler sampler(data.db.get(), Rng(19), nullptr);
-  ExactSampleSource source(&sampler);
   ContinuousQuerySpec spec = AvgSpec(0.0, 1.0, 0.95);
   spec.precision.epsilon = -1.0;
-  IndependentEstimator est(spec, data.db.get(), &source, nullptr, nullptr,
+  IndependentEstimator est(spec, data.db.get(), &sampler, nullptr, nullptr,
                            Rng(20));
   EXPECT_FALSE(est.Evaluate(0).ok());
 }
@@ -188,9 +181,8 @@ TEST(IndependentEstimatorTest, InvalidSpecRejected) {
 TEST(RepeatedSamplingTest, FirstOccasionMatchesIndependent) {
   Ar1Database data(8, 100, 50.0, 10.0, 0.8, 21);
   ExactTupleSampler sampler(data.db.get(), Rng(22), nullptr);
-  ExactSampleSource source(&sampler);
   RepeatedSamplingEstimator est(AvgSpec(0.0, 1.0, 0.95), data.db.get(),
-                                &source, nullptr, nullptr, Rng(23));
+                                &sampler, nullptr, nullptr, Rng(23));
   Result<SnapshotEstimate> e = est.Evaluate(0);
   ASSERT_TRUE(e.ok());
   EXPECT_EQ(e->retained_samples, 0u);
@@ -200,9 +192,8 @@ TEST(RepeatedSamplingTest, FirstOccasionMatchesIndependent) {
 TEST(RepeatedSamplingTest, LaterOccasionsRetainSamples) {
   Ar1Database data(8, 200, 50.0, 10.0, 0.9, 24);
   ExactTupleSampler sampler(data.db.get(), Rng(25), nullptr);
-  ExactSampleSource source(&sampler);
   RepeatedSamplingEstimator est(AvgSpec(0.0, 1.0, 0.95), data.db.get(),
-                                &source, nullptr, nullptr, Rng(26));
+                                &sampler, nullptr, nullptr, Rng(26));
   ASSERT_TRUE(est.Evaluate(0).ok());
   data.Advance();
   Result<SnapshotEstimate> e2 = est.Evaluate(0);
@@ -217,9 +208,8 @@ TEST(RepeatedSamplingTest, LearnsHighPooledCorrelation) {
   // correlation should be high (like the TEMPERATURE dataset).
   Ar1Database data(8, 300, 50.0, 10.0, 0.7, 27);
   ExactTupleSampler sampler(data.db.get(), Rng(28), nullptr);
-  ExactSampleSource source(&sampler);
   RepeatedSamplingEstimator est(AvgSpec(0.0, 1.0, 0.95), data.db.get(),
-                                &source, nullptr, nullptr, Rng(29));
+                                &sampler, nullptr, nullptr, Rng(29));
   for (int occasion = 0; occasion < 6; ++occasion) {
     ASSERT_TRUE(est.Evaluate(0).ok());
     data.Advance();
@@ -233,12 +223,11 @@ TEST(RepeatedSamplingTest, FewerSamplesThanIndependentUnderCorrelation) {
   // fewer total samples per snapshot than INDEP at equal confidence.
   Ar1Database data(8, 400, 50.0, 10.0, 0.9, 30);
   ExactTupleSampler sampler(data.db.get(), Rng(31), nullptr);
-  ExactSampleSource source(&sampler);
   ContinuousQuerySpec spec = AvgSpec(0.0, 1.0, 0.95);
 
-  RepeatedSamplingEstimator rpt(spec, data.db.get(), &source, nullptr,
+  RepeatedSamplingEstimator rpt(spec, data.db.get(), &sampler, nullptr,
                                 nullptr, Rng(32));
-  IndependentEstimator indep(spec, data.db.get(), &source, nullptr, nullptr,
+  IndependentEstimator indep(spec, data.db.get(), &sampler, nullptr, nullptr,
                              Rng(33));
   size_t rpt_samples = 0, indep_samples = 0;
   const int occasions = 8;
@@ -263,8 +252,7 @@ TEST(RepeatedSamplingTest, FewerSamplesThanIndependentUnderCorrelation) {
 class CountingSource : public SampleSource {
  public:
   explicit CountingSource(SampleSource* inner) : inner_(inner) {}
-  Result<std::vector<TupleSample>> DrawFresh(NodeId origin,
-                                             size_t n) override {
+  Result<PartialTupleBatch> DrawFresh(NodeId origin, size_t n) override {
     ++calls_;
     return inner_->DrawFresh(origin, n);
   }
@@ -289,8 +277,7 @@ TEST(RepeatedSamplingTest, TopUpRoundsKeepTheRecordedEstimate) {
   // 4 rounds) must reproduce them exactly.
   Ar1Database data(8, 100, 50.0, 10.0, 0.3, 72);
   ExactTupleSampler sampler(data.db.get(), Rng(73), nullptr);
-  ExactSampleSource exact(&sampler);
-  CountingSource source(&exact);
+  CountingSource source(&sampler);
   RepeatedSamplingEstimator est(AvgSpec(0.0, 1.0, 0.95), data.db.get(),
                                 &source, nullptr, nullptr, Rng(74));
   int occasion = 0;
@@ -315,9 +302,8 @@ TEST(RepeatedSamplingTest, TopUpRoundsKeepTheRecordedEstimate) {
 TEST(RepeatedSamplingTest, StaysAccurateAcrossOccasions) {
   Ar1Database data(8, 300, 50.0, 10.0, 0.85, 34);
   ExactTupleSampler sampler(data.db.get(), Rng(35), nullptr);
-  ExactSampleSource source(&sampler);
   RepeatedSamplingEstimator est(AvgSpec(0.0, 1.0, 0.95), data.db.get(),
-                                &source, nullptr, nullptr, Rng(36));
+                                &sampler, nullptr, nullptr, Rng(36));
   int within = 0;
   const int occasions = 20;
   for (int k = 0; k < occasions; ++k) {
@@ -332,10 +318,9 @@ TEST(RepeatedSamplingTest, StaysAccurateAcrossOccasions) {
 TEST(RepeatedSamplingTest, RefreshMessagesChargedForRetainedSamples) {
   Ar1Database data(8, 200, 50.0, 10.0, 0.9, 37);
   ExactTupleSampler sampler(data.db.get(), Rng(38), nullptr);
-  ExactSampleSource source(&sampler);
   MessageMeter meter;
   RepeatedSamplingEstimator est(AvgSpec(0.0, 1.0, 0.95), data.db.get(),
-                                &source, nullptr, &meter, Rng(39));
+                                &sampler, nullptr, &meter, Rng(39));
   ASSERT_TRUE(est.Evaluate(0).ok());
   EXPECT_EQ(meter.refreshes(), 0u);
   data.Advance();
@@ -347,9 +332,8 @@ TEST(RepeatedSamplingTest, RefreshMessagesChargedForRetainedSamples) {
 TEST(RepeatedSamplingTest, DeletedTuplesAreReplaced) {
   Ar1Database data(8, 100, 50.0, 10.0, 0.9, 40);
   ExactTupleSampler sampler(data.db.get(), Rng(41), nullptr);
-  ExactSampleSource source(&sampler);
   RepeatedSamplingEstimator est(AvgSpec(0.0, 1.5, 0.95), data.db.get(),
-                                &source, nullptr, nullptr, Rng(42));
+                                &sampler, nullptr, nullptr, Rng(42));
   ASSERT_TRUE(est.Evaluate(0).ok());
   // Wipe two whole nodes: their retained samples dangle.
   ASSERT_TRUE(data.db->RemoveNode(0).ok());
@@ -362,9 +346,8 @@ TEST(RepeatedSamplingTest, DeletedTuplesAreReplaced) {
 TEST(RepeatedSamplingTest, ResetForgetsOccasions) {
   Ar1Database data(8, 150, 50.0, 10.0, 0.9, 43);
   ExactTupleSampler sampler(data.db.get(), Rng(44), nullptr);
-  ExactSampleSource source(&sampler);
   RepeatedSamplingEstimator est(AvgSpec(0.0, 1.0, 0.95), data.db.get(),
-                                &source, nullptr, nullptr, Rng(45));
+                                &sampler, nullptr, nullptr, Rng(45));
   ASSERT_TRUE(est.Evaluate(0).ok());
   data.Advance();
   est.Reset();

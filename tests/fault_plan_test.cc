@@ -128,8 +128,8 @@ TEST(FaultPlanTest, ZeroRatePlanLeavesOperatorBitIdentical) {
   faulty.SetFaultPlan(&zero_plan);
 
   for (int batch = 0; batch < 3; ++batch) {
-    const std::vector<NodeId> a = clean.SampleNodes(0, 25).value();
-    const std::vector<NodeId> b = faulty.SampleNodes(0, 25).value();
+    const std::vector<NodeId> a = clean.SampleNodes(0, 25).value().nodes;
+    const std::vector<NodeId> b = faulty.SampleNodes(0, 25).value().nodes;
     EXPECT_EQ(a, b) << "batch " << batch;
   }
   EXPECT_EQ(clean_meter.walk_hops(), faulty_meter.walk_hops());

@@ -70,8 +70,7 @@ ContinuousQuerySpec AvgSpec(double epsilon) {
 TEST(ForwardRegressionTest, UnavailableBeforeSecondOccasion) {
   Ar1Database data(6, 100, 50.0, 10.0, 0.9, 1);
   ExactTupleSampler sampler(data.db.get(), Rng(2), nullptr);
-  ExactSampleSource source(&sampler);
-  RepeatedSamplingEstimator est(AvgSpec(1.0), data.db.get(), &source,
+  RepeatedSamplingEstimator est(AvgSpec(1.0), data.db.get(), &sampler,
                                 nullptr, nullptr, Rng(3));
   EXPECT_EQ(est.AdjustedPreviousEstimate().status().code(),
             StatusCode::kFailedPrecondition);
@@ -82,8 +81,7 @@ TEST(ForwardRegressionTest, UnavailableBeforeSecondOccasion) {
 TEST(ForwardRegressionTest, AvailableAfterSecondOccasion) {
   Ar1Database data(6, 200, 50.0, 10.0, 0.9, 4);
   ExactTupleSampler sampler(data.db.get(), Rng(5), nullptr);
-  ExactSampleSource source(&sampler);
-  RepeatedSamplingEstimator est(AvgSpec(1.0), data.db.get(), &source,
+  RepeatedSamplingEstimator est(AvgSpec(1.0), data.db.get(), &sampler,
                                 nullptr, nullptr, Rng(6));
   ASSERT_TRUE(est.Evaluate(0).ok());
   data.Advance();
@@ -104,9 +102,8 @@ TEST(ForwardRegressionTest, AdjustmentReducesErrorOnAverage) {
   for (int trial = 0; trial < trials; ++trial) {
     Ar1Database data(6, 300, 50.0, 10.0, 0.95, 100 + trial);
     ExactTupleSampler sampler(data.db.get(), Rng(200 + trial), nullptr);
-    ExactSampleSource source(&sampler);
     // Loose epsilon => small n => visible estimation error.
-    RepeatedSamplingEstimator est(AvgSpec(3.0), data.db.get(), &source,
+    RepeatedSamplingEstimator est(AvgSpec(3.0), data.db.get(), &sampler,
                                   nullptr, nullptr, Rng(300 + trial));
     Result<SnapshotEstimate> first = est.Evaluate(0);
     ASSERT_TRUE(first.ok());
@@ -152,8 +149,7 @@ TEST(ForwardRegressionTest, EngineExposureAndIndependentRejection) {
 TEST(ForwardRegressionTest, ResetClearsState) {
   Ar1Database data(6, 150, 50.0, 10.0, 0.9, 10);
   ExactTupleSampler sampler(data.db.get(), Rng(11), nullptr);
-  ExactSampleSource source(&sampler);
-  RepeatedSamplingEstimator est(AvgSpec(1.0), data.db.get(), &source,
+  RepeatedSamplingEstimator est(AvgSpec(1.0), data.db.get(), &sampler,
                                 nullptr, nullptr, Rng(12));
   ASSERT_TRUE(est.Evaluate(0).ok());
   data.Advance();

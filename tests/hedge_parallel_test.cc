@@ -220,7 +220,7 @@ OperatorHedgeRun RunOperatorHedged(size_t num_threads) {
   OperatorHedgeRun run;
   for (int batch = 0; batch < 8; ++batch) {
     plan.set_now(batch + 1);
-    Result<PartialBatch> result = op.SampleNodesPartial(origin, /*n=*/12);
+    Result<PartialBatch> result = op.SampleNodes(origin, /*n=*/12);
     EXPECT_TRUE(result.ok()) << result.status().message();
     if (!result.ok()) break;
     run.samples.insert(run.samples.end(), result->nodes.begin(),
@@ -273,7 +273,7 @@ TEST(HedgeParallelTest, DisabledHedgePaysNothingInParallelMode) {
   const NodeId origin = *graph.LiveNodes().begin();
   for (int batch = 0; batch < 4; ++batch) {
     plan.set_now(batch + 1);
-    Result<PartialBatch> result = op.SampleNodesPartial(origin, /*n=*/12);
+    Result<PartialBatch> result = op.SampleNodes(origin, /*n=*/12);
     ASSERT_TRUE(result.ok()) << result.status().message();
   }
   EXPECT_EQ(meter.hedge_launches(), 0u);

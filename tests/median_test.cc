@@ -84,11 +84,10 @@ TEST(MedianEstimatorTest, RankGuaranteeHolds) {
   const double hi = values[static_cast<size_t>(0.55 * values.size())];
 
   ExactTupleSampler sampler(f.db.get(), Rng(2), nullptr);
-  ExactSampleSource source(&sampler);
   int within = 0;
   const int trials = 30;
   for (int i = 0; i < trials; ++i) {
-    IndependentEstimator est(spec, f.db.get(), &source, nullptr, nullptr,
+    IndependentEstimator est(spec, f.db.get(), &sampler, nullptr, nullptr,
                              Rng(100 + i));
     Result<SnapshotEstimate> e = est.Evaluate(0);
     ASSERT_TRUE(e.ok()) << e.status();
@@ -104,8 +103,7 @@ TEST(MedianEstimatorTest, MedianDiffersFromMeanOnSkewedData) {
                                   PrecisionSpec{0.0, 0.05, 0.95})
           .value();
   ExactTupleSampler sampler(f.db.get(), Rng(3), nullptr);
-  ExactSampleSource source(&sampler);
-  IndependentEstimator est(median_spec, f.db.get(), &source, nullptr,
+  IndependentEstimator est(median_spec, f.db.get(), &sampler, nullptr,
                            nullptr, Rng(4));
   Result<SnapshotEstimate> e = est.Evaluate(0);
   ASSERT_TRUE(e.ok());
@@ -122,8 +120,7 @@ TEST(MedianEstimatorTest, RejectsValueSpaceEpsilon) {
                                   PrecisionSpec{0.0, 2.0, 0.95})
           .value();  // epsilon 2.0 is not a rank in (0, 0.5).
   ExactTupleSampler sampler(f.db.get(), Rng(5), nullptr);
-  ExactSampleSource source(&sampler);
-  IndependentEstimator est(spec, f.db.get(), &source, nullptr, nullptr,
+  IndependentEstimator est(spec, f.db.get(), &sampler, nullptr, nullptr,
                            Rng(6));
   EXPECT_EQ(est.Evaluate(0).status().code(), StatusCode::kInvalidArgument);
 }

@@ -237,11 +237,11 @@ TEST(OverlaySnapshotTest, OperatorBatchSeesWeightChangeMadeBeforeIt) {
   options.warm_walks = false;  // Every walk starts at the origin.
   SamplingOperator op(&g, [&w](NodeId v) { return w[v]; }, Rng(5), nullptr,
                       options);
-  const std::vector<NodeId> before = op.SampleNodes(0, 200).value();
+  const std::vector<NodeId> before = op.SampleNodes(0, 200).value().nodes;
   ASSERT_NE(std::count(before.begin(), before.end(), 5), 0);
 
   w[5] = 0.0;
-  const std::vector<NodeId> after = op.SampleNodes(0, 200).value();
+  const std::vector<NodeId> after = op.SampleNodes(0, 200).value().nodes;
   EXPECT_EQ(std::count(after.begin(), after.end(), 5), 0);
 }
 
@@ -255,7 +255,7 @@ TEST(OverlaySnapshotTest, OperatorBatchSeesNodeThatJoinedBeforeIt) {
 
   const NodeId joined = g.AddNode();
   for (NodeId v = 0; v < joined; ++v) ASSERT_TRUE(g.AddEdge(joined, v).ok());
-  const std::vector<NodeId> after = op.SampleNodes(0, 200).value();
+  const std::vector<NodeId> after = op.SampleNodes(0, 200).value().nodes;
   EXPECT_NE(std::count(after.begin(), after.end(), joined), 0);
 }
 
@@ -282,7 +282,7 @@ TEST(OverlaySnapshotTest, WarmAgentWhoseNodeLeftRestartsAtFallback) {
       ASSERT_TRUE(g.RemoveEdge(0, v).ok());
     }
   }
-  const std::vector<NodeId> after = op.SampleNodes(0, 4).value();
+  const std::vector<NodeId> after = op.SampleNodes(0, 4).value().nodes;
   for (size_t i = 0; i < positions.size(); ++i) {
     const bool at_origin = positions[i] == gone || positions[i] == 0;
     EXPECT_EQ(after[i] == 0, at_origin) << "agent " << i;
@@ -483,7 +483,7 @@ std::vector<NodeId> ChurnedSession(size_t threads, std::string* diag_json) {
   Rng churn(41);
   std::vector<NodeId> samples;
   for (int batch = 0; batch < 6; ++batch) {
-    const std::vector<NodeId> nodes = op.SampleNodes(0, 40).value();
+    const std::vector<NodeId> nodes = op.SampleNodes(0, 40).value().nodes;
     samples.insert(samples.end(), nodes.begin(), nodes.end());
     const std::vector<NodeId> live = g.LiveNodes();
     const NodeId leaving = live[1 + churn.NextIndex(live.size() - 1)];

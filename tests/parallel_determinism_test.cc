@@ -359,9 +359,9 @@ TEST(ParallelDeterminismTest, DefaultTraceCarriesWalkLanesLikeTwoThreads) {
 }
 
 // ---------------------------------------------------------------------
-// Operator-level determinism: raw SampleNodes / SampleNodesPartial
-// outputs, meter accounting, telemetry, and saved state must match for
-// any thread count, without the engine in the way.
+// Operator-level determinism: raw SampleNodes outputs, meter
+// accounting, telemetry, and saved state must match for any thread
+// count, without the engine in the way.
 // ---------------------------------------------------------------------
 
 struct OperatorRun {
@@ -390,8 +390,7 @@ OperatorRun RunOperatorBatches(size_t num_threads, bool with_faults) {
   OperatorRun run;
   for (int batch = 0; batch < 6; ++batch) {
     if (plan) plan->set_now(batch + 1);
-    Result<PartialBatch> result =
-        op.SampleNodesPartial(origin, /*n=*/12);
+    Result<PartialBatch> result = op.SampleNodes(origin, /*n=*/12);
     EXPECT_TRUE(result.ok()) << result.status().message();
     if (!result.ok()) break;
     run.samples.insert(run.samples.end(), result->nodes.begin(),

@@ -86,8 +86,7 @@ TEST(PredicatedIndependentTest, AvgOverQualifyingSubpopulation) {
   ContinuousQuerySpec spec =
       MakeSpec("SELECT AVG(v) FROM R WHERE kind = 2", 1.0);
   ExactTupleSampler sampler(f.db.get(), Rng(6), nullptr);
-  ExactSampleSource source(&sampler);
-  IndependentEstimator est(spec, f.db.get(), &source, nullptr, nullptr,
+  IndependentEstimator est(spec, f.db.get(), &sampler, nullptr, nullptr,
                            Rng(7));
   Result<SnapshotEstimate> e = est.Evaluate(0);
   ASSERT_TRUE(e.ok()) << e.status();
@@ -101,12 +100,11 @@ TEST(PredicatedIndependentTest, AvgOverQualifyingSubpopulation) {
 TEST(PredicatedIndependentTest, SumAndCountScaleByRelationSize) {
   Fixture f;
   ExactTupleSampler sampler(f.db.get(), Rng(8), nullptr);
-  ExactSampleSource source(&sampler);
   ExactSizeOracle oracle(f.db.get());
 
   ContinuousQuerySpec cnt_spec =
       MakeSpec("SELECT COUNT(*) FROM R WHERE kind = 0", 30.0);
-  IndependentEstimator cnt(cnt_spec, f.db.get(), &source, &oracle, nullptr,
+  IndependentEstimator cnt(cnt_spec, f.db.get(), &sampler, &oracle, nullptr,
                            Rng(9));
   Result<SnapshotEstimate> ce = cnt.Evaluate(0);
   ASSERT_TRUE(ce.ok()) << ce.status();
@@ -115,7 +113,7 @@ TEST(PredicatedIndependentTest, SumAndCountScaleByRelationSize) {
 
   ContinuousQuerySpec sum_spec =
       MakeSpec("SELECT SUM(v) FROM R WHERE kind = 0", 400.0);
-  IndependentEstimator sum(sum_spec, f.db.get(), &source, &oracle, nullptr,
+  IndependentEstimator sum(sum_spec, f.db.get(), &sampler, &oracle, nullptr,
                            Rng(10));
   Result<SnapshotEstimate> se = sum.Evaluate(0);
   ASSERT_TRUE(se.ok()) << se.status();
@@ -128,8 +126,7 @@ TEST(PredicatedIndependentTest, ZeroSelectivityFailsCleanly) {
   ContinuousQuerySpec spec =
       MakeSpec("SELECT AVG(v) FROM R WHERE kind > 99", 1.0);
   ExactTupleSampler sampler(f.db.get(), Rng(11), nullptr);
-  ExactSampleSource source(&sampler);
-  IndependentEstimator est(spec, f.db.get(), &source, nullptr, nullptr,
+  IndependentEstimator est(spec, f.db.get(), &sampler, nullptr, nullptr,
                            Rng(12));
   EXPECT_EQ(est.Evaluate(0).status().code(), StatusCode::kUnavailable);
 }
@@ -139,8 +136,7 @@ TEST(PredicatedRepeatedTest, TracksQualifyingAvgAcrossOccasions) {
   ContinuousQuerySpec spec =
       MakeSpec("SELECT AVG(v) FROM R WHERE kind = 1", 1.0);
   ExactTupleSampler sampler(f.db.get(), Rng(13), nullptr);
-  ExactSampleSource source(&sampler);
-  RepeatedSamplingEstimator est(spec, f.db.get(), &source, nullptr, nullptr,
+  RepeatedSamplingEstimator est(spec, f.db.get(), &sampler, nullptr, nullptr,
                                 Rng(14));
   Rng drift(15);
   int within = 0;
@@ -163,8 +159,7 @@ TEST(PredicatedRepeatedTest, RetainedSamplesLeavingPredicateAreReplaced) {
   ContinuousQuerySpec spec =
       MakeSpec("SELECT AVG(v) FROM R WHERE v < 25", 1.5);
   ExactTupleSampler sampler(f.db.get(), Rng(16), nullptr);
-  ExactSampleSource source(&sampler);
-  RepeatedSamplingEstimator est(spec, f.db.get(), &source, nullptr, nullptr,
+  RepeatedSamplingEstimator est(spec, f.db.get(), &sampler, nullptr, nullptr,
                                 Rng(17));
   ASSERT_TRUE(est.Evaluate(0).ok());
   // Push many kind-0 tuples (v ~ 10) above the v < 25 boundary: their

@@ -1,5 +1,5 @@
 // Unit tests for the retry/timeout/backoff policy: budget exhaustion
-// surfaces as a degraded status (never a crash), the backoff sequence is
+// surfaces as a cut batch (never a crash), the backoff sequence is
 // deterministic, and meter retry counters reconcile exactly against the
 // injected losses.
 #include <gtest/gtest.h>
@@ -104,9 +104,9 @@ TEST(RetryBackoffTest, SaturatedBackoffStillReconcilesWithMeter) {
   FaultPlan plan(config, 29);
   op.SetFaultPlan(&plan);
 
-  Result<std::vector<NodeId>> res = op.SampleNodes(0, 4);
-  ASSERT_FALSE(res.ok());
-  EXPECT_EQ(res.status().code(), StatusCode::kUnavailable);
+  Result<PartialBatch> res = op.SampleNodes(0, 4);
+  ASSERT_TRUE(res.ok());
+  EXPECT_TRUE(res->timed_out);
   EXPECT_GT(meter.losses(), 0u);
   EXPECT_EQ(meter.losses(), plan.losses_injected());
   // Each loss was answered by at most one (budget-charged) retry; the
@@ -138,7 +138,7 @@ TEST(RetryBackoffTest, SaturatedWalksPinBatchTelemetryInsteadOfWrapping) {
                         options);
     FaultPlan plan(config, seed + 7);
     op.SetFaultPlan(&plan);
-    Result<PartialBatch> batch = op.SampleNodesPartial(0, 8);
+    Result<PartialBatch> batch = op.SampleNodes(0, 8);
     ASSERT_TRUE(batch.ok()) << "seed " << seed;
     const WalkTelemetry& t = op.last_telemetry();
     // Every backoff unit is also an attempt unit.
@@ -176,7 +176,7 @@ TEST(RetryBackoffTest, HedgeStatisticsSaturateInsteadOfWrapping) {
                         options);
     FaultPlan plan(config, seed + 7);
     op.SetFaultPlan(&plan);
-    Result<PartialBatch> batch = op.SampleNodesPartial(0, 8);
+    Result<PartialBatch> batch = op.SampleNodes(0, 8);
     ASSERT_TRUE(batch.ok()) << "seed " << seed;
     EXPECT_GE(op.hedge_done_attempts(), op.hedge_done_steps())
         << "seed " << seed;
@@ -202,7 +202,7 @@ TEST(RetryBackoffTest, HopBudgetSaturatesInsteadOfWrapping) {
                         options);
     FaultPlan plan(FaultPlanConfig(), 5);
     op.SetFaultPlan(&plan);
-    Result<PartialBatch> batch = op.SampleNodesPartial(0, 8);  // Cold.
+    Result<PartialBatch> batch = op.SampleNodes(0, 8);  // Cold.
     ASSERT_TRUE(batch.ok()) << factor;
     EXPECT_FALSE(batch->timed_out) << factor;
     EXPECT_EQ(batch->nodes.size(), 8u) << factor;
@@ -224,22 +224,26 @@ TEST(RetryBackoffTest, BudgetExhaustionReturnsUnavailableNotCrash) {
   FaultPlan plan(config, 13);
   op.SetFaultPlan(&plan);
 
-  Result<std::vector<NodeId>> res = op.SampleNodes(0, 4);
-  ASSERT_FALSE(res.ok());
-  EXPECT_EQ(res.status().code(), StatusCode::kUnavailable);
+  Result<PartialBatch> res = op.SampleNodes(0, 4);
+  ASSERT_TRUE(res.ok());
+  EXPECT_TRUE(res->timed_out);
   EXPECT_GT(op.last_telemetry().abandoned, 0u);
   EXPECT_GT(meter.losses(), 0u);
 
   // A second call degrades the same way rather than wedging.
-  Result<std::vector<NodeId>> again = op.SampleNodes(0, 4);
-  ASSERT_FALSE(again.ok());
-  EXPECT_EQ(again.status().code(), StatusCode::kUnavailable);
+  Result<PartialBatch> again = op.SampleNodes(0, 4);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->timed_out);
+  // A single-node draw has no partial batch to hand back: the cut fails
+  // it with kUnavailable.
+  EXPECT_EQ(op.SampleNode(0).status().code(), StatusCode::kUnavailable);
 
   // Healing the network lets the same operator instance succeed.
   ASSERT_TRUE(plan.set_message_loss(0.0).ok());
-  Result<std::vector<NodeId>> healed = op.SampleNodes(0, 4);
+  Result<PartialBatch> healed = op.SampleNodes(0, 4);
   ASSERT_TRUE(healed.ok());
-  EXPECT_EQ(healed->size(), 4u);
+  EXPECT_FALSE(healed->timed_out);
+  EXPECT_EQ(healed->nodes.size(), 4u);
   EXPECT_EQ(op.last_telemetry().abandoned, 0u);
 }
 
@@ -259,9 +263,9 @@ TEST(RetryBackoffTest, MeterRetriesMatchInjectedLossesExactly) {
   FaultPlan plan(config, 17);
   op.SetFaultPlan(&plan);
 
-  Result<std::vector<NodeId>> res = op.SampleNodes(0, 20);
+  Result<PartialBatch> res = op.SampleNodes(0, 20);
   ASSERT_TRUE(res.ok());
-  EXPECT_EQ(res->size(), 20u);
+  EXPECT_EQ(res->nodes.size(), 20u);
   EXPECT_GT(plan.losses_injected(), 0u);
   // Every injected loss is annotated once in the meter and answered by
   // exactly one retransmission (attempts never run out at this depth),
@@ -287,9 +291,9 @@ TEST(RetryBackoffTest, TotalAgentDropTimesOutWithRestartsAccounted) {
   FaultPlan plan(config, 23);
   op.SetFaultPlan(&plan);
 
-  Result<std::vector<NodeId>> res = op.SampleNodes(0, 3);
-  ASSERT_FALSE(res.ok());
-  EXPECT_EQ(res.status().code(), StatusCode::kUnavailable);
+  Result<PartialBatch> res = op.SampleNodes(0, 3);
+  ASSERT_TRUE(res.ok());
+  EXPECT_TRUE(res->timed_out);
   EXPECT_GT(op.last_telemetry().drops, 0u);
   EXPECT_GT(meter.agent_restarts(), 0u);
   EXPECT_EQ(meter.agent_restarts(), plan.drops_injected());

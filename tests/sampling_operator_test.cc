@@ -90,9 +90,9 @@ TEST(SamplingOperatorTest, BatchReturnsRequestedCount) {
   Result<Graph> g = MakeBarabasiAlbert(32, 2, rng);
   ASSERT_TRUE(g.ok());
   SamplingOperator op(&*g, UniformWeight(), Rng(8), nullptr);
-  Result<std::vector<NodeId>> nodes = op.SampleNodes(0, 17);
-  ASSERT_TRUE(nodes.ok());
-  EXPECT_EQ(nodes->size(), 17u);
+  Result<PartialBatch> batch = op.SampleNodes(0, 17);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ(batch->nodes.size(), 17u);
 }
 
 TEST(SamplingOperatorTest, EverySampleChargesATransferMessage) {
@@ -136,9 +136,9 @@ TEST_P(OperatorDistribution, EmpiricalMatchesTarget) {
 
   const int n_samples = 30000;
   std::vector<double> counts(g->NextId(), 0.0);
-  Result<std::vector<NodeId>> nodes = op.SampleNodes(0, n_samples);
-  ASSERT_TRUE(nodes.ok());
-  for (NodeId v : *nodes) counts[v] += 1.0;
+  Result<PartialBatch> batch = op.SampleNodes(0, n_samples);
+  ASSERT_TRUE(batch.ok());
+  for (NodeId v : batch->nodes) counts[v] += 1.0;
 
   std::vector<double> empirical(fm->nodes.size());
   for (size_t r = 0; r < fm->nodes.size(); ++r) {

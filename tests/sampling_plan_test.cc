@@ -163,11 +163,10 @@ TEST(HoeffdingEstimatorTest, PolicyDrawsTheHoeffdingSize) {
                                   PrecisionSpec{0.0, 1.0, 0.95})
           .value();
   ExactTupleSampler sampler(&db, Rng(2), nullptr);
-  ExactSampleSource source(&sampler);
   EstimatorOptions options;
   options.sample_size_policy = SampleSizePolicy::kHoeffding;
   options.value_range = 20.0;
-  IndependentEstimator est(spec, &db, &source, nullptr, nullptr, Rng(3),
+  IndependentEstimator est(spec, &db, &sampler, nullptr, nullptr, Rng(3),
                            options);
   Result<SnapshotEstimate> e = est.Evaluate(0);
   ASSERT_TRUE(e.ok()) << e.status();
@@ -176,14 +175,14 @@ TEST(HoeffdingEstimatorTest, PolicyDrawsTheHoeffdingSize) {
   EXPECT_NEAR(e->value, 10.0, 1.0);
 
   // The repeated estimator rejects the policy explicitly.
-  RepeatedSamplingEstimator rpt(spec, &db, &source, nullptr, nullptr,
+  RepeatedSamplingEstimator rpt(spec, &db, &sampler, nullptr, nullptr,
                                 Rng(4), options);
   EXPECT_EQ(rpt.Evaluate(0).status().code(), StatusCode::kInvalidArgument);
 
   // Missing range fails cleanly.
   EstimatorOptions no_range = options;
   no_range.value_range = 0.0;
-  IndependentEstimator bad(spec, &db, &source, nullptr, nullptr, Rng(5),
+  IndependentEstimator bad(spec, &db, &sampler, nullptr, nullptr, Rng(5),
                            no_range);
   EXPECT_FALSE(bad.Evaluate(0).ok());
 }
@@ -205,10 +204,9 @@ TEST(CltEstimatorTest, SizesPastTheSizeRangeDrawTheCapNotThePilot) {
                                   PrecisionSpec{0.0, 1e-9, 0.95})
           .value();
   ExactTupleSampler sampler(&db, Rng(2), nullptr);
-  ExactSampleSource source(&sampler);
   EstimatorOptions options;
   options.max_samples = 500;
-  IndependentEstimator est(spec, &db, &source, nullptr, nullptr, Rng(3),
+  IndependentEstimator est(spec, &db, &sampler, nullptr, nullptr, Rng(3),
                            options);
   Result<SnapshotEstimate> e = est.Evaluate(0);
   ASSERT_TRUE(e.ok()) << e.status();

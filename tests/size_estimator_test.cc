@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "net/fault_plan.h"
 #include "net/topology.h"
 
 namespace digest {
@@ -113,6 +114,26 @@ TEST(SizeEstimatorTest, BudgetExhaustionFailsCleanly) {
   if (!n.ok()) {
     EXPECT_EQ(n.status().code(), StatusCode::kUnavailable);
   }
+}
+
+TEST(SizeEstimatorTest, CutBatchFailsWithUnavailable) {
+  // Under total message loss the hop budget cuts every batch before any
+  // walk completes; collisions counted over a cut batch would bias the
+  // estimate, so the estimator fails instead.
+  Rng topo(16);
+  Fixture f(MakeBarabasiAlbert(60, 2, topo).value(), 2, 17);
+  SamplingOperatorOptions walks = FastWalks();
+  walks.retry.hop_budget_factor = 1.0;
+  SamplingOperator op(&f.graph, UniformWeight(), Rng(18), nullptr, walks);
+  FaultPlanConfig config;
+  config.message_loss = 1.0;
+  FaultPlan plan(config, 19);
+  op.SetFaultPlan(&plan);
+  CollisionSizeEstimator est(f.db.get(), &op, 0);
+  EXPECT_EQ(est.EstimateNetworkSize().status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(est.EstimateRelationSize().status().code(),
+            StatusCode::kUnavailable);
 }
 
 // Property sweep: relative accuracy holds across network sizes.

@@ -35,10 +35,10 @@ TEST(TwoStageSamplerTest, SamplesComeFromTheDatabase) {
   Fixture f(6);
   SamplingOperator op(&f.graph, ContentSizeWeight(*f.db), Rng(1), nullptr);
   TwoStageTupleSampler sampler(f.db.get(), &op, Rng(2));
-  Result<std::vector<TupleSample>> batch = sampler.SampleBatch(0, 40);
+  Result<PartialTupleBatch> batch = sampler.DrawFresh(0, 40);
   ASSERT_TRUE(batch.ok());
-  ASSERT_EQ(batch->size(), 40u);
-  for (const TupleSample& s : *batch) {
+  ASSERT_EQ(batch->samples.size(), 40u);
+  for (const TupleSample& s : batch->samples) {
     Result<Tuple> stored = f.db->GetTuple(s.ref);
     ASSERT_TRUE(stored.ok());
     EXPECT_EQ(*stored, *s.tuple);
@@ -51,7 +51,7 @@ TEST(TwoStageSamplerTest, EmptyRelationFails) {
   for (NodeId node : g.LiveNodes()) ASSERT_TRUE(db.AddNode(node).ok());
   SamplingOperator op(&g, ContentSizeWeight(db), Rng(3), nullptr);
   TwoStageTupleSampler sampler(&db, &op, Rng(4));
-  EXPECT_EQ(sampler.Sample(0).status().code(),
+  EXPECT_EQ(sampler.DrawFresh(0, 1).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -69,10 +69,10 @@ TEST(TwoStageSamplerTest, OneStoreHoldingEveryTupleIsNotEmpty) {
     EXPECT_TRUE(db.HasTuples());
     SamplingOperator op(&g, ContentSizeWeight(db), Rng(8), nullptr);
     TwoStageTupleSampler sampler(&db, &op, Rng(9));
-    Result<std::vector<TupleSample>> batch = sampler.SampleBatch(1, 30);
+    Result<PartialTupleBatch> batch = sampler.DrawFresh(1, 30);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    ASSERT_EQ(batch->size(), 30u);
-    for (const TupleSample& s : *batch) {
+    ASSERT_EQ(batch->samples.size(), 30u);
+    for (const TupleSample& s : batch->samples) {
       EXPECT_EQ(s.ref.node, full);
       EXPECT_EQ(db.FindTuple(s.ref), s.tuple);
     }
@@ -81,7 +81,7 @@ TEST(TwoStageSamplerTest, OneStoreHoldingEveryTupleIsNotEmpty) {
       ASSERT_TRUE(db.StoreAt(full).value()->Erase(id).ok());
     }
     EXPECT_FALSE(db.HasTuples());
-    EXPECT_EQ(sampler.Sample(1).status().code(),
+    EXPECT_EQ(sampler.DrawFresh(1, 1).status().code(),
               StatusCode::kFailedPrecondition);
   }
 }
@@ -99,9 +99,9 @@ TEST(TwoStageSamplerTest, TupleDistributionIsUniform) {
 
   const int n = 42000;
   std::map<double, int> counts;
-  Result<std::vector<TupleSample>> batch = sampler.SampleBatch(0, n);
+  Result<PartialTupleBatch> batch = sampler.DrawFresh(0, n);
   ASSERT_TRUE(batch.ok());
-  for (const TupleSample& s : *batch) counts[(*s.tuple)[0]] += 1;
+  for (const TupleSample& s : batch->samples) counts[(*s.tuple)[0]] += 1;
 
   const double expected = static_cast<double>(n) / f.total_tuples;
   ASSERT_EQ(f.total_tuples, 21u);
@@ -117,9 +117,9 @@ TEST(ExactSamplerTest, UniformOverTuples) {
   ExactTupleSampler sampler(f.db.get(), Rng(7), &meter);
   const int n = 42000;
   std::map<double, int> counts;
-  Result<std::vector<TupleSample>> batch = sampler.SampleBatch(n);
+  Result<PartialTupleBatch> batch = sampler.DrawFresh(0, n);
   ASSERT_TRUE(batch.ok());
-  for (const TupleSample& s : *batch) counts[(*s.tuple)[0]] += 1;
+  for (const TupleSample& s : batch->samples) counts[(*s.tuple)[0]] += 1;
   const double expected = static_cast<double>(n) / f.total_tuples;
   for (const auto& [value, count] : counts) {
     EXPECT_NEAR(count, expected, expected * 0.2) << "tuple " << value;
@@ -149,8 +149,8 @@ TEST(ExactSamplerTest, NodePickMatchesTheWeightedIndexReference) {
   }
   ExactTupleSampler sampler(&db, Rng(21), nullptr);
   Rng reference(21);
-  const std::vector<TupleSample> batch = sampler.SampleBatch(5000).value();
-  for (const TupleSample& s : batch) {
+  const PartialTupleBatch batch = sampler.DrawFresh(0, 5000).value();
+  for (const TupleSample& s : batch.samples) {
     const NodeId node = nodes[reference.NextWeightedIndex(weights)];
     ASSERT_EQ(s.ref.node, node);
     reference.NextIndex(db.ContentSize(node));  // The local pick's draw.
@@ -162,7 +162,7 @@ TEST(ExactSamplerTest, EmptyRelationFails) {
   P2PDatabase db(Schema::Create({"v"}).value());
   for (NodeId node : g.LiveNodes()) ASSERT_TRUE(db.AddNode(node).ok());
   ExactTupleSampler sampler(&db, Rng(8), nullptr);
-  EXPECT_FALSE(sampler.Sample().ok());
+  EXPECT_FALSE(sampler.DrawFresh(0, 1).ok());
 }
 
 TEST(ClusterSamplerTest, ReturnsWholeNodeContent) {
@@ -218,9 +218,9 @@ TEST(ClusterSamplerTest, ClusterEstimateIsWorseUnderIntraNodeCorrelation) {
     ASSERT_TRUE(c.ok());
     const double ce = mean_of(*c) - truth;
     cluster_sq_err += ce * ce;
-    Result<std::vector<TupleSample>> t = two_stage.SampleBatch(0, c->size());
+    Result<PartialTupleBatch> t = two_stage.DrawFresh(0, c->size());
     ASSERT_TRUE(t.ok());
-    const double te = mean_of(*t) - truth;
+    const double te = mean_of(t->samples) - truth;
     two_stage_sq_err += te * te;
   }
   EXPECT_GT(cluster_sq_err, 3.0 * two_stage_sq_err);
