@@ -32,24 +32,13 @@ struct NodeScalars {
   }
 };
 
-struct SchedulerLedger {
-  uint64_t coalesced_ticks = 0;
-  std::map<QueryId, QueryCost> costs;
-
-  template <class V>
-  void Fields(V& v) {
-    v("coalesced_ticks", coalesced_ticks);
-    v("costs", costs);
-  }
-};
-
 /// The node blob. The shared operator and the coalescing sampler are
 /// present exactly when the node has them. Every engine's own v3 blob
 /// rides as an escaped JSON string: the engine codec owns its format;
 /// the node embeds, never re-encodes.
 struct NodeBlob {
   NodeScalars node;
-  SchedulerLedger scheduler;
+  QueryScheduler::Ledger scheduler;
   bool has_operator = false;
   bool has_sampler = false;
   SamplingOperator::State op;
@@ -136,14 +125,11 @@ Result<QueryId> DigestNode::IssueQuery(ContinuousQuerySpec spec,
                                              static_cast<int64_t>(id));
     options.tracer = lane.get();
   }
-  if (shared_source_ != nullptr) {
-    options.sample_source = shared_source_.get();
-  }
   DIGEST_ASSIGN_OR_RETURN(
       std::unique_ptr<DigestEngine> engine,
       DigestEngine::CreateWithOperator(graph_, db_, std::move(spec), self_,
-                                       rng_.Fork(), meter_,
-                                       operator_.get(), options));
+                                       rng_.Fork(), meter_, operator_.get(),
+                                       shared_source_.get(), options));
   DIGEST_RETURN_IF_ERROR(scheduler_.Register(id, epsilon));
   engines_.emplace(id, std::move(engine));
   if (lane != nullptr) lanes_.emplace(id, std::move(lane));
@@ -254,7 +240,7 @@ Result<std::string> DigestNode::Checkpoint() const {
   blob.has_operator = operator_ != nullptr;
   blob.has_sampler = shared_sampler_ != nullptr;
   blob.node = {self_, next_id_, shared_source_ != nullptr, rng_.SaveState()};
-  blob.scheduler = {scheduler_.coalesced_ticks(), scheduler_.costs()};
+  blob.scheduler = scheduler_.SaveState();
   if (blob.has_operator) blob.op = operator_->SaveState();
   if (blob.has_sampler) blob.sampler_rng = shared_sampler_->SaveRngState();
   for (const auto& [id, engine] : engines_) {
@@ -301,10 +287,7 @@ Status DigestNode::Restore(std::string_view text) {
   // Install. Each Restore repeats its engine's check, which passed above.
   rng_.RestoreState(blob.node.rng);
   next_id_ = blob.node.next_id;
-  scheduler_.set_coalesced_ticks(blob.scheduler.coalesced_ticks);
-  for (const auto& [id, cost] : blob.scheduler.costs) {
-    scheduler_.RestoreCost(id, cost);
-  }
+  scheduler_.RestoreState(blob.scheduler);
   if (blob.has_operator) operator_->RestoreState(blob.op);
   if (blob.has_sampler) shared_sampler_->RestoreRngState(blob.sampler_rng);
   for (auto& [id, engine] : engines_) {

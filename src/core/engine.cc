@@ -20,25 +20,19 @@ void ExportToRegistry(const EngineStats& stats, obs::Registry* registry,
   const obs::LabelSet labels =
       run_label.empty() ? obs::LabelSet{}
                         : obs::LabelSet{{"run", run_label}};
-  const std::pair<const char*, size_t> fields[] = {
-      {"engine.ticks", stats.ticks},
-      {"engine.snapshots", stats.snapshots},
-      {"engine.result_updates", stats.result_updates},
-      {"engine.total_samples", stats.total_samples},
-      {"engine.fresh_samples", stats.fresh_samples},
-      {"engine.retained_samples", stats.retained_samples},
-      {"engine.degraded_ticks", stats.degraded_ticks},
-      {"engine.partial_snapshots", stats.partial_snapshots},
-  };
-  for (const auto& [name, value] : fields) {
-    obs::Counter* counter = registry->GetCounter(name, labels);
+  // Each counter is "engine." plus its checkpoint key, in list order.
+  auto raise = [&](const char* key, size_t value) {
+    obs::Counter* counter =
+        registry->GetCounter(std::string("engine.") + key, labels);
     const uint64_t target = static_cast<uint64_t>(value);
     // Counters are monotone: raise to the cumulative stats value, so
     // repeated bridging of growing stats is idempotent per value.
     if (target > counter->value()) {
       counter->Increment(target - counter->value());
     }
-  }
+  };
+  EngineStats fields = stats;
+  fields.Fields(raise);
 }
 
 DigestEngine::DigestEngine(const Graph* graph, const P2PDatabase* db,
@@ -58,13 +52,15 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::Create(
     NodeId querying_node, Rng rng, MessageMeter* meter,
     DigestEngineOptions options) {
   return CreateWithOperator(graph, db, std::move(spec), querying_node, rng,
-                            meter, /*shared_operator=*/nullptr, options);
+                            meter, /*shared_operator=*/nullptr,
+                            /*shared_source=*/nullptr, options);
 }
 
 Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
     const Graph* graph, const P2PDatabase* db, ContinuousQuerySpec spec,
     NodeId querying_node, Rng rng, MessageMeter* meter,
-    SamplingOperator* shared_operator, DigestEngineOptions options) {
+    SamplingOperator* shared_operator, SampleSource* shared_source,
+    DigestEngineOptions options) {
   DIGEST_RETURN_IF_ERROR(spec.precision.Validate());
   if (!graph->HasNode(querying_node)) {
     return Status::InvalidArgument("querying node is not in the network");
@@ -74,12 +70,13 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
     return Status::InvalidArgument(
         "a shared sampling operator requires the two-stage MCMC sampler");
   }
-  if (options.sample_source != nullptr && shared_operator == nullptr) {
+  if (shared_source != nullptr && shared_operator == nullptr) {
     return Status::InvalidArgument(
-        "an external sample source requires a shared sampling operator");
+        "a shared sample source requires a shared sampling operator");
   }
   DIGEST_RETURN_IF_ERROR(options.supervisor.Validate());
   DIGEST_RETURN_IF_ERROR(options.sampling_options.hedge.Validate());
+  DIGEST_RETURN_IF_ERROR(options.size_estimator_options.Validate());
   std::unique_ptr<DigestEngine> engine(new DigestEngine(
       graph, db, std::move(spec), querying_node, meter, options));
   // One sink for the whole stack. The engine wires its tracer into what
@@ -106,9 +103,9 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
     if (options.health != nullptr) options.health->SetTracer(options.tracer);
   }
 
-  // Bottom tier: sample source. An external one (the node's coalescing
+  // Bottom tier: sample source. A shared one (the node's coalescing
   // wrapper) substitutes for the engine's own sampler.
-  SampleSource* source = options.sample_source;
+  SampleSource* source = shared_source;
   switch (options.sampler) {
     case SamplerKind::kTwoStageMcmc: {
       SamplingOperator* op = shared_operator;
@@ -120,8 +117,8 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
         engine->sampling_operator_->SetInstruments(options);
         op = engine->sampling_operator_.get();
       }
-      // With an external sample source the node owns the sampler (and
-      // its RNG stream); building one here would fork a dead stream and
+      // With a shared sample source the node owns the sampler (and its
+      // RNG stream); building one here would fork a dead stream and
       // bloat the checkpoint with state nobody advances.
       if (source == nullptr) {
         engine->two_stage_sampler_ =
@@ -137,9 +134,11 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
       break;
     }
   }
+  SizeOracle* size_oracle = nullptr;
   switch (options.size_oracle) {
     case SizeOracleKind::kExact:
-      engine->size_oracle_ = std::make_unique<ExactSizeOracle>(db);
+      engine->exact_oracle_ = std::make_unique<ExactSizeOracle>(db);
+      size_oracle = engine->exact_oracle_.get();
       break;
     case SizeOracleKind::kSampled: {
       // The collision estimator needs *uniform* node samples, so it runs
@@ -154,9 +153,10 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
       engine->uniform_operator_->SetInstruments({.tracer = options.tracer,
                                                  .registry = options.registry,
                                                  .profiler = options.profiler});
-      engine->size_oracle_ = std::make_unique<CollisionSizeEstimator>(
+      engine->sampled_oracle_ = std::make_unique<CollisionSizeEstimator>(
           db, engine->uniform_operator_.get(), querying_node,
           options.size_estimator_options);
+      size_oracle = engine->sampled_oracle_.get();
       break;
     }
   }
@@ -165,13 +165,13 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
   switch (options.estimator) {
     case EstimatorKind::kIndependent:
       engine->estimator_ = std::make_unique<IndependentEstimator>(
-          engine->spec_, db, source, engine->size_oracle_.get(), meter,
-          rng.Fork(), options.estimator_options);
+          engine->spec_, db, source, size_oracle, meter, rng.Fork(),
+          options.estimator_options);
       break;
     case EstimatorKind::kRepeated:
       engine->estimator_ = std::make_unique<RepeatedSamplingEstimator>(
-          engine->spec_, db, source, engine->size_oracle_.get(), meter,
-          rng.Fork(), options.estimator_options);
+          engine->spec_, db, source, size_oracle, meter, rng.Fork(),
+          options.estimator_options);
       break;
   }
   engine->estimator_->SetTracer(options.tracer);
@@ -199,10 +199,10 @@ Result<EngineTickResult> DigestEngine::Tick(int64_t t) {
   // clock read). Strictly observational — real time never feeds back
   // into scheduling or estimation.
   prof::ScopedTimer tick_timer(options_.profiler, prof::Phase::kEngineTick);
-  if (t <= last_tick_) {
+  if (t <= session_.last_tick) {
     return Status::InvalidArgument("ticks must be strictly increasing");
   }
-  last_tick_ = t;
+  session_.last_tick = t;
   ++stats_.ticks;
 
   // The engine owns the tracer's simulated clock: everything emitted
@@ -241,10 +241,10 @@ Result<EngineTickResult> DigestEngine::Tick(int64_t t) {
   };
 
   EngineTickResult out;
-  out.reported_value = reported_value_;
-  out.has_result = has_result_;
-  out.ci_halfwidth = last_ci_halfwidth_;
-  if (has_result_ && t < next_snapshot_tick_) {
+  out.reported_value = session_.reported_value;
+  out.has_result = session_.has_result;
+  out.ci_halfwidth = session_.last_ci_halfwidth;
+  if (session_.has_result && t < session_.next_snapshot_tick) {
     // Between sampling occasions the result holds (§II: X̂[t] = X̂[t_u]),
     // or is presented via the scheduling fit's extrapolation.
     if (options_.report_mode == ReportMode::kExtrapolate) {
@@ -252,7 +252,8 @@ Result<EngineTickResult> DigestEngine::Tick(int64_t t) {
       if (value.ok()) out.reported_value = *value;
     }
     if (obs::Tracing(options_.tracer)) {
-      options_.tracer->Emit(obs::SnapshotSkippedEvent{next_snapshot_tick_});
+      options_.tracer->Emit(
+          obs::SnapshotSkippedEvent{session_.next_snapshot_tick});
     }
     if (options_.auditor != nullptr) {
       options_.auditor->RecordSkip(t, out.reported_value, out.ci_halfwidth);
@@ -292,7 +293,7 @@ Result<EngineTickResult> DigestEngine::Tick(int64_t t) {
         options_.tracer->Emit(
             obs::DegradedFallbackEvent{/*retained_pool=*/true});
       }
-    } else if (has_result_) {
+    } else if (session_.has_result) {
       ++stats_.degraded_ticks;
       out.degraded = true;
       // The occasion produced nothing usable at all: the worst outcome
@@ -301,20 +302,20 @@ Result<EngineTickResult> DigestEngine::Tick(int64_t t) {
       // Every consecutive failed snapshot doubles the uncertainty band:
       // the answer is stale and nothing bounds the drift accumulated
       // while the network is unreachable.
-      const double ci_before = last_ci_halfwidth_;
-      last_ci_halfwidth_ =
-          2.0 * std::max(last_ci_halfwidth_, spec_.precision.epsilon);
-      out.ci_halfwidth = last_ci_halfwidth_;
-      next_snapshot_tick_ = t + 1;  // Retry promptly.
+      const double ci_before = session_.last_ci_halfwidth;
+      session_.last_ci_halfwidth =
+          2.0 * std::max(session_.last_ci_halfwidth, spec_.precision.epsilon);
+      out.ci_halfwidth = session_.last_ci_halfwidth;
+      session_.next_snapshot_tick = t + 1;  // Retry promptly.
       if (obs::Tracing(options_.tracer)) {
         options_.tracer->Emit(
             obs::DegradedFallbackEvent{/*retained_pool=*/false});
         options_.tracer->Emit(
-            obs::CiWidenedEvent{ci_before, last_ci_halfwidth_});
+            obs::CiWidenedEvent{ci_before, session_.last_ci_halfwidth});
       }
       if (options_.auditor != nullptr) {
         options_.auditor->RecordTimeout(
-            t, reported_value_, last_ci_halfwidth_,
+            t, session_.reported_value, session_.last_ci_halfwidth,
             (meter_ != nullptr ? meter_->Total() : 0) - cost_before,
             static_cast<int>(supervisor_.health()));
       }
@@ -364,30 +365,30 @@ Result<EngineTickResult> DigestEngine::Tick(int64_t t) {
   }
 
   // Resolution semantics: report only moves of at least δ.
-  if (!has_result_ ||
-      std::fabs(est.value - reported_value_) >= spec_.precision.delta) {
-    reported_value_ = est.value;
-    has_result_ = true;
+  if (!session_.has_result ||
+      std::fabs(est.value - session_.reported_value) >= spec_.precision.delta) {
+    session_.reported_value = est.value;
+    session_.has_result = true;
     ++stats_.result_updates;
     out.result_updated = true;
   }
-  out.reported_value = reported_value_;
+  out.reported_value = session_.reported_value;
   out.has_result = true;
 
   // Healthy occasions meet the (ε, p) contract; degraded and partial
   // occasions report their honest, wider interval (never narrower
   // than ε).
-  last_ci_halfwidth_ =
+  session_.last_ci_halfwidth =
       est.degraded || est.partial
           ? std::max(spec_.precision.epsilon, est.ci_halfwidth)
           : spec_.precision.epsilon;
-  out.ci_halfwidth = last_ci_halfwidth_;
+  out.ci_halfwidth = session_.last_ci_halfwidth;
 
   if (options_.auditor != nullptr) {
     audit::SnapshotObservation obs;
     obs.tick = t;
     obs.estimate = est.value;
-    obs.ci_halfwidth = last_ci_halfwidth_;
+    obs.ci_halfwidth = session_.last_ci_halfwidth;
     obs.degraded = est.degraded;
     obs.partial = est.partial;
     obs.total_samples = static_cast<uint64_t>(est.total_samples);
@@ -412,8 +413,8 @@ Result<EngineTickResult> DigestEngine::Tick(int64_t t) {
   if (est.degraded) {
     // A degraded occasion never feeds the scheduling fit; retry a full
     // snapshot at the next tick.
-    next_snapshot_tick_ = t + 1;
-    last_gap_ = 1;
+    session_.next_snapshot_tick = t + 1;
+    session_.last_gap = 1;
     emit_tick(out);
     return out;
   }
@@ -421,45 +422,45 @@ Result<EngineTickResult> DigestEngine::Tick(int64_t t) {
   // Schedule the next sampling occasion.
   switch (options_.scheduler) {
     case SchedulerKind::kAll:
-      next_snapshot_tick_ = t + 1;
+      session_.next_snapshot_tick = t + 1;
       break;
     case SchedulerKind::kPred: {
       // Covers the Eq. 4 gap search plus the fitted-value evaluations
       // the trace emission performs — all extrapolation work.
       prof::ScopedTimer timer(options_.profiler,
                               prof::Phase::kExtrapolatorPredict);
+      int64_t& next = session_.next_snapshot_tick;
       if (options_.strict_resolution) {
         // Strict mode: the crossing is measured from the running result
         // X̂[t_u], so drift accumulated across non-updating snapshots
         // counts toward δ.
-        DIGEST_ASSIGN_OR_RETURN(next_snapshot_tick_,
-                                extrapolator_.PredictNextSnapshotTime(
-                                    spec_.precision.delta, reported_value_));
+        DIGEST_ASSIGN_OR_RETURN(next, extrapolator_.PredictNextSnapshotTime(
+                                          spec_.precision.delta,
+                                          session_.reported_value));
         if (!out.result_updated) {
           // The predicted crossing did not materialize: the aggregate is
           // approaching the threshold (or the fit misjudged it). Do not
           // let a fresh long-range prediction outgrow the gap that led
           // here — otherwise a flat fit can postpone the crossing
           // indefinitely while real drift accumulates.
-          next_snapshot_tick_ = std::min(
-              next_snapshot_tick_, t + std::max<int64_t>(last_gap_, 1));
+          next = std::min(next,
+                          t + std::max<int64_t>(session_.last_gap, 1));
         }
       } else {
         // Paper-faithful mode: drift measured from the latest snapshot
         // (the fitted P_n at its last point), per the idealized reading
         // of Eq. 4 in which every predicted crossing materializes.
         DIGEST_ASSIGN_OR_RETURN(
-            next_snapshot_tick_,
+            next,
             extrapolator_.PredictNextSnapshotTime(spec_.precision.delta));
       }
-      if (next_snapshot_tick_ <= t) next_snapshot_tick_ = t + 1;
-      last_gap_ = next_snapshot_tick_ - t;
+      if (next <= t) next = t + 1;
+      session_.last_gap = next - t;
       if (obs::Tracing(options_.tracer)) {
         // Drift the fit predicts over the chosen gap. Pure function of
         // the fitted polynomial — tracing consumes no RNG.
         double drift = 0.0;
-        Result<double> at_next =
-            extrapolator_.ExtrapolatedValue(next_snapshot_tick_);
+        Result<double> at_next = extrapolator_.ExtrapolatedValue(next);
         Result<double> at_now = extrapolator_.ExtrapolatedValue(t);
         if (at_next.ok() && at_now.ok()) drift = *at_next - *at_now;
         const int64_t order =
@@ -468,7 +469,7 @@ Result<EngineTickResult> DigestEngine::Tick(int64_t t) {
                       options_.extrapolator.history_points) - 1
                 : 0;
         options_.tracer->Emit(obs::GapPredictedEvent{
-            last_gap_, next_snapshot_tick_, order, drift,
+            session_.last_gap, next, order, drift,
             options_.strict_resolution});
       }
       break;

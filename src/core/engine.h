@@ -96,17 +96,6 @@ struct DigestEngineOptions : obs::Instruments {
   /// CreateWithOperator attach the plan (and its tracer) to that
   /// operator themselves, as DigestNode does.
   FaultPlan* fault_plan = nullptr;
-
-  /// Optional external sample source (not owned; must outlive the
-  /// engine). When set, the engine draws every fresh sample through it
-  /// instead of building its own TwoStageTupleSampler — this is the
-  /// interposition point the multi-query node uses to coalesce
-  /// same-tick snapshot demands into one shared walk batch (see
-  /// core/query_scheduler.h). Requires CreateWithOperator with a shared
-  /// operator (the source is expected to wrap that operator's sampler),
-  /// so the checkpoint blob carries no sampler RNG of its own: the
-  /// caller owns and persists the shared sampling state.
-  SampleSource* sample_source = nullptr;
 };
 
 /// What one engine tick did.
@@ -186,26 +175,34 @@ class DigestEngine {
   /// a single sampling operator whose warm agents they all reuse (the
   /// per-node architecture of §III; see DigestNode). Only meaningful
   /// with SamplerKind::kTwoStageMcmc.
+  ///
+  /// `shared_source` (may be null; not owned, must outlive the engine)
+  /// replaces the engine's own TwoStageTupleSampler: every fresh sample
+  /// is drawn through it. It is the node's coalescing source (see
+  /// core/query_scheduler.h), which wraps the shared operator's
+  /// sampler, so it requires `shared_operator`, and the checkpoint blob
+  /// then carries no sampler stream: the caller persists it.
   static Result<std::unique_ptr<DigestEngine>> CreateWithOperator(
       const Graph* graph, const P2PDatabase* db, ContinuousQuerySpec spec,
       NodeId querying_node, Rng rng, MessageMeter* meter,
-      SamplingOperator* shared_operator, DigestEngineOptions options = {});
+      SamplingOperator* shared_operator, SampleSource* shared_source,
+      DigestEngineOptions options = {});
 
   /// Advances the continuous query to tick `t` (strictly increasing).
   Result<EngineTickResult> Tick(int64_t t);
 
   /// Current running result; meaningful once has_result().
-  double reported_value() const { return reported_value_; }
+  double reported_value() const { return session_.reported_value; }
 
   /// True after the first completed snapshot.
-  bool has_result() const { return has_result_; }
+  bool has_result() const { return session_.has_result; }
 
   /// True when Tick(t) would open a sampling occasion: the engine has
   /// no result yet, or the (PRED/ALL) schedule is due at `t`. Pure
   /// peek — no state moves. The node-level scheduler uses this to
   /// batch same-tick snapshot demands before any engine ticks.
   bool WouldSnapshotAt(int64_t t) const {
-    return !has_result_ || t >= next_snapshot_tick_;
+    return !session_.has_result || t >= session_.next_snapshot_tick;
   }
 
   /// Cumulative counters.
@@ -275,6 +272,28 @@ class DigestEngine {
   /// topology; shared by Restore and CheckCheckpoint.
   Status DecodeCheckpoint(std::string_view text, CheckpointBlob* b) const;
 
+  /// The session's scalars between ticks; also the checkpoint's
+  /// "engine" section.
+  struct Session {
+    double reported_value = 0.0;
+    double last_ci_halfwidth = 0.0;  ///< Reported CI; widens while degraded.
+    bool has_result = false;
+    int64_t next_snapshot_tick = INT64_MIN;
+    int64_t last_tick = INT64_MIN;
+    int64_t last_gap = 1;  ///< Gap that led to the current snapshot.
+
+    /// Checkpoint field list (common/checkpoint_codec.h).
+    template <class V>
+    void Fields(V& v) {
+      v("reported_value", reported_value);
+      v("last_ci_halfwidth", last_ci_halfwidth);
+      v("has_result", has_result);
+      v("next_snapshot_tick", next_snapshot_tick);
+      v("last_tick", last_tick);
+      v("last_gap", last_gap);
+    }
+  };
+
   const Graph* graph_;
   const P2PDatabase* db_;
   ContinuousQuerySpec spec_;
@@ -287,19 +306,15 @@ class DigestEngine {
   std::unique_ptr<SamplingOperator> uniform_operator_;  // Size estimation.
   std::unique_ptr<TwoStageTupleSampler> two_stage_sampler_;
   std::unique_ptr<ExactTupleSampler> exact_sampler_;
-  std::unique_ptr<SizeOracle> size_oracle_;
+  std::unique_ptr<ExactSizeOracle> exact_oracle_;
+  std::unique_ptr<CollisionSizeEstimator> sampled_oracle_;
   std::unique_ptr<SnapshotEstimator> estimator_;
   Extrapolator extrapolator_;
   SessionSupervisor supervisor_;
   bool shared_operator_ = false;  // Sampling through a caller-owned op.
 
   EngineStats stats_;
-  double reported_value_ = 0.0;
-  double last_ci_halfwidth_ = 0.0;  // Reported CI; widens while degraded.
-  bool has_result_ = false;
-  int64_t next_snapshot_tick_ = INT64_MIN;
-  int64_t last_tick_ = INT64_MIN;
-  int64_t last_gap_ = 1;  // Gap that led to the current snapshot.
+  Session session_;
 };
 
 }  // namespace digest

@@ -5,11 +5,17 @@
 // state a restored engine needs to replay the exact tick/draw sequence
 // an uninterrupted run would have produced. Its sections are the fields
 // of CheckpointBlob below, written and read by the codec in
-// common/checkpoint_codec.h. The optional sections (owned samplers and
-// operators, "meter", "audit", "health") are present exactly when the
-// engine has that component; Restore rejects a blob whose presence
+// common/checkpoint_codec.h. Each component holds the struct its
+// section's field list walks, so a section is saved and restored by one
+// copy. The optional sections (owned samplers and operators,
+// "size_oracle", "meter", "audit", "health") are present exactly when
+// the engine has that component; Restore rejects a blob whose presence
 // differs either way, and decodes and validates the whole blob before
-// it installs anything.
+// it installs anything. "size_oracle" (the sampled oracle's cached |R|^
+// and its age, SizeOracleKind::kSampled only) joined v3 without a new
+// tag: every other engine's blob is unchanged, and a kSampled blob
+// without it could not have replayed the session anyway, so it is
+// rejected for the missing member.
 //
 // Deliberately NOT in the blob:
 //  - configuration (graph, database, query spec, options, seeds):
@@ -35,25 +41,6 @@ namespace digest {
 namespace {
 
 constexpr char kCheckpointVersion[] = "digest-checkpoint-v3";
-
-struct EngineScalars {
-  double reported_value = 0.0;
-  double last_ci_halfwidth = 0.0;
-  bool has_result = false;
-  int64_t next_snapshot_tick = 0;
-  int64_t last_tick = 0;
-  int64_t last_gap = 0;
-
-  template <class V>
-  void Fields(V& v) {
-    v("reported_value", reported_value);
-    v("last_ci_halfwidth", last_ci_halfwidth);
-    v("has_result", has_result);
-    v("next_snapshot_tick", next_snapshot_tick);
-    v("last_tick", last_tick);
-    v("last_gap", last_gap);
-  }
-};
 
 /// Draw streams of the tuple samplers the engine owns (stage 2 of the
 /// two-stage scheme, or the centralized exact sampler).
@@ -86,17 +73,6 @@ struct Operators {
   }
 };
 
-struct MeterCounts {
-  uint64_t counts[MessageMeter::kNumCategories] = {};
-  uint64_t losses = 0;
-
-  template <class V>
-  void Fields(V& v) {
-    v("counts", counts);
-    v("losses", losses);
-  }
-};
-
 }  // namespace
 
 struct DigestEngine::CheckpointBlob {
@@ -107,22 +83,25 @@ struct DigestEngine::CheckpointBlob {
     samplers.has_exact = e.exact_sampler_ != nullptr;
     operators.has_sampling = e.sampling_operator_ != nullptr;
     operators.has_uniform = e.uniform_operator_ != nullptr;
+    has_size_oracle = e.sampled_oracle_ != nullptr;
     has_meter = e.meter_ != nullptr;
     has_audit = e.options_.auditor != nullptr;
     has_health = e.options_.health != nullptr;
   }
 
-  EngineScalars engine;
+  Session engine;
   EngineStats stats;
   Extrapolator::State extrapolator;
   SessionSupervisor::State supervisor;
   EstimatorState estimator;
   SamplerStreams samplers;
   Operators operators;
+  bool has_size_oracle = false;
   bool has_meter = false;
   bool has_audit = false;
   bool has_health = false;
-  MeterCounts meter;
+  CollisionSizeEstimator::State size_oracle;
+  MessageMeter meter;
   audit::PrecisionAuditor::State audit;
   PeerHealthMonitor::State health;
 
@@ -135,6 +114,7 @@ struct DigestEngine::CheckpointBlob {
     v("estimator", estimator);
     v("samplers", samplers);
     v("operators", operators);
+    v.Optional("size_oracle", has_size_oracle, size_oracle);
     v.Optional("meter", has_meter, meter);
     v.Optional("audit", has_audit, audit);
     v.Optional("health", has_health, health);
@@ -143,8 +123,7 @@ struct DigestEngine::CheckpointBlob {
 
 Result<std::string> DigestEngine::Checkpoint() const {
   CheckpointBlob b(*this);
-  b.engine = {reported_value_,     last_ci_halfwidth_, has_result_,
-              next_snapshot_tick_, last_tick_,         last_gap_};
+  b.engine = session_;
   b.stats = stats_;
   b.extrapolator = extrapolator_.SaveState();
   b.supervisor = supervisor_.SaveState();
@@ -156,19 +135,15 @@ Result<std::string> DigestEngine::Checkpoint() const {
   ops.shared = shared_operator_;
   if (ops.has_sampling) ops.sampling = sampling_operator_->SaveState();
   if (ops.has_uniform) ops.uniform = uniform_operator_->SaveState();
-  if (b.has_meter) {
-    for (size_t i = 0; i < MessageMeter::kNumCategories; ++i) {
-      b.meter.counts[i] = meter_->Count(static_cast<MessageMeter::Category>(i));
-    }
-    b.meter.losses = meter_->losses();
-  }
+  if (b.has_size_oracle) b.size_oracle = sampled_oracle_->SaveState();
+  if (b.has_meter) b.meter = *meter_;
   if (b.has_audit) b.audit = options_.auditor->SaveState();
   if (b.has_health) b.health = options_.health->SaveState();
 
   std::string out = ckpt::EncodeBlob(kCheckpointVersion, b);
   if (obs::Tracing(options_.tracer)) {
     options_.tracer->Emit(obs::CheckpointEvent{
-        static_cast<uint64_t>(out.size()), last_tick_});
+        static_cast<uint64_t>(out.size()), session_.last_tick});
   }
   return out;
 }
@@ -194,12 +169,7 @@ Status DigestEngine::Restore(std::string_view text) {
   DIGEST_RETURN_IF_ERROR(DecodeCheckpoint(text, &b));
 
   // All decoded and validated — install.
-  reported_value_ = b.engine.reported_value;
-  last_ci_halfwidth_ = b.engine.last_ci_halfwidth;
-  has_result_ = b.engine.has_result;
-  next_snapshot_tick_ = b.engine.next_snapshot_tick;
-  last_tick_ = b.engine.last_tick;
-  last_gap_ = b.engine.last_gap;
+  session_ = b.engine;
   stats_ = b.stats;
   extrapolator_.RestoreState(b.extrapolator);
   supervisor_.RestoreState(b.supervisor);
@@ -210,18 +180,13 @@ Status DigestEngine::Restore(std::string_view text) {
   const Operators& ops = b.operators;
   if (ops.has_sampling) sampling_operator_->RestoreState(ops.sampling);
   if (ops.has_uniform) uniform_operator_->RestoreState(ops.uniform);
-  if (b.has_meter) {
-    for (size_t i = 0; i < MessageMeter::kNumCategories; ++i) {
-      meter_->RestoreCount(static_cast<MessageMeter::Category>(i),
-                           b.meter.counts[i]);
-    }
-    meter_->RestoreLosses(b.meter.losses);
-  }
+  if (b.has_size_oracle) sampled_oracle_->RestoreState(b.size_oracle);
+  if (b.has_meter) *meter_ = b.meter;
   if (b.has_audit) options_.auditor->RestoreState(b.audit);
   if (b.has_health) options_.health->RestoreState(b.health);
   if (obs::Tracing(options_.tracer)) {
     options_.tracer->Emit(obs::RestoreEvent{
-        static_cast<uint64_t>(text.size()), last_tick_});
+        static_cast<uint64_t>(text.size()), session_.last_tick});
   }
   return Status::OK();
 }

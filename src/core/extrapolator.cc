@@ -13,33 +13,40 @@ Extrapolator::Extrapolator(ExtrapolatorOptions options) : options_(options) {
 }
 
 Status Extrapolator::AddObservation(int64_t t, double x) {
-  if (!history_.empty() && t <= history_.back().t) {
+  std::vector<int64_t>& ticks = state_.ticks;
+  std::vector<double>& values = state_.values;
+  if (!ticks.empty() && t <= ticks.back()) {
     return Status::InvalidArgument(
         "observations must have strictly increasing ticks");
   }
-  history_.push_back(Observation{t, x});
+  ticks.push_back(t);
+  values.push_back(x);
   // One extra point beyond k is kept for the remainder estimate.
-  while (history_.size() > options_.history_points + 1) {
-    history_.pop_front();
+  const size_t keep = options_.history_points + 1;
+  if (ticks.size() > keep) {
+    ticks.erase(ticks.begin(), ticks.end() - keep);
+    values.erase(values.begin(), values.end() - keep);
   }
   return Status::OK();
 }
 
 Result<Extrapolator::Fit> Extrapolator::FitHistory() const {
   const size_t k = options_.history_points;
-  if (history_.size() < k) {
+  const size_t n = state_.ticks.size();
+  if (n < k) {
     return Status::FailedPrecondition("extrapolator is still bootstrapping");
   }
-  const int64_t t_last = history_.back().t;
-  // The fit uses the most recent k points, in the shifted variable
-  // s = t − t_last (so s ≤ 0 and extrapolation evaluates at s > 0).
-  std::vector<double> xs, ys;
-  xs.reserve(k);
-  ys.reserve(k);
-  for (size_t i = history_.size() - k; i < history_.size(); ++i) {
-    xs.push_back(static_cast<double>(history_[i].t - t_last));
-    ys.push_back(history_[i].x);
+  const int64_t t_last = state_.ticks.back();
+  // The window in the shifted variable s = t − t_last (so s ≤ 0 and
+  // extrapolation evaluates at s > 0). The fit uses the most recent k
+  // points.
+  std::vector<double> all_xs;
+  all_xs.reserve(n);
+  for (int64_t t : state_.ticks) {
+    all_xs.push_back(static_cast<double>(t - t_last));
   }
+  const std::vector<double> xs(all_xs.end() - k, all_xs.end());
+  const std::vector<double> ys(state_.values.end() - k, state_.values.end());
   const size_t degree = k - 1;
   Fit fit;
   if (options_.use_levmar) {
@@ -63,14 +70,9 @@ Result<Extrapolator::Fit> Extrapolator::FitHistory() const {
   // divided difference needs k+1 points; with only k available, fall
   // back to the magnitude of the highest fitted coefficient (the
   // order-(k−1) derivative scale) as a conservative proxy.
-  if (history_.size() >= k + 1) {
-    std::vector<double> all_xs, all_ys;
-    for (const Observation& obs : history_) {
-      all_xs.push_back(static_cast<double>(obs.t - t_last));
-      all_ys.push_back(obs.x);
-    }
+  if (n >= k + 1) {
     DIGEST_ASSIGN_OR_RETURN(std::vector<double> dd,
-                            DividedDifferences(all_xs, all_ys));
+                            DividedDifferences(all_xs, state_.values));
     fit.remainder_c = std::fabs(dd.back());
   } else {
     fit.remainder_c = std::fabs(fit.poly.coefficients().back());
@@ -83,10 +85,10 @@ Result<int64_t> Extrapolator::PredictNextSnapshotTime(
   if (delta < 0.0) {
     return Status::InvalidArgument("delta must be >= 0");
   }
-  if (history_.empty()) {
+  if (state_.ticks.empty()) {
     return Status::FailedPrecondition("no observations yet");
   }
-  const int64_t t_last = history_.back().t;
+  const int64_t t_last = state_.ticks.back();
   if (!Bootstrapped() || delta == 0.0) {
     // Bootstrap period (or exact resolution): continuous querying.
     return t_last + 1;
@@ -109,25 +111,25 @@ Result<int64_t> Extrapolator::PredictNextSnapshotTime(double delta) const {
   if (delta < 0.0) {
     return Status::InvalidArgument("delta must be >= 0");
   }
-  if (history_.empty()) {
+  if (state_.ticks.empty()) {
     return Status::FailedPrecondition("no observations yet");
   }
   if (!Bootstrapped()) {
-    return history_.back().t + 1;
+    return state_.ticks.back() + 1;
   }
   DIGEST_ASSIGN_OR_RETURN(Fit fit, FitHistory());
   return PredictNextSnapshotTime(delta, fit.poly.Evaluate(0.0));
 }
 
 Result<double> Extrapolator::ExtrapolatedValue(int64_t t) const {
-  if (history_.empty()) {
+  if (state_.ticks.empty()) {
     return Status::FailedPrecondition("no observations yet");
   }
   if (!Bootstrapped()) {
-    return history_.back().x;
+    return state_.values.back();
   }
   DIGEST_ASSIGN_OR_RETURN(Fit fit, FitHistory());
-  return fit.poly.Evaluate(static_cast<double>(t - history_.back().t));
+  return fit.poly.Evaluate(static_cast<double>(t - state_.ticks.back()));
 }
 
 }  // namespace digest

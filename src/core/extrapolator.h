@@ -1,9 +1,7 @@
 #ifndef DIGEST_CORE_EXTRAPOLATOR_H_
 #define DIGEST_CORE_EXTRAPOLATOR_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/result.h"
@@ -53,7 +51,7 @@ class Extrapolator {
 
   /// True once k observations are available.
   bool Bootstrapped() const {
-    return history_.size() >= options_.history_points;
+    return state_.ticks.size() >= options_.history_points;
   }
 
   /// Earliest tick (> the last observed tick) at which the aggregate may
@@ -76,10 +74,11 @@ class Extrapolator {
   Result<double> ExtrapolatedValue(int64_t t) const;
 
   /// Forgets all history.
-  void Reset() { history_.clear(); }
+  void Reset() { state_ = State(); }
 
-  /// Serializable PRED history window (parallel tick/value arrays), for
-  /// the engine checkpoint. Restoring replaces the whole window.
+  /// The PRED history window, oldest first, as parallel tick/value
+  /// arrays; also the engine checkpoint's "extrapolator" section.
+  /// Restoring replaces the whole window.
   struct State {
     std::vector<int64_t> ticks;
     std::vector<double> values;
@@ -93,32 +92,12 @@ class Extrapolator {
               "ticks/values length mismatch");
     }
   };
-  State SaveState() const {
-    State s;
-    s.ticks.reserve(history_.size());
-    s.values.reserve(history_.size());
-    for (const Observation& o : history_) {
-      s.ticks.push_back(o.t);
-      s.values.push_back(o.x);
-    }
-    return s;
-  }
-  void RestoreState(const State& state) {
-    history_.clear();
-    const size_t n = std::min(state.ticks.size(), state.values.size());
-    for (size_t i = 0; i < n; ++i) {
-      history_.push_back(Observation{state.ticks[i], state.values[i]});
-    }
-  }
+  State SaveState() const { return state_; }
+  void RestoreState(const State& state) { state_ = state; }
 
   const ExtrapolatorOptions& options() const { return options_; }
 
  private:
-  struct Observation {
-    int64_t t;
-    double x;
-  };
-
   /// Fits the Taylor polynomial in the shifted variable s = t − t_last
   /// to the most recent k observations (plus the remainder constant).
   struct Fit {
@@ -128,7 +107,7 @@ class Extrapolator {
   Result<Fit> FitHistory() const;
 
   ExtrapolatorOptions options_;
-  std::deque<Observation> history_;  // Most recent at the back.
+  State state_;  // At most history_points + 1 observations.
 };
 
 }  // namespace digest

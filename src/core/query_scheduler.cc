@@ -41,19 +41,19 @@ Result<PartialTupleBatch> CoalescingSampleSource::DrawFresh(NodeId origin,
 }
 
 Status QueryScheduler::Register(QueryId id, double epsilon) {
-  if (costs_.count(id) != 0) {
+  if (ledger_.costs.count(id) != 0) {
     return Status::AlreadyExists("query id already registered");
   }
   QueryCost cost;
   cost.epsilon = epsilon;
-  costs_.emplace(id, cost);
+  ledger_.costs.emplace(id, cost);
   return Status::OK();
 }
 
 QueryScheduler::TickPlan QueryScheduler::Plan(
     const std::function<bool(QueryId)>& would_snapshot) const {
   TickPlan plan;
-  for (const auto& [id, cost] : costs_) {
+  for (const auto& [id, cost] : ledger_.costs) {
     (void)cost;
     if (would_snapshot(id)) {
       plan.due.push_back(id);
@@ -66,8 +66,8 @@ QueryScheduler::TickPlan QueryScheduler::Plan(
   // prefix and add no walks of their own.
   std::sort(plan.due.begin(), plan.due.end(),
             [this](QueryId a, QueryId b) {
-              const double ea = costs_.at(a).epsilon;
-              const double eb = costs_.at(b).epsilon;
+              const double ea = ledger_.costs.at(a).epsilon;
+              const double eb = ledger_.costs.at(b).epsilon;
               if (ea != eb) return ea < eb;
               return a < b;
             });
@@ -77,8 +77,8 @@ QueryScheduler::TickPlan QueryScheduler::Plan(
 
 void QueryScheduler::RecordTick(QueryId id, uint64_t meter_delta,
                                 bool snapshot, bool coalesced) {
-  auto it = costs_.find(id);
-  if (it == costs_.end()) return;
+  auto it = ledger_.costs.find(id);
+  if (it == ledger_.costs.end()) return;
   it->second.ticks += 1;
   it->second.messages += meter_delta;
   if (snapshot) it->second.snapshots += 1;
@@ -86,8 +86,8 @@ void QueryScheduler::RecordTick(QueryId id, uint64_t meter_delta,
 }
 
 const QueryCost* QueryScheduler::Cost(QueryId id) const {
-  auto it = costs_.find(id);
-  return it == costs_.end() ? nullptr : &it->second;
+  auto it = ledger_.costs.find(id);
+  return it == ledger_.costs.end() ? nullptr : &it->second;
 }
 
 }  // namespace digest

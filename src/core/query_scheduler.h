@@ -113,14 +113,28 @@ class QueryScheduler {
     std::vector<QueryId> idle;  ///< Everyone else, by id.
   };
 
+  /// The scheduler's cumulative state, which is also the node
+  /// checkpoint's "scheduler" section.
+  struct Ledger {
+    uint64_t coalesced_ticks = 0;
+    std::map<QueryId, QueryCost> costs;
+
+    /// Checkpoint field list (common/checkpoint_codec.h).
+    template <class V>
+    void Fields(V& v) {
+      v("coalesced_ticks", coalesced_ticks);
+      v("costs", costs);
+    }
+  };
+
   /// Registers a query (fails on duplicate id).
   Status Register(QueryId id, double epsilon);
 
   /// Forgets a query; its cumulative costs drop with it.
-  void Unregister(QueryId id) { costs_.erase(id); }
+  void Unregister(QueryId id) { ledger_.costs.erase(id); }
 
-  bool Contains(QueryId id) const { return costs_.count(id) != 0; }
-  size_t active() const { return costs_.size(); }
+  bool Contains(QueryId id) const { return ledger_.costs.count(id) != 0; }
+  size_t active() const { return ledger_.costs.size(); }
 
   /// Splits the registered queries into due/idle for this tick.
   /// `would_snapshot(id)` is the engine's occasion peek.
@@ -134,20 +148,18 @@ class QueryScheduler {
   const QueryCost* Cost(QueryId id) const;
 
   /// All registered queries' attribution, keyed by id.
-  const std::map<QueryId, QueryCost>& costs() const { return costs_; }
+  const std::map<QueryId, QueryCost>& costs() const { return ledger_.costs; }
 
   /// Ticks on which >= 2 due queries shared one walk batch.
-  uint64_t coalesced_ticks() const { return coalesced_ticks_; }
-  void NoteCoalescedTick() { ++coalesced_ticks_; }
+  uint64_t coalesced_ticks() const { return ledger_.coalesced_ticks; }
+  void NoteCoalescedTick() { ++ledger_.coalesced_ticks; }
 
-  /// Restores cumulative counters from a checkpoint (the node's
-  /// checkpoint codec drives this; epsilons re-register on restore).
-  void RestoreCost(QueryId id, const QueryCost& cost) { costs_[id] = cost; }
-  void set_coalesced_ticks(uint64_t n) { coalesced_ticks_ = n; }
+  Ledger SaveState() const { return ledger_; }
+  /// Installs a checkpointed ledger, epsilons included.
+  void RestoreState(const Ledger& ledger) { ledger_ = ledger; }
 
  private:
-  std::map<QueryId, QueryCost> costs_;
-  uint64_t coalesced_ticks_ = 0;
+  Ledger ledger_;
 };
 
 }  // namespace digest

@@ -301,48 +301,39 @@ RepeatedSamplingEstimator::RepeatedSamplingEstimator(
       rng_(rng),
       options_(options) {}
 
-void RepeatedSamplingEstimator::Reset() {
-  prev_samples_.clear();
-  prev_mean_estimate_ = 0.0;
-  prev_variance_ = 0.0;
-  rho_hat_ = 0.0;
-  sigma_hat_ = 0.0;
-  occasion_ = 0;
-  last_pair_y1_.clear();
-  last_pair_y2_.clear();
-}
+void RepeatedSamplingEstimator::Reset() { state_ = RetainedState(); }
 
 Result<double> RepeatedSamplingEstimator::AdjustedPreviousEstimate() const {
-  if (occasion_ < 2 || last_pair_y1_.size() < 3) {
+  const std::vector<double>& y1 = state_.last_pair_y1;
+  const std::vector<double>& y2 = state_.last_pair_y2;
+  if (state_.occasion < 2 || y1.size() < 3) {
     return Status::FailedPrecondition(
         "forward regression needs a completed occasion with at least 3 "
         "retained pairs");
   }
   // Regress the previous occasion's values on the current ones — the
   // mirror image of Table 1's reverse regression.
-  DIGEST_ASSIGN_OR_RETURN(LinearFit fit, SimpleLinearRegression(
-                                             last_pair_y2_, last_pair_y1_));
-  DIGEST_ASSIGN_OR_RETURN(
-      double rho, PearsonCorrelation(last_pair_y1_, last_pair_y2_));
+  DIGEST_ASSIGN_OR_RETURN(LinearFit fit, SimpleLinearRegression(y2, y1));
+  DIGEST_ASSIGN_OR_RETURN(double rho, PearsonCorrelation(y1, y2));
   const double rho2 = std::min(rho * rho, 0.9801);
-  const double g = static_cast<double>(last_pair_y1_.size());
-  const double sigma_sq = sigma_hat_ * sigma_hat_;
-  const double y_back = Mean(last_pair_y1_) +
-                        fit.slope * (after_update_mean_ -
-                                     Mean(last_pair_y2_));
-  const double var_back = sigma_sq * (1.0 - rho2) / g +
-                          rho2 * after_update_var_;
+  const double g = static_cast<double>(y1.size());
+  const double sigma_sq = state_.sigma_hat * state_.sigma_hat;
+  const double y_back =
+      Mean(y1) + fit.slope * (state_.after_update_mean - Mean(y2));
+  const double var_back =
+      sigma_sq * (1.0 - rho2) / g + rho2 * state_.after_update_var;
   // Inverse-variance combination with the original occasion-(k−1)
   // estimate.
-  const double w_orig =
-      before_update_var_ > 0.0 ? 1.0 / before_update_var_ : 0.0;
+  const double before_mean = state_.before_update_mean;
+  const double before_var = state_.before_update_var;
+  const double w_orig = before_var > 0.0 ? 1.0 / before_var : 0.0;
   const double w_back = var_back > 0.0 ? 1.0 / var_back : 0.0;
   double adjusted_mean;
   if (w_orig + w_back <= 0.0) {
-    adjusted_mean = before_update_mean_;
+    adjusted_mean = before_mean;
   } else {
-    adjusted_mean = (w_orig * before_update_mean_ + w_back * y_back) /
-                    (w_orig + w_back);
+    adjusted_mean =
+        (w_orig * before_mean + w_back * y_back) / (w_orig + w_back);
   }
   return independent_.ScaleToQueryUnits(adjusted_mean);
 }
@@ -351,16 +342,12 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::EvaluateFirstOccasion(
     NodeId origin) {
   DIGEST_ASSIGN_OR_RETURN(SnapshotEstimate est,
                           independent_.Evaluate(origin));
-  prev_samples_.clear();
-  prev_samples_.reserve(independent_.last_refs_.size());
-  for (size_t i = 0; i < independent_.last_refs_.size(); ++i) {
-    prev_samples_.push_back(
-        Retained{independent_.last_refs_[i], independent_.last_ys_[i]});
-  }
-  prev_mean_estimate_ = est.mean_estimate;
-  prev_variance_ = est.variance_of_mean;
-  sigma_hat_ = est.sigma;
-  occasion_ = 1;
+  state_.retained_refs = independent_.last_refs_;
+  state_.retained_ys = independent_.last_ys_;
+  state_.prev_mean_estimate = est.mean_estimate;
+  state_.prev_variance = est.variance_of_mean;
+  state_.sigma_hat = est.sigma;
+  state_.occasion = 1;
   return est;
 }
 
@@ -376,7 +363,10 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
     // through independent sampling (every occasion is a fresh draw).
     return independent_.Evaluate(origin);
   }
-  if (occasion_ == 0 || prev_samples_.size() < 4 || sigma_hat_ == 0.0) {
+  std::vector<TupleRef>& pool_refs = state_.retained_refs;
+  std::vector<double>& pool_ys = state_.retained_ys;
+  if (state_.occasion == 0 || pool_refs.size() < 4 ||
+      state_.sigma_hat == 0.0) {
     return EvaluateFirstOccasion(origin);
   }
   const double z = independent_.z_;
@@ -387,33 +377,35 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
   // for the retained/fresh split.
   DIGEST_ASSIGN_OR_RETURN(
       RepeatedSamplingPlan plan,
-      PlanRepeatedOccasion(sigma_hat_, rho_hat_, eps_mean, z));
+      PlanRepeatedOccasion(state_.sigma_hat, state_.rho_hat, eps_mean, z));
   const size_t n_target = std::min(
       std::max(plan.total, options_.pilot_samples), options_.max_samples);
   size_t g_target = static_cast<size_t>(
       static_cast<double>(n_target) * static_cast<double>(plan.retained) /
       static_cast<double>(std::max<size_t>(plan.total, 1)));
-  g_target = std::min(g_target, prev_samples_.size());
+  g_target = std::min(g_target, pool_refs.size());
   if (obs::Tracing(tracer_)) {
     tracer_->Emit(obs::SampleBudgetEvent{
-        /*repeated=*/true, rho_hat_, sigma_hat_,
+        /*repeated=*/true, state_.rho_hat, state_.sigma_hat,
         static_cast<uint64_t>(n_target), static_cast<uint64_t>(g_target)});
   }
 
   // Revisit retained samples: shuffle the previous set and re-evaluate
   // tuples in place. Deleted tuples / departed nodes are skipped and
   // implicitly replaced by fresh samples (§IV-B2).
-  for (size_t i = prev_samples_.size(); i > 1; --i) {
-    std::swap(prev_samples_[i - 1], prev_samples_[rng_.NextIndex(i)]);
+  for (size_t i = pool_refs.size(); i > 1; --i) {
+    const size_t j = rng_.NextIndex(i);
+    std::swap(pool_refs[i - 1], pool_refs[j]);
+    std::swap(pool_ys[i - 1], pool_ys[j]);
   }
   std::vector<double> y1g, y2g;
-  std::vector<Retained> current;  // Next occasion's candidate set.
+  std::vector<TupleRef> refs_g;  // The refreshed samples' refs.
   y1g.reserve(g_target);
   y2g.reserve(g_target);
-  for (const Retained& r : prev_samples_) {
-    if (y1g.size() >= g_target) break;
+  refs_g.reserve(g_target);
+  for (size_t i = 0; i < pool_refs.size() && y1g.size() < g_target; ++i) {
     if (meter_ != nullptr) meter_->AddRefresh();
-    const Tuple* tuple = db_->FindTuple(r.ref);
+    const Tuple* tuple = db_->FindTuple(pool_refs[i]);
     if (tuple == nullptr) continue;  // Deleted or node left: replaced.
     Result<std::optional<double>> y2 =
         independent_.ContributionValue(*tuple);
@@ -422,9 +414,9 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
       // qualifying subpopulation — same treatment as a deletion.
       continue;
     }
-    y1g.push_back(r.y);
+    y1g.push_back(pool_ys[i]);
     y2g.push_back(**y2);
-    current.push_back(Retained{r.ref, **y2});
+    refs_g.push_back(pool_refs[i]);
   }
   const size_t g = y1g.size();
 
@@ -471,7 +463,7 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
   double combined = 0.0;
   double combined_var = 0.0;
   double sigma2 = 0.0;
-  double rho_sample = rho_hat_;
+  double rho_sample = state_.rho_hat;
   const double needed_var = (eps_mean / z) * (eps_mean / z);
   for (size_t round = 0;; ++round) {
     const size_t f = yf.size();
@@ -488,17 +480,18 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
       combined_var =
           all.SampleVariance() / static_cast<double>(std::max<size_t>(1,
                                                      all.count()));
-      rho_sample = rho_hat_;
+      rho_sample = state_.rho_hat;
     } else {
       rho_sample = rho_regression;
       const double ybar2f = sum_f / static_cast<double>(f);
       const double rho_s2 = std::min(rho_sample * rho_sample, 0.9801);
       // Table 1 (recursive form): the regression estimate leans on the
       // previous occasion's combined estimate and inherits its variance.
-      const double y_reg = ybar2g + b * (prev_mean_estimate_ - ybar1g);
+      const double y_reg =
+          ybar2g + b * (state_.prev_mean_estimate - ybar1g);
       const double var_f = sigma2_sq / static_cast<double>(f);
       const double var_g = sigma2_sq * (1.0 - rho_s2) / static_cast<double>(g)
-                           + rho_s2 * prev_variance_;
+                           + rho_s2 * state_.prev_variance;
       if (sigma2_sq == 0.0) {
         combined = ybar2f;
         combined_var = 0.0;
@@ -526,7 +519,7 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
     const double rho_s2 = std::min(rho_sample * rho_sample, 0.9801);
     const double var_g = sigma2 * sigma2 * (1.0 - rho_s2) /
                              static_cast<double>(std::max<size_t>(1, g)) +
-                         rho_s2 * prev_variance_;
+                         rho_s2 * state_.prev_variance;
     double inv_var_g = var_g > 0.0 ? 1.0 / var_g : 0.0;
     double f_req = sigma2 * sigma2 * (1.0 / needed_var - inv_var_g);
     size_t f_want = CeilToCount(f_req, yf.size() + 1,
@@ -535,25 +528,25 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
         origin, f_want - yf.size(), &fresh));
   }
 
-  // Keep the pair data for forward regression before rolling state.
-  last_pair_y1_ = std::move(y1g);
-  last_pair_y2_ = std::move(y2g);
-  before_update_mean_ = prev_mean_estimate_;
-  before_update_var_ = prev_variance_;
-  after_update_mean_ = combined;
-  after_update_var_ = combined_var;
-
-  // Memorize this occasion for the next one.
-  for (size_t i = 0; i < yf.size(); ++i) {
-    current.push_back(Retained{fresh.refs[i], yf[i]});
-  }
-  prev_samples_ = std::move(current);
-  prev_mean_estimate_ = combined;
-  prev_variance_ = combined_var;
-  sigma_hat_ = sigma2;
-  rho_hat_ = (1.0 - kCorrelationSmoothing) * rho_hat_ +
-             kCorrelationSmoothing * rho_sample;
-  ++occasion_;
+  // Memorize this occasion for the next one: the refreshed samples at
+  // their current values, then the fresh ones.
+  pool_refs = std::move(refs_g);
+  pool_refs.insert(pool_refs.end(), fresh.refs.begin(), fresh.refs.end());
+  pool_ys.assign(y2g.begin(), y2g.end());
+  pool_ys.insert(pool_ys.end(), yf.begin(), yf.end());
+  // Keep the pair data for forward regression, then roll the recursion.
+  state_.last_pair_y1 = std::move(y1g);
+  state_.last_pair_y2 = std::move(y2g);
+  state_.before_update_mean = state_.prev_mean_estimate;
+  state_.before_update_var = state_.prev_variance;
+  state_.after_update_mean = combined;
+  state_.after_update_var = combined_var;
+  state_.prev_mean_estimate = combined;
+  state_.prev_variance = combined_var;
+  state_.sigma_hat = sigma2;
+  state_.rho_hat = (1.0 - kCorrelationSmoothing) * state_.rho_hat +
+                   kCorrelationSmoothing * rho_sample;
+  ++state_.occasion;
 
   SnapshotEstimate est;
   est.mean_estimate = combined;
@@ -581,23 +574,27 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::EvaluateDegraded(
     NodeId origin) {
   (void)origin;  // Refreshes are direct contacts; no walks originate.
   DIGEST_RETURN_IF_ERROR(independent_.EnsureInitialized());
-  if (occasion_ == 0 || prev_samples_.empty()) {
+  const std::vector<TupleRef>& pool = state_.retained_refs;
+  if (state_.occasion == 0 || pool.empty()) {
     return Status::Unavailable(
         "degraded evaluation needs a completed occasion with retained "
         "samples");
   }
   // Re-evaluate the retained pool in place. Deleted tuples, departed
   // nodes, and tuples that left the qualifying subpopulation drop out.
-  std::vector<Retained> survivors;
-  survivors.reserve(prev_samples_.size());
+  std::vector<TupleRef> survivors;
+  std::vector<double> survivor_ys;
+  survivors.reserve(pool.size());
+  survivor_ys.reserve(pool.size());
   RunningStats stats;
-  for (const Retained& r : prev_samples_) {
+  for (const TupleRef& ref : pool) {
     if (meter_ != nullptr) meter_->AddRefresh();
-    const Tuple* tuple = db_->FindTuple(r.ref);
+    const Tuple* tuple = db_->FindTuple(ref);
     if (tuple == nullptr) continue;
     Result<std::optional<double>> y = independent_.ContributionValue(*tuple);
     if (!y.ok() || !y->has_value()) continue;
-    survivors.push_back(Retained{r.ref, **y});
+    survivors.push_back(ref);
+    survivor_ys.push_back(**y);
     stats.Add(**y);
   }
   if (stats.count() < 2) {
@@ -626,10 +623,11 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::EvaluateDegraded(
                                      std::sqrt(var)));
   // Roll the refreshed values forward so the next healthy occasion's
   // regression pairs against up-to-date retained values.
-  prev_samples_ = std::move(survivors);
-  prev_mean_estimate_ = mean;
-  prev_variance_ = var;
-  sigma_hat_ = est.sigma;
+  state_.retained_refs = std::move(survivors);
+  state_.retained_ys = std::move(survivor_ys);
+  state_.prev_mean_estimate = mean;
+  state_.prev_variance = var;
+  state_.sigma_hat = est.sigma;
   return est;
 }
 
@@ -645,51 +643,13 @@ void IndependentEstimator::RestoreState(const EstimatorState& state) {
 }
 
 EstimatorState RepeatedSamplingEstimator::SaveState() const {
-  EstimatorState s;
-  s.rng = rng_.SaveState();
-  s.indep_rng = independent_.rng_.SaveState();
-  s.retained_refs.reserve(prev_samples_.size());
-  s.retained_ys.reserve(prev_samples_.size());
-  for (const Retained& r : prev_samples_) {
-    s.retained_refs.push_back(r.ref);
-    s.retained_ys.push_back(r.y);
-  }
-  s.prev_mean_estimate = prev_mean_estimate_;
-  s.prev_variance = prev_variance_;
-  s.rho_hat = rho_hat_;
-  s.sigma_hat = sigma_hat_;
-  s.occasion = static_cast<uint64_t>(occasion_);
-  s.last_pair_y1 = last_pair_y1_;
-  s.last_pair_y2 = last_pair_y2_;
-  s.before_update_mean = before_update_mean_;
-  s.before_update_var = before_update_var_;
-  s.after_update_mean = after_update_mean_;
-  s.after_update_var = after_update_var_;
-  return s;
+  return {rng_.SaveState(), independent_.rng_.SaveState(), state_};
 }
 
 void RepeatedSamplingEstimator::RestoreState(const EstimatorState& state) {
   rng_.RestoreState(state.rng);
   independent_.rng_.RestoreState(state.indep_rng);
-  prev_samples_.clear();
-  prev_samples_.reserve(state.retained_refs.size());
-  const size_t pool =
-      std::min(state.retained_refs.size(), state.retained_ys.size());
-  for (size_t i = 0; i < pool; ++i) {
-    prev_samples_.push_back(
-        Retained{state.retained_refs[i], state.retained_ys[i]});
-  }
-  prev_mean_estimate_ = state.prev_mean_estimate;
-  prev_variance_ = state.prev_variance;
-  rho_hat_ = state.rho_hat;
-  sigma_hat_ = state.sigma_hat;
-  occasion_ = static_cast<size_t>(state.occasion);
-  last_pair_y1_ = state.last_pair_y1;
-  last_pair_y2_ = state.last_pair_y2;
-  before_update_mean_ = state.before_update_mean;
-  before_update_var_ = state.before_update_var;
-  after_update_mean_ = state.after_update_mean;
-  after_update_var_ = state.after_update_var;
+  state_ = state.retained;
 }
 
 }  // namespace digest

@@ -78,17 +78,11 @@ struct SnapshotEstimate {
   bool partial = false;
 };
 
-/// Serializable cross-occasion estimator state, for the engine
-/// checkpoint (core/engine_checkpoint.cc). One struct covers both
-/// estimators: INDEP populates only the RNG streams; RPT adds the
-/// retained pool, the regression recursion scalars, and the forward-
-/// regression pair data. Restoring this into a freshly constructed
-/// estimator of the same kind and configuration replays the exact draw
-/// sequence an uninterrupted run would have made.
-struct EstimatorState {
-  Rng::State rng;        ///< Top-level stream (RPT's retained shuffle).
-  Rng::State indep_rng;  ///< Wrapped/primary independent stream.
-  // Repeated-sampling cross-occasion state (empty/zero for INDEP).
+/// The repeated-sampling estimator's cross-occasion state: the retained
+/// pool (parallel refs and the values they had when last seen), the
+/// regression recursion scalars, and the forward-regression pair data.
+/// All empty or zero before the first occasion, and for INDEP.
+struct RetainedState {
   std::vector<TupleRef> retained_refs;
   std::vector<double> retained_ys;
   double prev_mean_estimate = 0.0;
@@ -96,18 +90,18 @@ struct EstimatorState {
   double rho_hat = 0.0;
   double sigma_hat = 0.0;
   uint64_t occasion = 0;
+  // The retained pairs of the most recent occasion, plus the
+  // occasions' estimates on both sides of the pair.
   std::vector<double> last_pair_y1;
   std::vector<double> last_pair_y2;
-  double before_update_mean = 0.0;
-  double before_update_var = 0.0;
-  double after_update_mean = 0.0;
-  double after_update_var = 0.0;
+  double before_update_mean = 0.0;  ///< Ŷ_{k−1}.
+  double before_update_var = 0.0;   ///< var(Ŷ_{k−1}).
+  double after_update_mean = 0.0;   ///< Ŷ_k.
+  double after_update_var = 0.0;    ///< var(Ŷ_k).
 
   /// Checkpoint field list (common/checkpoint_codec.h).
   template <class V>
   void Fields(V& v) {
-    v("rng", rng);
-    v("indep_rng", indep_rng);
     v("retained_refs", retained_refs);
     v("retained_ys", retained_ys);
     v("prev_mean_estimate", prev_mean_estimate);
@@ -123,6 +117,26 @@ struct EstimatorState {
     v("after_update_var", after_update_var);
     v.Check([&] { return retained_refs.size() == retained_ys.size(); },
             "retained refs/ys length mismatch");
+  }
+};
+
+/// Serializable cross-occasion estimator state, for the engine
+/// checkpoint (core/engine_checkpoint.cc). One struct covers both
+/// estimators: INDEP populates only the RNG streams. Restoring this into
+/// a freshly constructed estimator of the same kind and configuration
+/// replays the exact draw sequence an uninterrupted run would have made.
+struct EstimatorState {
+  Rng::State rng;        ///< Top-level stream (RPT's retained shuffle).
+  Rng::State indep_rng;  ///< Wrapped/primary independent stream.
+  RetainedState retained;
+
+  /// Checkpoint field list (common/checkpoint_codec.h). The retained
+  /// state's fields sit at this level, after the streams.
+  template <class V>
+  void Fields(V& v) {
+    v("rng", rng);
+    v("indep_rng", indep_rng);
+    retained.Fields(v);
   }
 };
 
@@ -280,7 +294,7 @@ class RepeatedSamplingEstimator : public SnapshotEstimator {
   }
 
   /// Current smoothed estimate of the inter-occasion correlation ρ̂.
-  double correlation_estimate() const { return rho_hat_; }
+  double correlation_estimate() const { return state_.rho_hat; }
 
   /// Forward regression (the paper's §VIII extension): a retrospectively
   /// improved estimate of the *previous* occasion's result, in query
@@ -293,11 +307,6 @@ class RepeatedSamplingEstimator : public SnapshotEstimator {
   Result<double> AdjustedPreviousEstimate() const;
 
  private:
-  struct Retained {
-    TupleRef ref;
-    double y = 0.0;  // Value at the occasion the sample was last seen.
-  };
-
   /// First occasion: plain independent sampling, then memorize the set.
   Result<SnapshotEstimate> EvaluateFirstOccasion(NodeId origin);
 
@@ -306,21 +315,7 @@ class RepeatedSamplingEstimator : public SnapshotEstimator {
   MessageMeter* meter_;
   Rng rng_;
   EstimatorOptions options_;
-
-  std::vector<Retained> prev_samples_;
-  double prev_mean_estimate_ = 0.0;
-  double prev_variance_ = 0.0;
-  double rho_hat_ = 0.0;
-  double sigma_hat_ = 0.0;
-  size_t occasion_ = 0;
-
-  // State for forward regression: the retained pairs of the most recent
-  // occasion, plus the occasions' estimates on both sides of the pair.
-  std::vector<double> last_pair_y1_, last_pair_y2_;
-  double before_update_mean_ = 0.0;   // Ŷ_{k−1}.
-  double before_update_var_ = 0.0;    // var(Ŷ_{k−1}).
-  double after_update_mean_ = 0.0;    // Ŷ_k.
-  double after_update_var_ = 0.0;     // var(Ŷ_k).
+  RetainedState state_;
 };
 
 }  // namespace digest

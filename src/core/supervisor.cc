@@ -1,7 +1,5 @@
 #include "core/supervisor.h"
 
-#include <cstring>
-
 namespace digest {
 
 const char* SessionHealthName(SessionHealth health) {
@@ -53,11 +51,12 @@ void SessionSupervisor::Transition(SessionHealth to, SnapshotOutcome outcome,
 void SessionSupervisor::TransitionNamed(SessionHealth to,
                                         const char* outcome_name,
                                         uint64_t consecutive) {
-  const SessionHealth from = health_;
+  const SessionHealth from = state_.health;
   if (from == to) return;
-  health_ = to;
-  ++transitions_;
-  ++transition_counts_[static_cast<size_t>(from)][static_cast<size_t>(to)];
+  state_.health = to;
+  ++state_.transitions;
+  ++state_.transition_counts[static_cast<size_t>(from)]
+                            [static_cast<size_t>(to)];
   if (obs::Tracing(tracer_)) {
     tracer_->Emit(obs::SupervisorStateEvent{SessionHealthName(from),
                                             SessionHealthName(to),
@@ -66,76 +65,73 @@ void SessionSupervisor::TransitionNamed(SessionHealth to,
 }
 
 SessionHealth SessionSupervisor::RecordAuditBreach() {
-  if (health_ != SessionHealth::kHealthy) return health_;
-  consecutive_failures_ = 1;
-  consecutive_successes_ = 0;
+  if (state_.health != SessionHealth::kHealthy) return state_.health;
+  state_.consecutive_failures = 1;
+  state_.consecutive_successes = 0;
   TransitionNamed(SessionHealth::kDegraded, "audit_breach", 1);
-  return health_;
+  return state_.health;
 }
 
 SessionHealth SessionSupervisor::RecordQuarantineBreach() {
-  if (health_ != SessionHealth::kHealthy) return health_;
-  consecutive_failures_ = 1;
-  consecutive_successes_ = 0;
+  if (state_.health != SessionHealth::kHealthy) return state_.health;
+  state_.consecutive_failures = 1;
+  state_.consecutive_successes = 0;
   TransitionNamed(SessionHealth::kDegraded, "peer_quarantine", 1);
-  return health_;
+  return state_.health;
 }
 
 SessionHealth SessionSupervisor::RecordOutcome(SnapshotOutcome outcome) {
-  ++outcome_counts_[static_cast<size_t>(outcome)];
+  ++state_.outcome_counts[static_cast<size_t>(outcome)];
+  uint64_t& failures = state_.consecutive_failures;
+  uint64_t& successes = state_.consecutive_successes;
   const bool success = outcome == SnapshotOutcome::kMetContract;
   if (success) {
-    ++consecutive_successes_;
-    consecutive_failures_ = 0;
+    ++successes;
+    failures = 0;
   } else {
-    ++consecutive_failures_;
-    consecutive_successes_ = 0;
+    ++failures;
+    successes = 0;
   }
 
-  switch (health_) {
+  switch (state_.health) {
     case SessionHealth::kHealthy:
-      if (!success) {
-        Transition(SessionHealth::kDegraded, outcome, consecutive_failures_);
-      }
+      if (!success) Transition(SessionHealth::kDegraded, outcome, failures);
       break;
     case SessionHealth::kDegraded:
       if (success) {
         // Shallow degradation heals on a single contract-meeting
         // snapshot; the RECOVERING probation only applies after STALE.
-        Transition(SessionHealth::kHealthy, outcome, consecutive_successes_);
-      } else if (consecutive_failures_ >= options_.stale_threshold) {
-        Transition(SessionHealth::kStale, outcome, consecutive_failures_);
+        Transition(SessionHealth::kHealthy, outcome, successes);
+      } else if (failures >= options_.stale_threshold) {
+        Transition(SessionHealth::kStale, outcome, failures);
       }
       break;
     case SessionHealth::kStale:
       if (success) {
-        if (consecutive_successes_ >= options_.recovery_successes) {
-          Transition(SessionHealth::kHealthy, outcome,
-                     consecutive_successes_);
+        if (successes >= options_.recovery_successes) {
+          Transition(SessionHealth::kHealthy, outcome, successes);
         } else {
-          Transition(SessionHealth::kRecovering, outcome,
-                     consecutive_successes_);
+          Transition(SessionHealth::kRecovering, outcome, successes);
         }
       }
       break;
     case SessionHealth::kRecovering:
       if (success) {
-        if (consecutive_successes_ >= options_.recovery_successes) {
-          Transition(SessionHealth::kHealthy, outcome,
-                     consecutive_successes_);
+        if (successes >= options_.recovery_successes) {
+          Transition(SessionHealth::kHealthy, outcome, successes);
         }
       } else {
-        Transition(SessionHealth::kStale, outcome, consecutive_failures_);
+        Transition(SessionHealth::kStale, outcome, failures);
       }
       break;
   }
-  return health_;
+  return state_.health;
 }
 
 void SessionSupervisor::ExportToRegistry(obs::Registry* registry) const {
   if (registry == nullptr) return;
   for (size_t i = 0; i < kNumSnapshotOutcomes; ++i) {
-    const uint64_t count = outcome_counts_[i];
+    const uint64_t count = state_.outcome_counts[i];
     if (count == 0) continue;
     registry
         ->GetCounter("supervisor.outcomes",
@@ -145,7 +141,7 @@ void SessionSupervisor::ExportToRegistry(obs::Registry* registry) const {
   }
   for (size_t from = 0; from < kNumSessionHealthStates; ++from) {
     for (size_t to = 0; to < kNumSessionHealthStates; ++to) {
-      const uint64_t count = transition_counts_[from][to];
+      const uint64_t count = state_.transition_counts[from][to];
       if (count == 0) continue;
       registry
           ->GetCounter(
@@ -156,29 +152,7 @@ void SessionSupervisor::ExportToRegistry(obs::Registry* registry) const {
     }
   }
   registry->GetGauge("supervisor.state")
-      ->Set(static_cast<double>(static_cast<int>(health_)));
-}
-
-SessionSupervisor::State SessionSupervisor::SaveState() const {
-  State s;
-  s.health = health_;
-  s.consecutive_failures = consecutive_failures_;
-  s.consecutive_successes = consecutive_successes_;
-  s.transitions = transitions_;
-  std::memcpy(s.outcome_counts, outcome_counts_, sizeof(outcome_counts_));
-  std::memcpy(s.transition_counts, transition_counts_,
-              sizeof(transition_counts_));
-  return s;
-}
-
-void SessionSupervisor::RestoreState(const State& state) {
-  health_ = state.health;
-  consecutive_failures_ = static_cast<size_t>(state.consecutive_failures);
-  consecutive_successes_ = static_cast<size_t>(state.consecutive_successes);
-  transitions_ = state.transitions;
-  std::memcpy(outcome_counts_, state.outcome_counts, sizeof(outcome_counts_));
-  std::memcpy(transition_counts_, state.transition_counts,
-              sizeof(transition_counts_));
+      ->Set(static_cast<double>(static_cast<int>(state_.health)));
 }
 
 }  // namespace digest

@@ -104,12 +104,14 @@ class SessionSupervisor {
   /// outcome name "peer_quarantine".
   SessionHealth RecordQuarantineBreach();
 
-  SessionHealth health() const { return health_; }
-  size_t consecutive_failures() const { return consecutive_failures_; }
-  size_t consecutive_successes() const { return consecutive_successes_; }
-  uint64_t transitions() const { return transitions_; }
+  SessionHealth health() const { return state_.health; }
+  size_t consecutive_failures() const { return state_.consecutive_failures; }
+  size_t consecutive_successes() const {
+    return state_.consecutive_successes;
+  }
+  uint64_t transitions() const { return state_.transitions; }
   uint64_t outcome_count(SnapshotOutcome outcome) const {
-    return outcome_counts_[static_cast<size_t>(outcome)];
+    return state_.outcome_counts[static_cast<size_t>(outcome)];
   }
 
   /// Dumps cumulative outcome/transition counters and the current state
@@ -118,7 +120,8 @@ class SessionSupervisor {
   /// Call once at end of run, like the other registry bridges.
   void ExportToRegistry(obs::Registry* registry) const;
 
-  /// Serializable machine state for the engine checkpoint.
+  /// The machine's state, which is also the engine checkpoint's
+  /// "supervisor" section.
   struct State {
     SessionHealth health = SessionHealth::kHealthy;
     uint64_t consecutive_failures = 0;
@@ -139,8 +142,8 @@ class SessionSupervisor {
       v("transition_counts", transition_counts);
     }
   };
-  State SaveState() const;
-  void RestoreState(const State& state);
+  State SaveState() const { return state_; }
+  void RestoreState(const State& state) { state_ = state; }
 
  private:
   void Transition(SessionHealth to, SnapshotOutcome outcome,
@@ -150,13 +153,7 @@ class SessionSupervisor {
 
   SupervisorOptions options_;
   obs::Tracer* tracer_ = nullptr;
-  SessionHealth health_ = SessionHealth::kHealthy;
-  size_t consecutive_failures_ = 0;
-  size_t consecutive_successes_ = 0;
-  uint64_t transitions_ = 0;
-  uint64_t outcome_counts_[kNumSnapshotOutcomes] = {0, 0, 0, 0};
-  uint64_t transition_counts_[kNumSessionHealthStates]
-                             [kNumSessionHealthStates] = {};
+  State state_;
 };
 
 }  // namespace digest

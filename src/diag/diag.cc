@@ -11,6 +11,14 @@ namespace digest {
 namespace diag {
 namespace {
 
+// Total-variation distance above which a batch's empirical visit
+// distribution is out of tolerance with the stationary target (a
+// "stationary gap breach").
+constexpr double kTvBreachThreshold = 0.25;
+// A peer is "hot" when its message load exceeds this multiple of the
+// mean per-peer load (and at least two peers carried load).
+constexpr double kHotPeerFactor = 2.0;
+
 void Field(std::string* out, const char* key, const std::string& value) {
   if (out->back() != '{') out->push_back(',');
   out->push_back('"');
@@ -82,7 +90,7 @@ void SamplerDiag::FinishBatch(const OverlaySnapshot& overlay,
     }
   }
   d.breach = d.live_visits >= options_.min_visits &&
-             d.tv_distance > options_.tv_breach_threshold;
+             d.tv_distance > kTvBreachThreshold;
 
   // --- Burn-in adequacy from the per-walk scalar series xₜ = w(vₜ). ---
   // Pooled lag-1 autocorrelation (walk-mean-centered, weighted by lag
@@ -173,8 +181,7 @@ void SamplerDiag::FinishBatch(const OverlaySnapshot& overlay,
                                          static_cast<double>(d.loaded_peers)
                                    : 0.0;
   d.hot = d.loaded_peers >= 2 &&
-          static_cast<double>(d.max_load) >
-              options_.hot_peer_factor * d.mean_load;
+          static_cast<double>(d.max_load) > kHotPeerFactor * d.mean_load;
 
   // --- Export: trace events and registry keys. ---
   if (obs::Tracing(tracer)) {

@@ -14,21 +14,16 @@
 namespace digest {
 namespace diag {
 
-/// Thresholds for the sampler-introspection verdicts. Defaults are
-/// deliberately loose: the diagnostics are a debugging instrument, and a
+/// Tuning of the sampler-introspection verdicts. The thresholds are
+/// deliberately loose constants in diag.cc (a batch breaches above a
+/// total-variation distance of 0.25; a peer is hot above twice the mean
+/// per-peer load): the diagnostics are a debugging instrument, and a
 /// breach only re-attributes an audit miss that already happened — it
 /// never changes engine behavior.
 struct DiagOptions {
-  /// Total-variation distance above which a batch's empirical visit
-  /// distribution is declared out of tolerance with the stationary
-  /// target (a "stationary gap breach").
-  double tv_breach_threshold = 0.25;
   /// Minimum live visits in a batch before a breach may be declared —
   /// a handful of warm-walk steps is not evidence of poor mixing.
   uint64_t min_visits = 32;
-  /// A peer is "hot" when its message load exceeds this multiple of the
-  /// mean per-peer load (and at least two peers carried load).
-  double hot_peer_factor = 2.0;
 };
 
 /// Per-walk diagnostic scratchpad. One instance rides each walk agent
@@ -79,7 +74,7 @@ struct BatchDiagnostics {
   NodeId hot_peer = 0;         ///< Max-load peer (smallest id on ties).
   uint64_t max_load = 0;       ///< Messages touching the hot peer.
   double mean_load = 0.0;      ///< Mean messages per loaded peer.
-  bool hot = false;            ///< max_load > hot_peer_factor · mean_load.
+  bool hot = false;            ///< max_load > 2 · mean_load.
   bool breach = false;         ///< Stationary gap out of tolerance.
 };
 

@@ -137,13 +137,13 @@ class MessageMeter {
   /// Resets all counters to zero.
   void Reset() { *this = MessageMeter(); }
 
-  /// Overwrites one category's count (checkpoint restore only).
-  void RestoreCount(Category c, uint64_t n) {
-    counts_[static_cast<size_t>(c)] = n;
+  /// Checkpoint field list (common/checkpoint_codec.h): the engine
+  /// checkpoint's "meter" section is a whole meter.
+  template <class V>
+  void Fields(V& v) {
+    v("counts", counts_);
+    v("losses", losses_);
   }
-
-  /// Overwrites the loss annotation count (checkpoint restore only).
-  void RestoreLosses(uint64_t n) { losses_ = n; }
 
  private:
   uint64_t counts_[kNumCategories] = {};

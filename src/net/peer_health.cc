@@ -73,14 +73,14 @@ Status PeerHealthConfig::Validate() const {
 PeerHealthMonitor::PeerHealthMonitor(PeerHealthConfig config)
     : config_(config) {}
 
-PeerHealthMonitor::Peer& PeerHealthMonitor::PeerAt(NodeId id) {
-  if (static_cast<size_t>(id) >= peers_.size()) {
-    peers_.resize(static_cast<size_t>(id) + 1);
+PeerHealthMonitor::PeerState& PeerHealthMonitor::PeerAt(NodeId id) {
+  for (NodeId next = static_cast<NodeId>(peers_.size()); next <= id; ++next) {
+    peers_.push_back(PeerState{.peer = next});
   }
   return peers_[id];
 }
 
-double PeerHealthMonitor::Phi(const Peer& peer) const {
+double PeerHealthMonitor::Phi(const PeerState& peer) const {
   // Virtual-time gap since the last delivery, plus the consecutive
   // failure count as sub-tick evidence (a batch folds many outcomes at
   // one tick, and each additional failure is additional evidence).
@@ -88,38 +88,37 @@ double PeerHealthMonitor::Phi(const Peer& peer) const {
   double mean = config_.initial_interval;
   if (peer.has_success) {
     gap += static_cast<double>(
-        std::max<int64_t>(0, now_ - peer.last_success));
+        std::max<int64_t>(0, run_.now - peer.last_success));
     mean = std::max(peer.mean_interval, 1e-9);
   }
   return gap / (mean * kLn10);
 }
 
-void PeerHealthMonitor::Transition(NodeId id, Peer& peer, BreakerState to,
+void PeerHealthMonitor::Transition(PeerState& peer, BreakerState to,
                                    double phi) {
   const BreakerState from = peer.breaker;
   if (from == to) return;
   if (from == BreakerState::kOpen) --quarantined_;
   if (to == BreakerState::kOpen) ++quarantined_;
   peer.breaker = to;
-  ++breaker_transitions_;
+  ++run_.breaker_transitions;
   if (obs::Tracing(tracer_)) {
     tracer_->Emit(obs::BreakerTransitionEvent{
-        static_cast<uint64_t>(id), BreakerStateName(from),
+        static_cast<uint64_t>(peer.peer), BreakerStateName(from),
         BreakerStateName(to), phi});
   }
 }
 
 void PeerHealthMonitor::set_now(int64_t t) {
-  now_ = t;
+  run_.now = t;
   // Age open breakers into their trial window. Main-thread only, and
   // peers are scanned in id order, so the transition (and event) order
   // is deterministic.
-  for (NodeId id = 0; id < static_cast<NodeId>(peers_.size()); ++id) {
-    Peer& peer = peers_[id];
-    if (peer.breaker == BreakerState::kOpen && now_ >= peer.open_until) {
+  for (PeerState& peer : peers_) {
+    if (peer.breaker == BreakerState::kOpen && t >= peer.open_until) {
       peer.trial_outcomes = 0;
       peer.trial_successes = 0;
-      Transition(id, peer, BreakerState::kHalfOpen, Phi(peer));
+      Transition(peer, BreakerState::kHalfOpen, Phi(peer));
     }
   }
 }
@@ -138,41 +137,41 @@ QuarantineView PeerHealthMonitor::SnapshotView() const {
 }
 
 void PeerHealthMonitor::RecordOutcome(NodeId id, bool delivered) {
-  Peer& peer = PeerAt(id);
+  PeerState& peer = PeerAt(id);
   peer.tracked = true;
-  ++outcomes_folded_;
+  ++run_.outcomes_folded;
   if (delivered) {
-    ++successes_;
+    ++run_.successes;
     ++peer.successes;
     if (peer.has_success) {
       const double interval = static_cast<double>(
-          std::max<int64_t>(1, now_ - peer.last_success));
+          std::max<int64_t>(1, run_.now - peer.last_success));
       peer.mean_interval += config_.interval_alpha *
                             (interval - peer.mean_interval);
     } else {
       peer.mean_interval = config_.initial_interval;
       peer.has_success = true;
     }
-    peer.last_success = now_;
+    peer.last_success = run_.now;
     peer.consecutive_failures = 0;
     peer.suspect_latched = false;
     if (peer.breaker == BreakerState::kHalfOpen) {
       ++peer.trial_outcomes;
       ++peer.trial_successes;
       if (peer.trial_successes >= config_.close_successes) {
-        ++closes_;
-        Transition(id, peer, BreakerState::kClosed, 0.0);
+        ++run_.closes;
+        Transition(peer, BreakerState::kClosed, 0.0);
       }
     }
     return;
   }
-  ++failures_;
+  ++run_.failures;
   ++peer.failures;
   ++peer.consecutive_failures;
   const double phi = Phi(peer);
   if (!peer.suspect_latched && phi >= config_.phi_suspect) {
     peer.suspect_latched = true;
-    ++suspects_;
+    ++run_.suspects;
     if (obs::Tracing(tracer_)) {
       tracer_->Emit(obs::PeerSuspectEvent{static_cast<uint64_t>(id), phi,
                                           peer.consecutive_failures});
@@ -183,17 +182,17 @@ void PeerHealthMonitor::RecordOutcome(NodeId id, bool delivered) {
     case BreakerState::kClosed:
       if (phi >= config_.phi_open &&
           peer.consecutive_failures >= config_.failure_floor) {
-        peer.open_until = now_ + config_.open_cooldown;
-        ++opens_;
-        Transition(id, peer, BreakerState::kOpen, phi);
+        peer.open_until = run_.now + config_.open_cooldown;
+        ++run_.opens;
+        Transition(peer, BreakerState::kOpen, phi);
       }
       break;
     case BreakerState::kHalfOpen:
       // Any trial failure re-opens for another cooldown.
       ++peer.trial_outcomes;
-      peer.open_until = now_ + config_.open_cooldown;
-      ++reopens_;
-      Transition(id, peer, BreakerState::kOpen, phi);
+      peer.open_until = run_.now + config_.open_cooldown;
+      ++run_.reopens;
+      Transition(peer, BreakerState::kOpen, phi);
       break;
     case BreakerState::kOpen:
       // Straggling outcomes from walks launched before the breaker
@@ -209,18 +208,18 @@ void PeerHealthMonitor::FoldWalk(const WalkHealthBuffer& buffer) {
 }
 
 void PeerHealthMonitor::FinishBatch(size_t population) {
-  ++batches_;
-  population_ = static_cast<uint64_t>(population);
-  if (quarantined_ > 0) quarantine_since_read_ = true;
+  ++run_.batches;
+  run_.population = static_cast<uint64_t>(population);
+  if (quarantined_ > 0) run_.quarantine_since_read = true;
   const double fraction = QuarantineFraction();
   if (config_.breakers_enabled &&
       fraction >= config_.quarantine_degrade_fraction) {
-    if (!degrade_latched_) {
-      degrade_latched_ = true;
-      ++pending_flips_;
+    if (!run_.degrade_latched) {
+      run_.degrade_latched = true;
+      ++run_.pending_flips;
     }
   } else {
-    degrade_latched_ = false;
+    run_.degrade_latched = false;
   }
 }
 
@@ -232,35 +231,32 @@ BreakerState PeerHealthMonitor::StateOf(NodeId peer) const {
 }
 
 double PeerHealthMonitor::QuarantineFraction() const {
-  if (population_ == 0) return 0.0;
+  if (run_.population == 0) return 0.0;
   return static_cast<double>(quarantined_) /
-         static_cast<double>(population_);
+         static_cast<double>(run_.population);
 }
 
 bool PeerHealthMonitor::TakePendingQuarantineFlip() {
-  if (pending_flips_ == 0) return false;
-  --pending_flips_;
+  if (run_.pending_flips == 0) return false;
+  --run_.pending_flips;
   return true;
 }
 
 bool PeerHealthMonitor::TakeQuarantineSinceLastRead() {
-  const bool q = quarantine_since_read_;
-  quarantine_since_read_ = false;
+  const bool q = run_.quarantine_since_read;
+  run_.quarantine_since_read = false;
   return q;
 }
 
 size_t PeerHealthMonitor::peers_tracked() const {
-  size_t tracked = 0;
-  for (const Peer& peer : peers_) {
-    if (peer.tracked) ++tracked;
-  }
-  return tracked;
+  return static_cast<size_t>(
+      std::ranges::count(peers_, true, &PeerState::tracked));
 }
 
 double PeerHealthMonitor::FlapRate() const {
-  const uint64_t total = opens_ + reopens_;
+  const uint64_t total = run_.opens + run_.reopens;
   if (total == 0) return 0.0;
-  return static_cast<double>(reopens_) / static_cast<double>(total);
+  return static_cast<double>(run_.reopens) / static_cast<double>(total);
 }
 
 void PeerHealthMonitor::Reset() {
@@ -273,15 +269,15 @@ void PeerHealthMonitor::Reset() {
 void PeerHealthMonitor::ExportToRegistry(obs::Registry* registry) const {
   if (registry == nullptr) return;
   const std::pair<const char*, uint64_t> counters[] = {
-      {"health.outcomes", outcomes_folded_},
-      {"health.successes", successes_},
-      {"health.failures", failures_},
-      {"health.suspects", suspects_},
-      {"health.breaker_transitions", breaker_transitions_},
-      {"health.breaker_opens", opens_},
-      {"health.breaker_reopens", reopens_},
-      {"health.breaker_closes", closes_},
-      {"health.batches", batches_},
+      {"health.outcomes", run_.outcomes_folded},
+      {"health.successes", run_.successes},
+      {"health.failures", run_.failures},
+      {"health.suspects", run_.suspects},
+      {"health.breaker_transitions", run_.breaker_transitions},
+      {"health.breaker_opens", run_.opens},
+      {"health.breaker_reopens", run_.reopens},
+      {"health.breaker_closes", run_.closes},
+      {"health.batches", run_.batches},
   };
   for (const auto& [name, value] : counters) {
     if (value == 0) continue;
@@ -299,33 +295,33 @@ std::string PeerHealthMonitor::SummaryJson() const {
   // Keys sorted; counters as plain JSON numbers (bench extras, not the
   // checkpoint codec) — byte-comparable across thread counts/repeats.
   std::string out = "{\"batches\":";
-  out += std::to_string(batches_);
+  out += std::to_string(run_.batches);
   out += ",\"breaker_transitions\":";
-  out += std::to_string(breaker_transitions_);
+  out += std::to_string(run_.breaker_transitions);
   out += ",\"closes\":";
-  out += std::to_string(closes_);
+  out += std::to_string(run_.closes);
   out += ",\"failures\":";
-  out += std::to_string(failures_);
+  out += std::to_string(run_.failures);
   out += ",\"flap_rate\":";
   AppendDouble(&out, FlapRate());
   out += ",\"opens\":";
-  out += std::to_string(opens_);
+  out += std::to_string(run_.opens);
   out += ",\"outcomes\":";
-  out += std::to_string(outcomes_folded_);
+  out += std::to_string(run_.outcomes_folded);
   out += ",\"peers_tracked\":";
   out += std::to_string(peers_tracked());
   out += ",\"population\":";
-  out += std::to_string(population_);
+  out += std::to_string(run_.population);
   out += ",\"quarantine_fraction\":";
   AppendDouble(&out, QuarantineFraction());
   out += ",\"quarantined\":";
   out += std::to_string(quarantined_);
   out += ",\"reopens\":";
-  out += std::to_string(reopens_);
+  out += std::to_string(run_.reopens);
   out += ",\"successes\":";
-  out += std::to_string(successes_);
+  out += std::to_string(run_.successes);
   out += ",\"suspects\":";
-  out += std::to_string(suspects_);
+  out += std::to_string(run_.suspects);
   out += '}';
   return out;
 }
@@ -339,93 +335,43 @@ std::string PeerHealthMonitor::SummaryText() const {
                 "flap=%.3f)\n",
                 peers_tracked(), quarantined_,
                 100.0 * QuarantineFraction(),
-                static_cast<unsigned long long>(suspects_),
-                static_cast<unsigned long long>(breaker_transitions_),
-                static_cast<unsigned long long>(opens_),
-                static_cast<unsigned long long>(reopens_),
-                static_cast<unsigned long long>(closes_), FlapRate());
+                static_cast<unsigned long long>(run_.suspects),
+                static_cast<unsigned long long>(run_.breaker_transitions),
+                static_cast<unsigned long long>(run_.opens),
+                static_cast<unsigned long long>(run_.reopens),
+                static_cast<unsigned long long>(run_.closes), FlapRate());
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "  outcomes=%llu delivered=%llu lost=%llu over %llu "
                 "batch(es)\n",
-                static_cast<unsigned long long>(outcomes_folded_),
-                static_cast<unsigned long long>(successes_),
-                static_cast<unsigned long long>(failures_),
-                static_cast<unsigned long long>(batches_));
+                static_cast<unsigned long long>(run_.outcomes_folded),
+                static_cast<unsigned long long>(run_.successes),
+                static_cast<unsigned long long>(run_.failures),
+                static_cast<unsigned long long>(run_.batches));
   out += buf;
   return out;
 }
 
 PeerHealthMonitor::State PeerHealthMonitor::SaveState() const {
-  State s;
-  s.now = now_;
-  for (NodeId id = 0; id < static_cast<NodeId>(peers_.size()); ++id) {
-    const Peer& peer = peers_[id];
-    if (!peer.tracked && peer.breaker == BreakerState::kClosed) continue;
-    PeerState p;
-    p.peer = id;
-    p.breaker = static_cast<int>(peer.breaker);
-    p.mean_interval = peer.mean_interval;
-    p.has_success = peer.has_success;
-    p.last_success = peer.last_success;
-    p.consecutive_failures = peer.consecutive_failures;
-    p.suspect_latched = peer.suspect_latched;
-    p.open_until = peer.open_until;
-    p.trial_outcomes = peer.trial_outcomes;
-    p.trial_successes = peer.trial_successes;
-    p.peer_successes = peer.successes;
-    p.peer_failures = peer.failures;
-    s.peers.push_back(p);
+  State state{run_, {}};
+  for (const PeerState& peer : peers_) {
+    if (peer.tracked || peer.breaker != BreakerState::kClosed) {
+      state.peers.push_back(peer);
+    }
   }
-  s.outcomes_folded = outcomes_folded_;
-  s.successes = successes_;
-  s.failures = failures_;
-  s.suspects = suspects_;
-  s.breaker_transitions = breaker_transitions_;
-  s.opens = opens_;
-  s.reopens = reopens_;
-  s.closes = closes_;
-  s.batches = batches_;
-  s.population = population_;
-  s.degrade_latched = degrade_latched_;
-  s.pending_flips = pending_flips_;
-  s.quarantine_since_read = quarantine_since_read_;
-  return s;
+  return state;
 }
 
 void PeerHealthMonitor::RestoreState(const State& state) {
+  run_ = state.run;
   peers_.clear();
   quarantined_ = 0;
-  now_ = state.now;
-  for (const PeerState& p : state.peers) {
-    Peer& peer = PeerAt(p.peer);
-    peer.breaker = static_cast<BreakerState>(p.breaker);
-    peer.mean_interval = p.mean_interval;
-    peer.has_success = p.has_success;
-    peer.last_success = p.last_success;
-    peer.consecutive_failures = p.consecutive_failures;
-    peer.suspect_latched = p.suspect_latched;
-    peer.open_until = p.open_until;
-    peer.trial_outcomes = p.trial_outcomes;
-    peer.trial_successes = p.trial_successes;
-    peer.successes = p.peer_successes;
-    peer.failures = p.peer_failures;
+  for (const PeerState& saved : state.peers) {
+    PeerState& peer = PeerAt(saved.peer);
+    peer = saved;
     peer.tracked = true;
     if (peer.breaker == BreakerState::kOpen) ++quarantined_;
   }
-  outcomes_folded_ = state.outcomes_folded;
-  successes_ = state.successes;
-  failures_ = state.failures;
-  suspects_ = state.suspects;
-  breaker_transitions_ = state.breaker_transitions;
-  opens_ = state.opens;
-  reopens_ = state.reopens;
-  closes_ = state.closes;
-  batches_ = state.batches;
-  population_ = state.population;
-  degrade_latched_ = state.degrade_latched;
-  pending_flips_ = state.pending_flips;
-  quarantine_since_read_ = state.quarantine_since_read;
 }
 
 }  // namespace digest

@@ -173,7 +173,7 @@ class PeerHealthMonitor {
   /// transition to half-open here (deterministically, on the main
   /// thread), so a batch at time t routes against breakers aged to t.
   void set_now(int64_t t);
-  int64_t now() const { return now_; }
+  int64_t now() const { return run_.now; }
 
   /// Immutable quarantine snapshot for one batch (open breakers only;
   /// half-open peers are routed again — their trial outcomes decide).
@@ -213,15 +213,15 @@ class PeerHealthMonitor {
   bool TakeQuarantineSinceLastRead();
 
   /// Run counters, for tests, the registry, and the summary.
-  uint64_t outcomes_folded() const { return outcomes_folded_; }
-  uint64_t successes() const { return successes_; }
-  uint64_t failures() const { return failures_; }
-  uint64_t suspects() const { return suspects_; }
-  uint64_t breaker_transitions() const { return breaker_transitions_; }
-  uint64_t opens() const { return opens_; }
-  uint64_t reopens() const { return reopens_; }
-  uint64_t closes() const { return closes_; }
-  uint64_t batches() const { return batches_; }
+  uint64_t outcomes_folded() const { return run_.outcomes_folded; }
+  uint64_t successes() const { return run_.successes; }
+  uint64_t failures() const { return run_.failures; }
+  uint64_t suspects() const { return run_.suspects; }
+  uint64_t breaker_transitions() const { return run_.breaker_transitions; }
+  uint64_t opens() const { return run_.opens; }
+  uint64_t reopens() const { return run_.reopens; }
+  uint64_t closes() const { return run_.closes; }
+  uint64_t batches() const { return run_.batches; }
   size_t peers_tracked() const;
 
   /// Flap rate: re-opens per open — breakers that keep bouncing between
@@ -245,22 +245,23 @@ class PeerHealthMonitor {
   /// Human-readable two-line digest of SummaryJson for bench output.
   std::string SummaryText() const;
 
-  /// Serializable per-run state for the engine checkpoint ("health"
-  /// section of digest-checkpoint-v3). Config is configuration, not
-  /// state, matching the checkpoint discipline.
+  /// One peer's detector and breaker record. The monitor keeps one per
+  /// NodeId up to the largest seen; the checkpoint carries the tracked
+  /// or non-closed ones.
   struct PeerState {
     NodeId peer = 0;
-    int breaker = 0;  ///< BreakerState ladder index.
-    double mean_interval = 0.0;
+    BreakerState breaker = BreakerState::kClosed;
+    double mean_interval = 0.0;  ///< EWMA of inter-success gaps (ticks).
     bool has_success = false;
-    int64_t last_success = 0;
+    int64_t last_success = 0;  ///< Valid when has_success.
     uint64_t consecutive_failures = 0;
-    bool suspect_latched = false;
-    int64_t open_until = 0;
-    uint64_t trial_outcomes = 0;
+    bool suspect_latched = false;  ///< peer_suspect emitted this excursion.
+    int64_t open_until = 0;        ///< Valid when breaker == kOpen.
+    uint64_t trial_outcomes = 0;   ///< Half-open outcomes consumed.
     uint64_t trial_successes = 0;
-    uint64_t peer_successes = 0;
-    uint64_t peer_failures = 0;
+    uint64_t successes = 0;
+    uint64_t failures = 0;
+    bool tracked = false;  ///< Has folded an outcome; not checkpointed.
 
     /// Checkpoint field list (common/checkpoint_codec.h).
     template <class V>
@@ -275,13 +276,13 @@ class PeerHealthMonitor {
       v("open_until", open_until);
       v("trial_outcomes", trial_outcomes);
       v("trial_successes", trial_successes);
-      v("successes", peer_successes);
-      v("failures", peer_failures);
+      v("successes", successes);
+      v("failures", failures);
     }
   };
-  struct State {
+  /// The run's virtual clock, counters and latches.
+  struct RunState {
     int64_t now = 0;
-    std::vector<PeerState> peers;  ///< Ascending NodeId.
     uint64_t outcomes_folded = 0;
     uint64_t successes = 0;
     uint64_t failures = 0;
@@ -291,7 +292,7 @@ class PeerHealthMonitor {
     uint64_t reopens = 0;
     uint64_t closes = 0;
     uint64_t batches = 0;
-    uint64_t population = 0;
+    uint64_t population = 0;  ///< Live nodes at the last FinishBatch.
     bool degrade_latched = false;
     uint64_t pending_flips = 0;
     bool quarantine_since_read = false;
@@ -313,6 +314,19 @@ class PeerHealthMonitor {
       v("degrade_latched", degrade_latched);
       v("pending_flips", pending_flips);
       v("quarantine_since_read", quarantine_since_read);
+    }
+  };
+  /// Per-run state for the engine checkpoint ("health" section of
+  /// digest-checkpoint-v3). Config is configuration, not state,
+  /// matching the checkpoint discipline.
+  struct State {
+    RunState run;
+    std::vector<PeerState> peers;  ///< Ascending NodeId.
+
+    /// Checkpoint field list (common/checkpoint_codec.h).
+    template <class V>
+    void Fields(V& v) {
+      run.Fields(v);
       v("peers", peers);
       v.Check(
           [&] {
@@ -323,48 +337,21 @@ class PeerHealthMonitor {
     }
   };
   State SaveState() const;
+  /// Installs `state`: the run state whole, each saved peer at its id
+  /// (marked tracked), and the quarantine count recounted.
   void RestoreState(const State& state);
 
  private:
-  struct Peer {
-    BreakerState breaker = BreakerState::kClosed;
-    double mean_interval = 0.0;  ///< EWMA of inter-success gaps (ticks).
-    bool has_success = false;
-    int64_t last_success = 0;  ///< Valid when has_success.
-    uint64_t consecutive_failures = 0;
-    bool suspect_latched = false;  ///< peer_suspect emitted this excursion.
-    int64_t open_until = 0;        ///< Valid when breaker == kOpen.
-    uint64_t trial_outcomes = 0;   ///< Half-open outcomes consumed.
-    uint64_t trial_successes = 0;
-    uint64_t successes = 0;
-    uint64_t failures = 0;
-    bool tracked = false;  ///< Has folded at least one outcome.
-  };
-
-  Peer& PeerAt(NodeId id);
-  double Phi(const Peer& peer) const;
-  void Transition(NodeId id, Peer& peer, BreakerState to, double phi);
+  PeerState& PeerAt(NodeId id);
+  double Phi(const PeerState& peer) const;
+  void Transition(PeerState& peer, BreakerState to, double phi);
   void RecordOutcome(NodeId id, bool delivered);
 
   PeerHealthConfig config_;
   obs::Tracer* tracer_ = nullptr;
-  int64_t now_ = 0;
-  std::vector<Peer> peers_;  ///< Indexed by NodeId, grown on demand.
+  RunState run_;
+  std::vector<PeerState> peers_;  ///< Indexed by NodeId, grown on demand.
   size_t quarantined_ = 0;
-
-  uint64_t outcomes_folded_ = 0;
-  uint64_t successes_ = 0;
-  uint64_t failures_ = 0;
-  uint64_t suspects_ = 0;
-  uint64_t breaker_transitions_ = 0;
-  uint64_t opens_ = 0;
-  uint64_t reopens_ = 0;
-  uint64_t closes_ = 0;
-  uint64_t batches_ = 0;
-  uint64_t population_ = 0;  ///< Live nodes at the last FinishBatch.
-  bool degrade_latched_ = false;
-  uint64_t pending_flips_ = 0;
-  bool quarantine_since_read_ = false;
 };
 
 }  // namespace digest

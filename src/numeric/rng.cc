@@ -18,12 +18,11 @@ uint64_t SplitMix64(uint64_t& x) {
 
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
-  for (auto& s : state_) s = SplitMix64(sm);
+  for (uint64_t& word : state_.words) word = SplitMix64(sm);
   // All-zero state would be absorbing; SplitMix64 of any seed avoids it
   // with overwhelming probability, but guard anyway.
-  if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) {
-    state_[0] = 0x1ULL;
-  }
+  const uint64_t* s = state_.words;
+  if ((s[0] | s[1] | s[2] | s[3]) == 0) state_.words[0] = 0x1ULL;
 }
 
 int64_t Rng::NextInt(int64_t lo, int64_t hi) {
@@ -32,9 +31,9 @@ int64_t Rng::NextInt(int64_t lo, int64_t hi) {
 }
 
 double Rng::NextGaussian() {
-  if (has_spare_gaussian_) {
-    has_spare_gaussian_ = false;
-    return spare_gaussian_;
+  if (state_.has_spare_gaussian) {
+    state_.has_spare_gaussian = false;
+    return state_.spare_gaussian;
   }
   double u, v, s;
   do {
@@ -43,8 +42,8 @@ double Rng::NextGaussian() {
     s = u * u + v * v;
   } while (s >= 1.0 || s == 0.0);
   const double mul = std::sqrt(-2.0 * std::log(s) / s);
-  spare_gaussian_ = v * mul;
-  has_spare_gaussian_ = true;
+  state_.spare_gaussian = v * mul;
+  state_.has_spare_gaussian = true;
   return u * mul;
 }
 
@@ -89,7 +88,7 @@ Rng::Splitter::Splitter(const Rng& parent) {
   const uint64_t salts[4] = {0xa0761d6478bd642fULL, 0xe7037ed1a0b428dbULL,
                              0x8ebc6af09c88c6e3ULL, 0x589965cc75374cc3ULL};
   for (int i = 0; i < 4; ++i) {
-    acc ^= parent.state_[i] * salts[i];
+    acc ^= parent.state_.words[i] * salts[i];
     acc = SplitMix64(acc);
   }
   state_hash_ = acc;

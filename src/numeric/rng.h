@@ -24,14 +24,15 @@ class Rng {
 
   /// Next raw 64-bit value.
   uint64_t NextU64() {
-    const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-    const uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = Rotl(state_[3], 45);
+    uint64_t* s = state_.words;
+    const uint64_t result = Rotl(s[0] + s[3], 23) + s[0];
+    const uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = Rotl(s[3], 45);
     return result;
   }
 
@@ -173,34 +174,15 @@ class Rng {
     }
   };
 
-  State SaveState() const {
-    State s;
-    s.words[0] = state_[0];
-    s.words[1] = state_[1];
-    s.words[2] = state_[2];
-    s.words[3] = state_[3];
-    s.has_spare_gaussian = has_spare_gaussian_;
-    s.spare_gaussian = spare_gaussian_;
-    return s;
-  }
-
-  void RestoreState(const State& s) {
-    state_[0] = s.words[0];
-    state_[1] = s.words[1];
-    state_[2] = s.words[2];
-    state_[3] = s.words[3];
-    has_spare_gaussian_ = s.has_spare_gaussian;
-    spare_gaussian_ = s.spare_gaussian;
-  }
+  State SaveState() const { return state_; }
+  void RestoreState(const State& state) { state_ = state; }
 
  private:
   static uint64_t Rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
 
-  uint64_t state_[4];
-  bool has_spare_gaussian_ = false;
-  double spare_gaussian_ = 0.0;
+  State state_;  ///< The xoshiro words and the spare Gaussian, in place.
 };
 
 }  // namespace digest

@@ -253,7 +253,8 @@ struct StationaryGapEvent {
 
 /// Per-peer/per-link message-load accounting for one batch (weight
 /// probes + accepted hops). `hot` flags the max-load peer when it
-/// carries more than hot_peer_factor × the mean per-peer load.
+/// carries more than twice the mean per-peer load (diag.cc's
+/// kHotPeerFactor).
 struct PeerLoadEvent {
   uint64_t peers = 0;  ///< Peers that carried at least one message.
   uint64_t links = 0;  ///< Distinct links that carried messages.

@@ -4,8 +4,21 @@
 
 namespace digest {
 
+Status SizeEstimatorOptions::Validate() const {
+  if (initial_samples < 1) {
+    return Status::InvalidArgument(
+        "size estimator: initial_samples must be >= 1");
+  }
+  if (collision_target < 1) {
+    return Status::InvalidArgument(
+        "size estimator: collision_target must be >= 1");
+  }
+  return Status::OK();
+}
+
 Result<CollisionSizeEstimator::Estimate>
 CollisionSizeEstimator::ComputeEstimate() {
+  DIGEST_RETURN_IF_ERROR(options_.Validate());
   std::unordered_map<NodeId, size_t> counts;
   size_t samples = 0;
   size_t collisions = 0;
@@ -48,7 +61,6 @@ CollisionSizeEstimator::ComputeEstimate() {
   const double m = static_cast<double>(samples);
   est.nodes = m * (m - 1.0) / (2.0 * static_cast<double>(collisions));
   est.tuples = est.nodes * (content_sum / m);
-  est.samples_used = samples;
   return est;
 }
 
@@ -58,15 +70,14 @@ Result<double> CollisionSizeEstimator::EstimateNetworkSize() {
 }
 
 Result<double> CollisionSizeEstimator::EstimateRelationSize() {
-  if (has_estimate_ && options_.refresh_period > 0 &&
-      calls_since_estimate_ < options_.refresh_period) {
-    ++calls_since_estimate_;
-    return cached_.tuples;
+  if (state_.has_estimate && options_.refresh_period > 0 &&
+      state_.calls_since_estimate < options_.refresh_period) {
+    ++state_.calls_since_estimate;
+    return state_.tuples;
   }
-  DIGEST_ASSIGN_OR_RETURN(cached_, ComputeEstimate());
-  has_estimate_ = true;
-  calls_since_estimate_ = 1;
-  return cached_.tuples;
+  DIGEST_ASSIGN_OR_RETURN(const Estimate est, ComputeEstimate());
+  state_ = {true, est.tuples, 1};
+  return state_.tuples;
 }
 
 }  // namespace digest

@@ -2,6 +2,7 @@
 #define DIGEST_SAMPLING_SIZE_ESTIMATOR_H_
 
 #include <cstddef>
+#include <cstdint>
 
 #include "common/result.h"
 #include "db/size_oracle.h"
@@ -24,6 +25,11 @@ struct SizeEstimatorOptions {
   /// Estimates are cached and recomputed only every `refresh_period`
   /// queries (0 = recompute every time).
   size_t refresh_period = 16;
+
+  /// Requires initial_samples >= 1 (an empty first batch would double
+  /// forever) and collision_target >= 1 (a zero target stops before any
+  /// collision, giving |V|^ = NaN).
+  Status Validate() const;
 };
 
 /// Fully distributed estimator of the network size |V| and relation
@@ -62,13 +68,31 @@ class CollisionSizeEstimator : public SizeOracle {
   Result<double> EstimateRelationSize() override;
 
   /// Drops the cached estimate (e.g., after heavy churn).
-  void Invalidate() { calls_since_estimate_ = 0; has_estimate_ = false; }
+  void Invalidate() { state_ = State(); }
+
+  /// The cached |R|^ and its age, which is also the engine checkpoint's
+  /// "size_oracle" section: a restored engine reuses the cache exactly
+  /// as often as an uninterrupted one would.
+  struct State {
+    bool has_estimate = false;
+    double tuples = 0.0;
+    uint64_t calls_since_estimate = 0;
+
+    /// Checkpoint field list (common/checkpoint_codec.h).
+    template <class V>
+    void Fields(V& v) {
+      v("has_estimate", has_estimate);
+      v("tuples", tuples);
+      v("calls_since_estimate", calls_since_estimate);
+    }
+  };
+  State SaveState() const { return state_; }
+  void RestoreState(const State& state) { state_ = state; }
 
  private:
   struct Estimate {
     double nodes = 0.0;
     double tuples = 0.0;
-    size_t samples_used = 0;
   };
   Result<Estimate> ComputeEstimate();
 
@@ -76,10 +100,7 @@ class CollisionSizeEstimator : public SizeOracle {
   SamplingOperator* op_;
   NodeId origin_;
   SizeEstimatorOptions options_;
-
-  bool has_estimate_ = false;
-  Estimate cached_;
-  size_t calls_since_estimate_ = 0;
+  State state_;
 };
 
 }  // namespace digest

@@ -351,6 +351,15 @@ void ExpectEveryRemovalRejected(Target& target) {
   }
 }
 
+/// A SUM engine whose N comes from the sampled size oracle. The sum is
+/// of load / 100, so the fixture's ε = 4 asks for pilot-sized samples.
+EngineCase SampledOracleCase() {
+  EngineCase c;
+  c.query = "SELECT SUM(load / 100) FROM R";
+  c.size_oracle = SizeOracleKind::kSampled;
+  return c;
+}
+
 TEST(CheckpointRestoreTest, EngineBlobMissingAnyMemberIsRejectedUnapplied) {
   EngineSession session(GoldenEngineCase());  // Meter, auditor, health.
   ASSERT_TRUE(session.Run(5).ok());
@@ -359,6 +368,39 @@ TEST(CheckpointRestoreTest, EngineBlobMissingAnyMemberIsRejectedUnapplied) {
     ASSERT_NE(blob.find(section), std::string::npos) << section;
   }
   ExpectEveryRemovalRejected(session.engine());
+
+  EngineSession sampled(SampledOracleCase());
+  ASSERT_TRUE(sampled.Run(5).ok());
+  const std::string sampled_blob = sampled.engine().Checkpoint().value();
+  for (const char* section : {"\"uniform\":", "\"size_oracle\":"}) {
+    ASSERT_NE(sampled_blob.find(section), std::string::npos) << section;
+  }
+  ExpectEveryRemovalRejected(sampled.engine());
+}
+
+TEST(CheckpointRestoreTest, SampledSizeOracleResumesItsCachedEstimate) {
+  // The sampled oracle re-walks for |R|^ only every refresh_period
+  // queries. A restored engine must reuse the cached estimate exactly
+  // as often as the uninterrupted one, or it walks off schedule and
+  // scales its answers by another N.
+  EngineSession uninterrupted(SampledOracleCase());
+  EngineSession restored(SampledOracleCase());
+  ASSERT_TRUE(uninterrupted.Run(5).ok());
+  ASSERT_TRUE(restored.Run(5).ok());
+  const std::string blob = restored.engine().Checkpoint().value();
+  ASSERT_TRUE(restored.Rebuild().ok());
+  ASSERT_TRUE(restored.engine().Restore(blob).ok());
+  for (int tick = 6; tick <= 40; ++tick) {
+    const Result<EngineTickResult> a = uninterrupted.Tick();
+    const Result<EngineTickResult> b = restored.Tick();
+    ASSERT_TRUE(a.ok()) << a.status();
+    ASSERT_TRUE(b.ok()) << b.status();
+    EXPECT_EQ(a->reported_value, b->reported_value) << "tick " << tick;
+    EXPECT_EQ(a->ci_halfwidth, b->ci_halfwidth) << "tick " << tick;
+  }
+  EXPECT_EQ(uninterrupted.meter()->Total(), restored.meter()->Total());
+  EXPECT_EQ(uninterrupted.engine().Checkpoint().value(),
+            restored.engine().Checkpoint().value());
 }
 
 TEST(CheckpointRestoreTest, NodeBlobMissingAnyMemberIsRejectedUnapplied) {

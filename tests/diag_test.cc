@@ -177,7 +177,7 @@ TEST(SamplerDiagTest, RhatSeparatesDisagreeingWalks) {
 TEST(SamplerDiagTest, HotPeerDetectionOnStarLoad) {
   // Star-shaped message load: every hop lands on node 0. With four
   // leaves each touched once and the hub touched four times, the hub
-  // exceeds hot_peer_factor × mean and is flagged.
+  // exceeds twice the mean (diag.cc's kHotPeerFactor) and is flagged.
   Graph g;
   const NodeId hub = g.AddNode();
   std::vector<NodeId> leaves;

@@ -1,12 +1,16 @@
 // MessageMeter accounting invariants: per-category counts always sum to
 // Total() (including at saturation), losses stay out of the total, and
-// the checkpoint-restore overwrites behave.
+// a checkpoint decode overwrites every count.
 #include "net/message_meter.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <string>
+
+#include "common/checkpoint_codec.h"
+#include "common/json.h"
 
 namespace digest {
 namespace {
@@ -90,12 +94,18 @@ TEST(MessageMeterTest, ResetClearsEverything) {
   EXPECT_EQ(meter.losses(), 0u);
 }
 
-TEST(MessageMeterTest, RestoreCountOverwritesExactly) {
+TEST(MessageMeterTest, DecodeOverwritesExactly) {
+  MessageMeter saved;
+  saved.AddWalkHop(7);
+  saved.AddHedgedDuplicate(2);
+  saved.AddLoss(5);
+  std::string encoded;
+  ckpt::Encode(&encoded, saved);
   MessageMeter meter;
   meter.AddWalkHop(100);
-  meter.RestoreCount(MessageMeter::Category::kWalkHop, 7);
-  meter.RestoreCount(MessageMeter::Category::kHedgedDuplicate, 2);
-  meter.RestoreLosses(5);
+  meter.AddRefresh(3);
+  meter.AddLoss(1);
+  ASSERT_TRUE(ckpt::Decode(json::Parse(encoded).value(), &meter).ok());
   EXPECT_EQ(meter.walk_hops(), 7u);
   EXPECT_EQ(meter.hedged_duplicates(), 2u);
   EXPECT_EQ(meter.losses(), 5u);

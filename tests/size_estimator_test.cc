@@ -156,6 +156,39 @@ TEST_P(SizeEstimatorAccuracy, NetworkSizeWithin40Percent) {
 INSTANTIATE_TEST_SUITE_P(Sizes, SizeEstimatorAccuracy,
                          ::testing::Values(40, 80, 160, 320));
 
+TEST(SizeEstimatorTest, ZeroSamplesOrCollisionTargetIsInvalid) {
+  // initial_samples = 0 never ends the doubling loop, and
+  // collision_target = 0 stops before any collision (|V|^ = NaN).
+  Rng topo(7);
+  Fixture f(MakeBarabasiAlbert(60, 3, topo).value(), 4, 8);
+  SamplingOperator op(&f.graph, UniformWeight(), Rng(9), nullptr,
+                      FastWalks());
+  const ContinuousQuerySpec spec =
+      ContinuousQuerySpec::Create("SELECT SUM(v) FROM R",
+                                  PrecisionSpec{10.0, 150.0, 0.95})
+          .value();
+  for (const bool zero_samples : {true, false}) {
+    SizeEstimatorOptions options;
+    options.initial_samples = zero_samples ? 0 : 1;
+    options.collision_target = zero_samples ? 32 : 0;
+    EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
+    CollisionSizeEstimator est(f.db.get(), &op, 0, options);
+    EXPECT_EQ(est.EstimateNetworkSize().status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(est.EstimateRelationSize().status().code(),
+              StatusCode::kInvalidArgument);
+
+    DigestEngineOptions engine_options;
+    engine_options.size_oracle = SizeOracleKind::kSampled;
+    engine_options.size_estimator_options = options;
+    EXPECT_EQ(DigestEngine::Create(&f.graph, f.db.get(), spec, 0, Rng(10),
+                                   nullptr, engine_options)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(SizeEstimatorEngineTest, SumQueryWithSampledOracle) {
   // End-to-end: a SUM query whose N comes from the distributed
   // estimator instead of ground truth.
