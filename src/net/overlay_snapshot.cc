@@ -38,6 +38,17 @@ void OverlaySnapshot::BuildRows(const Graph& graph) {
     }
     offsets_[static_cast<size_t>(id) + 1] = neighbors_.size();
   }
+  reciprocals_.resize(ids);
+  for (NodeId id = 0; id < ids; ++id) {
+    reciprocals_[id] = Rng::PickReciprocal(Degree(id));
+  }
+  row_words_.clear();
+  if (neighbors_.size() < (uint64_t{1} << 32)) {
+    row_words_.resize(ids);
+    for (NodeId id = 0; id < ids; ++id) {
+      row_words_[id] = offsets_[id] | static_cast<uint64_t>(Degree(id)) << 32;
+    }
+  }
   live_count_ = graph.NodeCount();
   source_ = &graph;
   source_version_ = graph.version();

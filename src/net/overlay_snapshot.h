@@ -23,6 +23,10 @@ namespace digest {
 ///  - a live flag per node id (dead and never-allocated ids have no
 ///    node and an empty row);
 ///  - one weight per node id (0 for dead ids);
+///  - per node id, the row's pick reciprocal (Rng::PickReciprocal of its
+///    degree), so a uniform pick over the row needs no 64-bit division,
+///    and a packed row word for steppers that gather rows eight at a
+///    time;
 ///  - once BuildCoins() has run, one acceptance coin per CSR entry i→j:
 ///    the move's acceptance probability, computed from the two ends'
 ///    weights and degrees, as an Rng::Coin. Since both ends are frozen
@@ -95,6 +99,25 @@ class OverlaySnapshot {
     return id < live_.size() ? coins_.data() + offsets_[id] : nullptr;
   }
 
+  /// Rng::PickReciprocal(Degree(id)): Rng::NextIndex(Degree(id), it)
+  /// picks a neighbour without a 64-bit division. 0 for out-of-range ids.
+  uint64_t PickReciprocal(NodeId id) const {
+    return id < reciprocals_.size() ? reciprocals_[id] : 0;
+  }
+
+  /// The flat arrays behind the accessors above, for a stepper that
+  /// gathers from them eight walks at a time: by node id, the row words
+  /// and pick reciprocals; by CSR entry, the neighbour ids and, while
+  /// HasCoins(), the coins. Row word i packs row i's first entry (low 32
+  /// bits) and Degree(i) (high 32 bits), so the words exist only while
+  /// EntryCount() < 2^32; RowWords() is null otherwise.
+  const uint64_t* RowWords() const {
+    return row_words_.empty() ? nullptr : row_words_.data();
+  }
+  const uint64_t* PickReciprocals() const { return reciprocals_.data(); }
+  const NodeId* NeighborEntries() const { return neighbors_.data(); }
+  const Rng::Coin* CoinEntries() const { return coins_.data(); }
+
   /// True iff `id` was a live node at the last refresh.
   bool HasNode(NodeId id) const { return id < live_.size() && live_[id] != 0; }
 
@@ -142,6 +165,9 @@ class OverlaySnapshot {
   std::vector<uint8_t> live_;      ///< Indexed by NodeId.
   std::vector<double> weights_;    ///< Indexed by NodeId.
   std::vector<Rng::Coin> coins_;   ///< Parallel to neighbors_.
+  // Indexed by NodeId and built with the rows; see RowWords.
+  std::vector<uint64_t> row_words_;
+  std::vector<uint64_t> reciprocals_;
   bool has_coins_ = false;
   size_t live_count_ = 0;
   // What the rows were built from: a graph object and its version.

@@ -45,17 +45,28 @@ class Rng {
   /// Uniform integer in [0, bound). `bound` must be > 0. Uses rejection to
   /// avoid modulo bias.
   uint64_t NextIndex(uint64_t bound) {
-    // A draw below threshold = 2^64 mod bound is redrawn, so r % bound
-    // is unbiased. The threshold is always below bound, so any draw >=
-    // bound is accepted without computing it (a 64-bit division); the
-    // draw sequence is the same either way.
     if (bound == 0) return 0;
-    uint64_t r = NextU64();
-    if (r < bound) {
-      const uint64_t threshold = (-bound) % bound;
-      while (r < threshold) r = NextU64();
-    }
-    return r % bound;
+    return IndexDraw(bound) % bound;
+  }
+
+  /// ⌊(2^64 − 1) / bound⌋, the reciprocal NextIndex(bound, reciprocal)
+  /// picks with; 0 for bound 0.
+  static uint64_t PickReciprocal(uint64_t bound) {
+    return bound == 0 ? 0 : UINT64_MAX / bound;
+  }
+
+  /// NextIndex(bound) without a 64-bit division: `reciprocal` must be
+  /// PickReciprocal(bound). The same draws, redraw included, and the
+  /// same index: q = mulhi(r, reciprocal) is ⌊r / bound⌋ or one less for
+  /// every 64-bit r, so r − q · bound is the remainder or the remainder
+  /// plus bound, and one conditional subtraction finishes it.
+  uint64_t NextIndex(uint64_t bound, uint64_t reciprocal) {
+    if (bound == 0) return 0;
+    const uint64_t r = IndexDraw(bound);
+    const uint64_t q = static_cast<uint64_t>(
+        (static_cast<unsigned __int128>(r) * reciprocal) >> 64);
+    const uint64_t rest = r - q * bound;
+    return rest >= bound ? rest - bound : rest;
   }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
@@ -180,6 +191,20 @@ class Rng {
  private:
   static uint64_t Rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
+  }
+
+  // The draw NextIndex reduces modulo `bound` (> 0). A draw below
+  // threshold = 2^64 mod bound is redrawn, so the remainder is unbiased.
+  // The threshold is always below bound, so any draw >= bound is
+  // accepted without computing it (a 64-bit division); the draw
+  // sequence is the same either way.
+  uint64_t IndexDraw(uint64_t bound) {
+    uint64_t r = NextU64();
+    if (r < bound) {
+      const uint64_t threshold = (-bound) % bound;
+      while (r < threshold) r = NextU64();
+    }
+    return r;
   }
 
   State state_;  ///< The xoshiro words and the spare Gaussian, in place.

@@ -34,7 +34,7 @@ enum class Phase : int {
   kExtrapolatorPredict,  ///< PRED gap prediction (Eq. 4 search).
   kEstimatorEvaluate,    ///< Snapshot estimation (INDEP/RPT regression).
   kWalkBatch,            ///< SamplingOperator::SampleNodes, whole batch.
-  kWalkAdvance,          ///< One agent's stepping to convergence.
+  kWalkAdvance,          ///< Stepping a clean batch's chunk or one walk.
   kFaultDraw,            ///< FaultPlan randomness draws.
   kPhaseCount,           ///< Sentinel; not a phase.
 };

@@ -3,6 +3,7 @@
 #include "common/saturating.h"
 #include "diag/diag.h"
 #include "net/peer_health.h"
+#include "sampling/lockstep_kernel.h"
 #include "sampling/metropolis.h"
 
 namespace digest {
@@ -63,9 +64,9 @@ size_t LiveDegree(const OverlaySnapshot& overlay, NodeId node,
 // quarantine, diag and health branch below folds away at compile time
 // and the same source compiles to the lean loop. kCoins (clean only)
 // steps on the snapshot's acceptance-coin table: the walk carries its
-// position's coin row instead of its weight, and a proposal flips the
-// drawn entry's coin instead of computing the acceptance. `position` is
-// read on entry and written back on return.
+// position's coin row and pick reciprocal instead of its weight, and a
+// proposal flips the drawn entry's coin instead of computing the
+// acceptance. `position` is read on entry and written back on return.
 template <bool kHooks, bool kCoins>
 Status Transitions(const WalkContext& ctx, size_t steps, Rng::Coin lazy_coin,
                    NodeId& position) {
@@ -119,6 +120,7 @@ Status Transitions(const WalkContext& ctx, size_t steps, Rng::Coin lazy_coin,
   }
   std::span<const NodeId> row = overlay.Neighbors(current);
   const Rng::Coin* coins = kCoins ? overlay.Coins(current) : nullptr;
+  uint64_t reciprocal = kCoins ? overlay.PickReciprocal(current) : 0;
   double weight = kCoins ? 0.0 : overlay.Weight(current);
   for (; step < steps && failure == nullptr; ++step) {
     // One transition: returns null once it is over, moved or not, and
@@ -155,7 +157,8 @@ Status Transitions(const WalkContext& ctx, size_t steps, Rng::Coin lazy_coin,
           --pick;
         }
       } else {
-        entry = rng.NextIndex(row.size());
+        entry = kCoins ? rng.NextIndex(row.size(), reciprocal)
+                       : rng.NextIndex(row.size());
         proposal = row[entry];
       }
       // Probing the neighbor's weight costs one message (charged whether
@@ -169,6 +172,7 @@ Status Transitions(const WalkContext& ctx, size_t steps, Rng::Coin lazy_coin,
         current = proposal;
         row = overlay.Neighbors(current);
         coins = overlay.Coins(current);
+        reciprocal = overlay.PickReciprocal(current);
         return nullptr;
       }
       if (diag != nullptr) diag->RecordProbe(current, proposal);
@@ -266,6 +270,34 @@ void WalkTelemetry::Merge(const WalkTelemetry& other) {
   backoff_units = SatAdd(backoff_units, other.backoff_units);
   hedges += other.hedges;
   hedge_wins += other.hedge_wins;
+}
+
+bool LockstepKernelRuns(const OverlaySnapshot& overlay, Rng::Coin lazy_coin) {
+  return LockstepKernelAvailable() && overlay.HasCoins() &&
+         overlay.RowWords() != nullptr &&
+         lazy_coin.threshold < Rng::Coin::kTails;
+}
+
+void StepCleanWalks(const OverlaySnapshot& overlay, Rng::Coin lazy_coin,
+                    std::span<CleanWalk> walks) {
+  size_t grouped = 0;
+  if (LockstepKernelRuns(overlay, lazy_coin)) {
+    grouped = walks.size() - walks.size() % kLockstepLanes;
+    StepLockstepGroups(overlay, lazy_coin, walks.first(grouped));
+  }
+  for (CleanWalk& walk : walks.subspan(grouped)) {
+    WalkTelemetry telemetry;
+    const WalkContext ctx{.overlay = overlay,
+                          .rng = walk.rng,
+                          .fallback = walk.position,
+                          .telemetry = &telemetry};
+    RandomWalk agent(walk.position, lazy_coin);
+    // A live start cannot fail: only a dead start and fallback do.
+    (void)agent.Advance(ctx, walk.steps);
+    walk.position = agent.current();
+    walk.proposals = telemetry.proposals;
+    walk.accepted = telemetry.accepted;
+  }
 }
 
 Status RandomWalk::Advance(const WalkContext& ctx, size_t steps) {

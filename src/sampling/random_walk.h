@@ -1,7 +1,9 @@
 #ifndef DIGEST_SAMPLING_RANDOM_WALK_H_
 #define DIGEST_SAMPLING_RANDOM_WALK_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "common/result.h"
 #include "net/fault_plan.h"
@@ -159,7 +161,10 @@ class RandomWalk {
   /// `ctx.rng`, written back on return; the position with its neighbour
   /// row and its weight or coin row, carried from step to step; and the
   /// call's counts. Liveness is checked once, on entry: snapshot rows
-  /// hold only live ids, so a walk that starts live stays live.
+  /// hold only live ids, so a walk that starts live stays live. The coin
+  /// instantiation picks the neighbour with the row's pick reciprocal
+  /// (OverlaySnapshot::PickReciprocal), the same index and draws as
+  /// Rng::NextIndex without its 64-bit division.
   Status Advance(const WalkContext& ctx, size_t steps);
 
  private:
@@ -167,6 +172,44 @@ class RandomWalk {
   /// Stays put on heads: Rng::Coin::Of(laziness).
   Rng::Coin lazy_coin_;
 };
+
+/// One walk of a clean batch, stepped by StepCleanWalks: its plan on
+/// entry, its outcome on return.
+struct CleanWalk {
+  Rng rng;                 ///< The walk's generator, advanced in place.
+  NodeId position = 0;     ///< Live on entry; where the walk ends.
+  size_t steps = 0;        ///< Transitions to attempt.
+  uint64_t proposals = 0;  ///< Set on return: weight probes sent.
+  uint64_t accepted = 0;   ///< Set on return: moves made (walk hops).
+};
+
+/// Walks the lockstep kernel steps per vector.
+inline constexpr size_t kLockstepLanes = 8;
+
+/// True iff this CPU has AVX-512F, which the lockstep kernel needs. Read
+/// once.
+bool LockstepKernelAvailable();
+
+/// True iff StepCleanWalks steps walks over `overlay` with `lazy_coin`
+/// on the lockstep kernel: the CPU has AVX-512F, the snapshot holds its
+/// coin table and row words (OverlaySnapshot::RowWords, present while
+/// EntryCount() < 2^32), and the lazy coin draws (its threshold is below
+/// Rng::Coin::kTails: 0 < laziness < 1, or NaN).
+bool LockstepKernelRuns(const OverlaySnapshot& overlay, Rng::Coin lazy_coin);
+
+/// Steps each walk of `walks` by its `steps` over `overlay`, exactly as
+/// RandomWalk::Advance with no hook does: the same draws, end position,
+/// proposals and accepted moves, walk by walk. Every position must be
+/// live in `overlay` (a caller re-injects a dead start first, as
+/// Advance's entry check would). When LockstepKernelRuns, walks step in
+/// groups of kLockstepLanes, one AVX-512 vector per group and two groups
+/// interleaved, with masks where the scalar loop branches; the walks
+/// that do not fill a group, and every walk otherwise, step on Advance's
+/// loop. A lane whose pick draw is below its degree, which NextIndex may
+/// redraw (probability about degree / 2^64), takes that one step on
+/// Advance's loop too.
+void StepCleanWalks(const OverlaySnapshot& overlay, Rng::Coin lazy_coin,
+                    std::span<CleanWalk> walks);
 
 }  // namespace digest
 

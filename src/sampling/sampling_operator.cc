@@ -159,11 +159,12 @@ uint64_t SamplingOperator::HedgeThreshold(size_t steps) const {
 Result<PartialBatch> SamplingOperator::SampleNodes(NodeId origin, size_t n) {
   // DESIGN.md "Parallel execution & determinism model": randomness,
   // fault injection, accounting and tracing are keyed by WALK INDEX and
-  // land in the walk's slot; walks share nothing mutable, and the
-  // calling thread merges the slots in walk-index order after the pool
-  // barrier, so the result is bit-identical at any thread count. Since
-  // walks cannot see each other, hedge statistics freeze at batch start
-  // and the hop budget cuts at walk granularity (see the merge below).
+  // land in the walk's slot (a clean batch's CleanWalk); walks share
+  // nothing mutable, and the calling thread merges them in walk-index
+  // order after the pool barrier, so the result is bit-identical at any
+  // thread count. Since walks cannot see each other, hedge statistics
+  // freeze at batch start and the hop budget cuts at walk granularity
+  // (see the hooked merge).
   const obs::Instruments& in = instruments_;
   prof::ScopedTimer batch_timer(in.profiler, prof::Phase::kWalkBatch);
   if (graph_->NodeCount() == 0) {
@@ -190,16 +191,19 @@ Result<PartialBatch> SamplingOperator::SampleNodes(NodeId origin, size_t n) {
   const size_t reset_len = EffectiveResetLength();
   const uint64_t planned = static_cast<uint64_t>(warm) * reset_len +
                            static_cast<uint64_t>(n - warm) * walk_len;
-  // Clean walks (no fault plan, diag or health) step on the snapshot's
-  // acceptance-coin table when it is there. It is built here, before
-  // fan-out, for a batch of clean walks that plans at least one step per
-  // CSR entry over an overlay its refresh found unchanged: a build costs
-  // a few steps' time per entry, so only an overlay that repeats from
-  // batch to batch pays it back, and the batch's own steps cover a good
-  // part. The refresh drops the table on any change, so a static overlay
-  // builds it once, and a churned one never does and steps as before.
-  if (faults_ == nullptr && in.diag == nullptr && in.health == nullptr &&
-      !overlay_changed && planned >= overlay_.EntryCount()) {
+  // A clean batch (no fault plan, diag or health) steps its walks in
+  // 16-walk chunks; any other keeps one slot per walk for its hooks.
+  const bool clean =
+      faults_ == nullptr && in.diag == nullptr && in.health == nullptr;
+  // Clean walks step on the snapshot's acceptance-coin table when it is
+  // there. It is built here, before fan-out, for a clean batch that
+  // plans at least one step per CSR entry over an overlay its refresh
+  // found unchanged: a build costs a few steps' time per entry, so only
+  // an overlay that repeats from batch to batch pays it back, and the
+  // batch's own steps cover a good part. The refresh drops the table on
+  // any change, so a static overlay builds it once, and a churned one
+  // never does and steps as before.
+  if (clean && !overlay_changed && planned >= overlay_.EntryCount()) {
     overlay_.BuildCoins<MetropolisAcceptance>();
   }
   // Batch attempt budget, provisioned up front: a batch planned to take
@@ -230,27 +234,153 @@ Result<PartialBatch> SamplingOperator::SampleNodes(NodeId origin, size_t n) {
   const uint64_t batch_key = rng_.NextU64();
   const Rng::Splitter substream(Rng{batch_key});
 
+  std::vector<NodeId> out;
+  out.reserve(n);
+  bool cut = false;
+  const BatchPlan plan{.n = n,
+                       .fallback = fallback,
+                       .walk_len = walk_len,
+                       .reset_len = reset_len,
+                       .planned = planned,
+                       .budget = budget,
+                       .quarantine = qv,
+                       .tracing = tracing};
+  if (clean) {
+    DIGEST_RETURN_IF_ERROR(StepCleanBatch(plan, substream, out));
+  } else {
+    DIGEST_ASSIGN_OR_RETURN(cut, StepHookedBatch(plan, substream, out));
+  }
+
+  if (!cut && !options_.warm_walks) agents_.clear();
+  if (tracing && cut) {
+    // The overlay was too lossy/stalled to finish this batch in time:
+    // the caller degrades (or finalizes a partial snapshot).
+    in.tracer->Emit(obs::HopBudgetExhaustedEvent{last_telemetry_.attempts,
+                                                 budget});
+  } else if (tracing) {
+    if (last_telemetry_.stalled_steps > 0) {
+      in.tracer->Emit(obs::FaultStallEvent{last_telemetry_.stalled_steps});
+    }
+    in.tracer->Emit(obs::WalkBatchDoneEvent{
+        out.size(), last_telemetry_.attempts, last_telemetry_.retries,
+        last_telemetry_.losses, last_telemetry_.drops,
+        last_telemetry_.stalled_steps, last_telemetry_.hedges,
+        last_telemetry_.hedge_wins});
+  }
+  ObserveBatch(in.registry, last_telemetry_, out.size(), cut);
+  if (in.diag != nullptr) {
+    in.diag->FinishBatch(overlay_, last_telemetry_.proposals,
+                         last_telemetry_.accepted, in.tracer, in.registry);
+  }
+  if (in.health != nullptr) in.health->FinishBatch(graph_->NodeCount());
+  return PartialBatch{std::move(out), cut};
+}
+
+Status SamplingOperator::StepCleanBatch(const BatchPlan& plan,
+                                        const Rng::Splitter& substream,
+                                        std::vector<NodeId>& out) {
+  const obs::Instruments& in = instruments_;
+  const size_t n = plan.n;
+  // Plan: warm agents reset, cold walks mix. A warm agent whose host
+  // left the network is re-injected at the fallback, which the refresh
+  // found live, for one walk-hop message, as Advance's entry check does.
+  if (clean_walks_.size() < n) clean_walks_.resize(n);
+  uint64_t reinjections = 0;
+  for (size_t i = 0; i < n; ++i) {
+    CleanWalk& walk = clean_walks_[i];
+    const bool is_warm = options_.warm_walks && i < agents_.size();
+    walk.position = is_warm ? agents_[i] : plan.fallback;
+    walk.steps = is_warm ? plan.reset_len : plan.walk_len;
+    if (!overlay_.HasNode(walk.position)) {
+      walk.position = plan.fallback;
+      ++reinjections;
+    }
+  }
+
+  // Step: one chunk of kChunkWalks walks per item, seeded by walk index
+  // and stepped by one worker, in two lockstep groups where the kernel
+  // runs. Each worker times its chunks into a private track.
+  std::vector<prof::Track> tracks;
+  if (in.profiler != nullptr) {
+    tracks.assign(pool_->num_threads(), prof::Track(in.profiler));
+  }
+  const size_t chunks = (n + kChunkWalks - 1) / kChunkWalks;
+  const Status status = pool_->ParallelFor(
+      chunks, [&](size_t chunk, size_t worker) -> Status {
+        const size_t begin = chunk * kChunkWalks;
+        const size_t end = std::min(n, begin + kChunkWalks);
+        for (size_t i = begin; i < end; ++i) {
+          clean_walks_[i].rng = substream(2 * i);
+        }
+        // The chunk's stepping; items count its attempted transitions.
+        prof::Track* track = tracks.empty() ? nullptr : &tracks[worker];
+        prof::ScopedTrackTimer timer(track, prof::Phase::kWalkAdvance);
+        for (size_t i = begin; i < end; ++i) {
+          timer.AddItems(clean_walks_[i].steps);
+        }
+        StepCleanWalks(overlay_, lazy_coin_,
+                       std::span(clean_walks_).subspan(begin, end - begin));
+        return Status::OK();
+      });
+  for (size_t w = 0; w < tracks.size(); ++w) {
+    in.profiler->FoldTrack(w, tracks[w]);
+  }
+  DIGEST_RETURN_IF_ERROR(status);
+
+  // Merge once: every walk delivers (no fault plan, so no budget cut).
+  uint64_t proposals = 0;
+  uint64_t accepted = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const CleanWalk& walk = clean_walks_[i];
+    proposals += walk.proposals;
+    accepted += walk.accepted;
+    if (i < agents_.size()) {
+      agents_[i] = walk.position;
+    } else {
+      agents_.push_back(walk.position);
+    }
+    out.push_back(walk.position);
+  }
+  last_telemetry_.attempts = plan.planned;
+  last_telemetry_.proposals = proposals;
+  last_telemetry_.accepted = accepted;
+  if (meter_ != nullptr) {
+    // One probe per proposal, one hop per move or re-injection, and one
+    // transfer per sample reported back to the originator.
+    meter_->AddWeightProbe(proposals);
+    meter_->AddWalkHop(accepted + reinjections);
+    meter_->AddSampleTransfer(n);
+  }
+  return Status::OK();
+}
+
+Result<bool> SamplingOperator::StepHookedBatch(const BatchPlan& plan,
+                                               const Rng::Splitter& substream,
+                                               std::vector<NodeId>& out) {
+  const obs::Instruments& in = instruments_;
   // Per-walk plan. The hedge donor is the start-of-batch position of
   // walk i-1's agent: already mixed when it is a pre-batch warm agent,
   // so a reset suffices; a cold predecessor contributes only the
   // fallback, which keeps the cold walk length.
+  const size_t n = plan.n;
   if (slots_.size() < n) slots_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     WalkSlot& slot = slots_[i];
     const bool is_warm = options_.warm_walks && i < agents_.size();
-    slot.start = is_warm ? agents_[i] : fallback;
-    slot.steps = is_warm ? reset_len : walk_len;
+    slot.start = is_warm ? agents_[i] : plan.fallback;
+    slot.steps = is_warm ? plan.reset_len : plan.walk_len;
     if (faults_ == nullptr) continue;
     slot.threshold = HedgeThreshold(slot.steps);
-    slot.hedge_origin = fallback;
-    slot.hedge_steps = walk_len;
+    slot.hedge_origin = plan.fallback;
+    slot.hedge_steps = plan.walk_len;
     if (options_.warm_walks && i >= 1) {
       const size_t donor = i - 1;
       const NodeId donor_pos =
-          donor < agents_.size() ? agents_[donor] : fallback;
+          donor < agents_.size() ? agents_[donor] : plan.fallback;
       if (overlay_.HasNode(donor_pos)) {
         slot.hedge_origin = donor_pos;
-        slot.hedge_steps = donor < agents_.size() ? reset_len : walk_len;
+        slot.hedge_steps =
+            donor < agents_.size() ? plan.reset_len : plan.walk_len;
       }
     }
     slot.fault_key = substream(2 * i + 1).NextU64();
@@ -274,12 +404,12 @@ Result<PartialBatch> SamplingOperator::SampleNodes(NodeId origin, size_t n) {
         Rng walk_rng = substream(2 * i);
         WalkContext ctx{.overlay = overlay_,
                         .rng = walk_rng,
-                        .fallback = fallback,
+                        .fallback = plan.fallback,
                         .meter = meter_ != nullptr ? &slot.meter : nullptr,
                         .retry = &options_.retry,
                         .telemetry = &slot.telemetry,
                         .diag = in.diag != nullptr ? &slot.diag : nullptr,
-                        .quarantine = qv,
+                        .quarantine = plan.quarantine,
                         .health =
                             in.health != nullptr ? &slot.health : nullptr};
         prof::Track* track = tracks.empty() ? nullptr : &tracks[worker];
@@ -296,7 +426,7 @@ Result<PartialBatch> SamplingOperator::SampleNodes(NodeId origin, size_t n) {
         FaultPlan sub = faults_->SpawnSubstream(slot.fault_key);
         sub.SetTrack(track);
         obs::BufferTracer buffer;
-        if (tracing) sub.SetTracer(&buffer);
+        if (plan.tracing) sub.SetTracer(&buffer);
         ctx.faults = &sub;
         size_t remaining = slot.steps;
         // Hedge race: once the primary overruns the straggler threshold,
@@ -304,7 +434,7 @@ Result<PartialBatch> SamplingOperator::SampleNodes(NodeId origin, size_t n) {
         // units, the deterministic stand-in for wall clock); each round
         // the walker that has spent less since the launch steps next.
         // Both draw from this walk's substream.
-        RandomWalk hedge(fallback, lazy_coin_);
+        RandomWalk hedge(plan.fallback, lazy_coin_);
         size_t hedge_remaining = 0;
         bool hedged = false;
         uint64_t primary_spent = 0;  // Attempt units since the launch.
@@ -322,13 +452,13 @@ Result<PartialBatch> SamplingOperator::SampleNodes(NodeId origin, size_t n) {
             hedge_spent = 0;
             ++slot.telemetry.hedges;
             if (ctx.meter != nullptr) ctx.meter->AddHedgeLaunch();
-            if (tracing) {
+            if (plan.tracing) {
               buffer.Emit(obs::WalkHedgedEvent{i, slot.telemetry.attempts,
                                                slot.threshold});
             }
           }
           advance_timer.AddItems(1);
-          if (slot.telemetry.attempts >= budget) {
+          if (slot.telemetry.attempts >= plan.budget) {
             // This walk alone exhausted the pooled budget; whether the
             // BATCH is cut here is decided at the merge, in index order.
             slot.timed_out = true;
@@ -349,8 +479,8 @@ Result<PartialBatch> SamplingOperator::SampleNodes(NodeId origin, size_t n) {
           if (slot.telemetry.drops > drops_before) {
             // The walker was lost in transit and re-injected at the
             // origin: it must re-mix from cold before its position counts.
-            *walker_remaining = walk_len;
-            if (tracing) buffer.Emit(obs::AgentRestartEvent{i});
+            *walker_remaining = plan.walk_len;
+            if (plan.tracing) buffer.Emit(obs::AgentRestartEvent{i});
           } else {
             --*walker_remaining;
           }
@@ -371,7 +501,7 @@ Result<PartialBatch> SamplingOperator::SampleNodes(NodeId origin, size_t n) {
         slot.fault_losses = sub.losses_injected();
         slot.fault_drops = sub.drops_injected();
         slot.fault_stale = sub.stale_injected();
-        if (tracing) slot.events = std::move(buffer.payloads());
+        if (plan.tracing) slot.events = std::move(buffer.payloads());
         slot.final_pos = agent.current();
         return Status::OK();
       });
@@ -390,12 +520,10 @@ Result<PartialBatch> SamplingOperator::SampleNodes(NodeId origin, size_t n) {
   // sample. Each accepted or charged walk commits its meter counts,
   // fault injections, buffered trace events (stamped with lane = walk
   // index), telemetry, and final agent position.
-  std::vector<NodeId> out;
-  out.reserve(n);
   bool cut = false;
   for (size_t i = 0; i < n; ++i) {
     // The merged attempts so far are the delivered walks' (saturating).
-    if (faults_ != nullptr && last_telemetry_.attempts >= budget) {
+    if (faults_ != nullptr && last_telemetry_.attempts >= plan.budget) {
       // Budget crossed at a walk boundary: this walk and all later ones
       // are discarded as if never launched (their agents keep their
       // start-of-batch positions).
@@ -436,30 +564,7 @@ Result<PartialBatch> SamplingOperator::SampleNodes(NodeId origin, size_t n) {
     // The agent reports the sampled node back to the originator.
     if (meter_ != nullptr) meter_->AddSampleTransfer();
   }
-
-  if (!cut && !options_.warm_walks) agents_.clear();
-  if (tracing && cut) {
-    // The overlay was too lossy/stalled to finish this batch in time:
-    // the caller degrades (or finalizes a partial snapshot).
-    in.tracer->Emit(obs::HopBudgetExhaustedEvent{last_telemetry_.attempts,
-                                                 budget});
-  } else if (tracing) {
-    if (last_telemetry_.stalled_steps > 0) {
-      in.tracer->Emit(obs::FaultStallEvent{last_telemetry_.stalled_steps});
-    }
-    in.tracer->Emit(obs::WalkBatchDoneEvent{
-        out.size(), last_telemetry_.attempts, last_telemetry_.retries,
-        last_telemetry_.losses, last_telemetry_.drops,
-        last_telemetry_.stalled_steps, last_telemetry_.hedges,
-        last_telemetry_.hedge_wins});
-  }
-  ObserveBatch(in.registry, last_telemetry_, out.size(), cut);
-  if (in.diag != nullptr) {
-    in.diag->FinishBatch(overlay_, last_telemetry_.proposals,
-                         last_telemetry_.accepted, in.tracer, in.registry);
-  }
-  if (in.health != nullptr) in.health->FinishBatch(graph_->NodeCount());
-  return PartialBatch{std::move(out), cut};
+  return cut;
 }
 
 SamplingOperator::State SamplingOperator::SaveState() const {

@@ -141,8 +141,11 @@ class SamplingOperator {
   /// the auditor is not read here). The tracer receives walk-batch
   /// lifecycle events; the registry hop-count, acceptance and retry
   /// histograms and batch counters; the profiler times whole batches
-  /// (kWalkBatch, items = samples) and per-agent stepping (kWalkAdvance,
-  /// items = hops). Diag and health fold each delivered walk's record in
+  /// (kWalkBatch, items = samples) and stepping (kWalkAdvance, items =
+  /// attempted transitions): one call per 16-walk chunk of a clean batch
+  /// (no fault plan, diag or health), one per walk of any other. Diag and
+  /// health make a batch hooked, so its walks never step on the lockstep
+  /// kernel. Diag and health fold each delivered walk's record in
   /// walk-index order and close every batch with FinishBatch; health
   /// also STEERS, routing each batch around the quarantine view frozen
   /// at its start. The rest are pure observation: samples, RNG stream
@@ -162,8 +165,11 @@ class SamplingOperator {
   /// Draws `n` sample nodes in batch mode (§VI-A): n agents with
   /// overlapping convergence, each contributing one node. Plans every
   /// walk, runs the walks on the worker pool, and merges them in
-  /// walk-index order. Under faults the batch hop budget may cut it:
-  /// the nodes that completed come back with timed_out = true.
+  /// walk-index order. A clean batch (no fault plan, diag or health)
+  /// runs 16-walk chunks through StepCleanWalks (sampling/random_walk.h)
+  /// and merges once; any other runs one slot per walk. Under faults the
+  /// batch hop budget may cut it: the nodes that completed come back
+  /// with timed_out = true.
   Result<PartialBatch> SampleNodes(NodeId origin, size_t n);
 
   /// Drops all warm agents (e.g., after a topology change large enough
@@ -229,6 +235,34 @@ class SamplingOperator {
   /// enough completed walks observed yet).
   uint64_t HedgeThreshold(size_t steps) const;
 
+  // What SampleNodes fixes for a batch before any walk is planned.
+  struct BatchPlan {
+    size_t n = 0;
+    NodeId fallback = 0;  // Live in overlay_.
+    size_t walk_len = 0;
+    size_t reset_len = 0;
+    uint64_t planned = 0;  // Steps over all walks.
+    uint64_t budget = 0;   // Attempt units; read under a fault plan only.
+    const QuarantineView* quarantine = nullptr;
+    bool tracing = false;
+  };
+
+  // Walks of a clean batch per pool item: two lockstep groups.
+  static constexpr size_t kChunkWalks = 2 * kLockstepLanes;
+
+  // A clean batch: plans every walk, steps kChunkWalks-walk chunks on
+  // the pool through StepCleanWalks, and merges once into `out`,
+  // agents_, the meter and last_telemetry_.
+  Status StepCleanBatch(const BatchPlan& plan, const Rng::Splitter& substream,
+                        std::vector<NodeId>& out);
+
+  // Any other batch: one slot per walk, stepped with its hooks and
+  // merged in walk-index order into `out` and the same state. Returns
+  // true when the hop budget cut the batch.
+  Result<bool> StepHookedBatch(const BatchPlan& plan,
+                               const Rng::Splitter& substream,
+                               std::vector<NodeId>& out);
+
   const Graph* graph_;
   WeightFn weight_;
   Rng rng_;
@@ -245,10 +279,12 @@ class SamplingOperator {
   // Positions of the warm agents; every batch reuses them from the first.
   std::vector<NodeId> agents_;
   std::unique_ptr<exec::WorkerPool> pool_;
-  // One plan + outcome slot per walk of the current batch, reused across
+  // One plan + outcome slot per walk of the current hooked batch, and
+  // one CleanWalk per walk of the current clean batch, reused across
   // batches so a batch allocates no per-walk state.
   struct WalkSlot;
   std::vector<WalkSlot> slots_;
+  std::vector<CleanWalk> clean_walks_;
   // Completed-walk stats for the hedge threshold (faulted batches only).
   uint64_t done_walks_ = 0;
   uint64_t done_attempts_ = 0;

@@ -54,10 +54,6 @@ Result<std::vector<TupleSample>> ClusterSampler::SampleCluster(
 
 Result<PartialTupleBatch> ExactTupleSampler::DrawFresh(NodeId /*origin*/,
                                                        size_t n) {
-  const size_t total = db_->TotalTuples();
-  if (total == 0) {
-    return Status::FailedPrecondition("relation R is empty");
-  }
   // Content-size-weighted node pick followed by a uniform local pick is
   // exactly uniform over tuples. The node pick is Rng::NextWeightedIndex
   // over the content sizes, by binary search over their running sums
@@ -65,12 +61,19 @@ Result<PartialTupleBatch> ExactTupleSampler::DrawFresh(NodeId /*origin*/,
   // running sum exceeds r (the last non-empty node if rounding put r at
   // the total). Sizes are integers, so every running sum is exact and
   // the two agree draw for draw, at O(log N) per draw instead of O(N).
+  // The one pass over the nodes resolves each store once, and a draw
+  // reads the picked one.
   const std::vector<NodeId> nodes = db_->Nodes();
+  std::vector<const LocalStore*> stores(nodes.size());
   std::vector<double> running(nodes.size());
   double sum = 0.0;
   for (size_t i = 0; i < nodes.size(); ++i) {
-    sum += static_cast<double>(db_->ContentSize(nodes[i]));
+    stores[i] = db_->FindStore(nodes[i]);
+    sum += static_cast<double>(stores[i]->Size());
     running[i] = sum;
+  }
+  if (sum == 0.0) {
+    return Status::FailedPrecondition("relation R is empty");
   }
   const size_t last_nonempty =
       std::lower_bound(running.begin(), running.end(), sum) - running.begin();
@@ -81,9 +84,7 @@ Result<PartialTupleBatch> ExactTupleSampler::DrawFresh(NodeId /*origin*/,
     const size_t pick = std::min<size_t>(
         std::upper_bound(running.begin(), running.end(), r) - running.begin(),
         last_nonempty);
-    const LocalStore* store = db_->FindStore(nodes[pick]);
-    const LocalStore::Slot* tuple_pick =
-        store == nullptr ? nullptr : store->UniformPick(rng_);
+    const LocalStore::Slot* tuple_pick = stores[pick]->UniformPick(rng_);
     if (tuple_pick == nullptr) {
       return Status::Internal("weighted pick landed on an empty store");
     }

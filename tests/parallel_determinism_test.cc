@@ -370,9 +370,14 @@ struct OperatorRun {
   MessageMeter meter;
   WalkTelemetry telemetry;
   SamplingOperator::State state;
+  bool coins = false;  // The last batch stepped on the coin table.
 };
 
-OperatorRun RunOperatorBatches(size_t num_threads, bool with_faults) {
+// Six batches of `walks` walks over an 8 x 8 mesh. A SamplerDiag
+// (`with_diag`) consumes no randomness but makes every batch hooked:
+// one slot per walk, the acceptance computed, never the lockstep kernel.
+OperatorRun RunOperatorBatches(size_t num_threads, bool with_faults,
+                               size_t walks = 12, bool with_diag = false) {
   const Graph graph = MakeMesh(8, 8).value();
   MessageMeter meter;
   SamplingOperatorOptions options;
@@ -386,11 +391,13 @@ OperatorRun RunOperatorBatches(size_t num_threads, bool with_faults) {
     plan.emplace(ModerateFaults(), kFaultSeed);
     op.SetFaultPlan(&*plan);
   }
+  diag::SamplerDiag diag;
+  if (with_diag) op.SetInstruments({.diag = &diag});
   const NodeId origin = *graph.LiveNodes().begin();
   OperatorRun run;
   for (int batch = 0; batch < 6; ++batch) {
     if (plan) plan->set_now(batch + 1);
-    Result<PartialBatch> result = op.SampleNodes(origin, /*n=*/12);
+    Result<PartialBatch> result = op.SampleNodes(origin, walks);
     EXPECT_TRUE(result.ok()) << result.status().message();
     if (!result.ok()) break;
     run.samples.insert(run.samples.end(), result->nodes.begin(),
@@ -400,6 +407,7 @@ OperatorRun RunOperatorBatches(size_t num_threads, bool with_faults) {
   run.meter = meter;
   run.telemetry = op.last_telemetry();
   run.state = op.SaveState();
+  run.coins = op.overlay().HasCoins();
   return run;
 }
 
@@ -440,6 +448,24 @@ TEST(ParallelDeterminismTest, OperatorBatchesBitIdenticalClean) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ExpectOperatorRunsEqual(reference,
                             RunOperatorBatches(threads, false));
+  }
+}
+
+TEST(ParallelDeterminismTest, CleanChunksMatchTheHookedSlotsAtAnyThreadCount) {
+  // 61 walks plan 244 warm steps, at least one per CSR entry of the mesh
+  // (224), so every batch after the first steps on the coin table: three
+  // 16-walk chunks and one of 13, which fills one lockstep group and
+  // leaves 5 walks to the scalar loop. The hooked run is the reference.
+  constexpr size_t kWalks = 61;
+  const OperatorRun reference =
+      RunOperatorBatches(1, /*with_faults=*/false, kWalks, /*with_diag=*/true);
+  EXPECT_FALSE(reference.coins);
+  EXPECT_EQ(reference.samples.size(), 6u * kWalks);
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const OperatorRun clean = RunOperatorBatches(threads, false, kWalks);
+    EXPECT_TRUE(clean.coins);
+    ExpectOperatorRunsEqual(reference, clean);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -149,6 +150,38 @@ WalkEnd RunWalk(const OverlaySnapshot& overlay, NodeId start, NodeId fallback,
   return end;
 }
 
+// Steps `walks` as one clean batch (StepCleanWalks: lockstep groups of
+// eight where the kernel runs, the rest on the scalar loop) and each
+// walk again on its own Advance from the same plan: every end position,
+// generator word, probe count and hop count must agree. Every start
+// must be live, as the operator's plan leaves it.
+void ExpectStepsLikeAdvance(const OverlaySnapshot& overlay,
+                            Rng::Coin lazy_coin,
+                            std::vector<CleanWalk> walks) {
+  const std::vector<CleanWalk> plans = walks;
+  StepCleanWalks(overlay, lazy_coin, walks);
+  for (size_t j = 0; j < walks.size(); ++j) {
+    SCOPED_TRACE("walk " + std::to_string(j));
+    Rng rng = plans[j].rng;
+    MessageMeter meter;
+    RandomWalk walk(plans[j].position, lazy_coin);
+    ASSERT_TRUE(walk.Advance({.overlay = overlay,
+                              .rng = rng,
+                              .fallback = plans[j].position,
+                              .meter = &meter},
+                             plans[j].steps)
+                    .ok());
+    EXPECT_EQ(walks[j].position, walk.current());
+    const Rng::State batch_state = walks[j].rng.SaveState();
+    const Rng::State walk_state = rng.SaveState();
+    for (int w = 0; w < 4; ++w) {
+      EXPECT_EQ(batch_state.words[w], walk_state.words[w]) << "word " << w;
+    }
+    EXPECT_EQ(walks[j].proposals, meter.weight_probes());
+    EXPECT_EQ(walks[j].accepted, meter.walk_hops());
+  }
+}
+
 TEST(RandomWalkTest, CleanAndHookedInstantiationsDrawAlike) {
   Rng topo_rng(9);
   const Graph irregular = MakeBarabasiAlbert(40, 2, topo_rng).value();
@@ -181,6 +214,10 @@ TEST(RandomWalkTest, CleanAndHookedInstantiationsDrawAlike) {
   const WeightFn infinite_pair = [&](NodeId v) {
     return v == 1 || v == 2 ? inf : 1.0;
   };
+  // A power-law overlay whose hubs pick among more than 100 neighbours,
+  // with the zero, NaN and infinite weights above.
+  Rng big_rng(2008);
+  const Graph big = MakeBarabasiAlbert(3000, 3, big_rng).value();
   struct Case {
     const char* name;
     OverlaySnapshot overlay;
@@ -202,10 +239,18 @@ TEST(RandomWalkTest, CleanAndHookedInstantiationsDrawAlike) {
       {"extreme weights", OverlaySnapshot(irregular, extreme), 0, 0, 0},
       // Each walk is trapped at node 1 or 2, then proposes the other.
       {"infinite pair", OverlaySnapshot(complete, infinite_pair), 0, 0, 0},
+      {"3000-peer power law", OverlaySnapshot(big, extreme), 0, 0, 0},
   };
+  size_t max_degree = 0;
+  for (NodeId v = 0; v < big.NextId(); ++v) {
+    max_degree = std::max(max_degree, big.Degree(v));
+  }
+  ASSERT_GT(max_degree, 100u);
   const size_t steps = 300;
   for (double laziness :
-       {0.0, 0x1.0p-53, 0.3, 0.5, 1.0 - 0x1.0p-53, 1.0}) {
+       {0.0, 0x1.0p-53, 0.3, 0.5, 1.0 - 0x1.0p-53, 1.0, std::nan("")}) {
+    // The lockstep kernel runs where the lazy coin draws.
+    const bool lazy_coin_draws = !(laziness <= 0.0 || laziness >= 1.0);
     for (const Case& c : cases) {
       // The clean instantiation steps on the acceptance-coin table when
       // the snapshot holds one and computes each acceptance when it does
@@ -214,6 +259,10 @@ TEST(RandomWalkTest, CleanAndHookedInstantiationsDrawAlike) {
       with_coins.BuildCoins<MetropolisAcceptance>();
       ASSERT_TRUE(with_coins.HasCoins());
       ASSERT_FALSE(c.overlay.HasCoins());
+      const Rng::Coin lazy_coin = Rng::Coin::Of(laziness);
+      EXPECT_EQ(LockstepKernelRuns(with_coins, lazy_coin),
+                LockstepKernelAvailable() && lazy_coin_draws);
+      EXPECT_FALSE(LockstepKernelRuns(c.overlay, lazy_coin));
       const OverlaySnapshot* const overlays[] = {&c.overlay, &with_coins};
       for (const OverlaySnapshot* overlay : overlays) {
         SCOPED_TRACE(std::string(c.name) + " laziness=" +
@@ -255,9 +304,87 @@ TEST(RandomWalkTest, CleanAndHookedInstantiationsDrawAlike) {
         EXPECT_EQ(stepped.position, clean.position);
         EXPECT_TRUE(stepped.telemetry == clean.telemetry);
         EXPECT_EQ(stepped.next_draw, clean.next_draw);
+        // Clean batches of 1, 8, 16 and 17 walks: one or two lockstep
+        // groups, or two and a leftover on the scalar loop, planned as
+        // the operator plans them (a dead start re-injected at the
+        // fallback first, lengths mixed within each group).
+        const NodeId planned =
+            overlay->HasNode(c.start) ? c.start : c.fallback;
+        for (size_t count : {1, 8, 16, 17}) {
+          SCOPED_TRACE("batch of " + std::to_string(count));
+          std::vector<CleanWalk> walks(count);
+          for (size_t j = 0; j < count; ++j) {
+            walks[j] = {.rng = Rng(1000 + j),
+                        .position = planned,
+                        .steps = steps - 50 * (j % 3)};
+          }
+          ExpectStepsLikeAdvance(*overlay, lazy_coin, walks);
+        }
       }
     }
   }
+  if (!LockstepKernelAvailable()) {
+    GTEST_SKIP() << "no AVX-512F on this host: the batches above stepped "
+                    "on the scalar loop only";
+  }
+}
+
+// Rng's state one xoshiro256 step before `after`: the inverse of the
+// state update in Rng::NextU64.
+Rng::State StateBefore(const Rng::State& after) {
+  const uint64_t* a = after.words;
+  const uint64_t x = (a[3] >> 45) | (a[3] << 19);  // rotr(a3, 45)
+  const uint64_t y = a[1] ^ a[2];
+  Rng::State before;
+  before.words[0] = a[0] ^ x;
+  before.words[1] = y ^ (y << 17) ^ (y << 34) ^ (y << 51);
+  before.words[2] = a[1] ^ before.words[1] ^ before.words[0];
+  before.words[3] = x ^ before.words[1];
+  return before;
+}
+
+TEST(RandomWalkTest, LockstepLaneBelowItsDegreeTakesTheScalarStep) {
+  if (!LockstepKernelAvailable()) {
+    GTEST_SKIP() << "no AVX-512F on this host: the lockstep kernel does "
+                    "not run";
+  }
+  // Every row has degree 3, and uniform weights make every coin heads.
+  const Graph g = MakeComplete(4).value();
+  OverlaySnapshot overlay(g, UniformWeight());
+  overlay.BuildCoins<MetropolisAcceptance>();
+  const Rng::Coin lazy_coin = Rng::Coin::Of(0.5);
+  ASSERT_TRUE(LockstepKernelRuns(overlay, lazy_coin));
+  // A generator whose first draw proposes and whose second, the pick,
+  // is `pick`: the state (pick, f, g, -pick) draws rotl(0, 23) + pick
+  // next, and its free words are chosen so that the lazy draw one step
+  // before proposes.
+  const auto proposing_then = [&](uint64_t pick) {
+    for (uint64_t free = 1;; ++free) {
+      Rng::State after;
+      after.words[0] = pick;
+      after.words[1] = free;
+      after.words[2] = free * 0x9e3779b97f4a7c15ULL;
+      after.words[3] = uint64_t{0} - pick;
+      Rng rng;
+      rng.RestoreState(StateBefore(after));
+      Rng probe = rng;
+      if (probe.Flip(lazy_coin)) continue;  // Lazy: it would stay.
+      EXPECT_EQ(probe.NextU64(), pick);
+      return rng;
+    }
+  };
+  // 2^64 mod 3 = 1, so NextIndex(3) redraws a first pick draw of 0 and
+  // keeps one of 2: both lanes leave the vector step for the scalar one.
+  ASSERT_EQ((-uint64_t{3}) % 3, 1u);
+  std::vector<CleanWalk> walks(17);
+  for (size_t j = 0; j < walks.size(); ++j) {
+    walks[j] = {.rng = Rng(500 + j),
+                .position = static_cast<NodeId>(j % 4),
+                .steps = 40};
+  }
+  walks[3].rng = proposing_then(0);   // First group: a real redraw.
+  walks[12].rng = proposing_then(2);  // Second group: below, no redraw.
+  ExpectStepsLikeAdvance(overlay, lazy_coin, walks);
 }
 
 TEST(RandomWalkTest, NaNLazinessDrawsOnceAndNeverStays) {

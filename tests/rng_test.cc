@@ -61,7 +61,8 @@ TEST(RngTest, NextIndexRespectsBound) {
 // the bound. Replay the threshold-first form (every call divides) on an
 // identical stream: each index must match, and both generators must have
 // consumed the same raw draws. 2^63 + 1 rejects about half its draws, so
-// the redraw loop is exercised too.
+// the redraw loop is exercised too. The reciprocal form, which reduces
+// without a division, must match alike.
 TEST(RngTest, NextIndexMatchesThresholdFirstForm) {
   const uint64_t bounds[] = {1,
                              2,
@@ -74,15 +75,21 @@ TEST(RngTest, NextIndexMatchesThresholdFirstForm) {
                              ~uint64_t{0}};
   for (const uint64_t bound : bounds) {
     Rng fast(bound ^ 0x5eedULL);
+    Rng reciprocal_form = fast;
     Rng reference = fast;
     const uint64_t threshold = (-bound) % bound;
+    const uint64_t reciprocal = Rng::PickReciprocal(bound);
     for (int i = 0; i < (1 << 21); ++i) {
       uint64_t r = reference.NextU64();
       while (r < threshold) r = reference.NextU64();
       ASSERT_EQ(fast.NextIndex(bound), r % bound)
           << "bound " << bound << ", call " << i;
+      ASSERT_EQ(reciprocal_form.NextIndex(bound, reciprocal), r % bound)
+          << "bound " << bound << ", call " << i << ", reciprocal form";
     }
-    EXPECT_EQ(fast.NextU64(), reference.NextU64()) << "bound " << bound;
+    const uint64_t next = reference.NextU64();
+    EXPECT_EQ(fast.NextU64(), next) << "bound " << bound;
+    EXPECT_EQ(reciprocal_form.NextU64(), next) << "bound " << bound;
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "diag/diag.h"
 #include "net/topology.h"
 #include "sampling/metropolis.h"
 
@@ -102,6 +103,63 @@ TEST(SamplingOperatorTest, EverySampleChargesATransferMessage) {
   SamplingOperator op(&*g, UniformWeight(), Rng(9), &meter);
   ASSERT_TRUE(op.SampleNodes(0, 12).ok());
   EXPECT_EQ(meter.sample_transfers(), 12u);
+}
+
+TEST(SamplingOperatorTest, CleanBatchReinjectsStrandedAgentsLikeHooked) {
+  // Warm agents whose hosts leave are re-injected at the origin for one
+  // walk hop each: a clean batch does it in its plan, a hooked one (a
+  // SamplerDiag attached) in each walk's Advance. Both draw alike.
+  struct Run {
+    std::vector<NodeId> samples;
+    uint64_t hops = 0;
+    uint64_t probes = 0;
+    uint64_t churn_batch_hops = 0;
+    uint64_t churn_batch_accepted = 0;
+  };
+  const auto run = [](bool with_diag) {
+    Graph g = MakeMesh(6, 6).value();
+    MessageMeter meter;
+    SamplingOperatorOptions options;
+    options.walk_length = 12;
+    options.reset_length = 4;
+    SamplingOperator op(&g, UniformWeight(), Rng(7), &meter, options);
+    diag::SamplerDiag diag;
+    if (with_diag) op.SetInstruments({.diag = &diag});
+    Run out;
+    for (int batch = 0; batch < 4; ++batch) {
+      const uint64_t hops_before = meter.walk_hops();
+      if (batch == 2) {
+        // Three hosts of warm agents leave (never the origin).
+        size_t removed = 0;
+        for (NodeId v : op.SaveState().agent_positions) {
+          if (removed < 3 && v != 0 && g.HasNode(v)) {
+            EXPECT_TRUE(g.RemoveNode(v).ok());
+            ++removed;
+          }
+        }
+      }
+      Result<PartialBatch> result = op.SampleNodes(0, 20);
+      EXPECT_TRUE(result.ok());
+      if (!result.ok()) return out;
+      out.samples.insert(out.samples.end(), result->nodes.begin(),
+                         result->nodes.end());
+      if (batch == 2) {
+        out.churn_batch_hops = meter.walk_hops() - hops_before;
+        out.churn_batch_accepted = op.last_telemetry().accepted;
+      }
+    }
+    out.hops = meter.walk_hops();
+    out.probes = meter.weight_probes();
+    return out;
+  };
+  const Run clean = run(false);
+  const Run hooked = run(true);
+  EXPECT_EQ(clean.samples, hooked.samples);
+  EXPECT_EQ(clean.hops, hooked.hops);
+  EXPECT_EQ(clean.probes, hooked.probes);
+  // At least three agents were stranded and re-injected for a hop each.
+  EXPECT_GE(clean.churn_batch_hops, clean.churn_batch_accepted + 3);
+  EXPECT_EQ(clean.churn_batch_hops, hooked.churn_batch_hops);
 }
 
 // The central statistical property (Theorem 2): the empirical node
