@@ -463,10 +463,11 @@ Result<EngineTickResult> DigestEngine::Tick(int64_t t) {
         Result<double> at_next = extrapolator_.ExtrapolatedValue(next);
         Result<double> at_now = extrapolator_.ExtrapolatedValue(t);
         if (at_next.ok() && at_now.ok()) drift = *at_next - *at_now;
+        // The extrapolator's own k: its constructor clamps the option.
         const int64_t order =
             extrapolator_.Bootstrapped()
                 ? static_cast<int64_t>(
-                      options_.extrapolator.history_points) - 1
+                      extrapolator_.options().history_points) - 1
                 : 0;
         options_.tracer->Emit(obs::GapPredictedEvent{
             session_.last_gap, next, order, drift,

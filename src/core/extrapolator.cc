@@ -21,6 +21,7 @@ Status Extrapolator::AddObservation(int64_t t, double x) {
   }
   ticks.push_back(t);
   values.push_back(x);
+  fit_.reset();
   // One extra point beyond k is kept for the remainder estimate.
   const size_t keep = options_.history_points + 1;
   if (ticks.size() > keep) {
@@ -30,7 +31,12 @@ Status Extrapolator::AddObservation(int64_t t, double x) {
   return Status::OK();
 }
 
-Result<Extrapolator::Fit> Extrapolator::FitHistory() const {
+const Result<Extrapolator::Fit>& Extrapolator::FitHistory() const {
+  if (!fit_.has_value()) fit_.emplace(ComputeFit());
+  return *fit_;
+}
+
+Result<Extrapolator::Fit> Extrapolator::ComputeFit() const {
   const size_t k = options_.history_points;
   const size_t n = state_.ticks.size();
   if (n < k) {
@@ -93,7 +99,9 @@ Result<int64_t> Extrapolator::PredictNextSnapshotTime(
     // Bootstrap period (or exact resolution): continuous querying.
     return t_last + 1;
   }
-  DIGEST_ASSIGN_OR_RETURN(Fit fit, FitHistory());
+  const Result<Fit>& fitted = FitHistory();
+  if (!fitted.ok()) return fitted.status();
+  const Fit& fit = *fitted;
   const double k = static_cast<double>(options_.history_points);
   for (int64_t s = 1; s <= options_.max_skip; ++s) {
     const double sd = static_cast<double>(s);
@@ -117,8 +125,9 @@ Result<int64_t> Extrapolator::PredictNextSnapshotTime(double delta) const {
   if (!Bootstrapped()) {
     return state_.ticks.back() + 1;
   }
-  DIGEST_ASSIGN_OR_RETURN(Fit fit, FitHistory());
-  return PredictNextSnapshotTime(delta, fit.poly.Evaluate(0.0));
+  const Result<Fit>& fit = FitHistory();
+  if (!fit.ok()) return fit.status();
+  return PredictNextSnapshotTime(delta, fit->poly.Evaluate(0.0));
 }
 
 Result<double> Extrapolator::ExtrapolatedValue(int64_t t) const {
@@ -128,8 +137,9 @@ Result<double> Extrapolator::ExtrapolatedValue(int64_t t) const {
   if (!Bootstrapped()) {
     return state_.values.back();
   }
-  DIGEST_ASSIGN_OR_RETURN(Fit fit, FitHistory());
-  return fit.poly.Evaluate(static_cast<double>(t - state_.ticks.back()));
+  const Result<Fit>& fit = FitHistory();
+  if (!fit.ok()) return fit.status();
+  return fit->poly.Evaluate(static_cast<double>(t - state_.ticks.back()));
 }
 
 }  // namespace digest

@@ -2,6 +2,7 @@
 #define DIGEST_CORE_EXTRAPOLATOR_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -74,7 +75,10 @@ class Extrapolator {
   Result<double> ExtrapolatedValue(int64_t t) const;
 
   /// Forgets all history.
-  void Reset() { state_ = State(); }
+  void Reset() {
+    state_ = State();
+    fit_.reset();
+  }
 
   /// The PRED history window, oldest first, as parallel tick/value
   /// arrays; also the engine checkpoint's "extrapolator" section.
@@ -93,7 +97,10 @@ class Extrapolator {
     }
   };
   State SaveState() const { return state_; }
-  void RestoreState(const State& state) { state_ = state; }
+  void RestoreState(const State& state) {
+    state_ = state;
+    fit_.reset();
+  }
 
   const ExtrapolatorOptions& options() const { return options_; }
 
@@ -104,10 +111,15 @@ class Extrapolator {
     Polynomial poly;       // In s = t − t_last.
     double remainder_c;    // |f⁽ᵏ⁾/k!| estimate.
   };
-  Result<Fit> FitHistory() const;
+  /// The fit of the current window, computed at most once per window.
+  const Result<Fit>& FitHistory() const;
+  Result<Fit> ComputeFit() const;
 
   ExtrapolatorOptions options_;
   State state_;  // At most history_points + 1 observations.
+  /// FitHistory()'s result, errors included, until the window changes.
+  /// Derived from state_, so never checkpointed.
+  mutable std::optional<Result<Fit>> fit_;
 };
 
 }  // namespace digest

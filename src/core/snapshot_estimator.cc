@@ -165,6 +165,7 @@ Status IndependentEstimator::DrawContributing(NodeId origin, size_t count,
                               ContributionValue(*s.tuple));
       if (!y.has_value()) continue;
       fresh->ys.push_back(*y);
+      fresh->stats.Add(*y);
       fresh->refs.push_back(s.ref);
       --count;
     }
@@ -182,14 +183,8 @@ Result<SnapshotEstimate> IndependentEstimator::Evaluate(NodeId origin) {
 
   FreshDraws fresh;
   const std::vector<double>& ys = fresh.ys;
-  // Folds each new value once, in draw order, after every draw call, so
-  // the sizing rounds read the statistics of all values drawn so far.
-  RunningStats stats;
-  auto draw = [&](size_t count) -> Status {
-    DIGEST_RETURN_IF_ERROR(DrawContributing(origin, count, &fresh));
-    for (size_t i = stats.count(); i < ys.size(); ++i) stats.Add(ys[i]);
-    return Status::OK();
-  };
+  // The sizing rounds read the statistics of all values drawn so far.
+  const RunningStats& stats = fresh.stats;
 
   if (spec_.query.op == AggregateOp::kMedian) {
     // Quantile estimation by order statistics: the empirical CDF at any
@@ -201,7 +196,7 @@ Result<SnapshotEstimate> IndependentEstimator::Evaluate(NodeId origin) {
         HoeffdingSampleSize(1.0, eps_mean, spec_.precision.confidence));
     needed = std::min(std::max(needed, options_.pilot_samples),
                       options_.max_samples);
-    DIGEST_RETURN_IF_ERROR(draw(needed));
+    DIGEST_RETURN_IF_ERROR(DrawContributing(origin, needed, &fresh));
   } else if (options_.sample_size_policy == SampleSizePolicy::kHoeffding) {
     // One-shot distribution-free size; no pilot iteration needed.
     DIGEST_ASSIGN_OR_RETURN(
@@ -210,9 +205,10 @@ Result<SnapshotEstimate> IndependentEstimator::Evaluate(NodeId origin) {
                             spec_.precision.confidence));
     needed = std::min(std::max(needed, options_.pilot_samples),
                       options_.max_samples);
-    DIGEST_RETURN_IF_ERROR(draw(needed));
+    DIGEST_RETURN_IF_ERROR(DrawContributing(origin, needed, &fresh));
   } else {
-    DIGEST_RETURN_IF_ERROR(draw(options_.pilot_samples));
+    DIGEST_RETURN_IF_ERROR(
+        DrawContributing(origin, options_.pilot_samples, &fresh));
     for (size_t round = 0; round < kMaxSizingRounds && !fresh.partial;
          ++round) {
       const double sigma = stats.SampleStdDev();
@@ -224,7 +220,8 @@ Result<SnapshotEstimate> IndependentEstimator::Evaluate(NodeId origin) {
           std::min(std::max(clt, options_.pilot_samples),
                    options_.max_samples);
       if (ys.size() >= needed) break;
-      DIGEST_RETURN_IF_ERROR(draw(needed - ys.size()));
+      DIGEST_RETURN_IF_ERROR(
+          DrawContributing(origin, needed - ys.size(), &fresh));
     }
   }
 
@@ -313,13 +310,15 @@ Result<double> RepeatedSamplingEstimator::AdjustedPreviousEstimate() const {
   }
   // Regress the previous occasion's values on the current ones — the
   // mirror image of Table 1's reverse regression.
-  DIGEST_ASSIGN_OR_RETURN(LinearFit fit, SimpleLinearRegression(y2, y1));
-  DIGEST_ASSIGN_OR_RETURN(double rho, PearsonCorrelation(y1, y2));
+  DIGEST_ASSIGN_OR_RETURN(PairedMoments moments,
+                          ComputePairedMoments(y1, y2));
+  DIGEST_ASSIGN_OR_RETURN(LinearFit fit, moments.RegressXOnY());
+  DIGEST_ASSIGN_OR_RETURN(double rho, moments.Correlation());
   const double rho2 = std::min(rho * rho, 0.9801);
   const double g = static_cast<double>(y1.size());
   const double sigma_sq = state_.sigma_hat * state_.sigma_hat;
-  const double y_back =
-      Mean(y1) + fit.slope * (state_.after_update_mean - Mean(y2));
+  const double y_back = moments.mean_x +
+                        fit.slope * (state_.after_update_mean - moments.mean_y);
   const double var_back =
       sigma_sq * (1.0 - rho2) / g + rho2 * state_.after_update_var;
   // Inverse-variance combination with the original occasion-(k−1)
@@ -420,7 +419,37 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
   }
   const size_t g = y1g.size();
 
+  // The retained pairs are fixed once refreshed, so their regression
+  // slope, correlation and means hold across the top-up rounds below:
+  // one fused pass takes them all. The pooled stats start from its
+  // Welford pass over y2g, and the draws fold each fresh value in as it
+  // lands, in draw order, so every round sees exactly the statistics a
+  // full pass over y2g and yf would.
   IndependentEstimator::FreshDraws fresh;
+  RunningStats& all = fresh.stats;
+  bool regression_ok = false;
+  double b = 0.0;
+  double rho_regression = 0.0;
+  double ybar1g = 0.0;
+  double ybar2g = 0.0;
+  if (Result<PairedMoments> moments = ComputePairedMoments(y1g, y2g);
+      moments.ok()) {
+    all = moments->y;
+    ybar1g = moments->mean_x;
+    ybar2g = moments->mean_y;
+    if (g >= 3) {
+      Result<LinearFit> fit = moments->RegressYOnX();
+      Result<double> rho = moments->Correlation();
+      regression_ok = fit.ok() && rho.ok();
+      if (regression_ok) {
+        b = fit->slope;
+        rho_regression = *rho;
+      }
+    }
+  } else {
+    for (double y : y2g) all.Add(y);  // g < 2.
+  }
+
   const std::vector<double>& yf = fresh.ys;
   const size_t f_initial =
       n_target > g ? n_target - g : std::max<size_t>(1, n_target / 4);
@@ -432,31 +461,8 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
     return Status::Unavailable(
         "hop budget exhausted before the minimum partial sample count");
   }
-
-  // The retained pairs are fixed once refreshed, so their regression
-  // slope, correlation and means hold across the top-up rounds below:
-  // computed once here. The pooled stats take y2g, then each fresh value
-  // once as it arrives, in draw order, so every round sees exactly the
-  // statistics a full pass over y2g and yf would.
-  bool regression_ok = g >= 3;
-  double b = 0.0;
-  double rho_regression = 0.0;
-  if (regression_ok) {
-    Result<LinearFit> fit = SimpleLinearRegression(y1g, y2g);
-    Result<double> rho = PearsonCorrelation(y1g, y2g);
-    if (fit.ok() && rho.ok()) {
-      b = fit->slope;
-      rho_regression = *rho;
-    } else {
-      regression_ok = false;
-    }
-  }
-  const double ybar1g = Mean(y1g);
-  const double ybar2g = Mean(y2g);
-  RunningStats all;
-  for (double y : y2g) all.Add(y);
   double sum_f = 0.0;  // Σ yf in draw order, the sum Mean(yf) takes.
-  size_t folded = 0;   // Leading yf values already in `all` and sum_f.
+  size_t folded = 0;   // Leading yf values already in sum_f.
 
   // Estimate, then top-up fresh samples until the combined variance meets
   // the contract (or caps are hit).
@@ -467,10 +473,7 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
   const double needed_var = (eps_mean / z) * (eps_mean / z);
   for (size_t round = 0;; ++round) {
     const size_t f = yf.size();
-    for (; folded < f; ++folded) {
-      all.Add(yf[folded]);
-      sum_f += yf[folded];
-    }
+    for (; folded < f; ++folded) sum_f += yf[folded];
     sigma2 = all.SampleStdDev();
     const double sigma2_sq = sigma2 * sigma2;
 

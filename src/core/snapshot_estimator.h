@@ -12,6 +12,7 @@
 #include "db/p2p_database.h"
 #include "net/message_meter.h"
 #include "numeric/rng.h"
+#include "numeric/stats.h"
 #include "sampling/tuple_sampler.h"
 
 namespace digest {
@@ -204,14 +205,18 @@ class IndependentEstimator : public SnapshotEstimator {
   struct FreshDraws {
     std::vector<TupleRef> refs;  ///< Contributing samples only.
     std::vector<double> ys;      ///< Their contributions, in draw order.
+    /// The caller's running statistics: whatever it seeded (RPT: the
+    /// refreshed retained values), then each of `ys` as it is drawn.
+    RunningStats stats;
     size_t drawn = 0;            ///< Every sample drawn, contributing or not.
     bool partial = false;        ///< The hop budget cut the occasion short.
     size_t planned = 0;          ///< Contributing count wanted at the cut.
   };
 
   /// The one fresh-draw loop of both estimators: draws from the source
-  /// until `count` more *contributing* samples are in `fresh` (for a
-  /// predicated AVG, non-qualifying draws cost traffic but are skipped).
+  /// until `count` more *contributing* samples are in `fresh`, each
+  /// folded into `fresh->stats` as it lands (for a predicated AVG,
+  /// non-qualifying draws cost traffic but are skipped).
   /// It alone decides what a hop-budget cut means: kUnavailable before
   /// any cut sample is evaluated, or, under allow_partial, the samples
   /// that completed with `fresh->partial` set and no further draws.

@@ -35,6 +35,7 @@ Expression Expression::Constant(double value) {
 }
 
 Status Expression::Bind(const Schema& schema) {
+  column_ = kNoColumn;
   attr_indices_.assign(attributes_.size(), 0);
   for (size_t i = 0; i < attributes_.size(); ++i) {
     Result<size_t> index = schema.AttributeIndex(attributes_[i]);
@@ -42,10 +43,14 @@ Status Expression::Bind(const Schema& schema) {
     attr_indices_[i] = *index;
   }
   bound_ = true;
+  if (root_ != nullptr &&
+      root_->kind == expression_internal::NodeKind::kAttribute) {
+    column_ = attr_indices_[root_->attr_slot];
+  }
   return Status::OK();
 }
 
-Result<double> Expression::Evaluate(const Tuple& tuple) const {
+Result<double> Expression::EvaluateTree(const Tuple& tuple) const {
   if (!bound_) {
     return Status::FailedPrecondition(
         "expression must be bound to a schema before evaluation");

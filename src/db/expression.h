@@ -55,16 +55,28 @@ class Expression {
 
   /// Evaluates the expression on `tuple` (laid out per the bound schema).
   /// Fails if unbound, on division by zero, or on a non-finite result.
-  Result<double> Evaluate(const Tuple& tuple) const;
+  /// A bound bare attribute reads its column without the tree walk.
+  Result<double> Evaluate(const Tuple& tuple) const {
+    if (column_ < tuple.size()) return tuple[column_];
+    return EvaluateTree(tuple);
+  }
 
   /// Canonical text form (fully parenthesized).
   std::string ToString() const;
 
  private:
+  static constexpr size_t kNoColumn = static_cast<size_t>(-1);
+
+  /// The tree walk: every expression but a bound bare attribute, and
+  /// that one too on a tuple narrower than the schema.
+  Result<double> EvaluateTree(const Tuple& tuple) const;
+
   std::shared_ptr<const expression_internal::Node> root_;
   std::vector<std::string> attributes_;
   /// attr_indices_[i] is the schema index of attributes_[i] after Bind.
   std::vector<size_t> attr_indices_;
+  /// The schema index a bound bare attribute reads; kNoColumn otherwise.
+  size_t column_ = kNoColumn;
   bool bound_ = false;
 };
 

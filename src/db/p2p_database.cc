@@ -4,29 +4,46 @@
 #include <string>
 
 namespace digest {
+namespace {
+
+constexpr size_t kMinTable = 256;
+
+}  // namespace
 
 Status P2PDatabase::AddNode(NodeId node) {
   if (HasNode(node)) {
     return Status::AlreadyExists("node " + std::to_string(node) +
                                  " already has a store");
   }
-  stores_.emplace(node, LocalStore());
+  if (node >= by_id_.size()) {
+    // Ids come dense from the graph, so the table grows by an eighth
+    // rather than doubling and ends within an eighth of the id range.
+    // It starts at kMinTable entries, so a few-hundred-peer overlay
+    // takes a handful of growths, not dozens of small ones.
+    if (node >= by_id_.capacity()) {
+      by_id_.reserve(std::max({size_t{node} + 1, kMinTable,
+                               by_id_.capacity() + by_id_.capacity() / 8}));
+    }
+    by_id_.resize(size_t{node} + 1, nullptr);
+  }
+  by_id_[node] = &stores_.emplace(node, LocalStore()).first->second;
   return Status::OK();
 }
 
 Status P2PDatabase::RemoveNode(NodeId node) {
-  if (stores_.erase(node) == 0) {
+  if (!HasNode(node)) {
     return Status::NotFound("node " + std::to_string(node) + " has no store");
   }
+  stores_.erase(node);
+  by_id_[node] = nullptr;
   return Status::OK();
 }
 
 Result<LocalStore*> P2PDatabase::StoreAt(NodeId node) {
-  auto it = stores_.find(node);
-  if (it == stores_.end()) {
+  if (!HasNode(node)) {
     return Status::NotFound("node " + std::to_string(node) + " has no store");
   }
-  return &it->second;
+  return by_id_[node];
 }
 
 Result<const LocalStore*> P2PDatabase::StoreAt(NodeId node) const {
@@ -35,11 +52,6 @@ Result<const LocalStore*> P2PDatabase::StoreAt(NodeId node) const {
     return Status::NotFound("node " + std::to_string(node) + " has no store");
   }
   return store;
-}
-
-size_t P2PDatabase::ContentSize(NodeId node) const {
-  auto it = stores_.find(node);
-  return it == stores_.end() ? 0 : it->second.Size();
 }
 
 size_t P2PDatabase::TotalTuples() const {

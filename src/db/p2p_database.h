@@ -47,9 +47,20 @@ struct TupleRef {
 /// removed, or any tuple inserted, updated or erased. Within one tick
 /// that is the §II snapshot: the engine and node hold only a
 /// `const P2PDatabase*`, so nothing they run can change it.
+///
+/// Store lookup: the map owns the stores and sets the order Nodes()
+/// and every whole-relation pass walk; a dense table indexed by NodeId
+/// points into it, so resolving a peer's store is an array read. Map
+/// nodes never move, so the table survives rehash and a move of the
+/// database. A copy would alias the source's stores, so there is none.
 class P2PDatabase {
  public:
   explicit P2PDatabase(Schema schema) : schema_(std::move(schema)) {}
+
+  P2PDatabase(const P2PDatabase&) = delete;
+  P2PDatabase& operator=(const P2PDatabase&) = delete;
+  P2PDatabase(P2PDatabase&&) = default;
+  P2PDatabase& operator=(P2PDatabase&&) = default;
 
   const Schema& schema() const { return schema_; }
 
@@ -61,9 +72,7 @@ class P2PDatabase {
   Status RemoveNode(NodeId node);
 
   /// True iff the node has a store.
-  bool HasNode(NodeId node) const {
-    return stores_.find(node) != stores_.end();
-  }
+  bool HasNode(NodeId node) const { return FindStore(node) != nullptr; }
 
   /// Mutable access to a node's store; fails with kNotFound when absent.
   Result<LocalStore*> StoreAt(NodeId node);
@@ -73,13 +82,15 @@ class P2PDatabase {
 
   /// Borrowed read access to a node's store; null when absent.
   const LocalStore* FindStore(NodeId node) const {
-    auto it = stores_.find(node);
-    return it == stores_.end() ? nullptr : &it->second;
+    return node < by_id_.size() ? by_id_[node] : nullptr;
   }
 
   /// Content size m_v of the node; 0 for unknown nodes (so it can be used
   /// directly as a sampling weight function).
-  size_t ContentSize(NodeId node) const;
+  size_t ContentSize(NodeId node) const {
+    const LocalStore* store = FindStore(node);
+    return store == nullptr ? 0 : store->Size();
+  }
 
   /// Total number of tuples in R across all nodes.
   size_t TotalTuples() const;
@@ -109,6 +120,8 @@ class P2PDatabase {
  private:
   Schema schema_;
   std::unordered_map<NodeId, LocalStore> stores_;
+  /// by_id_[v] is &stores_.at(v), or null when v has no store.
+  std::vector<LocalStore*> by_id_;
 };
 
 }  // namespace digest

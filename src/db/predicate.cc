@@ -33,8 +33,7 @@ Status Predicate::Bind(const Schema& schema) {
   return Status::OK();
 }
 
-Result<bool> Predicate::Evaluate(const Tuple& tuple) const {
-  if (root_ == nullptr) return true;  // Trivial predicate.
+Result<bool> Predicate::EvaluateTree(const Tuple& tuple) const {
   if (!bound_) {
     return Status::FailedPrecondition(
         "predicate must be bound to a schema before evaluation");

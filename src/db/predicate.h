@@ -54,12 +54,18 @@ class Predicate {
 
   /// Evaluates on a tuple. Fails if unbound or on arithmetic errors in
   /// the comparison operands.
-  Result<bool> Evaluate(const Tuple& tuple) const;
+  Result<bool> Evaluate(const Tuple& tuple) const {
+    if (root_ == nullptr) return true;  // Trivial predicate.
+    return EvaluateTree(tuple);
+  }
 
   /// Canonical text form ("TRUE" for the trivial predicate).
   std::string ToString() const;
 
  private:
+  /// Evaluates a non-trivial predicate.
+  Result<bool> EvaluateTree(const Tuple& tuple) const;
+
   std::shared_ptr<const expression_internal::Node> root_;
   std::vector<std::string> attributes_;
   std::vector<size_t> attr_indices_;

@@ -4,6 +4,33 @@
 
 namespace digest {
 
+namespace {
+
+// The regression's last step, on centred sums already taken.
+Result<LinearFit> FitFromSums(double mx, double my, double sxx, double sxy) {
+  if (sxx <= 0.0) {
+    return Status::NumericError("regression undefined for constant x");
+  }
+  LinearFit fit;
+  fit.slope = sxy / sxx;
+  fit.intercept = my - fit.slope * mx;
+  return fit;
+}
+
+// The correlation's last step, on a covariance and two variances.
+Result<double> CorrelationFrom(double cov, double vx, double vy) {
+  if (vx <= 0.0 || vy <= 0.0) {
+    return Status::NumericError("correlation undefined for constant series");
+  }
+  double rho = cov / std::sqrt(vx * vy);
+  // Clamp tiny floating-point excursions outside [-1, 1].
+  if (rho > 1.0) rho = 1.0;
+  if (rho < -1.0) rho = -1.0;
+  return rho;
+}
+
+}  // namespace
+
 void RunningStats::Add(double x) {
   ++count_;
   const double delta = x - mean_;
@@ -79,16 +106,7 @@ Result<double> SampleCovariance(const std::vector<double>& xs,
 Result<double> PearsonCorrelation(const std::vector<double>& xs,
                                   const std::vector<double>& ys) {
   DIGEST_ASSIGN_OR_RETURN(double cov, SampleCovariance(xs, ys));
-  const double vx = SampleVariance(xs);
-  const double vy = SampleVariance(ys);
-  if (vx <= 0.0 || vy <= 0.0) {
-    return Status::NumericError("correlation undefined for constant series");
-  }
-  double rho = cov / std::sqrt(vx * vy);
-  // Clamp tiny floating-point excursions outside [-1, 1].
-  if (rho > 1.0) rho = 1.0;
-  if (rho < -1.0) rho = -1.0;
-  return rho;
+  return CorrelationFrom(cov, SampleVariance(xs), SampleVariance(ys));
 }
 
 Result<double> Autocorrelation(const std::vector<double>& xs, size_t lag) {
@@ -125,13 +143,56 @@ Result<LinearFit> SimpleLinearRegression(const std::vector<double>& xs,
     sxx += (xs[i] - mx) * (xs[i] - mx);
     sxy += (xs[i] - mx) * (ys[i] - my);
   }
-  if (sxx <= 0.0) {
-    return Status::NumericError("regression undefined for constant x");
+  return FitFromSums(mx, my, sxx, sxy);
+}
+
+Result<LinearFit> PairedMoments::RegressYOnX() const {
+  return FitFromSums(mean_x, mean_y, sxx, sxy);
+}
+
+Result<LinearFit> PairedMoments::RegressXOnY() const {
+  // IEEE products commute exactly, so sxy is also Σ(y−ȳ)(x−x̄).
+  return FitFromSums(mean_y, mean_x, syy, sxy);
+}
+
+Result<double> PairedMoments::Correlation() const {
+  // SampleCovariance's sum is sxy term for term.
+  return CorrelationFrom(sxy / static_cast<double>(x.count() - 1),
+                         x.SampleVariance(), y.SampleVariance());
+}
+
+Result<PairedMoments> ComputePairedMoments(const std::vector<double>& xs,
+                                           const std::vector<double>& ys) {
+  if (xs.size() != ys.size()) {
+    return Status::InvalidArgument(
+        "paired moments require equal-length series");
   }
-  LinearFit fit;
-  fit.slope = sxy / sxx;
-  fit.intercept = my - fit.slope * mx;
-  return fit;
+  if (xs.size() < 2) {
+    return Status::InvalidArgument("paired moments require at least 2 points");
+  }
+  const size_t n = xs.size();
+  PairedMoments m;
+  // Pass 1: the two Welford chains are independent, so their divisions
+  // overlap; the sums are Mean's, in its order.
+  double sum_x = 0.0;
+  double sum_y = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    m.x.Add(xs[i]);
+    m.y.Add(ys[i]);
+    sum_x += xs[i];
+    sum_y += ys[i];
+  }
+  m.mean_x = sum_x / static_cast<double>(n);
+  m.mean_y = sum_y / static_cast<double>(n);
+  // Pass 2: the centred sums.
+  for (size_t i = 0; i < n; ++i) {
+    const double dx = xs[i] - m.mean_x;
+    const double dy = ys[i] - m.mean_y;
+    m.sxx += dx * dx;
+    m.syy += dy * dy;
+    m.sxy += dx * dy;
+  }
+  return m;
 }
 
 }  // namespace digest

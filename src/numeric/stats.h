@@ -86,6 +86,37 @@ struct LinearFit {
 Result<LinearFit> SimpleLinearRegression(const std::vector<double>& xs,
                                          const std::vector<double>& ys);
 
+/// Every moment of a paired series (x, y) that a regression estimate
+/// reads, from two passes instead of one per helper. Each is bit-equal
+/// to what the one-series helpers return on the same series: `x` and
+/// `y` are RunningStats fed xs and ys in order, `mean_x` and `mean_y`
+/// are Mean(xs) and Mean(ys), and sxx, syy, sxy are the centred sums
+/// Σ(x−x̄)², Σ(y−ȳ)², Σ(x−x̄)(y−ȳ) that SimpleLinearRegression and
+/// SampleCovariance take term for term.
+struct PairedMoments {
+  RunningStats x;
+  RunningStats y;
+  double mean_x = 0.0;
+  double mean_y = 0.0;
+  double sxx = 0.0;
+  double syy = 0.0;
+  double sxy = 0.0;
+
+  /// SimpleLinearRegression(xs, ys): fails on constant x.
+  Result<LinearFit> RegressYOnX() const;
+
+  /// SimpleLinearRegression(ys, xs): fails on constant y.
+  Result<LinearFit> RegressXOnY() const;
+
+  /// PearsonCorrelation(xs, ys): fails when either series is constant.
+  Result<double> Correlation() const;
+};
+
+/// The two passes over paired `xs`, `ys`: Welford and the plain sums,
+/// then the centred sums. Fails if the sizes differ or size < 2.
+Result<PairedMoments> ComputePairedMoments(const std::vector<double>& xs,
+                                           const std::vector<double>& ys);
+
 }  // namespace digest
 
 #endif  // DIGEST_NUMERIC_STATS_H_

@@ -4,6 +4,19 @@
 
 namespace digest {
 
+size_t UpperBoundIndex(const std::vector<double>& sums, double r) {
+  // Each level halves the range with a conditional move. `!(r < x)` is
+  // upper_bound's own test, so NaN and ties land where it puts them.
+  const double* base = sums.data();
+  size_t n = sums.size();
+  while (n > 1) {
+    const size_t half = n / 2;
+    base = !(r < base[half]) ? base + half : base;
+    n -= half;
+  }
+  return static_cast<size_t>(base - sums.data()) + (!(r < *base) ? 1 : 0);
+}
+
 Result<PartialTupleBatch> TwoStageTupleSampler::DrawFresh(NodeId origin,
                                                           size_t n) {
   if (!db_->HasTuples()) {
@@ -56,13 +69,13 @@ Result<PartialTupleBatch> ExactTupleSampler::DrawFresh(NodeId /*origin*/,
                                                        size_t n) {
   // Content-size-weighted node pick followed by a uniform local pick is
   // exactly uniform over tuples. The node pick is Rng::NextWeightedIndex
-  // over the content sizes, by binary search over their running sums
-  // instead of a scan: one draw r = u·total picks the first node whose
-  // running sum exceeds r (the last non-empty node if rounding put r at
-  // the total). Sizes are integers, so every running sum is exact and
-  // the two agree draw for draw, at O(log N) per draw instead of O(N).
-  // The one pass over the nodes resolves each store once, and a draw
-  // reads the picked one.
+  // over the content sizes, by a branch-free binary search over their
+  // running sums instead of a scan: one draw r = u·total picks the first
+  // node whose running sum exceeds r (the last non-empty node if
+  // rounding put r at the total). Sizes are integers, so every running
+  // sum is exact and the two agree draw for draw, at O(log N) per draw
+  // instead of O(N). The one pass over the nodes resolves each store
+  // once, and a draw reads the picked one.
   const std::vector<NodeId> nodes = db_->Nodes();
   std::vector<const LocalStore*> stores(nodes.size());
   std::vector<double> running(nodes.size());
@@ -82,8 +95,7 @@ Result<PartialTupleBatch> ExactTupleSampler::DrawFresh(NodeId /*origin*/,
   for (size_t i = 0; i < n; ++i) {
     const double r = rng_.NextDouble() * sum;
     const size_t pick = std::min<size_t>(
-        std::upper_bound(running.begin(), running.end(), r) - running.begin(),
-        last_nonempty);
+        UpperBoundIndex(running, r), last_nonempty);
     const LocalStore::Slot* tuple_pick = stores[pick]->UniformPick(rng_);
     if (tuple_pick == nullptr) {
       return Status::Internal("weighted pick landed on an empty store");

@@ -93,6 +93,13 @@ class ClusterSampler {
   SamplingOperator* op_;
 };
 
+/// std::upper_bound(sums.begin(), sums.end(), r) - sums.begin() for a
+/// non-empty `sums` in ascending order, without a data-dependent
+/// branch: the exact sampler's node pick over its running content
+/// sizes, where a random r would mispredict a branch per level. Equal
+/// for every r, NaN included.
+size_t UpperBoundIndex(const std::vector<double>& sums, double r);
+
 /// Centralized uniform tuple sampler with global knowledge — the
 /// "optimal sampling" comparator the paper measures S against. Same
 /// interface, zero walk cost: one transfer message per sample.

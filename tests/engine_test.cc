@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <variant>
 
 #include "net/topology.h"
+#include "obs/tracer.h"
 
 namespace digest {
 namespace {
@@ -129,6 +132,38 @@ TEST(EngineTest, PredSchedulerSkipsTicksOnSmoothDrift) {
   // Drift 0.2/tick, delta 2: a snapshot every ~10 ticks after bootstrap.
   EXPECT_LT(engine->stats().snapshots, 25u);
   EXPECT_GT(engine->stats().snapshots, 5u);
+}
+
+TEST(EngineTest, GapTraceReportsTheFittedOrder) {
+  // The extrapolator clamps k to at least 2, so history_points 0 and 1
+  // run PRED-2: a degree-1 fit, which the trace must report as such.
+  for (size_t k : {0, 1, 2, 3}) {
+    SCOPED_TRACE(k);
+    DriftingDatabase data(4, 50, 0.2, 7);
+    obs::MemoryTracer tracer;
+    DigestEngineOptions options =
+        FastOptions(SchedulerKind::kPred, EstimatorKind::kIndependent);
+    options.extrapolator.history_points = k;
+    options.tracer = &tracer;
+    auto engine = DigestEngine::Create(&data.graph, data.db.get(),
+                                       Spec(/*delta=*/2.0, 0.3), 0, Rng(8),
+                                       nullptr, options)
+                      .value();
+    for (int t = 1; t <= 30; ++t) {
+      data.Advance();
+      ASSERT_TRUE(engine->Tick(t).ok());
+    }
+    const int64_t fitted_order =
+        static_cast<int64_t>(std::max<size_t>(k, 2)) - 1;
+    size_t bootstrapped = 0;
+    for (const obs::TraceEvent& event : tracer.events()) {
+      const auto* gap = std::get_if<obs::GapPredictedEvent>(&event.payload);
+      if (gap == nullptr || gap->poly_order == 0) continue;
+      EXPECT_EQ(gap->poly_order, fitted_order);
+      ++bootstrapped;
+    }
+    EXPECT_GT(bootstrapped, 0u);
+  }
 }
 
 TEST(EngineTest, ReportedValueHoldsBetweenUpdates) {

@@ -299,6 +299,62 @@ TEST(RepeatedSamplingTest, TopUpRoundsKeepTheRecordedEstimate) {
   EXPECT_EQ(e->fresh_samples, 416u);
 }
 
+// An occasion whose retained pairs admit no regression, because the
+// refreshed pairs' previous values (y1) or current values (y2) are all
+// equal, reports the plain mean of every contributing sample: the
+// Welford pass over the refreshed values, then the fresh ones.
+void ExpectPlainMeanOccasion(bool constant_y1) {
+  Ar1Database data(8, 100, 50.0, 10.0, 0.9, 80);
+  ExactTupleSampler sampler(data.db.get(), Rng(81), nullptr);
+  RepeatedSamplingEstimator est(AvgSpec(0.0, 1.0, 0.95), data.db.get(),
+                                &sampler, nullptr, nullptr, Rng(82));
+  // A pool of 40 tuples from node 0, as if one occasion had run.
+  EstimatorState state = est.SaveState();
+  RetainedState& retained = state.retained;
+  const LocalStore* store = data.db->FindStore(0);
+  store->ForEach([&](LocalTupleId id, const Tuple& tuple) {
+    if (retained.retained_refs.size() == 40) return;
+    retained.retained_refs.push_back(TupleRef{0, id});
+    retained.retained_ys.push_back(constant_y1 ? 50.0 : tuple[0] - 1.0);
+  });
+  if (!constant_y1) {
+    for (const TupleRef& ref : retained.retained_refs) {
+      ASSERT_TRUE(data.db->StoreAt(0).value()
+                      ->UpdateAttribute(ref.local, 0, 47.5)
+                      .ok());
+    }
+  }
+  retained.prev_mean_estimate = 50.0;
+  retained.prev_variance = 0.2;
+  retained.rho_hat = 0.9;
+  retained.sigma_hat = 10.0;
+  retained.occasion = 1;
+  est.RestoreState(state);
+
+  Result<SnapshotEstimate> e = est.Evaluate(0);
+  ASSERT_TRUE(e.ok()) << e.status();
+  ASSERT_GE(e->retained_samples, 3u);
+  ASSERT_GT(e->fresh_samples, 0u);
+  const RetainedState after = est.SaveState().retained;
+  ASSERT_EQ(after.retained_ys.size(), e->contributing_samples);
+  RunningStats all;
+  for (double y : after.retained_ys) all.Add(y);
+  EXPECT_EQ(Bits(e->mean_estimate), Bits(all.Mean()));
+  EXPECT_EQ(Bits(e->variance_of_mean),
+            Bits(all.SampleVariance() / static_cast<double>(all.count())));
+  EXPECT_EQ(Bits(e->sigma), Bits(all.SampleStdDev()));
+  // No correlation was measured, so the running ρ̂ holds.
+  EXPECT_EQ(Bits(est.correlation_estimate()), Bits(0.9));
+}
+
+TEST(RepeatedSamplingTest, ConstantRefreshedPreviousValuesFallBackToMean) {
+  ExpectPlainMeanOccasion(/*constant_y1=*/true);
+}
+
+TEST(RepeatedSamplingTest, ConstantRefreshedCurrentValuesFallBackToMean) {
+  ExpectPlainMeanOccasion(/*constant_y1=*/false);
+}
+
 TEST(RepeatedSamplingTest, StaysAccurateAcrossOccasions) {
   Ar1Database data(8, 300, 50.0, 10.0, 0.85, 34);
   ExactTupleSampler sampler(data.db.get(), Rng(35), nullptr);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 namespace digest {
 namespace {
 
@@ -82,10 +86,13 @@ TEST(ExpressionTest, BindFailsOnUnknownAttribute) {
 }
 
 TEST(ExpressionTest, EvaluateWithoutBindFails) {
-  Result<Expression> expr = Expression::Parse("cpu");
-  ASSERT_TRUE(expr.ok());
-  EXPECT_EQ(expr->Evaluate({1.0}).status().code(),
-            StatusCode::kFailedPrecondition);
+  for (const char* text : {"cpu", "(cpu)", "cpu + 1"}) {
+    Result<Expression> expr = Expression::Parse(text);
+    ASSERT_TRUE(expr.ok());
+    EXPECT_EQ(expr->Evaluate({1.0}).status().code(),
+              StatusCode::kFailedPrecondition)
+        << text;
+  }
 }
 
 TEST(ExpressionTest, ConstantExpressionNeedsNoBind) {
@@ -110,12 +117,46 @@ TEST(ExpressionTest, DivisionByZeroFails) {
 }
 
 TEST(ExpressionTest, NarrowTupleFails) {
-  Result<Expression> expr = Expression::Parse("bandwidth");
-  ASSERT_TRUE(expr.ok());
-  Schema schema = TestSchema();
-  ASSERT_TRUE(expr->Bind(schema).ok());
-  EXPECT_EQ(expr->Evaluate({1.0, 2.0}).status().code(),
-            StatusCode::kOutOfRange);
+  // A bound bare attribute reads its column directly, and still fails
+  // like the tree walk when the tuple is narrower than the schema.
+  for (const char* text : {"bandwidth", "(bandwidth)", "bandwidth * 2"}) {
+    Result<Expression> expr = Expression::Parse(text);
+    ASSERT_TRUE(expr.ok());
+    Schema schema = TestSchema();
+    ASSERT_TRUE(expr->Bind(schema).ok());
+    EXPECT_EQ(expr->Evaluate({1.0, 2.0}).status().code(),
+              StatusCode::kOutOfRange)
+        << text;
+    EXPECT_EQ(expr->Evaluate({}).status().code(), StatusCode::kOutOfRange)
+        << text;
+  }
+}
+
+TEST(ExpressionTest, BareAttributeReadsItsColumnBitForBit) {
+  // `temperature` and `(temperature)` parse to the same bare attribute;
+  // both return the stored double unchanged, NaN and infinities
+  // included, where arithmetic over them would fail as non-finite.
+  Schema schema = Schema::Create({"station", "temperature"}).value();
+  Result<Expression> bare = Expression::Parse("temperature");
+  Result<Expression> paren = Expression::Parse("(temperature)");
+  ASSERT_TRUE(bare.ok());
+  ASSERT_TRUE(paren.ok());
+  ASSERT_TRUE(bare->Bind(schema).ok());
+  ASSERT_TRUE(paren->Bind(schema).ok());
+  EXPECT_EQ(bare->ToString(), paren->ToString());
+  for (double v : {0.0, -0.0, 71.25, -1e300, std::nan(""), HUGE_VAL}) {
+    const Tuple tuple = {3.0, v};
+    Result<double> a = bare->Evaluate(tuple);
+    Result<double> b = paren->Evaluate(tuple);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(std::bit_cast<uint64_t>(*a), std::bit_cast<uint64_t>(v));
+    EXPECT_EQ(std::bit_cast<uint64_t>(*b), std::bit_cast<uint64_t>(v));
+  }
+  // Rebinding to a schema with the column elsewhere moves the read.
+  Schema swapped = Schema::Create({"temperature", "station"}).value();
+  ASSERT_TRUE(bare->Bind(swapped).ok());
+  EXPECT_EQ(bare->Evaluate({5.0, 9.0}).value(), 5.0);
 }
 
 TEST(ExpressionTest, FactoryHelpers) {

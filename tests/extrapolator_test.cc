@@ -162,6 +162,81 @@ TEST(ExtrapolatorTest, ResetForgetsHistory) {
   EXPECT_TRUE(ex.AddObservation(0, 5.0).ok());  // Ticks restart.
 }
 
+// Everything an extrapolator reports about its current window.
+struct Readout {
+  int64_t next = 0;
+  int64_t next_from_reference = 0;
+  double value_ahead = 0.0;
+
+  bool operator==(const Readout&) const = default;
+};
+
+Readout Read(const Extrapolator& ex) {
+  Readout r;
+  r.next = ex.PredictNextSnapshotTime(0.5).value();
+  r.next_from_reference = ex.PredictNextSnapshotTime(0.5, 3.0).value();
+  r.value_ahead = ex.ExtrapolatedValue(r.next + 2).value();
+  return r;
+}
+
+// A full PRED-3 window: k + 1 observations, as AddObservation keeps.
+Extrapolator::State Window(double slope, double curve) {
+  Extrapolator::State state;
+  for (int t = 0; t < 4; ++t) {
+    state.ticks.push_back(10 + t);
+    state.values.push_back(slope * t + curve * t * t);
+  }
+  return state;
+}
+
+// The fit is kept per window: every call that changes the window must
+// drop it, so an extrapolator that read window A and then moved to
+// window B reports exactly what a fresh one on B reports.
+TEST(ExtrapolatorTest, EveryWindowChangeDropsTheKeptFit) {
+  ExtrapolatorOptions options;
+  options.history_points = 3;
+  const Extrapolator::State a = Window(0.2, 0.0);
+  const Extrapolator::State b = Window(-0.05, 0.03);
+  Extrapolator fresh_b(options);
+  fresh_b.RestoreState(b);
+  ASSERT_FALSE(Read(fresh_b) == Read([&] {
+    Extrapolator fresh_a(options);
+    fresh_a.RestoreState(a);
+    return fresh_a;
+  }()));
+
+  // RestoreState.
+  Extrapolator ex(options);
+  ex.RestoreState(a);
+  (void)Read(ex);
+  ex.RestoreState(b);
+  EXPECT_TRUE(Read(ex) == Read(fresh_b));
+
+  // AddObservation: the same window reached by one more observation.
+  Extrapolator grown(options);
+  Extrapolator::State b_but_last = b;
+  b_but_last.ticks.pop_back();
+  b_but_last.values.pop_back();
+  grown.RestoreState(b_but_last);
+  (void)Read(grown);
+  ASSERT_TRUE(grown.AddObservation(b.ticks.back(), b.values.back()).ok());
+  EXPECT_TRUE(Read(grown) == Read(fresh_b));
+  // A rejected observation leaves the window, and so the fit, as it was.
+  EXPECT_FALSE(grown.AddObservation(b.ticks.back(), 100.0).ok());
+  EXPECT_TRUE(Read(grown) == Read(fresh_b));
+
+  // Reset: back to bootstrapping, then the same window rebuilt.
+  Extrapolator reset(options);
+  reset.RestoreState(a);
+  (void)Read(reset);
+  reset.Reset();
+  EXPECT_FALSE(reset.ExtrapolatedValue(0).ok());
+  for (size_t i = 0; i < b.ticks.size(); ++i) {
+    ASSERT_TRUE(reset.AddObservation(b.ticks[i], b.values[i]).ok());
+  }
+  EXPECT_TRUE(Read(reset) == Read(fresh_b));
+}
+
 // Property: for a linear series the predicted gap scales inversely with
 // the slope, across PRED-k depths.
 class PredKLinearScaling : public ::testing::TestWithParam<size_t> {};

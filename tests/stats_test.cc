@@ -2,13 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "numeric/rng.h"
 
 namespace digest {
 namespace {
+
+// Welford's mean of `xs`, fed in order.
+double RunningMean(const std::vector<double>& xs) {
+  RunningStats s;
+  for (double x : xs) s.Add(x);
+  return s.Mean();
+}
 
 TEST(RunningStatsTest, EmptyIsZero) {
   RunningStats s;
@@ -175,6 +184,105 @@ TEST(StatsTest, LinearRegressionWithNoiseIsClose) {
 
 TEST(StatsTest, LinearRegressionRejectsConstantX) {
   EXPECT_FALSE(SimpleLinearRegression({2, 2, 2}, {1, 2, 3}).ok());
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// The fused pass must return exactly what the one-series helpers return
+// on the same series, in both orientations, so the estimators that use
+// it keep every bit.
+void ExpectPairedMomentsMatchHelpers(const std::vector<double>& xs,
+                                     const std::vector<double>& ys) {
+  Result<PairedMoments> m = ComputePairedMoments(xs, ys);
+  ASSERT_TRUE(m.ok()) << m.status();
+  EXPECT_EQ(Bits(m->mean_x), Bits(Mean(xs)));
+  EXPECT_EQ(Bits(m->mean_y), Bits(Mean(ys)));
+  EXPECT_EQ(m->x.count(), xs.size());
+  EXPECT_EQ(Bits(m->x.SampleVariance()), Bits(SampleVariance(xs)));
+  EXPECT_EQ(Bits(m->y.SampleVariance()), Bits(SampleVariance(ys)));
+  EXPECT_EQ(Bits(m->x.Mean()), Bits(RunningMean(xs)));
+  EXPECT_EQ(Bits(m->y.Mean()), Bits(RunningMean(ys)));
+  EXPECT_EQ(Bits(m->sxy / static_cast<double>(xs.size() - 1)),
+            Bits(SampleCovariance(xs, ys).value()));
+
+  const LinearFit y_on_x = m->RegressYOnX().value();
+  const LinearFit ref_y_on_x = SimpleLinearRegression(xs, ys).value();
+  EXPECT_EQ(Bits(y_on_x.slope), Bits(ref_y_on_x.slope));
+  EXPECT_EQ(Bits(y_on_x.intercept), Bits(ref_y_on_x.intercept));
+  const LinearFit x_on_y = m->RegressXOnY().value();
+  const LinearFit ref_x_on_y = SimpleLinearRegression(ys, xs).value();
+  EXPECT_EQ(Bits(x_on_y.slope), Bits(ref_x_on_y.slope));
+  EXPECT_EQ(Bits(x_on_y.intercept), Bits(ref_x_on_y.intercept));
+  EXPECT_EQ(Bits(m->Correlation().value()),
+            Bits(PearsonCorrelation(xs, ys).value()));
+  EXPECT_EQ(Bits(m->Correlation().value()),
+            Bits(PearsonCorrelation(ys, xs).value()));
+
+  // The swapped call is the mirror image of this one.
+  Result<PairedMoments> swapped = ComputePairedMoments(ys, xs);
+  ASSERT_TRUE(swapped.ok());
+  EXPECT_EQ(Bits(swapped->RegressYOnX()->slope), Bits(x_on_y.slope));
+  EXPECT_EQ(Bits(swapped->RegressXOnY()->slope), Bits(y_on_x.slope));
+  EXPECT_EQ(Bits(swapped->sxy), Bits(m->sxy));
+}
+
+TEST(StatsTest, PairedMomentsMatchTheOneSeriesHelpersBitForBit) {
+  Rng rng(2008);
+  // 240 is about a TEMPERATURE occasion's retained pool.
+  for (size_t n : {3, 240, 10000}) {
+    SCOPED_TRACE(n);
+    std::vector<double> xs, ys;
+    for (size_t i = 0; i < n; ++i) {
+      // Values near 60 with small spread, like retained temperatures:
+      // the centring is where a reordered sum would lose bits.
+      const double x = rng.NextGaussian(60.0, 8.0);
+      xs.push_back(x);
+      ys.push_back(0.9 * x + rng.NextGaussian(6.0, 3.0));
+    }
+    ExpectPairedMomentsMatchHelpers(xs, ys);
+  }
+}
+
+TEST(StatsTest, PairedMomentsFailWhereTheHelpersFail) {
+  const std::vector<double> varied = {1.0, 4.0, 2.0};
+  const std::vector<double> constant = {3.0, 3.0, 3.0};
+  // Mismatched sizes and fewer than two points: no moments at all.
+  EXPECT_EQ(ComputePairedMoments({1.0, 2.0}, {1.0}).status().code(),
+            SimpleLinearRegression({1.0, 2.0}, {1.0}).status().code());
+  EXPECT_EQ(ComputePairedMoments({1.0}, {1.0}).status().code(),
+            PearsonCorrelation({1.0}, {1.0}).status().code());
+  EXPECT_EQ(ComputePairedMoments({}, {}).status().code(),
+            StatusCode::kInvalidArgument);
+  // Constant x: no regression of y on x, no correlation.
+  Result<PairedMoments> cx = ComputePairedMoments(constant, varied);
+  ASSERT_TRUE(cx.ok());
+  EXPECT_EQ(cx->RegressYOnX().status().code(),
+            SimpleLinearRegression(constant, varied).status().code());
+  EXPECT_TRUE(cx->RegressXOnY().ok());
+  EXPECT_EQ(Bits(cx->RegressXOnY()->slope),
+            Bits(SimpleLinearRegression(varied, constant)->slope));
+  EXPECT_EQ(cx->Correlation().status().code(),
+            PearsonCorrelation(constant, varied).status().code());
+  // Constant y: the mirror image.
+  Result<PairedMoments> cy = ComputePairedMoments(varied, constant);
+  ASSERT_TRUE(cy.ok());
+  EXPECT_TRUE(cy->RegressYOnX().ok());
+  EXPECT_EQ(cy->RegressXOnY().status().code(),
+            SimpleLinearRegression(constant, varied).status().code());
+  EXPECT_EQ(cy->Correlation().status().code(),
+            PearsonCorrelation(varied, constant).status().code());
+  EXPECT_EQ(cy->Correlation().status().code(), StatusCode::kNumericError);
+  // Two points are enough for moments, as for the helpers.
+  ExpectPairedMomentsMatchHelpers({1.0, 2.5}, {7.0, -1.0});
+  // NaN propagates as it does through the helpers.
+  const std::vector<double> with_nan = {1.0, std::nan(""), 2.0};
+  Result<PairedMoments> nan = ComputePairedMoments(with_nan, varied);
+  ASSERT_TRUE(nan.ok());
+  EXPECT_EQ(nan->RegressYOnX().ok(),
+            SimpleLinearRegression(with_nan, varied).ok());
+  EXPECT_TRUE(std::isnan(nan->RegressYOnX()->slope));
+  EXPECT_TRUE(std::isnan(nan->Correlation().value()));
+  EXPECT_TRUE(std::isnan(PearsonCorrelation(with_nan, varied).value()));
 }
 
 // Property: correlation is invariant to affine transforms of both series.

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
+#include <vector>
 
 #include "net/topology.h"
 
@@ -154,6 +157,36 @@ TEST(ExactSamplerTest, NodePickMatchesTheWeightedIndexReference) {
     const NodeId node = nodes[reference.NextWeightedIndex(weights)];
     ASSERT_EQ(s.ref.node, node);
     reference.NextIndex(db.ContentSize(node));  // The local pick's draw.
+  }
+}
+
+TEST(ExactSamplerTest, UpperBoundIndexMatchesStdUpperBound) {
+  // Every r the node pick can meet and more: each running sum exactly
+  // (ties, including the runs of equal sums empty stores leave), points
+  // between and beyond them, signed zeros, infinities and NaN.
+  const std::vector<std::vector<double>> cases = {
+      {5.0},
+      {0.0, 0.0, 3.0},
+      {1.0, 2.0},
+      {2.0, 2.0, 2.0, 7.0, 7.0, 9.0, 12.0},
+      {0.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0, 10.0},
+      {1.0, 3.0, 6.0, 10.0, 15.0, 21.0, 28.0, 36.0, 45.0, 55.0, 66.0},
+  };
+  for (const std::vector<double>& sums : cases) {
+    std::vector<double> rs = {-1.0, -0.0, 0.0, 0.5, 1e300, HUGE_VAL,
+                              -HUGE_VAL, std::nan("")};
+    for (double s : sums) {
+      rs.push_back(s);
+      rs.push_back(std::nextafter(s, -HUGE_VAL));
+      rs.push_back(std::nextafter(s, HUGE_VAL));
+    }
+    for (double r : rs) {
+      EXPECT_EQ(UpperBoundIndex(sums, r),
+                static_cast<size_t>(
+                    std::upper_bound(sums.begin(), sums.end(), r) -
+                    sums.begin()))
+          << "r=" << r << " over " << sums.size() << " sums";
+    }
   }
 }
 
