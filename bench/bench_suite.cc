@@ -348,7 +348,7 @@ std::vector<Scenario> BuildScenarios() {
            options.sampler = SamplerKind::kTwoStageMcmc;
            options.sampling_options.walk_length = 60;
            options.sampling_options.reset_length = 15;
-           options.sampling_options.hedge.enabled = hedge;
+           options.sampling_options.hedge = hedge;
            options.estimator_options.allow_partial = true;
            options.fault_plan = &plan;
            options.Attach(attached);
@@ -514,9 +514,7 @@ std::vector<Scenario> BuildScenarios() {
          const double flap = aware->FlapRate();
          // Ablated control: same faults and monitor, but breakers never
          // open — walks keep proposing into the partition.
-         PeerHealthConfig ablated_config;
-         ablated_config.breakers_enabled = false;
-         PeerHealthMonitor ablated_monitor(ablated_config);
+         PeerHealthMonitor ablated_monitor(/*breakers_enabled=*/false);
          RunResult ablated = drive(
              {.profiler = in.profiler, .health = &ablated_monitor}, &ns);
          *wall_ns = ns;

@@ -21,6 +21,18 @@ std::vector<double> CostBounds() {
   return obs::ExponentialBuckets(1.0, 2.0, 24);
 }
 
+// Drift-detector tuning. Errors are standardized by ε before the CUSUM
+// fold, so these suit every workload. kEwmaAlpha smooths the
+// signed-error and cost baselines; kCusumSlack is the CUSUM slack k (in
+// ε units for the error detector, in relative cost excess for the cost
+// detector); a one-sided sum above kCusumThreshold (h) is a breach; and
+// kBreachPatience consecutive in-breach resolutions ask the supervisor
+// to degrade, after which the detector resets and re-arms.
+constexpr double kEwmaAlpha = 0.25;
+constexpr double kCusumSlack = 0.5;
+constexpr double kCusumThreshold = 8.0;
+constexpr uint64_t kBreachPatience = 3;
+
 }  // namespace
 
 const char* MissCauseName(MissCause cause) {
@@ -45,26 +57,8 @@ const char* MissCauseName(MissCause cause) {
   return "unknown";
 }
 
-Status AuditOptions::Validate() const {
-  if (!(ewma_alpha > 0.0) || ewma_alpha > 1.0) {
-    return Status::InvalidArgument("audit: ewma_alpha must be in (0, 1]");
-  }
-  if (!(cusum_slack >= 0.0)) {
-    return Status::InvalidArgument("audit: cusum_slack must be >= 0");
-  }
-  if (!(cusum_threshold > 0.0)) {
-    return Status::InvalidArgument("audit: cusum_threshold must be > 0");
-  }
-  if (breach_patience < 1) {
-    return Status::InvalidArgument("audit: breach_patience must be >= 1");
-  }
-  return Status::OK();
-}
-
-PrecisionAuditor::PrecisionAuditor(AuditOptions options)
-    : options_(options),
-      abs_error_hist_(AbsErrorBounds()),
-      cost_hist_(CostBounds()) {}
+PrecisionAuditor::PrecisionAuditor()
+    : abs_error_hist_(AbsErrorBounds()), cost_hist_(CostBounds()) {}
 
 void PrecisionAuditor::AttachContract(double delta, double epsilon,
                                       double confidence) {
@@ -196,7 +190,7 @@ void PrecisionAuditor::ResolveSnapshot(double truth) {
   // workload-independent: error in ε units, cost as relative excess
   // over its own EWMA baseline.
   const double s = error / epsilon_;
-  const double a = options_.ewma_alpha;
+  const double a = kEwmaAlpha;
   const DriftDetector& err = state_.error_detector;
   const double error_ewma_next =
       err.initialized ? (1.0 - a) * err.ewma + a * s : s;
@@ -230,23 +224,22 @@ bool PrecisionAuditor::UpdateDetector(DriftDetector* detector,
                                       double ewma_next) {
   detector->ewma = ewma_next;
   detector->initialized = true;
-  const double k = options_.cusum_slack;
+  const double k = kCusumSlack;
   detector->cusum_pos = std::max(0.0, detector->cusum_pos + value - k);
   detector->cusum_neg = std::max(0.0, detector->cusum_neg - value - k);
   const bool breached =
-      std::max(detector->cusum_pos, detector->cusum_neg) >
-      options_.cusum_threshold;
+      std::max(detector->cusum_pos, detector->cusum_neg) > kCusumThreshold;
   if (!breached) {
     detector->streak = 0;
     return false;
   }
   ++detector->breaches;
   ++detector->streak;
-  const bool flip = detector->streak >= options_.breach_patience;
+  const bool flip = detector->streak >= kBreachPatience;
   if (obs::Tracing(tracer_)) {
     tracer_->Emit(obs::AuditDriftEvent{
         name, detector->ewma, detector->cusum_pos, detector->cusum_neg,
-        options_.cusum_threshold, detector->streak, flip});
+        kCusumThreshold, detector->streak, flip});
   }
   if (flip) {
     // Sustained breach: request one supervisor degradation (the engine

@@ -79,24 +79,6 @@ constexpr size_t kNumMissCauses = 8;
 /// Stable lower-snake name (trace events, metric labels, bench extras).
 const char* MissCauseName(MissCause cause);
 
-/// Drift-detector tuning. Errors are standardized by ε before the CUSUM
-/// fold, so the defaults are workload-independent.
-struct AuditOptions {
-  /// EWMA smoothing for the signed-error and cost baselines.
-  double ewma_alpha = 0.25;
-  /// CUSUM slack k (in ε units for the error detector; in relative
-  /// cost excess for the cost detector).
-  double cusum_slack = 0.5;
-  /// CUSUM decision threshold h: a one-sided sum exceeding it puts the
-  /// detector in breach.
-  double cusum_threshold = 8.0;
-  /// Consecutive in-breach resolutions before the supervisor is asked
-  /// to degrade; the detector then resets and re-arms.
-  size_t breach_patience = 3;
-
-  Status Validate() const;
-};
-
 /// What the engine observed at one snapshot occasion (the audit-facing
 /// slice of EngineTickResult + SnapshotEstimate, kept core-free).
 struct SnapshotObservation {
@@ -197,9 +179,7 @@ struct DriftDetector {
 ///    oracle via RecordTruth(t, truth) after each Tick.
 class PrecisionAuditor {
  public:
-  explicit PrecisionAuditor(AuditOptions options = AuditOptions());
-
-  const AuditOptions& options() const { return options_; }
+  PrecisionAuditor();
 
   /// Attaches (or detaches, with nullptr) the trace sink for audit_*
   /// events. Not owned; must outlive the auditor.
@@ -358,7 +338,6 @@ class PrecisionAuditor {
                       double value, double ewma_next);
   void RebuildHistograms();
 
-  AuditOptions options_;
   obs::Tracer* tracer_ = nullptr;
   double delta_ = 0.0;
   double epsilon_ = 1.0;

@@ -4,18 +4,25 @@
 #include <vector>
 
 namespace digest {
+namespace {
+
+// Every kAdjustmentPeriod ticks each filter gives up kShrinkFraction of
+// its width, and the reclaimed width is re-granted to the sources that
+// pushed the most (Olston's shrink/grow scheme).
+constexpr size_t kAdjustmentPeriod = 8;
+constexpr double kShrinkFraction = 0.1;
+
+}  // namespace
 
 OlstonFilterBaseline::OlstonFilterBaseline(
     const Graph* graph, const P2PDatabase* db, AggregateQuery query,
-    NodeId querying_node, double epsilon, MessageMeter* meter,
-    OlstonFilterOptions options)
+    NodeId querying_node, double epsilon, MessageMeter* meter)
     : graph_(graph),
       db_(db),
       query_(std::move(query)),
       querying_node_(querying_node),
       epsilon_(epsilon),
       meter_(meter),
-      options_(options),
       bound_expression_(query_.expression) {}
 
 Status OlstonFilterBaseline::EnsureInitialized() {
@@ -94,13 +101,12 @@ Result<double> OlstonFilterBaseline::Tick() {
 
   // Pass 2: periodic adaptive reallocation (shrink all, re-grant the
   // reclaimed budget proportionally to recent push counts).
-  if (options_.adjustment_period > 0 &&
-      ticks_ % options_.adjustment_period == 0 && !sources_.empty()) {
+  if (ticks_ % kAdjustmentPeriod == 0 && !sources_.empty()) {
     double reclaimed = 0.0;
     uint64_t total_pushes = 0;
     for (auto& [key, state] : sources_) {
       (void)key;
-      const double cut = state.width * options_.shrink_fraction;
+      const double cut = state.width * kShrinkFraction;
       state.width -= cut;
       reclaimed += cut;
       total_pushes += state.recent_pushes;

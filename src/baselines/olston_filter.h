@@ -12,16 +12,6 @@
 
 namespace digest {
 
-/// Tuning of the adaptive-filter baseline.
-struct OlstonFilterOptions {
-  /// Adjustment period (ticks) for the adaptive width reallocation.
-  size_t adjustment_period = 8;
-  /// Fraction of every filter's width reclaimed at each adjustment and
-  /// redistributed to the sources that pushed the most (Olston's
-  /// shrink/grow scheme).
-  double shrink_fraction = 0.1;
-};
-
 /// The ALL+FILTER baseline of §VI-B3, after Olston et al.: every data
 /// source (tuple) holds a bound-width filter centered at its last
 /// reported value; an update is pushed to the querying node only when
@@ -42,8 +32,7 @@ class OlstonFilterBaseline {
   /// null.
   OlstonFilterBaseline(const Graph* graph, const P2PDatabase* db,
                        AggregateQuery query, NodeId querying_node,
-                       double epsilon, MessageMeter* meter,
-                       OlstonFilterOptions options = {});
+                       double epsilon, MessageMeter* meter);
 
   /// Executes one tick of the push protocol and returns the
   /// coordinator's current AVG estimate.
@@ -67,7 +56,6 @@ class OlstonFilterBaseline {
   NodeId querying_node_;
   double epsilon_;
   MessageMeter* meter_;
-  OlstonFilterOptions options_;
   Expression bound_expression_;
   bool initialized_ = false;
 

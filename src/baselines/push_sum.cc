@@ -6,6 +6,13 @@
 namespace digest {
 namespace {
 
+// Gossip stops after kMaxRounds rounds, or once the querying node's
+// estimate has changed by less than kTolerance (relative) for
+// kStableRounds consecutive rounds.
+constexpr size_t kMaxRounds = 512;
+constexpr double kTolerance = 1e-4;
+constexpr size_t kStableRounds = 5;
+
 struct Mass {
   double sum = 0.0;     // Σ expression values held.
   double count = 0.0;   // Σ tuple counts held.
@@ -31,15 +38,13 @@ PushSumAggregator::PushSumAggregator(const Graph* graph,
                                      const P2PDatabase* db,
                                      AggregateQuery query,
                                      NodeId querying_node,
-                                     MessageMeter* meter, Rng rng,
-                                     PushSumOptions options)
+                                     MessageMeter* meter, Rng rng)
     : graph_(graph),
       db_(db),
       query_(std::move(query)),
       querying_node_(querying_node),
       meter_(meter),
-      rng_(rng),
-      options_(options) {}
+      rng_(rng) {}
 
 Result<PushSumResult> PushSumAggregator::Run() {
   if (query_.op == AggregateOp::kMedian) {
@@ -105,7 +110,7 @@ Result<PushSumResult> PushSumAggregator::Run() {
   double last_estimate = estimate_at(querying_node_);
   size_t stable = 0;
   std::vector<Mass> inbox(graph_->NextId());
-  for (size_t round = 0; round < options_.max_rounds; ++round) {
+  for (size_t round = 0; round < kMaxRounds; ++round) {
     out.rounds = round + 1;
     // Synchronous round: every node halves its mass and pushes one half
     // to a uniformly random neighbor (one message per node per round).
@@ -126,8 +131,8 @@ Result<PushSumResult> PushSumAggregator::Run() {
     }
     const double estimate = estimate_at(querying_node_);
     const double scale = std::max(std::fabs(estimate), 1e-12);
-    if (std::fabs(estimate - last_estimate) / scale < options_.tolerance) {
-      if (++stable >= options_.stable_rounds) {
+    if (std::fabs(estimate - last_estimate) / scale < kTolerance) {
+      if (++stable >= kStableRounds) {
         out.value = estimate;
         out.converged = true;
         return out;

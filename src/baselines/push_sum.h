@@ -11,19 +11,11 @@
 
 namespace digest {
 
-/// Tuning of the gossip aggregation protocol.
-struct PushSumOptions {
-  size_t max_rounds = 512;      ///< Hard cap on gossip rounds.
-  double tolerance = 1e-4;      ///< Relative-change convergence threshold.
-  size_t stable_rounds = 5;     ///< Rounds the estimate must stay within
-                                ///< tolerance before stopping.
-};
-
 /// Result of one gossip aggregation run.
 struct PushSumResult {
   double value = 0.0;     ///< Aggregate estimate at the querying node.
   size_t rounds = 0;      ///< Gossip rounds executed.
-  bool converged = false; ///< False if max_rounds was hit first.
+  bool converged = false; ///< False if the round cap was hit first.
 };
 
 /// Push-sum gossip aggregation (Kempe et al.), one of the randomized
@@ -43,8 +35,7 @@ class PushSumAggregator {
  public:
   PushSumAggregator(const Graph* graph, const P2PDatabase* db,
                     AggregateQuery query, NodeId querying_node,
-                    MessageMeter* meter, Rng rng,
-                    PushSumOptions options = {});
+                    MessageMeter* meter, Rng rng);
 
   /// Executes one full gossip aggregation over the current database
   /// state. Fails if the graph is empty or the expression fails.
@@ -57,7 +48,6 @@ class PushSumAggregator {
   NodeId querying_node_;
   MessageMeter* meter_;
   Rng rng_;
-  PushSumOptions options_;
 };
 
 }  // namespace digest

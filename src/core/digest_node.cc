@@ -64,9 +64,7 @@ Result<std::unique_ptr<DigestNode>> DigestNode::Create(
   if (!graph->HasNode(self)) {
     return Status::InvalidArgument("node is not in the network");
   }
-  if (node_options.max_queries == 0) {
-    return Status::InvalidArgument("max_queries must be >= 1");
-  }
+  DIGEST_RETURN_IF_ERROR(default_options.sampling_options.retry.Validate());
   std::unique_ptr<DigestNode> node(new DigestNode(
       graph, db, self, meter, default_options, node_options));
   node->rng_ = rng;
@@ -107,10 +105,10 @@ Result<QueryId> DigestNode::IssueQuery(ContinuousQuerySpec spec,
     return Status::InvalidArgument(
         "query sampler kind must match the node's shared operator");
   }
-  if (engines_.size() >= node_options_.max_queries) {
-    return Status::FailedPrecondition(
-        "node at max_queries capacity (" +
-        std::to_string(node_options_.max_queries) + ")");
+  if (engines_.size() >= kMaxQueries) {
+    return Status::FailedPrecondition("node at its capacity of " +
+                                      std::to_string(kMaxQueries) +
+                                      " queries");
   }
   const double epsilon = spec.precision.epsilon;
   const QueryId id = next_id_;

@@ -18,10 +18,6 @@ namespace digest {
 /// Node-level runtime policy (the engine-level knobs stay per query in
 /// DigestEngineOptions).
 struct DigestNodeOptions {
-  /// Admission cap: IssueQuery past this fails with kFailedPrecondition
-  /// instead of letting one tenant starve the shared operator.
-  size_t max_queries = 64;
-
   /// true: same-tick snapshot demands coalesce into one shared walk
   /// batch through a CoalescingSampleSource (the §III shared-operator
   /// architecture taken to its conclusion — one sample pool per
@@ -52,6 +48,10 @@ struct DigestNodeOptions {
 /// reconciles exactly into per-tenant shares.
 class DigestNode {
  public:
+  /// Admission cap: IssueQuery past this fails with kFailedPrecondition
+  /// instead of letting one tenant starve the shared operator.
+  static constexpr size_t kMaxQueries = 64;
+
   /// Builds the runtime at `self`. The graph and database must outlive
   /// it. `meter` may be null; all queries charge the same meter, with
   /// per-query attribution kept by the scheduler.

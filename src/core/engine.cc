@@ -44,8 +44,7 @@ DigestEngine::DigestEngine(const Graph* graph, const P2PDatabase* db,
       querying_node_(querying_node),
       meter_(meter),
       options_(options),
-      extrapolator_(options.extrapolator),
-      supervisor_(options.supervisor) {}
+      extrapolator_(options.extrapolator) {}
 
 Result<std::unique_ptr<DigestEngine>> DigestEngine::Create(
     const Graph* graph, const P2PDatabase* db, ContinuousQuerySpec spec,
@@ -74,8 +73,7 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
     return Status::InvalidArgument(
         "a shared sample source requires a shared sampling operator");
   }
-  DIGEST_RETURN_IF_ERROR(options.supervisor.Validate());
-  DIGEST_RETURN_IF_ERROR(options.sampling_options.hedge.Validate());
+  DIGEST_RETURN_IF_ERROR(options.sampling_options.retry.Validate());
   DIGEST_RETURN_IF_ERROR(options.size_estimator_options.Validate());
   std::unique_ptr<DigestEngine> engine(new DigestEngine(
       graph, db, std::move(spec), querying_node, meter, options));
@@ -83,14 +81,10 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
   // it owns: the supervisor, the estimator (below) and the auditor.
   engine->supervisor_.SetTracer(options.tracer);
   if (options.auditor != nullptr) {
-    DIGEST_RETURN_IF_ERROR(options.auditor->options().Validate());
     options.auditor->SetTracer(options.tracer);
     options.auditor->AttachContract(engine->spec_.precision.delta,
                                     engine->spec_.precision.epsilon,
                                     engine->spec_.precision.confidence);
-  }
-  if (options.health != nullptr) {
-    DIGEST_RETURN_IF_ERROR(options.health->config().Validate());
   }
   engine->shared_operator_ = shared_operator != nullptr;
   // The fault plan and the health monitor are driven by the operators;

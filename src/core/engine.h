@@ -66,10 +66,6 @@ struct DigestEngineOptions : obs::Instruments {
   EstimatorOptions estimator_options;
   SamplingOperatorOptions sampling_options;
   SizeEstimatorOptions size_estimator_options;  ///< For kSampled oracle.
-  /// Session-health state machine thresholds (core/supervisor.h). The
-  /// supervisor is a pure observer folded over snapshot outcomes; it
-  /// never influences scheduling or estimation.
-  SupervisorOptions supervisor;
 
   /// How PRED measures the predicted δ-drift (Eq. 4).
   ///

@@ -54,24 +54,19 @@ Result<Extrapolator::Fit> Extrapolator::ComputeFit() const {
   const std::vector<double> xs(all_xs.end() - k, all_xs.end());
   const std::vector<double> ys(state_.values.end() - k, state_.values.end());
   const size_t degree = k - 1;
+  // The paper fits the Taylor polynomial with Levenberg–Marquardt. Seed
+  // LM from the constant term to keep iterations short.
+  std::vector<double> initial(degree + 1, 0.0);
+  initial[0] = ys.back();
+  auto model = [](double x, const std::vector<double>& params) {
+    double acc = 0.0;
+    for (size_t i = params.size(); i-- > 0;) acc = acc * x + params[i];
+    return acc;
+  };
+  DIGEST_ASSIGN_OR_RETURN(LevMarResult lm,
+                          FitModelLevMar(model, xs, ys, initial));
   Fit fit;
-  if (options_.use_levmar) {
-    // The paper fits the Taylor polynomial with Levenberg–Marquardt.
-    // Seed LM from the constant term to keep iterations short.
-    std::vector<double> initial(degree + 1, 0.0);
-    initial[0] = ys.back();
-    auto model = [](double x, const std::vector<double>& params) {
-      double acc = 0.0;
-      for (size_t i = params.size(); i-- > 0;) acc = acc * x + params[i];
-      return acc;
-    };
-    DIGEST_ASSIGN_OR_RETURN(LevMarResult lm,
-                            FitModelLevMar(model, xs, ys, initial));
-    fit.poly = Polynomial(lm.parameters);
-  } else {
-    DIGEST_ASSIGN_OR_RETURN(fit.poly,
-                            FitPolynomialLeastSquares(xs, ys, degree));
-  }
+  fit.poly = Polynomial(lm.parameters);
   // Lagrange-remainder constant |f⁽ᵏ⁾(ξ)/k!| (Eq. 2/3): the order-k
   // divided difference needs k+1 points; with only k available, fall
   // back to the magnitude of the highest fitted coefficient (the
@@ -106,8 +101,7 @@ Result<int64_t> Extrapolator::PredictNextSnapshotTime(
   for (int64_t s = 1; s <= options_.max_skip; ++s) {
     const double sd = static_cast<double>(s);
     const double drift = std::fabs(fit.poly.Evaluate(sd) - reference);
-    const double remainder =
-        options_.remainder_inflation * fit.remainder_c * std::pow(sd, k);
+    const double remainder = fit.remainder_c * std::pow(sd, k);
     if (drift + remainder > delta) {
       return t_last + s;
     }

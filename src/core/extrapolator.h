@@ -20,15 +20,6 @@ struct ExtrapolatorOptions {
   /// Upper bound on how far ahead a snapshot may be scheduled, in ticks.
   /// Guards against runaway predictions when the aggregate flatlines.
   int64_t max_skip = 64;
-
-  /// Fit the polynomial with Levenberg–Marquardt (the paper's choice);
-  /// when false, plain linear least squares is used (ablation knob —
-  /// polynomial fitting is linear, so both should agree).
-  bool use_levmar = true;
-
-  /// Safety multiplier on the Lagrange-remainder estimate (≥ 1 is more
-  /// conservative → earlier snapshots).
-  double remainder_inflation = 1.0;
 };
 
 /// The extrapolation algorithm of §IV-A: fits a degree-(k−1) Taylor

@@ -1,6 +1,15 @@
 #include "core/supervisor.h"
 
 namespace digest {
+namespace {
+
+// Consecutive failures, while already DEGRADED, that make a session
+// STALE; and consecutive contract-meeting outcomes that climb from
+// RECOVERING back to HEALTHY.
+constexpr uint64_t kStaleThreshold = 3;
+constexpr uint64_t kRecoverySuccesses = 2;
+
+}  // namespace
 
 const char* SessionHealthName(SessionHealth health) {
   switch (health) {
@@ -29,19 +38,6 @@ const char* SnapshotOutcomeName(SnapshotOutcome outcome) {
   }
   return "unknown";
 }
-
-Status SupervisorOptions::Validate() const {
-  if (stale_threshold < 1) {
-    return Status::InvalidArgument("stale_threshold must be >= 1");
-  }
-  if (recovery_successes < 1) {
-    return Status::InvalidArgument("recovery_successes must be >= 1");
-  }
-  return Status::OK();
-}
-
-SessionSupervisor::SessionSupervisor(SupervisorOptions options)
-    : options_(options) {}
 
 void SessionSupervisor::Transition(SessionHealth to, SnapshotOutcome outcome,
                                    uint64_t consecutive) {
@@ -102,22 +98,18 @@ SessionHealth SessionSupervisor::RecordOutcome(SnapshotOutcome outcome) {
         // Shallow degradation heals on a single contract-meeting
         // snapshot; the RECOVERING probation only applies after STALE.
         Transition(SessionHealth::kHealthy, outcome, successes);
-      } else if (failures >= options_.stale_threshold) {
+      } else if (failures >= kStaleThreshold) {
         Transition(SessionHealth::kStale, outcome, failures);
       }
       break;
     case SessionHealth::kStale:
-      if (success) {
-        if (successes >= options_.recovery_successes) {
-          Transition(SessionHealth::kHealthy, outcome, successes);
-        } else {
-          Transition(SessionHealth::kRecovering, outcome, successes);
-        }
-      }
+      // A STALE session entered on a failure, so this success is the
+      // first of its streak: probation, not trust.
+      if (success) Transition(SessionHealth::kRecovering, outcome, successes);
       break;
     case SessionHealth::kRecovering:
       if (success) {
-        if (successes >= options_.recovery_successes) {
+        if (successes >= kRecoverySuccesses) {
           Transition(SessionHealth::kHealthy, outcome, successes);
         }
       } else {

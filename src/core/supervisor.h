@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "common/status.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 
@@ -44,19 +43,6 @@ const char* SnapshotOutcomeName(SnapshotOutcome outcome);
 constexpr size_t kNumSessionHealthStates = 4;
 constexpr size_t kNumSnapshotOutcomes = 4;
 
-struct SupervisorOptions {
-  /// Consecutive non-contract outcomes (while already degraded) after
-  /// which the session is declared STALE.
-  size_t stale_threshold = 3;
-
-  /// Consecutive contract-meeting outcomes needed to climb from
-  /// STALE/RECOVERING back to HEALTHY.
-  size_t recovery_successes = 2;
-
-  /// Both thresholds must be >= 1.
-  Status Validate() const;
-};
-
 /// Per-query-session supervisor: folds snapshot outcomes into a health
 /// state machine and exposes the result through the tracer (one
 /// SupervisorStateEvent per transition) and the metrics registry.
@@ -66,10 +52,9 @@ struct SupervisorOptions {
 ///
 ///   HEALTHY    --failure-->                DEGRADED
 ///   DEGRADED   --success-->                HEALTHY
-///   DEGRADED   --failure streak >= stale_threshold--> STALE
-///   STALE      --success-->                RECOVERING (or HEALTHY when
-///                                          recovery_successes == 1)
-///   RECOVERING --success streak >= recovery_successes--> HEALTHY
+///   DEGRADED   --failure streak >= 3-->    STALE
+///   STALE      --success-->                RECOVERING
+///   RECOVERING --success streak >= 2-->    HEALTHY
 ///   RECOVERING --failure-->                STALE
 ///
 /// The supervisor never influences engine decisions — it is a pure
@@ -77,10 +62,6 @@ struct SupervisorOptions {
 /// estimates, meter counts, or RNG streams.
 class SessionSupervisor {
  public:
-  explicit SessionSupervisor(SupervisorOptions options = SupervisorOptions());
-
-  const SupervisorOptions& options() const { return options_; }
-
   /// Attaches (or detaches, with nullptr) the trace sink for transition
   /// events. Not owned; must outlive the supervisor.
   void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
@@ -151,7 +132,6 @@ class SessionSupervisor {
   void TransitionNamed(SessionHealth to, const char* outcome_name,
                        uint64_t consecutive);
 
-  SupervisorOptions options_;
   obs::Tracer* tracer_ = nullptr;
   State state_;
 };

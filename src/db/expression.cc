@@ -35,13 +35,13 @@ Expression Expression::Constant(double value) {
 }
 
 Status Expression::Bind(const Schema& schema) {
+  // A failed Bind leaves the expression unbound, so Evaluate fails
+  // instead of reading the columns of an earlier schema.
+  bound_ = false;
   column_ = kNoColumn;
-  attr_indices_.assign(attributes_.size(), 0);
-  for (size_t i = 0; i < attributes_.size(); ++i) {
-    Result<size_t> index = schema.AttributeIndex(attributes_[i]);
-    if (!index.ok()) return index.status();
-    attr_indices_[i] = *index;
-  }
+  DIGEST_ASSIGN_OR_RETURN(
+      attr_indices_,
+      expression_internal::ResolveAttributes(attributes_, schema));
   bound_ = true;
   if (root_ != nullptr &&
       root_->kind == expression_internal::NodeKind::kAttribute) {

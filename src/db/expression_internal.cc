@@ -230,6 +230,17 @@ Result<NodePtr> ParseUnit(Cursor& cursor,
 
 }  // namespace
 
+Result<std::vector<size_t>> ResolveAttributes(
+    const std::vector<std::string>& attributes, const Schema& schema) {
+  std::vector<size_t> indices;
+  indices.reserve(attributes.size());
+  for (const std::string& name : attributes) {
+    DIGEST_ASSIGN_OR_RETURN(size_t index, schema.AttributeIndex(name));
+    indices.push_back(index);
+  }
+  return indices;
+}
+
 NodePtr MakeConstant(double v) {
   auto n = std::make_shared<Node>();
   n->kind = NodeKind::kConstant;

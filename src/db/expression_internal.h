@@ -71,6 +71,12 @@ Result<NodePtr> ParseArithmetic(Cursor& cursor,
 Result<NodePtr> ParsePredicate(Cursor& cursor,
                                std::vector<std::string>& attributes);
 
+/// The schema column of each name in `attributes`, in order. Fails on
+/// the first name the schema lacks. Both Binds resolve through this and
+/// commit only on success.
+Result<std::vector<size_t>> ResolveAttributes(
+    const std::vector<std::string>& attributes, const Schema& schema);
+
 /// Evaluates an arithmetic subtree.
 Result<double> EvaluateArithmetic(const Node& node, const Tuple& tuple,
                                   const std::vector<size_t>& attr_indices);

@@ -23,12 +23,12 @@ Result<Predicate> Predicate::Parse(std::string_view text) {
 }
 
 Status Predicate::Bind(const Schema& schema) {
-  attr_indices_.assign(attributes_.size(), 0);
-  for (size_t i = 0; i < attributes_.size(); ++i) {
-    Result<size_t> index = schema.AttributeIndex(attributes_[i]);
-    if (!index.ok()) return index.status();
-    attr_indices_[i] = *index;
-  }
+  // A failed Bind leaves the predicate unbound, so Evaluate fails
+  // instead of reading the columns of an earlier schema.
+  bound_ = false;
+  DIGEST_ASSIGN_OR_RETURN(
+      attr_indices_,
+      expression_internal::ResolveAttributes(attributes_, schema));
   bound_ = true;
   return Status::OK();
 }

@@ -11,10 +11,17 @@ namespace digest {
 namespace diag {
 namespace {
 
+// The verdict thresholds are deliberately loose: the diagnostics are a
+// debugging instrument, and a breach only re-attributes an audit miss
+// that already happened; it never changes engine behavior.
+//
 // Total-variation distance above which a batch's empirical visit
 // distribution is out of tolerance with the stationary target (a
 // "stationary gap breach").
 constexpr double kTvBreachThreshold = 0.25;
+// Minimum live visits in a batch before a breach may be declared: a
+// handful of warm-walk steps is not evidence of poor mixing.
+constexpr uint64_t kMinVisits = 32;
 // A peer is "hot" when its message load exceeds this multiple of the
 // mean per-peer load (and at least two peers carried load).
 constexpr double kHotPeerFactor = 2.0;
@@ -89,8 +96,7 @@ void SamplerDiag::FinishBatch(const OverlaySnapshot& overlay,
       }
     }
   }
-  d.breach = d.live_visits >= options_.min_visits &&
-             d.tv_distance > kTvBreachThreshold;
+  d.breach = d.live_visits >= kMinVisits && d.tv_distance > kTvBreachThreshold;
 
   // --- Burn-in adequacy from the per-walk scalar series xₜ = w(vₜ). ---
   // Pooled lag-1 autocorrelation (walk-mean-centered, weighted by lag
@@ -260,23 +266,7 @@ void SamplerDiag::FinishBatch(const OverlaySnapshot& overlay,
   batch_edges_.clear();
 }
 
-void SamplerDiag::Reset() {
-  batch_visit_series_.clear();
-  batch_edges_.clear();
-  last_batch_ = BatchDiagnostics{};
-  breach_since_read_ = false;
-  batches_ = 0;
-  walks_ = 0;
-  steps_ = 0;
-  live_visits_ = 0;
-  dropped_dead_visits_ = 0;
-  proposals_ = 0;
-  accepted_ = 0;
-  breaches_ = 0;
-  hot_batches_ = 0;
-  tv_sum_ = 0.0;
-  tv_max_ = 0.0;
-}
+void SamplerDiag::Reset() { *this = SamplerDiag(); }
 
 std::string SamplerDiag::SummaryJson() const {
   std::string out = "{";

@@ -14,18 +14,6 @@
 namespace digest {
 namespace diag {
 
-/// Tuning of the sampler-introspection verdicts. The thresholds are
-/// deliberately loose constants in diag.cc (a batch breaches above a
-/// total-variation distance of 0.25; a peer is hot above twice the mean
-/// per-peer load): the diagnostics are a debugging instrument, and a
-/// breach only re-attributes an audit miss that already happened — it
-/// never changes engine behavior.
-struct DiagOptions {
-  /// Minimum live visits in a batch before a breach may be declared —
-  /// a handful of warm-walk steps is not evidence of poor mixing.
-  uint64_t min_visits = 32;
-};
-
 /// Per-walk diagnostic scratchpad. One instance rides each walk agent
 /// through a batch (thread-locally under the parallel executor) and
 /// records raw facts only — no aggregation, no RNG, no clock — so the
@@ -98,8 +86,6 @@ struct BatchDiagnostics {
 /// to an uninstrumented build.
 class SamplerDiag {
  public:
-  explicit SamplerDiag(DiagOptions options = {}) : options_(options) {}
-
   /// Folds one delivered walk's buffer into the open batch. Call in
   /// walk-index order; timed-out/cut walks are not folded (they
   /// delivered no sample, and folding them would make diagnostics
@@ -150,8 +136,6 @@ class SamplerDiag {
   std::string SummaryText() const;
 
  private:
-  DiagOptions options_;
-
   // Open batch: raw per-walk records, in fold (walk-index) order.
   std::vector<std::vector<NodeId>> batch_visit_series_;
   std::vector<std::pair<NodeId, NodeId>> batch_edges_;

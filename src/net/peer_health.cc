@@ -14,6 +14,32 @@ namespace {
 // "the chance this peer is merely slow is 10^-k".
 constexpr double kLn10 = 2.302585092994045684;
 
+// The detector and breaker thresholds suit tick-granular virtual time,
+// where a peer sees a handful of deliveries per batch.
+//
+// EWMA smoothing for the per-peer inter-success interval estimate.
+constexpr double kIntervalAlpha = 0.25;
+// Prior mean inter-success interval (ticks) before a peer's first
+// delivery: the scale phi starts from for never-seen peers.
+constexpr double kInitialInterval = 1.0;
+// phi >= kPhiSuspect emits peer_suspect; phi >= kPhiOpen, with at least
+// kFailureFloor consecutive failures, opens the breaker. The floor
+// keeps one lost message under 30% random loss from counting as a dead
+// peer.
+constexpr double kPhiSuspect = 1.0;
+constexpr double kPhiOpen = 2.0;
+constexpr uint64_t kFailureFloor = 3;
+// Ticks an open breaker quarantines the peer before its half-open
+// trial. In the trial, kCloseSuccesses successes with no failure first
+// close the breaker, and any failure re-opens it for another cooldown,
+// so a trial ends within kCloseSuccesses outcomes.
+constexpr int64_t kOpenCooldown = 8;
+constexpr uint64_t kCloseSuccesses = 2;
+// Quarantined / population fraction at which the monitor asks the
+// engine (one-tick lag, like the audit drift flip) to degrade the
+// session supervisor with outcome "peer_quarantine".
+constexpr double kQuarantineDegradeFraction = 0.5;
+
 }  // namespace
 
 const char* BreakerStateName(BreakerState state) {
@@ -28,51 +54,6 @@ const char* BreakerStateName(BreakerState state) {
   return "unknown";
 }
 
-Status PeerHealthConfig::Validate() const {
-  if (!(interval_alpha > 0.0) || interval_alpha > 1.0) {
-    return Status::InvalidArgument(
-        "health: interval_alpha must be in (0, 1]");
-  }
-  if (!(initial_interval > 0.0)) {
-    return Status::InvalidArgument(
-        "health: initial_interval must be > 0");
-  }
-  if (!(phi_suspect > 0.0) || !(phi_open > 0.0)) {
-    return Status::InvalidArgument(
-        "health: phi thresholds must be > 0");
-  }
-  if (phi_open < phi_suspect) {
-    return Status::InvalidArgument(
-        "health: phi_open must be >= phi_suspect (a breaker cannot open "
-        "below the suspicion it announces)");
-  }
-  if (failure_floor < 1) {
-    return Status::InvalidArgument("health: failure_floor must be >= 1");
-  }
-  if (open_cooldown < 1) {
-    return Status::InvalidArgument("health: open_cooldown must be >= 1");
-  }
-  if (half_open_probes < 1 || close_successes < 1) {
-    return Status::InvalidArgument(
-        "health: half-open trial needs half_open_probes >= 1 and "
-        "close_successes >= 1");
-  }
-  if (close_successes > half_open_probes) {
-    return Status::InvalidArgument(
-        "health: close_successes must fit inside the half_open_probes "
-        "trial budget");
-  }
-  if (!(quarantine_degrade_fraction > 0.0) ||
-      quarantine_degrade_fraction > 1.0) {
-    return Status::InvalidArgument(
-        "health: quarantine_degrade_fraction must be in (0, 1]");
-  }
-  return Status::OK();
-}
-
-PeerHealthMonitor::PeerHealthMonitor(PeerHealthConfig config)
-    : config_(config) {}
-
 PeerHealthMonitor::PeerState& PeerHealthMonitor::PeerAt(NodeId id) {
   for (NodeId next = static_cast<NodeId>(peers_.size()); next <= id; ++next) {
     peers_.push_back(PeerState{.peer = next});
@@ -85,7 +66,7 @@ double PeerHealthMonitor::Phi(const PeerState& peer) const {
   // failure count as sub-tick evidence (a batch folds many outcomes at
   // one tick, and each additional failure is additional evidence).
   double gap = static_cast<double>(peer.consecutive_failures);
-  double mean = config_.initial_interval;
+  double mean = kInitialInterval;
   if (peer.has_success) {
     gap += static_cast<double>(
         std::max<int64_t>(0, run_.now - peer.last_success));
@@ -146,10 +127,9 @@ void PeerHealthMonitor::RecordOutcome(NodeId id, bool delivered) {
     if (peer.has_success) {
       const double interval = static_cast<double>(
           std::max<int64_t>(1, run_.now - peer.last_success));
-      peer.mean_interval += config_.interval_alpha *
-                            (interval - peer.mean_interval);
+      peer.mean_interval += kIntervalAlpha * (interval - peer.mean_interval);
     } else {
-      peer.mean_interval = config_.initial_interval;
+      peer.mean_interval = kInitialInterval;
       peer.has_success = true;
     }
     peer.last_success = run_.now;
@@ -158,7 +138,7 @@ void PeerHealthMonitor::RecordOutcome(NodeId id, bool delivered) {
     if (peer.breaker == BreakerState::kHalfOpen) {
       ++peer.trial_outcomes;
       ++peer.trial_successes;
-      if (peer.trial_successes >= config_.close_successes) {
+      if (peer.trial_successes >= kCloseSuccesses) {
         ++run_.closes;
         Transition(peer, BreakerState::kClosed, 0.0);
       }
@@ -169,7 +149,7 @@ void PeerHealthMonitor::RecordOutcome(NodeId id, bool delivered) {
   ++peer.failures;
   ++peer.consecutive_failures;
   const double phi = Phi(peer);
-  if (!peer.suspect_latched && phi >= config_.phi_suspect) {
+  if (!peer.suspect_latched && phi >= kPhiSuspect) {
     peer.suspect_latched = true;
     ++run_.suspects;
     if (obs::Tracing(tracer_)) {
@@ -177,12 +157,12 @@ void PeerHealthMonitor::RecordOutcome(NodeId id, bool delivered) {
                                           peer.consecutive_failures});
     }
   }
-  if (!config_.breakers_enabled) return;
+  if (!breakers_enabled_) return;
   switch (peer.breaker) {
     case BreakerState::kClosed:
-      if (phi >= config_.phi_open &&
-          peer.consecutive_failures >= config_.failure_floor) {
-        peer.open_until = run_.now + config_.open_cooldown;
+      if (phi >= kPhiOpen &&
+          peer.consecutive_failures >= kFailureFloor) {
+        peer.open_until = run_.now + kOpenCooldown;
         ++run_.opens;
         Transition(peer, BreakerState::kOpen, phi);
       }
@@ -190,7 +170,7 @@ void PeerHealthMonitor::RecordOutcome(NodeId id, bool delivered) {
     case BreakerState::kHalfOpen:
       // Any trial failure re-opens for another cooldown.
       ++peer.trial_outcomes;
-      peer.open_until = run_.now + config_.open_cooldown;
+      peer.open_until = run_.now + kOpenCooldown;
       ++run_.reopens;
       Transition(peer, BreakerState::kOpen, phi);
       break;
@@ -212,8 +192,7 @@ void PeerHealthMonitor::FinishBatch(size_t population) {
   run_.population = static_cast<uint64_t>(population);
   if (quarantined_ > 0) run_.quarantine_since_read = true;
   const double fraction = QuarantineFraction();
-  if (config_.breakers_enabled &&
-      fraction >= config_.quarantine_degrade_fraction) {
+  if (breakers_enabled_ && fraction >= kQuarantineDegradeFraction) {
     if (!run_.degrade_latched) {
       run_.degrade_latched = true;
       ++run_.pending_flips;
@@ -260,9 +239,8 @@ double PeerHealthMonitor::FlapRate() const {
 }
 
 void PeerHealthMonitor::Reset() {
-  const PeerHealthConfig config = config_;
   obs::Tracer* tracer = tracer_;
-  *this = PeerHealthMonitor(config);
+  *this = PeerHealthMonitor(breakers_enabled_);
   tracer_ = tracer;
 }
 

@@ -42,63 +42,11 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "net/graph.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 
 namespace digest {
-
-/// Tuning for the phi detector and the breaker state machine. The
-/// defaults suit tick-granular virtual time where a peer sees a handful
-/// of deliveries per batch.
-struct PeerHealthConfig {
-  /// Master switch for the breakers (the ablation dial): when false the
-  /// monitor still folds outcomes and scores suspicion — peer_suspect
-  /// events, registry keys, and the summary stay live — but breakers
-  /// never open and the quarantine set stays empty, so routing is
-  /// untouched. Bench ablations compare coverage with and without it.
-  bool breakers_enabled = true;
-
-  /// EWMA smoothing for the per-peer inter-success interval estimate.
-  double interval_alpha = 0.25;
-
-  /// Prior mean inter-success interval (ticks) before a peer's first
-  /// delivery — the scale phi starts from for never-seen peers.
-  double initial_interval = 1.0;
-
-  /// Suspicion level phi = gap / (mean_interval · ln 10) — the
-  /// phi-accrual suspicion under an exponential inter-arrival model,
-  /// where `gap` is the virtual time since the peer's last delivery
-  /// plus the consecutive-failure count (sub-tick evidence: many
-  /// outcomes share one tick). phi ≥ phi_suspect emits peer_suspect;
-  /// phi ≥ phi_open (with at least failure_floor consecutive failures)
-  /// opens the breaker.
-  double phi_suspect = 1.0;
-  double phi_open = 2.0;
-
-  /// Minimum consecutive failures before a breaker may open — one lost
-  /// message under 30% random loss is noise, not a dead peer.
-  uint64_t failure_floor = 3;
-
-  /// Ticks an open breaker quarantines the peer before the trial
-  /// (half-open) window begins.
-  int64_t open_cooldown = 8;
-
-  /// Outcomes considered in the half-open trial window: the first
-  /// `half_open_probes` folded outcomes decide — `close_successes`
-  /// successes (with no failure first) close the breaker; any failure
-  /// re-opens it for another cooldown.
-  uint64_t half_open_probes = 4;
-  uint64_t close_successes = 2;
-
-  /// When quarantined / population crosses this fraction the monitor
-  /// asks the engine (one-tick-lag, like the audit drift flip) to
-  /// degrade the session supervisor with outcome "peer_quarantine".
-  double quarantine_degrade_fraction = 0.5;
-
-  Status Validate() const;
-};
 
 /// Breaker state of one peer.
 enum class BreakerState : int {
@@ -159,9 +107,14 @@ struct WalkHealthBuffer {
 ///    closes each batch with FinishBatch(population).
 class PeerHealthMonitor {
  public:
-  explicit PeerHealthMonitor(PeerHealthConfig config = PeerHealthConfig());
-
-  const PeerHealthConfig& config() const { return config_; }
+  /// `breakers_enabled` is the ablation dial: when false the monitor
+  /// still folds outcomes and scores suspicion (peer_suspect events,
+  /// registry keys and the summary stay live), but breakers never open
+  /// and the quarantine set stays empty, so routing is untouched. Bench
+  /// ablations compare coverage with and without it. The detector and
+  /// breaker thresholds are constants in peer_health.cc.
+  explicit PeerHealthMonitor(bool breakers_enabled = true)
+      : breakers_enabled_(breakers_enabled) {}
 
   /// Attaches (or detaches, with nullptr) the trace sink for
   /// peer_suspect / breaker_transition events. Not owned; must outlive
@@ -187,8 +140,7 @@ class PeerHealthMonitor {
 
   /// Closes a batch: records the routing population (live node count,
   /// for the quarantine fraction), latches the supervisor flip when the
-  /// fraction crosses the configured threshold, and bumps the batch
-  /// counter.
+  /// fraction reaches one half, and bumps the batch counter.
   void FinishBatch(size_t population);
 
   /// Current breaker state of a peer (kClosed for never-seen peers).
@@ -317,8 +269,8 @@ class PeerHealthMonitor {
     }
   };
   /// Per-run state for the engine checkpoint ("health" section of
-  /// digest-checkpoint-v3). Config is configuration, not state,
-  /// matching the checkpoint discipline.
+  /// digest-checkpoint-v3). The breaker dial is configuration, not
+  /// state, matching the checkpoint discipline.
   struct State {
     RunState run;
     std::vector<PeerState> peers;  ///< Ascending NodeId.
@@ -347,7 +299,7 @@ class PeerHealthMonitor {
   void Transition(PeerState& peer, BreakerState to, double phi);
   void RecordOutcome(NodeId id, bool delivered);
 
-  PeerHealthConfig config_;
+  bool breakers_enabled_;
   obs::Tracer* tracer_ = nullptr;
   RunState run_;
   std::vector<PeerState> peers_;  ///< Indexed by NodeId, grown on demand.

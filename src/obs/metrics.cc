@@ -172,19 +172,5 @@ std::string Registry::ToJson() const {
   return out;
 }
 
-Status Registry::WriteJson(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::Unavailable("cannot open '" + path + "' for writing");
-  }
-  const std::string json = ToJson();
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fputc('\n', f);
-  if (std::fclose(f) != 0) {
-    return Status::Unavailable("error closing '" + path + "'");
-  }
-  return Status::OK();
-}
-
 }  // namespace obs
 }  // namespace digest

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/result.h"
 
 namespace digest {
 namespace obs {
@@ -138,9 +137,6 @@ class Registry {
   /// One JSON object covering every instrument, keys sorted. Stable
   /// formatting (%.17g doubles) so equal registries serialize equally.
   std::string ToJson() const;
-
-  /// Writes ToJson() (plus trailing newline) to `path`.
-  Status WriteJson(const std::string& path) const;
 
  private:
   std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -52,7 +52,7 @@ void Profiler::Record(Phase phase, uint64_t start_ns, uint64_t end_ns,
   s.total_ns += dur;
   s.items += items;
   if (options_.capture_spans && PhaseCapturesSpans(phase)) {
-    if (spans_.size() < options_.max_spans) {
+    if (spans_.size() < kMaxSpans) {
       spans_.push_back(WallSpan{phase, start_ns, dur, items});
     } else {
       ++spans_dropped_;
@@ -177,7 +177,7 @@ std::string RenderProfSummary(const Profiler& profiler) {
     std::snprintf(buf, sizeof(buf),
                   "  [%llu spans dropped over the %zu-span cap]\n",
                   static_cast<unsigned long long>(profiler.spans_dropped()),
-                  profiler.options().max_spans);
+                  kMaxSpans);
     out += buf;
   }
   return out;

@@ -70,12 +70,12 @@ struct ProfilerOptions {
   /// captured (see PhaseCapturesSpans); high-frequency phases
   /// (walk stepping, fault draws) aggregate into counters only.
   bool capture_spans = true;
-
-  /// Hard cap on captured spans; further spans still aggregate into the
-  /// phase counters but are dropped from the span log (counted by
-  /// spans_dropped). Bounds memory on long runs.
-  size_t max_spans = 65536;
 };
+
+/// Hard cap on captured spans; further spans still aggregate into the
+/// phase counters but are dropped from the span log (counted by
+/// spans_dropped). Bounds memory on long runs.
+constexpr size_t kMaxSpans = 65536;
 
 /// True for phases coarse enough to record as individual wall spans.
 bool PhaseCapturesSpans(Phase phase);
@@ -158,7 +158,6 @@ class Profiler {
   }
   const std::vector<WallSpan>& spans() const { return spans_; }
   uint64_t spans_dropped() const { return spans_dropped_; }
-  const ProfilerOptions& options() const { return options_; }
 
   /// Folds a pool worker's Track into this profiler (main thread,
   /// after the pool barrier): the track's counters merge element-wise

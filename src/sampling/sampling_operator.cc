@@ -22,6 +22,14 @@ namespace {
 constexpr double kMixingFactor = 4.0;
 constexpr double kResetFactor = 4.0;
 
+// Hedging (SamplingOperatorOptions::hedge): an agent is a straggler
+// once its consumed attempts exceed kStragglerFactor × (its planned
+// steps) × (observed mean attempts per step), and hedging arms only
+// after kMinObservations completed walks (below that the
+// attempts-per-step estimate is noise).
+constexpr double kStragglerFactor = 3.0;
+constexpr uint64_t kMinObservations = 4;
+
 size_t AutoLength(size_t node_count, double factor, bool squared) {
   const double ln_n = std::log(std::max<size_t>(node_count, 2));
   const double raw = squared ? factor * ln_n * ln_n : factor * ln_n;
@@ -121,16 +129,6 @@ size_t SamplingOperator::EffectiveResetLength() const {
   return AutoLength(graph_->NodeCount(), kResetFactor, /*squared=*/false);
 }
 
-Status HedgePolicy::Validate() const {
-  if (!(straggler_factor >= 1.0)) {
-    return Status::InvalidArgument("straggler_factor must be >= 1");
-  }
-  if (min_observations < 1) {
-    return Status::InvalidArgument("min_observations must be >= 1");
-  }
-  return Status::OK();
-}
-
 Result<NodeId> SamplingOperator::SampleNode(NodeId origin) {
   DIGEST_ASSIGN_OR_RETURN(PartialBatch batch, SampleNodes(origin, 1));
   if (batch.timed_out) {
@@ -141,10 +139,8 @@ Result<NodeId> SamplingOperator::SampleNode(NodeId origin) {
 }
 
 uint64_t SamplingOperator::HedgeThreshold(size_t steps) const {
-  if (!options_.hedge.enabled) return 0;
-  if (done_walks_ < options_.hedge.min_observations || done_steps_ == 0) {
-    return 0;
-  }
+  if (!options_.hedge) return 0;
+  if (done_walks_ < kMinObservations || done_steps_ == 0) return 0;
   // Expected attempts for this agent = planned steps × the observed mean
   // attempts-per-step of completed walks (>= 1: a step costs at least
   // one attempt). Integer ceil keeps the threshold deterministic.
@@ -152,8 +148,7 @@ uint64_t SamplingOperator::HedgeThreshold(size_t steps) const {
       std::max(1.0, static_cast<double>(done_attempts_) /
                         static_cast<double>(done_steps_));
   return static_cast<uint64_t>(
-      std::ceil(options_.hedge.straggler_factor * mean_per_step *
-                static_cast<double>(steps)));
+      std::ceil(kStragglerFactor * mean_per_step * static_cast<double>(steps)));
 }
 
 Result<PartialBatch> SamplingOperator::SampleNodes(NodeId origin, size_t n) {

@@ -20,37 +20,6 @@ namespace exec {
 class WorkerPool;
 }  // namespace exec
 
-/// Straggler mitigation for fault-injected walks: when one agent has
-/// consumed far more budget than completed walks typically need, launch
-/// a redundant (hedged) walk and let the two race; the first to finish
-/// delivers the sample and the loser's eventual delivery is suppressed
-/// as a duplicate. The duplicate is routed through a different replica
-/// when possible — walk i's hedge forks from walk i−1's start-of-batch
-/// agent position (already mixed when that agent is warm, so a reset
-/// suffices), away from whatever lossy or stalled neighborhood trapped
-/// the straggler — and the race resolves in virtual time (consumed
-/// attempt units), with the cheaper walker stepping next, the way two
-/// parallel walks would resolve in a real overlay. The threshold is
-/// derived purely from the observed attempts-per-step distribution of
-/// walks completed in earlier batches, frozen at batch start — no wall
-/// clock — so hedged runs stay bit-reproducible from the seed.
-struct HedgePolicy {
-  /// Off by default: disabled hedging is bit-identical to the pre-hedge
-  /// sampler, faults or not.
-  bool enabled = false;
-
-  /// An agent is a straggler once its consumed attempts exceed
-  /// straggler_factor × (its planned steps) × (observed mean attempts
-  /// per step). Must be >= 1.
-  double straggler_factor = 3.0;
-
-  /// Completed walks to observe before hedging arms (below this the
-  /// attempts-per-step estimate is noise). Must be >= 1.
-  size_t min_observations = 4;
-
-  Status Validate() const;
-};
-
 /// Tuning of the distributed sampling operator S.
 struct SamplingOperatorOptions {
   /// Steps a cold agent walks before its position counts as a sample
@@ -77,8 +46,24 @@ struct SamplingOperatorOptions {
   /// FaultPlan is attached (ignored otherwise).
   RetryPolicy retry;
 
-  /// Hedged-walk straggler mitigation (only active under a FaultPlan).
-  HedgePolicy hedge;
+  /// Straggler mitigation for fault-injected walks (only active under
+  /// a FaultPlan): when one agent has consumed far more budget than
+  /// completed walks typically need, launch a redundant (hedged) walk
+  /// and let the two race; the first to finish delivers the sample and
+  /// the loser's eventual delivery is suppressed as a duplicate. The
+  /// duplicate is routed through a different replica when possible —
+  /// walk i's hedge forks from walk i−1's start-of-batch agent position
+  /// (already mixed when that agent is warm, so a reset suffices), away
+  /// from whatever lossy or stalled neighborhood trapped the straggler
+  /// — and the race resolves in virtual time (consumed attempt units),
+  /// with the cheaper walker stepping next, the way two parallel walks
+  /// would resolve in a real overlay. The straggler threshold is
+  /// derived purely from the observed attempts-per-step distribution of
+  /// walks completed in earlier batches, frozen at batch start — no
+  /// wall clock — so hedged runs stay bit-reproducible from the seed.
+  /// Off by default: disabled hedging is bit-identical to the pre-hedge
+  /// sampler, faults or not.
+  bool hedge = false;
 
   /// Worker threads a walk batch runs on (0 is treated as 1). Thread
   /// count changes only wall time: each batch derives one RNG substream

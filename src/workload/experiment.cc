@@ -1,6 +1,7 @@
 #include "workload/experiment.h"
 
 #include "audit/audit.h"
+#include "baselines/olston_filter.h"
 #include "baselines/push_all.h"
 #include "diag/diag.h"
 #include "net/peer_health.h"
@@ -118,8 +119,7 @@ Result<RunResult> RunPushAllExperiment(Workload& workload,
 
 Result<RunResult> RunFilterExperiment(Workload& workload,
                                       const ContinuousQuerySpec& spec,
-                                      size_t ticks, uint64_t seed,
-                                      OlstonFilterOptions filter_options) {
+                                      size_t ticks, uint64_t seed) {
   Rng rng(seed);
   DIGEST_ASSIGN_OR_RETURN(NodeId querying_node,
                           workload.graph().RandomLiveNode(rng));
@@ -130,8 +130,7 @@ Result<RunResult> RunFilterExperiment(Workload& workload,
   // matching Digest's confidence interval.
   OlstonFilterBaseline baseline(&workload.graph(), &workload.db(),
                                 spec.query, querying_node,
-                                spec.precision.epsilon, &out.meter,
-                                filter_options);
+                                spec.precision.epsilon, &out.meter);
   for (size_t t = 0; t < ticks; ++t) {
     DIGEST_RETURN_IF_ERROR(workload.Advance());
     DIGEST_ASSIGN_OR_RETURN(double value, baseline.Tick());

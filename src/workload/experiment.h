@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "baselines/olston_filter.h"
 #include "common/result.h"
 #include "core/engine.h"
 #include "core/metrics.h"
@@ -71,8 +70,7 @@ Result<RunResult> RunPushAllExperiment(Workload& workload,
 /// Runs the ALL+FILTER adaptive-filter baseline.
 Result<RunResult> RunFilterExperiment(Workload& workload,
                                       const ContinuousQuerySpec& spec,
-                                      size_t ticks, uint64_t seed,
-                                      OlstonFilterOptions filter_options = {});
+                                      size_t ticks, uint64_t seed);
 
 }  // namespace digest
 

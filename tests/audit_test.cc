@@ -51,24 +51,6 @@ TEST(MissCauseTest, NamesAreStable) {
   EXPECT_STREQ(MissCauseName(MissCause::kPoorMixing), "poor_mixing");
 }
 
-TEST(AuditOptionsTest, ValidateRejectsBadTuning) {
-  EXPECT_TRUE(AuditOptions().Validate().ok());
-  AuditOptions bad_alpha;
-  bad_alpha.ewma_alpha = 0.0;
-  EXPECT_EQ(bad_alpha.Validate().code(), StatusCode::kInvalidArgument);
-  bad_alpha.ewma_alpha = 1.5;
-  EXPECT_EQ(bad_alpha.Validate().code(), StatusCode::kInvalidArgument);
-  AuditOptions bad_slack;
-  bad_slack.cusum_slack = -0.1;
-  EXPECT_EQ(bad_slack.Validate().code(), StatusCode::kInvalidArgument);
-  AuditOptions bad_threshold;
-  bad_threshold.cusum_threshold = 0.0;
-  EXPECT_EQ(bad_threshold.Validate().code(), StatusCode::kInvalidArgument);
-  AuditOptions bad_patience;
-  bad_patience.breach_patience = 0;
-  EXPECT_EQ(bad_patience.Validate().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(PrecisionAuditorTest, CoverageAndBudgetMath) {
   PrecisionAuditor auditor;
   auditor.AttachContract(/*delta=*/0.0, /*epsilon=*/2.0,
@@ -206,22 +188,19 @@ TEST(PrecisionAuditorTest, UnresolvedAndUnmatchedObservations) {
 }
 
 TEST(PrecisionAuditorTest, SustainedErrorDriftFlipsSupervisor) {
-  AuditOptions options;
-  options.cusum_threshold = 2.0;
-  options.breach_patience = 2;
-  PrecisionAuditor auditor(options);
+  PrecisionAuditor auditor;
   obs::MemoryTracer tracer;
   auditor.SetTracer(&tracer);
   auditor.AttachContract(0.0, /*epsilon=*/1.0, 0.9);
   auditor.BeginRun("drift");
-  // Standardized error +2ε per occasion: CUSUM pos grows by
-  // (2 − slack) = 1.5 per resolution → in breach from the 2nd
-  // resolution (3.0 > 2.0), flip after patience = 2 in-breach
+  // Standardized error +5ε per occasion: CUSUM pos grows by
+  // (5 − slack 0.5) = 4.5 per resolution → in breach from the 2nd
+  // resolution (9.0 > threshold 8.0), flip after patience = 3 in-breach
   // resolutions.
   int flips = 0;
-  for (int64_t t = 1; t <= 3; ++t) {
+  for (int64_t t = 1; t <= 4; ++t) {
     tracer.set_now(t);
-    auditor.RecordSnapshot(MakeObs(t, 52.0, 1.0));
+    auditor.RecordSnapshot(MakeObs(t, 55.0, 1.0));
     auditor.RecordTruth(t, 50.0);
     while (auditor.TakePendingBreachFlip()) ++flips;
   }
@@ -241,7 +220,7 @@ TEST(PrecisionAuditorTest, SustainedErrorDriftFlipsSupervisor) {
       if (drift->flip) ++flip_events;
     }
   }
-  EXPECT_EQ(drift_events, 2);
+  EXPECT_EQ(drift_events, 3);
   EXPECT_EQ(flip_events, 1);
   // The flip reset the detector: its one-sided sums re-arm from zero.
   const PrecisionAuditor::State state = auditor.SaveState();

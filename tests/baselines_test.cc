@@ -141,11 +141,8 @@ TEST(OlstonFilterTest, VolatileSourcesEarnWiderFilters) {
   // One source far noisier than the rest: after adaptation it should
   // hold a wider filter than a quiet source.
   Fixture f;
-  OlstonFilterOptions options;
-  options.adjustment_period = 4;
-  options.shrink_fraction = 0.2;
   OlstonFilterBaseline baseline(&f.graph, f.db.get(), AvgQuery(), 0, 1.0,
-                                nullptr, options);
+                                nullptr);
   const TupleRef noisy = f.refs.front();
   Rng rng(7);
   uint64_t before = 0;

@@ -38,26 +38,24 @@ double UnitWeight(NodeId) { return 1.0; }
 
 TEST(SamplerDiagTest, TvAndChiSquareAgainstUniformTarget) {
   // Unit weights on a triangle make the stationary target uniform 1/3.
-  // Six visits, all to node 0: empirical = (1, 0, 0), so
+  // 36 visits, all to node 0: empirical = (1, 0, 0), so
   //   TV  = ½(|1−⅓| + ⅓ + ⅓) = ⅔
   //   χ²  = ((⅔)² + (⅓)² + (⅓)²) / ⅓ = 2
   Graph g = MakeTriangle();
-  DiagOptions options;
-  options.min_visits = 1;
-  SamplerDiag diag(options);
+  SamplerDiag diag;
   WalkDiagBuffer walk;
-  for (int i = 0; i < 6; ++i) walk.RecordVisit(0);
+  for (int i = 0; i < 36; ++i) walk.RecordVisit(0);
   diag.FoldWalk(walk);
   diag.FinishBatch(OverlaySnapshot(g, UnitWeight), /*proposals=*/0,
                    /*accepted=*/0, /*tracer=*/nullptr, /*registry=*/nullptr);
   const BatchDiagnostics& d = diag.last_batch();
   EXPECT_EQ(d.walks, 1u);
-  EXPECT_EQ(d.steps, 6u);
-  EXPECT_EQ(d.live_visits, 6u);
+  EXPECT_EQ(d.steps, 36u);
+  EXPECT_EQ(d.live_visits, 36u);
   EXPECT_EQ(d.live_peers, 3u);
   EXPECT_NEAR(d.tv_distance, 2.0 / 3.0, 1e-12);
   EXPECT_NEAR(d.chi_square, 2.0, 1e-12);
-  EXPECT_TRUE(d.breach);  // ⅔ > default threshold 0.25, min_visits met.
+  EXPECT_TRUE(d.breach);  // ⅔ > threshold 0.25, 32-visit floor met.
 }
 
 TEST(SamplerDiagTest, PerfectHistogramHasZeroGap) {
@@ -82,12 +80,10 @@ TEST(SamplerDiagTest, PerfectHistogramHasZeroGap) {
 }
 
 TEST(SamplerDiagTest, MinVisitsGuardSuppressesBreach) {
-  // A terrible histogram built from fewer than min_visits live visits
-  // is not evidence of poor mixing — no breach.
+  // A terrible histogram built from fewer than the 32-visit floor of
+  // live visits is not evidence of poor mixing — no breach.
   Graph g = MakeTriangle();
-  DiagOptions options;
-  options.min_visits = 32;
-  SamplerDiag diag(options);
+  SamplerDiag diag;
   WalkDiagBuffer walk;
   for (int i = 0; i < 6; ++i) walk.RecordVisit(0);
   diag.FoldWalk(walk);
@@ -216,12 +212,10 @@ TEST(SamplerDiagTest, BalancedLoadIsNotHot) {
 
 TEST(SamplerDiagTest, BreachFlagIsReadAndClear) {
   Graph g = MakeTriangle();
-  DiagOptions options;
-  options.min_visits = 1;
-  SamplerDiag diag(options);
+  SamplerDiag diag;
 
   WalkDiagBuffer bad;
-  for (int i = 0; i < 6; ++i) bad.RecordVisit(0);
+  for (int i = 0; i < 36; ++i) bad.RecordVisit(0);
   diag.FoldWalk(bad);
   diag.FinishBatch(OverlaySnapshot(g, UnitWeight), 0, 0, nullptr, nullptr);
   ASSERT_TRUE(diag.LastBatchBreach());
@@ -256,11 +250,9 @@ TEST(SamplerDiagTest, EmitsFourEventsAndRegistryKeysPerBatch) {
   Graph g = MakeTriangle();
   obs::MemoryTracer tracer;
   obs::Registry registry;
-  DiagOptions options;
-  options.min_visits = 1;
-  SamplerDiag diag(options);
+  SamplerDiag diag;
   WalkDiagBuffer walk;
-  for (int i = 0; i < 6; ++i) walk.RecordVisit(0);
+  for (int i = 0; i < 36; ++i) walk.RecordVisit(0);
   walk.RecordProbe(0, 1);
   walk.RecordHop(0, 1);
   diag.FoldWalk(walk);
@@ -278,7 +270,7 @@ TEST(SamplerDiagTest, EmitsFourEventsAndRegistryKeysPerBatch) {
       tracer.events()[3].payload));
 
   EXPECT_EQ(registry.GetCounter("diag.batches")->value(), 1u);
-  EXPECT_EQ(registry.GetCounter("diag.visits")->value(), 6u);
+  EXPECT_EQ(registry.GetCounter("diag.visits")->value(), 36u);
   EXPECT_EQ(registry.GetCounter("diag.stationary_breaches")->value(), 1u);
   EXPECT_NEAR(registry.GetGauge("diag.acceptance_rate")->value(), 1.0,
               1e-12);

@@ -196,14 +196,16 @@ TEST(QuerySchedulerTest, CutExtensionStaysInThePool) {
 
 TEST(DigestNodeSchedulerTest, AdmissionCapEnforced) {
   Fixture f;
-  DigestNodeOptions node_options;
-  node_options.max_queries = 2;
   auto node = DigestNode::Create(&f.graph, f.db.get(), 0, Rng(3), nullptr,
-                                 FastOptions(), node_options)
+                                 FastOptions())
                   .value();
   const QueryId q1 =
       node->IssueQuery(Spec("SELECT AVG(cpu) FROM R", 1.0)).value();
-  ASSERT_TRUE(node->IssueQuery(Spec("SELECT AVG(memory) FROM R", 1.0)).ok());
+  for (size_t i = 1; i < DigestNode::kMaxQueries; ++i) {
+    ASSERT_TRUE(node->IssueQuery(Spec("SELECT AVG(memory) FROM R", 1.0)).ok())
+        << i;
+  }
+  EXPECT_EQ(node->active_queries(), DigestNode::kMaxQueries);
   EXPECT_EQ(node->IssueQuery(Spec("SELECT AVG(cpu) FROM R", 2.0))
                 .status()
                 .code(),

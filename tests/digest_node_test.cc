@@ -50,6 +50,19 @@ TEST(DigestNodeTest, CreateValidatesNode) {
       DigestNode::Create(&f.graph, f.db.get(), 999, Rng(3), nullptr).ok());
   EXPECT_TRUE(
       DigestNode::Create(&f.graph, f.db.get(), 0, Rng(3), nullptr).ok());
+  // The shared operator's hop-budget factor is checked at Create: NaN
+  // and negative factors would reach an undefined cast, and one below
+  // 1 cuts every faulted batch.
+  for (double factor : {std::nan(""), -1.0, 0.5}) {
+    DigestEngineOptions options = FastOptions();
+    options.sampling_options.retry.hop_budget_factor = factor;
+    EXPECT_EQ(DigestNode::Create(&f.graph, f.db.get(), 0, Rng(3), nullptr,
+                                 options)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << factor;
+  }
 }
 
 TEST(DigestNodeTest, MultipleConcurrentQueries) {

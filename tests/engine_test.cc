@@ -84,6 +84,21 @@ TEST(EngineTest, CreateValidatesInputs) {
       DigestEngine::Create(&data.graph, data.db.get(), bad, 0, Rng(2),
                            nullptr)
           .ok());
+  // A hop-budget factor the budget cast cannot take (NaN, negative), or
+  // one below the planned hops, fails Create instead of the ticks.
+  FaultPlan plan(FaultPlanConfig(), 7);
+  for (double factor : {std::nan(""), -1.0, 0.5}) {
+    DigestEngineOptions options;
+    options.fault_plan = &plan;
+    options.sampling_options.retry.hop_budget_factor = factor;
+    EXPECT_EQ(DigestEngine::Create(&data.graph, data.db.get(),
+                                   Spec(1.0, 1.0), 0, Rng(2), nullptr,
+                                   options)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << factor;
+  }
 }
 
 TEST(EngineTest, TicksMustIncrease) {

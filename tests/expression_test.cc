@@ -83,6 +83,23 @@ TEST(ExpressionTest, BindFailsOnUnknownAttribute) {
   ASSERT_TRUE(expr.ok());
   Schema schema = TestSchema();
   EXPECT_EQ(expr->Bind(schema).code(), StatusCode::kNotFound);
+
+  // Re-binding a bound expression to a schema that lacks one of its
+  // attributes fails and leaves it unbound: Evaluate must not read the
+  // columns of the earlier schema.
+  const Schema ab = Schema::Create({"a", "b"}).value();
+  const Schema a_only = Schema::Create({"a"}).value();
+  for (const char* text : {"b + 0", "b"}) {
+    Result<Expression> rebound = Expression::Parse(text);
+    ASSERT_TRUE(rebound.ok());
+    ASSERT_TRUE(rebound->Bind(ab).ok());
+    EXPECT_EQ(rebound->Evaluate({10.0, 20.0}).value(), 20.0) << text;
+    EXPECT_EQ(rebound->Bind(a_only).code(), StatusCode::kNotFound) << text;
+    EXPECT_FALSE(rebound->bound()) << text;
+    EXPECT_EQ(rebound->Evaluate({10.0, 20.0}).status().code(),
+              StatusCode::kFailedPrecondition)
+        << text;
+  }
 }
 
 TEST(ExpressionTest, EvaluateWithoutBindFails) {

@@ -126,7 +126,7 @@ Result<HedgeRun> DriveHedged(size_t num_threads) {
   options.sampling_options.num_threads = num_threads;
   options.sampling_options.walk_length = 16;
   options.sampling_options.reset_length = 4;
-  options.sampling_options.hedge.enabled = true;
+  options.sampling_options.hedge = true;
   options.fault_plan = &plan;
   options.tracer = &tracer;
 
@@ -210,15 +210,14 @@ OperatorHedgeRun RunOperatorHedged(size_t num_threads) {
   options.walk_length = 16;
   options.reset_length = 4;
   options.num_threads = num_threads;
-  options.hedge.enabled = true;
-  options.hedge.straggler_factor = 1.5;  // Hedge eagerly.
-  options.hedge.min_observations = 4;
+  options.hedge = true;
   SamplingOperator op(&graph, UniformWeight(), Rng(2024), &meter, options);
   FaultPlan plan(HeavyStallFaults(), kFaultSeed);
   op.SetFaultPlan(&plan);
   const NodeId origin = *graph.LiveNodes().begin();
   OperatorHedgeRun run;
-  for (int batch = 0; batch < 8; ++batch) {
+  // Enough batches for a straggler past 3x the observed mean to occur.
+  for (int batch = 0; batch < 30; ++batch) {
     plan.set_now(batch + 1);
     Result<PartialBatch> result = op.SampleNodes(origin, /*n=*/12);
     EXPECT_TRUE(result.ok()) << result.status().message();
@@ -238,7 +237,7 @@ OperatorHedgeRun RunOperatorHedged(size_t num_threads) {
 
 TEST(HedgeParallelTest, OperatorHedgeTelemetryIdenticalAcrossThreadCounts) {
   const OperatorHedgeRun reference = RunOperatorHedged(1);
-  // The eager threshold really hedged, and launches were metered
+  // The straggler threshold really hedged, and launches were metered
   // one-for-one with the telemetry.
   EXPECT_GT(reference.hedges, 0u);
   EXPECT_EQ(reference.hedge_launches, reference.hedges);

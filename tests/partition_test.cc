@@ -139,9 +139,7 @@ Result<DriveResult> Drive(const DriveConfig& cfg) {
                                   PrecisionSpec{2.0, 1.5, 0.9}));
   FaultPlan plan(PartitionFaults(), kFaultSeed);
 
-  PeerHealthConfig health_config;
-  health_config.breakers_enabled = cfg.breakers;
-  PeerHealthMonitor monitor(health_config);
+  PeerHealthMonitor monitor(cfg.breakers);
 
   DigestEngineOptions options;
   options.scheduler = SchedulerKind::kAll;

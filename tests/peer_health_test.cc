@@ -35,54 +35,11 @@ void FoldSuccesses(PeerHealthMonitor* monitor, NodeId peer, int n) {
   }
 }
 
-// With the default config (initial_interval 1, phi_open 2) a never-seen
-// peer needs ceil(2 * ln 10) = 5 consecutive failures to cross the open
-// threshold; the failure_floor (3) is already met by then.
+// With the monitor's constants (initial interval 1, phi_open 2) a
+// never-seen peer needs ceil(2 * ln 10) = 5 consecutive failures to
+// cross the open threshold; the failure floor (3) is already met by
+// then.
 constexpr int kFailuresToOpen = 5;
-
-TEST(PeerHealthConfigTest, ValidationCoversEveryField) {
-  EXPECT_TRUE(PeerHealthConfig{}.Validate().ok());
-
-  PeerHealthConfig bad;
-  bad.interval_alpha = 0.0;
-  EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument);
-  bad = PeerHealthConfig{};
-  bad.interval_alpha = 1.5;
-  EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument);
-  bad = PeerHealthConfig{};
-  bad.initial_interval = 0.0;
-  EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument);
-  bad = PeerHealthConfig{};
-  bad.phi_suspect = -1.0;
-  EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument);
-  bad = PeerHealthConfig{};
-  bad.phi_open = 0.5;  // Below phi_suspect (1.0): breaker would open
-  EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument);
-  bad = PeerHealthConfig{};
-  bad.failure_floor = 0;
-  EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument);
-  bad = PeerHealthConfig{};
-  bad.open_cooldown = 0;
-  EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument);
-  bad = PeerHealthConfig{};
-  bad.half_open_probes = 0;
-  EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument);
-  bad = PeerHealthConfig{};
-  bad.close_successes = bad.half_open_probes + 1;
-  EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument);
-  bad = PeerHealthConfig{};
-  bad.quarantine_degrade_fraction = 0.0;
-  EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument);
-  bad = PeerHealthConfig{};
-  bad.quarantine_degrade_fraction = 1.0001;
-  EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument);
-
-  // The ablation dial is not a validity question: breakers off is a
-  // legal config (bench ablations rely on it).
-  PeerHealthConfig ablated;
-  ablated.breakers_enabled = false;
-  EXPECT_TRUE(ablated.Validate().ok());
-}
 
 TEST(PeerHealthTest, SuspicionAccruesAndLatchesOncePerExcursion) {
   PeerHealthMonitor monitor;
@@ -134,7 +91,7 @@ TEST(PeerHealthTest, BreakerOpensOnSustainedFailureAndQuarantines) {
 }
 
 TEST(PeerHealthTest, CooldownOpensTrialWindowAndSuccessesClose) {
-  PeerHealthMonitor monitor;  // open_cooldown 8, close_successes 2.
+  PeerHealthMonitor monitor;  // Cooldown 8, 2 successes close.
   monitor.set_now(0);
   FoldFailures(&monitor, 0, kFailuresToOpen);
   ASSERT_EQ(monitor.StateOf(0), BreakerState::kOpen);
@@ -182,9 +139,7 @@ TEST(PeerHealthTest, TrialFailureReopensAndCountsTowardFlapRate) {
 }
 
 TEST(PeerHealthTest, AblatedMonitorScoresButNeverOpens) {
-  PeerHealthConfig config;
-  config.breakers_enabled = false;
-  PeerHealthMonitor monitor(config);
+  PeerHealthMonitor monitor(/*breakers_enabled=*/false);
   monitor.set_now(0);
 
   FoldFailures(&monitor, 2, 50);
@@ -204,7 +159,7 @@ TEST(PeerHealthTest, AblatedMonitorScoresButNeverOpens) {
 }
 
 TEST(PeerHealthTest, QuarantineFractionLatchesOneSupervisorFlip) {
-  PeerHealthMonitor monitor;  // quarantine_degrade_fraction 0.5.
+  PeerHealthMonitor monitor;  // Degrade fraction 0.5.
   monitor.set_now(0);
   FoldFailures(&monitor, 0, kFailuresToOpen);
   ASSERT_EQ(monitor.quarantined(), 1u);
@@ -384,27 +339,29 @@ TEST(PeerHealthTest, ParseStateJsonValidatesBeforeReturning) {
 }
 
 TEST(PeerHealthTest, ResetClearsStateButKeepsConfigAndTracer) {
-  obs::MemoryTracer tracer;
-  PeerHealthConfig config;
-  config.open_cooldown = 3;
-  PeerHealthMonitor monitor(config);
-  monitor.SetTracer(&tracer);
-  DriveRichState(&monitor);
-  ASSERT_GT(monitor.outcomes_folded(), 0u);
+  for (const bool breakers : {true, false}) {
+    obs::MemoryTracer tracer;
+    PeerHealthMonitor monitor(breakers);
+    monitor.SetTracer(&tracer);
+    DriveRichState(&monitor);
+    ASSERT_GT(monitor.outcomes_folded(), 0u);
 
-  monitor.Reset();
-  EXPECT_EQ(monitor.outcomes_folded(), 0u);
-  EXPECT_EQ(monitor.quarantined(), 0u);
-  EXPECT_EQ(monitor.batches(), 0u);
-  EXPECT_EQ(monitor.peers_tracked(), 0u);
-  EXPECT_FALSE(monitor.TakePendingQuarantineFlip());
-  EXPECT_EQ(monitor.config().open_cooldown, 3);
+    monitor.Reset();
+    EXPECT_EQ(monitor.outcomes_folded(), 0u);
+    EXPECT_EQ(monitor.quarantined(), 0u);
+    EXPECT_EQ(monitor.batches(), 0u);
+    EXPECT_EQ(monitor.peers_tracked(), 0u);
+    EXPECT_FALSE(monitor.TakePendingQuarantineFlip());
 
-  // The tracer survived the reset: new transitions still emit.
-  tracer.Clear();
-  monitor.set_now(0);
-  FoldFailures(&monitor, 0, kFailuresToOpen);
-  EXPECT_FALSE(tracer.events().empty());
+    // The tracer and the breaker dial survived the reset: new suspicion
+    // still emits, and a breaker opens exactly when breakers are on.
+    tracer.Clear();
+    monitor.set_now(0);
+    FoldFailures(&monitor, 0, kFailuresToOpen);
+    EXPECT_FALSE(tracer.events().empty());
+    EXPECT_EQ(monitor.StateOf(0),
+              breakers ? BreakerState::kOpen : BreakerState::kClosed);
+  }
 }
 
 }  // namespace

@@ -105,6 +105,19 @@ TEST(PredicateTest, BindFailsOnUnknownAttribute) {
   ASSERT_TRUE(pred.ok());
   Schema schema = TestSchema();
   EXPECT_EQ(pred->Bind(schema).code(), StatusCode::kNotFound);
+
+  // Re-binding a bound predicate to a schema that lacks one of its
+  // attributes fails and leaves it unbound: Evaluate must not compare
+  // the columns of the earlier schema.
+  Result<Predicate> rebound = Predicate::Parse("b > 15");
+  ASSERT_TRUE(rebound.ok());
+  ASSERT_TRUE(rebound->Bind(Schema::Create({"a", "b"}).value()).ok());
+  EXPECT_TRUE(rebound->Evaluate({10.0, 20.0}).value());
+  EXPECT_EQ(rebound->Bind(Schema::Create({"a"}).value()).code(),
+            StatusCode::kNotFound);
+  EXPECT_FALSE(rebound->bound());
+  EXPECT_EQ(rebound->Evaluate({10.0, 20.0}).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(PredicateTest, EvaluateWithoutBindFails) {

@@ -83,16 +83,14 @@ TEST(ProfilerTest, SpanCaptureOnlyForCoarsePhases) {
 }
 
 TEST(ProfilerTest, SpanCapBoundsMemoryAndCountsDrops) {
-  ProfilerOptions options;
-  options.max_spans = 2;
-  Profiler profiler(options);
-  for (int i = 0; i < 5; ++i) {
+  Profiler profiler;
+  for (size_t i = 0; i < prof::kMaxSpans + 3; ++i) {
     profiler.Record(Phase::kEngineTick, i * 10, i * 10 + 5, 0);
   }
-  EXPECT_EQ(profiler.spans().size(), 2u);
+  EXPECT_EQ(profiler.spans().size(), prof::kMaxSpans);
   EXPECT_EQ(profiler.spans_dropped(), 3u);
   // Aggregates are unaffected by the cap.
-  EXPECT_EQ(profiler.stats(Phase::kEngineTick).calls, 5u);
+  EXPECT_EQ(profiler.stats(Phase::kEngineTick).calls, prof::kMaxSpans + 3);
 }
 
 TEST(ProfilerTest, CaptureSpansFalseKeepsOnlyAggregates) {

@@ -136,7 +136,7 @@ DigestEngineOptions MakeOptions(const DriveConfig& cfg, FaultPlan* plan,
   options.sampling_options.walk_length = 16;
   options.sampling_options.reset_length = 4;
   options.sampling_options.retry.hop_budget_factor = cfg.hop_budget_factor;
-  options.sampling_options.hedge.enabled = cfg.hedge;
+  options.sampling_options.hedge = cfg.hedge;
   options.estimator_options.allow_partial = cfg.allow_partial;
   options.fault_plan = plan;
   options.tracer = tracer;

@@ -16,16 +16,6 @@ namespace {
 
 using Outcome = SnapshotOutcome;
 
-TEST(SupervisorOptionsTest, ValidatesThresholds) {
-  SupervisorOptions options;
-  EXPECT_TRUE(options.Validate().ok());
-  options.stale_threshold = 0;
-  EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
-  options.stale_threshold = 1;
-  options.recovery_successes = 0;
-  EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(SupervisorTest, StartsHealthyAndStaysHealthyOnSuccess) {
   SessionSupervisor sup;
   EXPECT_EQ(sup.health(), SessionHealth::kHealthy);
@@ -49,9 +39,7 @@ TEST(SupervisorTest, AnyFailureDegradesAndOneSuccessHeals) {
 }
 
 TEST(SupervisorTest, FailureStreakReachesStale) {
-  SupervisorOptions options;
-  options.stale_threshold = 3;
-  SessionSupervisor sup(options);
+  SessionSupervisor sup;  // Stale after a 3-failure streak.
   EXPECT_EQ(sup.RecordOutcome(Outcome::kTimeout), SessionHealth::kDegraded);
   EXPECT_EQ(sup.RecordOutcome(Outcome::kTimeout), SessionHealth::kDegraded);
   EXPECT_EQ(sup.RecordOutcome(Outcome::kTimeout), SessionHealth::kStale);
@@ -60,10 +48,8 @@ TEST(SupervisorTest, FailureStreakReachesStale) {
 }
 
 TEST(SupervisorTest, RecoveryRequiresSuccessStreak) {
-  SupervisorOptions options;
-  options.stale_threshold = 2;
-  options.recovery_successes = 2;
-  SessionSupervisor sup(options);
+  SessionSupervisor sup;  // Healthy again after a 2-success streak.
+  sup.RecordOutcome(Outcome::kTimeout);
   sup.RecordOutcome(Outcome::kTimeout);
   sup.RecordOutcome(Outcome::kTimeout);
   ASSERT_EQ(sup.health(), SessionHealth::kStale);
@@ -75,19 +61,6 @@ TEST(SupervisorTest, RecoveryRequiresSuccessStreak) {
   // A full success streak climbs out.
   EXPECT_EQ(sup.RecordOutcome(Outcome::kMetContract),
             SessionHealth::kRecovering);
-  EXPECT_EQ(sup.RecordOutcome(Outcome::kMetContract),
-            SessionHealth::kHealthy);
-}
-
-TEST(SupervisorTest, SingleRecoverySuccessSkipsProbation) {
-  SupervisorOptions options;
-  options.stale_threshold = 1;
-  options.recovery_successes = 1;
-  SessionSupervisor sup(options);
-  // HEALTHY always degrades first; the stale threshold applies to the
-  // failure streak observed while already degraded.
-  EXPECT_EQ(sup.RecordOutcome(Outcome::kTimeout), SessionHealth::kDegraded);
-  EXPECT_EQ(sup.RecordOutcome(Outcome::kTimeout), SessionHealth::kStale);
   EXPECT_EQ(sup.RecordOutcome(Outcome::kMetContract),
             SessionHealth::kHealthy);
 }
@@ -139,15 +112,14 @@ TEST(SupervisorTest, ExportsOutcomeAndTransitionCounters) {
 }
 
 TEST(SupervisorTest, SaveRestoreRoundTripsTheMachine) {
-  SupervisorOptions options;
-  options.stale_threshold = 2;
-  SessionSupervisor sup(options);
+  SessionSupervisor sup;
+  sup.RecordOutcome(Outcome::kTimeout);
   sup.RecordOutcome(Outcome::kTimeout);
   sup.RecordOutcome(Outcome::kPartial);
   ASSERT_EQ(sup.health(), SessionHealth::kStale);
   const SessionSupervisor::State saved = sup.SaveState();
 
-  SessionSupervisor restored(options);
+  SessionSupervisor restored;
   restored.RestoreState(saved);
   EXPECT_EQ(restored.health(), SessionHealth::kStale);
   EXPECT_EQ(restored.consecutive_failures(), sup.consecutive_failures());
